@@ -10,7 +10,7 @@ use std::hint::black_box;
 use fractos_cap::{CapRef, CapSpace, ControllerAddr, Epoch, ObjectId, ObjectTable, ProcessToken};
 use fractos_core::types::Syscall;
 use fractos_core::wire::Wire;
-use fractos_sim::{Actor, Ctx, Msg, Sim, SimDuration};
+use fractos_sim::{Actor, Ctx, Msg, Runtime, RuntimeExt, Sim, SimDuration};
 
 fn capref(n: u64) -> CapRef {
     CapRef {

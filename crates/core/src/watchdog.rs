@@ -234,7 +234,7 @@ impl Actor for WatchdogActor {
 mod tests {
     use super::*;
     use fractos_net::{ComputeDomain, NetParams, NodeId, Topology};
-    use fractos_sim::{ActorId, Sim, SimTime};
+    use fractos_sim::{ActorId, Runtime, RuntimeExt, Sim, SimTime};
 
     /// A minimal Controller stand-in: answers pings while `alive` and
     /// records the verdict broadcasts it receives. Exercising the
@@ -309,7 +309,7 @@ mod tests {
             let alive = Shared::named("state", true);
             let actor = sim.add_actor_on(
                 node,
-                format!("stub{node}"),
+                &format!("stub{node}"),
                 Box::new(StubCtrl {
                     addr,
                     endpoint,

@@ -3,16 +3,20 @@
 //! Deterministic discrete-event simulation engine for FractOS-rs.
 //!
 //! The FractOS paper evaluates on a 3-node RDMA cluster with SmartNICs, GPUs
-//! and NVMe SSDs. This crate is the substitute substrate: a single-threaded,
-//! seeded, discrete-event simulator on which the real FractOS logic (the
+//! and NVMe SSDs. This crate is the substitute substrate: a seeded
+//! discrete-event simulator on which the real FractOS logic (the
 //! `fractos-core` Controllers, Processes, device adaptors and services) runs
 //! with a virtual clock. Determinism is a hard requirement — integration
 //! tests assert that equal seeds produce identical event traces.
 //!
+//! There is one event loop (the crate-private `Shard`) and two drivers of
+//! it, both behind the [`Runtime`] trait: [`Sim`] runs one shard on the
+//! calling thread, [`ShardedSim`] one shard per simulated node in parallel.
+//!
 //! # Examples
 //!
 //! ```
-//! use fractos_sim::{Actor, Ctx, Msg, Sim, SimDuration};
+//! use fractos_sim::{Actor, Ctx, Msg, Runtime, RuntimeExt, Sim, SimDuration};
 //!
 //! struct Counter(u64);
 //! impl Actor for Counter {
@@ -36,6 +40,7 @@ pub mod payload;
 pub mod queue;
 pub mod rng;
 pub mod runtime;
+mod shard;
 pub mod sharded;
 pub mod shared;
 pub mod span;
@@ -50,7 +55,7 @@ pub use rng::SimRng;
 pub use runtime::{
     build_runtime, runtime_from_env, Runtime, RuntimeConfig, RuntimeExt, RuntimeKind,
 };
-pub use sharded::{ScheduleProbe, ShardedSim};
+pub use sharded::ShardedSim;
 pub use shared::{Shared, SharedGuard};
 pub use span::{SpanKind, SpanRecord, SpanStore, TraceCtx};
 pub use telemetry::{

@@ -348,11 +348,22 @@ impl Metrics {
     }
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
+    /// Only the first touch of a name allocates.
+    // analyze: hot-path
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => self.first_add(name, delta),
+        }
+    }
+
+    #[cold]
+    fn first_add(&mut self, name: &str, delta: u64) {
+        self.counters.insert(name.to_string(), delta);
     }
 
     /// Increments the named counter by one.
+    // analyze: hot-path
     pub fn incr(&mut self, name: &str) {
         self.add(name, 1);
     }
@@ -362,8 +373,18 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a sample into the named histogram.
+    /// Records a sample into the named histogram. Only the first touch of
+    /// a name allocates it.
+    // analyze: hot-path
     pub fn sample(&mut self, name: &str, value: f64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => self.first_sample(name, value),
+        }
+    }
+
+    #[cold]
+    fn first_sample(&mut self, name: &str, value: f64) {
         self.histograms
             .entry(name.to_string())
             .or_default()

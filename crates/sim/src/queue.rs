@@ -165,19 +165,34 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes and returns the earliest entry as `(time, seq, item)`.
-    // analyze: hot-path
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        self.pop_if_before(None)
+    }
+
+    /// [`pop`](Self::pop), unless the earliest entry lies at or past
+    /// `horizon` (`None` = unbounded): the event loop's bounded pop, one
+    /// bucket scan where `peek_key` + `pop` take two.
+    // analyze: hot-path
+    pub fn pop_if_before(&mut self, horizon: Option<SimTime>) -> Option<(SimTime, u64, T)> {
         if self.len == 0 {
             return None;
         }
+        let due = |e: &Entry<T>| horizon.is_none_or(|h| e.time < h);
         if self.wheel_len == 0 {
             // Rotate the window to the earliest far entry and migrate
             // everything that now fits.
             let min = self.far.peek().expect("len > 0 with empty wheel");
+            if !due(min) {
+                return None;
+            }
             self.cursor = min.time.as_nanos() >> SHIFT;
             self.refill();
         }
         let off = self.first_occupied().expect("wheel refilled");
+        let slot = ((self.cursor + off as u64) % SLOTS as u64) as usize;
+        if !due(self.wheel[slot].peek().expect("occupied bucket")) {
+            return None;
+        }
         if off > 0 {
             // The window slid forward: far entries may now fit into the
             // vacated span; migrate them before popping so the wheel/far
@@ -185,7 +200,6 @@ impl<T> EventQueue<T> {
             self.cursor += off as u64;
             self.refill();
         }
-        let slot = (self.cursor % SLOTS as u64) as usize;
         let entry = self.wheel[slot].pop().expect("occupied bucket");
         if self.wheel[slot].is_empty() {
             self.occupied[slot / 64] &= !(1u64 << (slot % 64));
@@ -377,8 +391,15 @@ mod tests {
                 m.push(t, seq);
                 seq += 1;
             } else {
-                let got = q.pop().map(|(t, s, _)| (t, s));
-                let want = m.pop();
+                // Half the pops are bounded by a horizon drawn around the
+                // head: the head comes out iff it lies strictly before it.
+                let horizon = (next() % 2 == 0).then(|| {
+                    let head = q.peek_key().expect("non-empty").0.as_nanos();
+                    SimTime::from_nanos((head + next() % 3).saturating_sub(1))
+                });
+                let got = q.pop_if_before(horizon).map(|(t, s, _)| (t, s));
+                let due = horizon.is_none_or(|h| m.0.peek().is_some_and(|e| e.time < h));
+                let want = if due { m.pop() } else { None };
                 assert_eq!(got, want);
                 if let Some((t, _)) = got {
                     watermark = t.as_nanos();

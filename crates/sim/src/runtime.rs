@@ -1,21 +1,26 @@
-//! The runtime abstraction: FractOS logic against pluggable engines.
+//! The runtime abstraction: FractOS logic against pluggable drivers.
 //!
 //! Everything above this crate — the network model, Controllers, Processes,
 //! device adaptors, services, baselines, and the bench harness — drives the
 //! simulation exclusively through the [`Runtime`] trait: actor registration,
 //! message posting, the virtual clock, seeded randomness (via [`crate::Ctx`]),
-//! metrics, and tracing. Two backends implement it:
+//! metrics, and tracing. There is one event loop (`Shard::run_window` in
+//! `shard.rs`) and two drivers of it implement the trait:
 //!
-//! * [`Sim`] — the single-threaded engine. One global event queue, FIFO at
-//!   equal timestamps, bit-exact determinism: the same seed always yields
-//!   the identical event trace. This is the default.
-//! * [`ShardedSim`](crate::sharded::ShardedSim) — a parallel engine with
-//!   one shard per simulated node, synchronized by per-link channel
-//!   lookahead (Chandy–Misra–Bryant style; see its module docs).
-//!   Deterministic for a fixed seed and shard layout; per-link
-//!   traffic counters and application payloads match the single-threaded
-//!   engine, while exact event interleavings (and thus latency samples)
-//!   may differ.
+//! * [`Sim`] — one shard with no peers, run on the calling thread. One
+//!   queue, FIFO at equal timestamps, bit-exact determinism: the same seed
+//!   always yields the identical event trace. This is the default.
+//! * [`ShardedSim`](crate::sharded::ShardedSim) — one shard per simulated
+//!   node, run in parallel and synchronized by per-link channel lookahead
+//!   (Chandy–Misra–Bryant style; see its module docs). Deterministic for a
+//!   fixed seed and shard layout; per-link traffic counters and application
+//!   payloads match `Sim`, while exact event interleavings (and thus
+//!   latency samples) may differ.
+//!
+//! What happens to one event on one shard — delivery order, outage drops,
+//! stop, self-profiling — is the same code under both, so it cannot differ.
+//! What the drivers add, and the equivalence suites still have to check, is
+//! the barrier merge order, the horizons and the per-shard RNG fork.
 //!
 //! Backend selection is an environment decision, not a code decision: see
 //! [`RuntimeKind::from_env`] and [`build_runtime`].
@@ -41,7 +46,9 @@ pub trait Runtime {
     ///
     /// Placement is the unit of parallelism: the sharded backend runs each
     /// node's actors on one shard, so only cross-node messages pay barrier
-    /// synchronization. The single-threaded backend ignores placement.
+    /// synchronization. On every backend it scopes node-outage windows
+    /// (see [`set_node_outages`](Runtime::set_node_outages)); on the
+    /// one-shard backend that is all it does.
     fn add_actor_on(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId;
 
     /// Enqueues a pre-boxed message to `dst` at `now + delay` from outside
@@ -52,7 +59,9 @@ pub trait Runtime {
     fn run(&mut self) -> RunOutcome;
 
     /// Runs for at most `max_steps` events (the parallel backend may
-    /// overshoot by up to one synchronization window; see its docs).
+    /// overshoot by up to one synchronization window; see its docs). A
+    /// stop requested by the last budgeted event is still
+    /// [`RunOutcome::Stopped`].
     fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome;
 
     /// Runs until virtual time exceeds `deadline` or the queue drains.
@@ -83,7 +92,10 @@ pub trait Runtime {
     /// Enables trace recording.
     fn enable_trace(&mut self);
 
-    /// Takes the recorded trace, leaving recording enabled.
+    /// Takes the recorded trace, leaving recording as it was: enabled if
+    /// it had been enabled, off (and the result empty) if not. The same
+    /// holds for [`take_spans`](Runtime::take_spans) and
+    /// [`take_telemetry`](Runtime::take_telemetry).
     ///
     /// Entries are returned in the canonical `(time, actor, label)` order on
     /// every backend, so equal workloads at equal seeds yield equal traces
@@ -178,108 +190,13 @@ pub trait RuntimeExt: Runtime {
 
 impl<R: Runtime + ?Sized> RuntimeExt for R {}
 
-impl Runtime for Sim {
-    fn add_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ActorId {
-        Sim::add_actor(self, name, actor)
-    }
-
-    fn add_actor_on(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId {
-        // One global queue: placement has no effect on scheduling — it only
-        // scopes node-outage (crash) windows.
-        Sim::add_actor_on(self, node, name, actor)
-    }
-
-    fn post_boxed(&mut self, delay: SimDuration, dst: ActorId, msg: Msg) {
-        Sim::post_boxed(self, delay, dst, msg);
-    }
-
-    fn run(&mut self) -> RunOutcome {
-        Sim::run(self)
-    }
-
-    fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome {
-        Sim::run_with_limit(self, max_steps)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        Sim::run_until(self, deadline)
-    }
-
-    fn now(&self) -> SimTime {
-        Sim::now(self)
-    }
-
-    fn steps(&self) -> u64 {
-        Sim::steps(self)
-    }
-
-    fn pending(&self) -> usize {
-        Sim::pending(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        Sim::metrics(self)
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        Sim::metrics_mut(self)
-    }
-
-    fn actor_name(&self, id: ActorId) -> &str {
-        Sim::actor_name(self, id)
-    }
-
-    fn actor_count(&self) -> usize {
-        Sim::actor_count(self)
-    }
-
-    fn enable_trace(&mut self) {
-        Sim::enable_trace(self);
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEntry> {
-        Sim::take_trace(self)
-    }
-
-    fn enable_spans(&mut self) {
-        Sim::enable_spans(self);
-    }
-
-    fn take_spans(&mut self) -> Vec<SpanRecord> {
-        Sim::take_spans(self)
-    }
-
-    fn enable_telemetry(&mut self, period: SimDuration) {
-        Sim::enable_telemetry(self, period);
-    }
-
-    fn telemetry_period(&self) -> Option<SimDuration> {
-        Sim::telemetry_period(self)
-    }
-
-    fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
-        Sim::take_telemetry(self)
-    }
-
-    fn with_actor_any(&mut self, id: ActorId, f: &mut dyn FnMut(&mut dyn Any)) {
-        Sim::with_actor_any(self, id, f);
-    }
-
-    fn set_node_outages(&mut self, outages: Vec<NodeOutage>) {
-        Sim::set_node_outages(self, outages);
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "single"
-    }
-}
-
 /// Which engine backs a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
-    /// Single-threaded engine: one global queue, bit-exact determinism.
+    /// One shard on the calling thread ([`Sim`]): bit-exact determinism.
     SingleThreaded,
-    /// Sharded parallel engine: one shard per node, conservative lookahead.
+    /// One shard per node in parallel
+    /// ([`ShardedSim`](crate::sharded::ShardedSim)): conservative lookahead.
     Sharded,
 }
 

@@ -1,4 +1,9 @@
-//! Parallel sharded simulation engine.
+//! The N-shard driver: the parallel sharded simulation engine.
+//!
+//! Events are delivered by the crate's one loop (`Shard::run_window` in
+//! `shard.rs`), which [`Sim`](crate::Sim) drives with a single shard. This
+//! module owns only what is genuinely parallel — actor placement, the
+//! lookahead matrix, the horizons, the worker fan-out and the barrier.
 //!
 //! One shard per simulated node, synchronized by *per-link channel
 //! lookahead* in the conservative Chandy–Misra–Bryant style. Each ordered
@@ -59,20 +64,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{Actor, ActorId, Ctx, Msg, NodeOutage, RunOutcome, TraceEntry};
+use crate::engine::{Actor, ActorId, Msg, NodeOutage, RunOutcome, TraceEntry};
 use crate::metrics::Metrics;
-use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::runtime::{Runtime, RuntimeConfig};
-use crate::span::{sort_canonical, SpanRecord, SpanStore};
-use crate::telemetry::{
-    sort_canonical_telemetry, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
-};
+use crate::shard::{self, Shard};
+use crate::span::SpanRecord;
+use crate::telemetry::TelemetryEvent;
 use crate::time::{SimDuration, SimTime};
-
-/// Queued payload: local actor slot, global id (for errors and traces),
-/// and the message itself.
-type Queued = (u32, ActorId, Msg);
 
 /// Where a global actor lives.
 #[derive(Clone, Copy)]
@@ -81,170 +80,20 @@ struct Loc {
     local: u32,
 }
 
-struct Shard {
-    queue: EventQueue<Queued>,
-    actors: Vec<Option<Box<dyn Actor>>>,
-    rng: SimRng,
-    metrics: Metrics,
-    trace: Option<Vec<TraceEntry>>,
-    spans: Option<SpanStore>,
-    telemetry: Option<TelemetryStore>,
-    /// Self-profiling sampling period; `Some` exactly when `telemetry` is.
-    telemetry_period: Option<SimDuration>,
-    /// Last self-profiling window this shard emitted.
-    tele_window: Option<u64>,
-    /// Events processed at the last self-profiling emission.
-    tele_steps: u64,
-    /// Lifetime events processed by this shard (self-profiling).
-    total_processed: u64,
-    now: SimTime,
-    seq: u64,
-    stop: bool,
-    /// Node-down windows scoped to this shard's node (crash faults);
-    /// empty on fault-free runs.
-    outages: Vec<NodeOutage>,
-    /// Events processed in the current round.
-    processed: u64,
-    /// Cross-shard sends buffered until the barrier, as
-    /// `(sent_at, arrival, dst, msg)`; the send instant lets the barrier
-    /// check each message against its link's lookahead on the main thread
-    /// (so a violation panics with a diagnostic instead of a bare
-    /// "scoped thread panicked").
-    cross: Vec<(SimTime, SimTime, ActorId, Msg)>,
-    /// Reusable send buffer for [`run_window`](Shard::run_window): drained
-    /// back to empty after every event so the per-event cost is a pointer
-    /// swap, not a heap allocation.
-    scratch_outbox: Vec<(SimTime, ActorId, Msg)>,
-}
-
-impl Shard {
-    /// Processes all local events strictly before `horizon` (unbounded when
-    /// `None`); returns when the window is exhausted or an actor requested
-    /// a stop. Cross-shard sends are buffered with their send instant; the
-    /// barrier checks them against the per-link lookahead.
-    // analyze: hot-path
-    fn run_window(&mut self, horizon: Option<SimTime>, locs: &[Loc], my_index: u32, budget: u64) {
-        while self.processed < budget && !self.stop {
-            let Some((head_time, _)) = self.queue.peek_key() else {
-                break;
-            };
-            if horizon.is_some_and(|h| head_time >= h) {
-                break;
-            }
-            let (time, _seq, (local, dst, msg)) = self.queue.pop().expect("peeked event vanished");
-            debug_assert!(
-                time >= self.now,
-                "shard queue went back in time: popped {time} < now {now} (queue {q:?})",
-                now = self.now,
-                q = self.queue,
-            );
-            self.now = time;
-            self.processed += 1;
-            self.total_processed += 1;
-            if self.telemetry_period.is_some() {
-                self.telemetry_boundary(time, my_index);
-            }
-
-            // A delivery inside this node's down window is lost (crash
-            // fault): same decision rule, same metric as the
-            // single-threaded engine, so crash runs replay identically.
-            if !self.outages.is_empty() && self.outages.iter().any(|o| o.drops_at(time)) {
-                self.metrics.incr("engine.outage_drops");
-                continue;
-            }
-
-            let mut actor = self.actors[local as usize]
-                .take()
-                .unwrap_or_else(|| panic!("re-entrant or missing {dst}"));
-            let mut outbox = std::mem::take(&mut self.scratch_outbox);
-            {
-                let mut ctx = Ctx::new(
-                    self.now,
-                    dst,
-                    &mut outbox,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &mut self.trace,
-                    &mut self.spans,
-                    &mut self.telemetry,
-                    &mut self.stop,
-                );
-                actor.handle(msg, &mut ctx);
-            }
-            self.actors[local as usize] = Some(actor);
-            for (time, dst, msg) in outbox.drain(..) {
-                let loc = locs
-                    .get(dst.index())
-                    .unwrap_or_else(|| panic!("send to unregistered {dst}"));
-                if loc.shard == my_index {
-                    self.push(time, *loc, dst, msg);
-                } else {
-                    self.cross.push((self.now, time, dst, msg));
-                }
-            }
-            self.scratch_outbox = outbox;
-        }
-    }
-
-    fn push(&mut self, time: SimTime, loc: Loc, dst: ActorId, msg: Msg) {
-        self.queue.push(time, self.seq, (loc.local, dst, msg));
-        self.seq += 1;
-    }
-
-    /// Per-shard counterpart of the single-threaded engine's boundary
-    /// sampling: when an event crosses a sampling-period boundary, record
-    /// this shard's scheduler gauges and events-per-window delta under
-    /// the backend-specific `runtime.shard{i}.` namespace. Exporters
-    /// exclude `runtime.` series from cross-backend artifacts.
-    fn telemetry_boundary(&mut self, time: SimTime, my_index: u32) {
-        let Some(period) = self.telemetry_period else {
-            return;
-        };
-        let w = time.as_nanos() / period.as_nanos().max(1);
-        if self.tele_window == Some(w) {
-            return;
-        }
-        self.tele_window = Some(w);
-        let at = SimTime::from_nanos(w.saturating_mul(period.as_nanos()));
-        let depth = self.queue.len() as u64;
-        let occupied = self.queue.wheel_occupied_buckets() as u64;
-        let far = self.queue.far_len() as u64;
-        let events = self.total_processed - self.tele_steps;
-        self.tele_steps = self.total_processed;
-        // `telemetry_period` is only ever set together with the store.
-        let Some(store) = self.telemetry.as_mut() else {
-            return;
-        };
-        for (suffix, kind) in [
-            ("queue.depth", TelemetryKind::Gauge(depth)),
-            ("wheel.occupied", TelemetryKind::Gauge(occupied)),
-            ("wheel.far", TelemetryKind::Gauge(far)),
-            ("events", TelemetryKind::Count(events)),
-        ] {
-            store.record(
-                TELEMETRY_EXTERNAL,
-                at,
-                format!("runtime.shard{my_index}.{suffix}"),
-                kind,
-            );
-        }
-        for (suffix, v) in [
-            ("wheel.occupied_peak", occupied),
-            ("wheel.far_peak", far),
-            ("queue.depth_peak", depth),
-        ] {
-            let name = format!("runtime.shard{my_index}.{suffix}");
-            let prev = self.metrics.counter(&name);
-            if v > prev {
-                self.metrics.add(&name, v - prev);
-            }
-        }
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(t, _)| t)
+/// The `route` of shard `me`: local slot for its own actors, `None` for a
+/// peer's (the send crosses the barrier).
+fn route(locs: &[Loc], me: usize) -> impl Fn(ActorId) -> Option<u32> + '_ {
+    move |dst| {
+        let loc = locs
+            .get(dst.index())
+            .unwrap_or_else(|| panic!("send to unregistered {dst}"));
+        (loc.shard as usize == me).then_some(loc.local)
     }
 }
+
+/// The schedule explorer's choice of one round's shard order (see
+/// [`ShardedSim::run_scheduled`]).
+type Pick<'a> = &'a mut dyn FnMut(u64, &[usize]) -> Vec<usize>;
 
 /// The parallel sharded simulation engine.
 ///
@@ -266,31 +115,6 @@ pub struct ShardedSim {
     metrics: Metrics,
     now: SimTime,
     steps: u64,
-    seed: u64,
-    trace_enabled: bool,
-    spans_enabled: bool,
-    /// Telemetry sampling period; `Some` while the plane is enabled.
-    telemetry_period: Option<SimDuration>,
-}
-
-/// Scheduling hook for the bounded schedule explorer
-/// (`crates/sim/tests/schedule_explorer.rs`).
-///
-/// In explorer mode the engine runs each round's shards *sequentially*,
-/// in the order [`pick`](ScheduleProbe::pick) chooses, instead of fanning
-/// out over workers — so a test can enumerate every interleaving of a
-/// round's shard executions and assert the conservative barrier makes
-/// them all equivalent.
-pub struct ScheduleProbe<'a> {
-    /// Chooses the execution order for one round: receives the round
-    /// index and the *active* shards (those whose next event lies inside
-    /// their horizon — the only ones that will process events), returns
-    /// a permutation of that slice.
-    pub pick: &'a mut dyn FnMut(u64, &[usize]) -> Vec<usize>,
-    /// Per-round log of the active shard sets, in round order. Identical
-    /// across schedules when the barrier is correct; the explorer asserts
-    /// it and uses the sizes to bound its enumeration.
-    pub log: Vec<Vec<usize>>,
 }
 
 impl ShardedSim {
@@ -328,26 +152,7 @@ impl ShardedSim {
         }
         let mut root = SimRng::new(config.seed);
         let shards = (0..config.nodes)
-            .map(|_| Shard {
-                queue: EventQueue::new(),
-                actors: Vec::new(),
-                rng: root.fork(),
-                metrics: Metrics::new(),
-                trace: None,
-                spans: None,
-                telemetry: None,
-                telemetry_period: None,
-                tele_window: None,
-                tele_steps: 0,
-                total_processed: 0,
-                now: SimTime::ZERO,
-                seq: 0,
-                stop: false,
-                outages: Vec::new(),
-                processed: 0,
-                cross: Vec::new(),
-                scratch_outbox: Vec::new(),
-            })
+            .map(|_| Shard::new(config.seed, root.fork()))
             .collect::<Vec<_>>();
         let workers = resolve_workers(config, shards.len());
         ShardedSim {
@@ -359,10 +164,6 @@ impl ShardedSim {
             metrics: Metrics::new(),
             now: SimTime::ZERO,
             steps: 0,
-            seed: config.seed,
-            trace_enabled: false,
-            spans_enabled: false,
-            telemetry_period: None,
         }
     }
 
@@ -383,9 +184,7 @@ impl ShardedSim {
             self.shards.len()
         );
         let id = ActorId::from_raw(u32::try_from(self.locs.len()).expect("too many actors"));
-        let shard = &mut self.shards[node];
-        let local = u32::try_from(shard.actors.len()).expect("too many actors on one shard");
-        shard.actors.push(Some(actor));
+        let local = self.shards[node].add_actor(node, actor);
         self.locs.push(Loc {
             shard: node as u32,
             local,
@@ -445,10 +244,9 @@ impl ShardedSim {
         }
         let horizons = (0..n)
             .map(|i| {
-                let mut bound: Option<SimTime> = deadline
-                    // The horizon is exclusive; an inclusive deadline caps
-                    // it one nanosecond past.
-                    .map(|d| d.saturating_add(SimDuration::from_nanos(1)));
+                // The horizon is exclusive; an inclusive deadline caps it
+                // one nanosecond past.
+                let mut bound: Option<SimTime> = deadline.and_then(shard::horizon_after);
                 for (j, r) in ready.iter().enumerate() {
                     if i == j {
                         continue;
@@ -465,8 +263,14 @@ impl ShardedSim {
     }
 
     /// Runs the workload to completion with every round's shard order
-    /// chosen by `probe` (see [`ScheduleProbe`]); returns the outcome and
-    /// the per-round active-shard log.
+    /// chosen by `pick` — it receives the round index and the *active*
+    /// shards (those whose next event lies inside their horizon, the only
+    /// ones that will process events) and returns a permutation of that
+    /// slice. Returns the outcome and the per-round log of active shard
+    /// sets, which is identical across schedules when the barrier is
+    /// correct (the schedule explorer,
+    /// `crates/sim/tests/schedule_explorer.rs`, asserts it and uses the
+    /// sizes to bound its enumeration).
     ///
     /// Single-threaded by construction: each round executes its shards
     /// back-to-back in the picked order, which is exactly the
@@ -476,51 +280,26 @@ impl ShardedSim {
         &mut self,
         pick: &mut dyn FnMut(u64, &[usize]) -> Vec<usize>,
     ) -> (RunOutcome, Vec<Vec<usize>>) {
-        let mut probe = ScheduleProbe {
-            pick,
-            log: Vec::new(),
-        };
-        let outcome = self.run_rounds_probed(u64::MAX, None, Some(&mut probe));
-        (outcome, probe.log)
+        self.run_rounds(u64::MAX, None, Some(pick))
     }
 
     /// Drives synchronization rounds until drained, stopped, out of
-    /// budget, or past the deadline.
-    fn run_rounds(&mut self, max_steps: u64, deadline: Option<SimTime>) -> RunOutcome {
-        self.run_rounds_probed(max_steps, deadline, None)
-    }
-
-    /// [`run_rounds`](Self::run_rounds), optionally under a schedule
-    /// probe that sequentializes each round in a chosen order.
-    fn run_rounds_probed(
+    /// budget, or past the deadline; under `pick`, each round is
+    /// sequentialized in the chosen order and its active set logged.
+    fn run_rounds(
         &mut self,
         max_steps: u64,
         deadline: Option<SimTime>,
-        mut probe: Option<&mut ScheduleProbe<'_>>,
-    ) -> RunOutcome {
+        mut pick: Option<Pick<'_>>,
+    ) -> (RunOutcome, Vec<Vec<usize>>) {
         for s in &mut self.shards {
             s.stop = false;
             s.processed = 0;
-            if self.trace_enabled && s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-            if self.spans_enabled && s.spans.is_none() {
-                // Every shard's store shares the run seed: ids derive from
-                // (seed, actor, per-actor counter), so the shard layout does
-                // not influence them and they match the single-threaded
-                // engine bit-for-bit.
-                s.spans = Some(SpanStore::new(self.seed));
-            }
-            if self.telemetry_period.is_some() {
-                if s.telemetry.is_none() {
-                    s.telemetry = Some(TelemetryStore::new());
-                }
-                s.telemetry_period = self.telemetry_period;
-            }
         }
-        let profile = self.telemetry_period.is_some();
+        let n = self.shards.len();
+        let profile = self.telemetry_period().is_some();
         let start_steps = self.steps;
-        let mut round = 0u64;
+        let mut log = Vec::new();
         let outcome = loop {
             let nexts: Vec<Option<SimTime>> =
                 self.shards.iter().map(Shard::next_event_time).collect();
@@ -547,11 +326,27 @@ impl ShardedSim {
                 self.metrics.add("runtime.sharded.cc_sweeps", sweeps);
             }
 
-            match probe.as_deref_mut() {
-                None => self.run_round(&horizons, budget),
-                Some(p) => self.run_round_ordered(&nexts, &horizons, budget, round, p),
+            match pick.as_deref_mut() {
+                Some(pick) => {
+                    let round = log.len() as u64;
+                    let active: Vec<usize> = (0..n)
+                        .filter(|&i| nexts[i].is_some_and(|t| horizons[i].is_none_or(|h| t < h)))
+                        .collect();
+                    let order = pick(round, &active);
+                    let mut sorted = order.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(
+                        sorted, active,
+                        "round {round}: schedule must be a permutation of the active shards"
+                    );
+                    // The idle shards' windows are empty by construction.
+                    let idle = (0..n).filter(|i| !active.contains(i));
+                    self.run_in_order(order.into_iter().chain(idle), &horizons, budget);
+                    log.push(active);
+                }
+                None if self.workers <= 1 || n <= 1 => self.run_in_order(0..n, &horizons, budget),
+                None => self.run_on_workers(&horizons, budget),
             }
-            round += 1;
 
             // Deterministic exchange: shards in index order, each shard's
             // sends in production order. Each message is checked against
@@ -581,7 +376,7 @@ impl ShardedSim {
                 moved.extend(
                     s.cross
                         .drain(..)
-                        .map(|(sent, time, dst, msg)| (j as u32, sent, time, dst, msg)),
+                        .map(|(sent, time, dst, msg)| (j, sent, time, dst, msg)),
                 );
             }
             if profile {
@@ -592,7 +387,7 @@ impl ShardedSim {
             }
             for (src, sent, time, dst, msg) in moved {
                 let loc = self.locs[dst.index()];
-                let la = self.la[src as usize][loc.shard as usize];
+                let la = self.la[src][loc.shard as usize];
                 assert!(
                     time >= sent.saturating_add(la),
                     "lookahead violation: cross-shard message for {dst} at {time} \
@@ -601,7 +396,7 @@ impl ShardedSim {
                      lower bound on cross-node delay",
                     peer = loc.shard,
                 );
-                self.shards[loc.shard as usize].push(time, loc, dst, msg);
+                self.shards[loc.shard as usize].push(time, loc.local, dst, msg);
             }
             if self.shards.iter().any(|s| s.stop) {
                 break RunOutcome::Stopped;
@@ -612,53 +407,27 @@ impl ShardedSim {
             merged.merge_from(&std::mem::take(&mut s.metrics));
         }
         self.metrics.merge_from(&merged);
-        outcome
+        (outcome, log)
     }
 
-    /// Explorer-mode round: runs the active shards sequentially in the
-    /// order the probe picks, then the idle shards (whose windows are
-    /// empty by construction) in index order.
-    fn run_round_ordered(
+    /// Runs one window on each of `order`'s shards, back to back on the
+    /// calling thread.
+    fn run_in_order(
         &mut self,
-        nexts: &[Option<SimTime>],
+        order: impl Iterator<Item = usize>,
         horizons: &[Option<SimTime>],
         budget: u64,
-        round: u64,
-        probe: &mut ScheduleProbe<'_>,
     ) {
-        let active: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| match (nexts[i], horizons[i]) {
-                (Some(t), Some(h)) => t < h,
-                (Some(_), None) => true,
-                (None, _) => false,
-            })
-            .collect();
-        let order = (probe.pick)(round, &active);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(
-            sorted, active,
-            "round {round}: schedule must be a permutation of the active shards"
-        );
-        let idle = (0..self.shards.len()).filter(|i| !active.contains(i));
-        for i in order.iter().copied().chain(idle) {
-            self.shards[i].run_window(horizons[i], &self.locs, i as u32, budget);
+        for i in order {
+            self.shards[i].run_window(horizons[i], budget, route(&self.locs, i));
         }
-        probe.log.push(active);
     }
 
     /// Runs one window across all shards on the worker pool.
-    fn run_round(&mut self, horizons: &[Option<SimTime>], budget: u64) {
+    fn run_on_workers(&mut self, horizons: &[Option<SimTime>], budget: u64) {
         let locs = &self.locs;
-        let n = self.shards.len();
-        if self.workers <= 1 || n <= 1 {
-            for (i, s) in self.shards.iter_mut().enumerate() {
-                s.run_window(horizons[i], locs, i as u32, budget);
-            }
-            return;
-        }
         let slots: Vec<Mutex<&mut Shard>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let workers = self.workers.min(n);
+        let workers = self.workers.min(slots.len());
         let active = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for w in 0..workers {
@@ -677,7 +446,7 @@ impl ShardedSim {
                         let mut shard = slot
                             .lock()
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        shard.run_window(horizons[i], locs, i as u32, budget);
+                        shard.run_window(horizons[i], budget, route(locs, i));
                         did_work |= shard.processed > 0;
                     }
                     if did_work {
@@ -733,19 +502,19 @@ impl Runtime for ShardedSim {
             .get(dst.index())
             .unwrap_or_else(|| panic!("post to unregistered {dst}"));
         let time = self.now.saturating_add(delay);
-        self.shards[loc.shard as usize].push(time, loc, dst, msg);
+        self.shards[loc.shard as usize].push(time, loc.local, dst, msg);
     }
 
     fn run(&mut self) -> RunOutcome {
-        self.run_rounds(u64::MAX, None)
+        self.run_rounds(u64::MAX, None, None).0
     }
 
     fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome {
-        self.run_rounds(max_steps, None)
+        self.run_rounds(max_steps, None, None).0
     }
 
     fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.run_rounds(u64::MAX, Some(deadline))
+        self.run_rounds(u64::MAX, Some(deadline), None).0
     }
 
     fn now(&self) -> SimTime {
@@ -757,7 +526,7 @@ impl Runtime for ShardedSim {
     }
 
     fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.shards.iter().map(Shard::pending).sum()
     }
 
     fn metrics(&self) -> &Metrics {
@@ -777,89 +546,41 @@ impl Runtime for ShardedSim {
     }
 
     fn enable_trace(&mut self) {
-        self.trace_enabled = true;
-        for s in &mut self.shards {
-            if s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-        }
+        shard::enable_trace(&mut self.shards);
     }
 
     fn take_trace(&mut self) -> Vec<TraceEntry> {
-        let mut all = Vec::new();
-        for s in &mut self.shards {
-            if let Some(t) = s.trace.as_mut() {
-                all.append(t);
-            }
-        }
-        // No global total order exists across shards; sort into the same
-        // canonical (time, actor, label) order the single-threaded engine
-        // returns, so equal workloads yield equal traces across backends.
-        all.sort_by(|a, b| (a.time, a.actor, &a.label).cmp(&(b.time, b.actor, &b.label)));
-        all
+        shard::take_trace(&mut self.shards)
     }
 
     fn enable_spans(&mut self) {
-        self.spans_enabled = true;
-        let seed = self.seed;
-        for s in &mut self.shards {
-            if s.spans.is_none() {
-                s.spans = Some(SpanStore::new(seed));
-            }
-        }
+        shard::enable_spans(&mut self.shards);
     }
 
     fn take_spans(&mut self) -> Vec<SpanRecord> {
-        let mut all = Vec::new();
-        for s in &mut self.shards {
-            if let Some(store) = s.spans.as_mut() {
-                all.append(&mut store.take());
-            }
-        }
-        sort_canonical(&mut all);
-        all
+        shard::take_spans(&mut self.shards)
     }
 
     fn enable_telemetry(&mut self, period: SimDuration) {
-        assert!(period > SimDuration::ZERO, "telemetry period must be > 0");
-        self.telemetry_period = Some(period);
-        for s in &mut self.shards {
-            if s.telemetry.is_none() {
-                s.telemetry = Some(TelemetryStore::new());
-            }
-            s.telemetry_period = Some(period);
-        }
+        shard::enable_telemetry(&mut self.shards, period, |i| format!("runtime.shard{i}"));
     }
 
     fn telemetry_period(&self) -> Option<SimDuration> {
-        self.telemetry_period
+        self.shards[0].telemetry_period()
     }
 
     fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
-        let mut all = Vec::new();
-        for s in &mut self.shards {
-            if let Some(store) = s.telemetry.as_mut() {
-                all.append(&mut store.take());
-            }
-        }
-        // Same contract as spans: merge per-shard buffers, then sort into
-        // the canonical (time, series, actor, ord) order shared with the
-        // single-threaded engine.
-        sort_canonical_telemetry(&mut all);
-        all
+        shard::take_telemetry(&mut self.shards)
     }
 
     fn with_actor_any(&mut self, id: ActorId, f: &mut dyn FnMut(&mut dyn std::any::Any)) {
         let loc = self.locs[id.index()];
-        let actor = self.shards[loc.shard as usize].actors[loc.local as usize]
-            .as_mut()
-            .unwrap_or_else(|| panic!("missing {id}"));
-        f(actor.as_mut());
+        f(self.shards[loc.shard as usize].actor_any(loc.local, id));
     }
 
     fn set_node_outages(&mut self, outages: Vec<NodeOutage>) {
-        // Each shard keeps only its own node's windows: the decision in
-        // `run_window` is then a pure function of the delivery time.
+        // Each shard keeps only its own node's windows, so a crash on one
+        // node costs the other shards nothing per event.
         for (node, s) in self.shards.iter_mut().enumerate() {
             s.outages = outages.iter().filter(|o| o.node == node).copied().collect();
         }
@@ -886,6 +607,7 @@ impl std::fmt::Debug for ShardedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ctx;
     use crate::runtime::RuntimeExt;
 
     const LOOKAHEAD: SimDuration = SimDuration::from_micros(2);
@@ -920,28 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_ping_pong_drains() {
-        let mut rt = ShardedSim::new(&config(1, 2));
-        let a = rt.add_actor_on(0, "a", pinger());
-        let b = rt.add_actor_on(1, "b", pinger());
-        rt.with_actor::<Pinger, _>(a, |p| p.peer = Some(b));
-        rt.with_actor::<Pinger, _>(b, |p| p.peer = Some(a));
-        rt.post(SimDuration::ZERO, a, 10u32);
-        assert_eq!(rt.run(), RunOutcome::Drained);
-        assert_eq!(rt.steps(), 11);
-        let a_seen = rt.with_actor::<Pinger, _>(a, |p| p.received.clone());
-        let b_seen = rt.with_actor::<Pinger, _>(b, |p| p.received.clone());
-        assert_eq!(
-            a_seen.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            [10, 8, 6, 4, 2, 0]
-        );
-        assert_eq!(
-            b_seen.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            [9, 7, 5, 3, 1]
-        );
-    }
-
-    #[test]
     fn same_seed_same_behavior() {
         let run = || {
             let mut rt = ShardedSim::new(&config(99, 3));
@@ -959,36 +659,6 @@ mod tests {
             (rt.steps(), rt.now(), log)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut rt = ShardedSim::new(&config(5, 2));
-        let a = rt.add_actor_on(0, "a", pinger());
-        rt.post(SimDuration::from_micros(1), a, 0u32);
-        rt.post(SimDuration::from_micros(100), a, 0u32);
-        assert_eq!(
-            rt.run_until(SimTime::from_nanos(50_000)),
-            RunOutcome::LimitReached
-        );
-        assert_eq!(rt.pending(), 1);
-        assert_eq!(rt.steps(), 1);
-    }
-
-    #[test]
-    fn stop_halts_the_engine() {
-        struct Stopper;
-        impl Actor for Stopper {
-            fn handle(&mut self, _msg: Msg, ctx: &mut Ctx<'_>) {
-                ctx.stop();
-            }
-        }
-        let mut rt = ShardedSim::new(&config(5, 2));
-        let a = rt.add_actor_on(0, "stop", Box::new(Stopper));
-        rt.post(SimDuration::ZERO, a, 0u32);
-        rt.post(SimDuration::from_secs(1), a, 0u32);
-        assert_eq!(rt.run(), RunOutcome::Stopped);
-        assert_eq!(rt.pending(), 1);
     }
 
     #[test]
@@ -1027,20 +697,6 @@ mod tests {
         rt.run();
         assert_eq!(rt.metrics().counter("hits"), 2);
         assert_eq!(rt.metrics().histogram("lat").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn forced_single_worker_still_correct() {
-        let mut cfg = config(7, 2);
-        cfg.workers = Some(1);
-        let mut rt = ShardedSim::new(&cfg);
-        let a = rt.add_actor_on(0, "a", pinger());
-        let b = rt.add_actor_on(1, "b", pinger());
-        rt.with_actor::<Pinger, _>(a, |p| p.peer = Some(b));
-        rt.with_actor::<Pinger, _>(b, |p| p.peer = Some(a));
-        rt.post(SimDuration::ZERO, a, 6u32);
-        assert_eq!(rt.run(), RunOutcome::Drained);
-        assert_eq!(rt.steps(), 7);
     }
 
     /// A fixed-delay echo for the per-link tests.
@@ -1105,28 +761,6 @@ mod tests {
         );
         rt.post(SimDuration::ZERO, rogue, 1u32);
         rt.run();
-    }
-
-    #[test]
-    fn node_outage_drops_on_the_sharded_backend() {
-        let mut rt = ShardedSim::new(&config(3, 2));
-        let a = rt.add_actor_on(0, "a", pinger());
-        let b = rt.add_actor_on(1, "b", pinger());
-        rt.set_node_outages(vec![NodeOutage {
-            node: 1,
-            down: SimTime::from_nanos(10_000),
-            up: Some(SimTime::from_nanos(20_000)),
-        }]);
-        rt.post(SimDuration::from_micros(5), b, 1u32); // before: delivered
-        rt.post(SimDuration::from_micros(15), b, 2u32); // interior: dropped
-        rt.post(SimDuration::from_micros(25), b, 3u32); // after: delivered
-        rt.post(SimDuration::from_micros(15), a, 4u32); // other node: delivered
-        assert_eq!(rt.run(), RunOutcome::Drained);
-        let b_seen = rt.with_actor::<Pinger, _>(b, |p| p.received.clone());
-        assert_eq!(b_seen.iter().map(|(_, v)| *v).collect::<Vec<_>>(), [1, 3]);
-        let a_seen = rt.with_actor::<Pinger, _>(a, |p| p.received.clone());
-        assert_eq!(a_seen.len(), 1);
-        assert_eq!(rt.metrics().counter("engine.outage_drops"), 1);
     }
 
     #[test]
