@@ -194,6 +194,33 @@ fn chrome_trace_is_byte_identical_across_backends_under_chaos() {
     );
 }
 
+/// FNV-1a of the chaos run's Chrome trace, virtual end time and sorted flow
+/// counters, captured by running this test at commit 6c52826 (before the
+/// three control-channel senders were folded into `retry::reliable_send`).
+/// Retransmit, duplicate, fault-span and timeout paths run in no benchmark
+/// workload; this pins them across commits. Re-capture only in a change
+/// that means to alter faulted behaviour, and say so.
+const CHAOS_GOLDEN: u64 = 0xea75_e234_371e_6bce;
+
+#[test]
+fn chaos_run_matches_the_golden_digest() {
+    let mut t = run_fig2(RuntimeKind::SingleThreaded, Some(lossy_plan()), true);
+    t.flows.sort_by_key(|(k, _)| *k);
+    let text = format!(
+        "{}\nend={}\nflows={:?}",
+        render_chrome(&t),
+        t.end.as_nanos(),
+        t.flows
+    );
+    assert_eq!(
+        fractos_core::fnv1a(text.as_bytes()),
+        CHAOS_GOLDEN,
+        "faulted-path behaviour changed ({} spans, end {} ns)",
+        t.spans.len(),
+        t.end.as_nanos()
+    );
+}
+
 /// With spans recording on, the per-link message/byte counters and the
 /// virtual end time are bit-identical to a run with the subsystem off: the
 /// trace context rides out of band and recording never perturbs the

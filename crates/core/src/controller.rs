@@ -20,6 +20,20 @@
 //! * data movement (`memory_copy`) is one-sided RDMA through memory windows
 //!   checked at access time — revoking memory invalidates its window at the
 //!   owner, so no delegation tracking is needed.
+//!
+//! The actor is three separable parts:
+//!
+//! * **cost model** — `syscall_cost` and `peer_cost` price every
+//!   operation (Table 3, Figs 6–7); `handle_syscall` and `handle_peer` charge that price once,
+//!   before anything else happens in the event;
+//! * **capability operations** — the `do_local_*` functions are the
+//!   owner-side calls; a syscall on an object owned elsewhere goes through
+//!   `forward_to_owner`, which sends the peer op and maps its ack back to
+//!   the Process;
+//! * **protocol driver** — `transmit_proc` / `transmit_peer` look up the
+//!   destination, open the Control span, and hand the hop to
+//!   `retry::reliable_send`, the one place that talks to the fabric's
+//!   lossy send and knows the §3.6 retransmit policy.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -29,10 +43,8 @@ use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, Trace
 
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
-use crate::messages::{
-    syscall_msg_size, CtrlMsg, CtrlToProc, DeriveOp, MonitorKind, PeerOp, ProcMsg,
-};
-use crate::retry::{DedupFilter, SeqGen};
+use crate::messages::{CtrlMsg, CtrlToProc, DeriveOp, MonitorKind, PeerOp, ProcMsg};
+use crate::retry::{reliable_send, DedupFilter, Hop, Sent, SeqGen};
 use crate::types::{
     Arg, CapArg, FosError, IncomingRequest, MemoryDesc, MonitorCb, ObjPayload, ProcId, RequestDesc,
     Syscall, SyscallResult,
@@ -42,28 +54,6 @@ use crate::types::{
 /// the critical path").
 pub const CLEANUP_DELAY: SimDuration = SimDuration::from_micros(100);
 
-fn peer_op_name(op: &PeerOp) -> &'static str {
-    match op {
-        PeerOp::Invoke { .. } => "invoke",
-        PeerOp::InvokeAck { .. } => "invoke-ack",
-        PeerOp::Derive { .. } => "derive",
-        PeerOp::DeriveAck { .. } => "derive-ack",
-        PeerOp::Delegate { .. } => "delegate",
-        PeerOp::DelegateAck { .. } => "delegate-ack",
-        PeerOp::Revoke { .. } => "revoke",
-        PeerOp::RevokeAck { .. } => "revoke-ack",
-        PeerOp::Monitor { .. } => "monitor",
-        PeerOp::MonitorAck { .. } => "monitor-ack",
-        PeerOp::MonitorEvent { .. } => "monitor-event",
-        PeerOp::Cleanup { .. } => "cleanup",
-        PeerOp::FailProcess { .. } => "fail-process",
-        PeerOp::KvPut { .. } => "kv-put",
-        PeerOp::KvPutAck { .. } => "kv-put-ack",
-        PeerOp::KvGet { .. } => "kv-get",
-        PeerOp::KvGetAck { .. } => "kv-get-ack",
-    }
-}
-
 /// Values carried by peer acks.
 #[derive(Debug)]
 enum AckVal {
@@ -72,8 +62,22 @@ enum AckVal {
     Count(u64),
 }
 
+impl AckVal {
+    /// The carried capability, or `missing` when the ack holds none.
+    fn cap_or(self, missing: FosError) -> Result<CapArg, FosError> {
+        match self {
+            AckVal::Cap(ca) => Ok(ca),
+            _ => Err(missing),
+        }
+    }
+}
+
 type PendingCont =
     Box<dyn FnOnce(&mut ControllerActor, Result<AckVal, FosError>, &mut Ctx<'_>) + Send>;
+
+/// Turns the owner's ack of a forwarded syscall into the reply for the
+/// issuing Process.
+type AckMap = fn(&mut ControllerActor, ProcId, Result<AckVal, FosError>) -> SyscallResult;
 
 /// Continuation of a multi-capability delegation fan-in.
 type DelegateDone =
@@ -255,6 +259,7 @@ impl ControllerActor {
     /// returns the delay from `now` until the work completes. In
     /// interrupt mode (§4), a Controller that has been idle longer than the
     /// polling window pays the wake-up latency first.
+    // analyze: hot-path
     fn charge(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
         // Snapshot the three scalars we need instead of cloning the whole
         // params block: this runs on every message a Controller handles.
@@ -277,8 +282,48 @@ impl ControllerActor {
         self.fabric.borrow().params().fractos_handling(self.domain)
     }
 
-    fn invoke_handling(&self) -> SimDuration {
-        self.fabric.borrow().params().request_handling(self.domain) / 2
+    /// Controller time to handle one syscall, request plus reply (Table 3:
+    /// twice the per-message handling `h`). `memory_copy` pays `h` up front
+    /// and its data-plane work per chunk; `request_invoke` pays the sender
+    /// half of the Fig 6 request-handling cost.
+    // analyze: hot-path
+    fn syscall_cost(&self, sc: &Syscall) -> SimDuration {
+        let fabric = self.fabric.borrow();
+        let params = fabric.params();
+        match sc {
+            Syscall::MemoryCopy { .. } => params.fractos_handling(self.domain),
+            Syscall::RequestInvoke { .. } => params.request_handling(self.domain) / 2,
+            _ => params.fractos_handling(self.domain) * 2,
+        }
+    }
+
+    /// Controller time to handle one arriving peer op: the per-message
+    /// handling `h`, plus the receiver-side deserialization `ser` for ops
+    /// that carry capabilities (Fig 7); an invocation pays the receiver
+    /// half of the Fig 6 request-handling cost instead of `h`.
+    // analyze: hot-path
+    fn peer_cost(&self, op: &PeerOp, ser: SimDuration) -> SimDuration {
+        let fabric = self.fabric.borrow();
+        let params = fabric.params();
+        match op {
+            PeerOp::Invoke { .. } => params.request_handling(self.domain) / 2 + ser,
+            PeerOp::Derive { .. }
+            | PeerOp::DeriveAck { .. }
+            | PeerOp::Delegate { .. }
+            | PeerOp::DelegateAck { .. }
+            | PeerOp::KvPut { .. }
+            | PeerOp::KvGetAck { .. } => params.fractos_handling(self.domain) + ser,
+            PeerOp::InvokeAck { .. }
+            | PeerOp::Revoke { .. }
+            | PeerOp::RevokeAck { .. }
+            | PeerOp::Monitor { .. }
+            | PeerOp::MonitorAck { .. }
+            | PeerOp::MonitorEvent { .. }
+            | PeerOp::Cleanup { .. }
+            | PeerOp::FailProcess { .. }
+            | PeerOp::KvPutAck { .. }
+            | PeerOp::KvGet { .. } => params.fractos_handling(self.domain),
+        }
     }
 
     fn serialize_cost(&self, op: &PeerOp, crossing: bool) -> SimDuration {
@@ -296,6 +341,29 @@ impl ControllerActor {
     // ------------------------------------------------------------------
     // Messaging helpers
     // ------------------------------------------------------------------
+
+    /// Base trace context of an outgoing message: a first transmit inside a
+    /// trace opens a Control span covering the `extra` processing charge;
+    /// retransmits reuse the context restored from the retry message.
+    fn control_span(
+        &self,
+        ctx: &mut Ctx<'_>,
+        attempt: u32,
+        label: &str,
+        extra: SimDuration,
+    ) -> TraceCtx {
+        if attempt == 0 && self.cur.is_some() {
+            ctx.span(
+                SpanKind::Control,
+                label,
+                self.cur,
+                ctx.now(),
+                ctx.now() + extra,
+            )
+        } else {
+            self.cur
+        }
+    }
 
     fn send_proc(&mut self, ctx: &mut Ctx<'_>, proc: ProcId, msg: CtrlToProc, extra: SimDuration) {
         let seq = self.seq_proc.entry(proc).or_default().next_seq();
@@ -319,110 +387,48 @@ impl ControllerActor {
         if !alive || self.dead_procs.contains(&proc) {
             return;
         }
-        let size = msg.wire_size();
-        // Controller-side processing (validation + table work) shows up as
-        // a Control span covering the `extra` charge; retransmits reuse the
-        // base context restored from the retry message instead of opening a
-        // second Control span.
-        let base = if attempt == 0 && self.cur.is_some() {
-            let label = match &msg {
-                CtrlToProc::Reply { .. } => "reply",
-                CtrlToProc::Deliver(_) => "deliver",
-                CtrlToProc::Monitor(_) => "monitor",
-            };
-            ctx.span(
-                SpanKind::Control,
-                label,
-                self.cur,
-                ctx.now(),
-                ctx.now() + extra,
-            )
-        } else {
-            self.cur
+        let hop = Hop {
+            from: self.endpoint,
+            to: ep,
+            size: msg.wire_size(),
+            class: TrafficClass::Control,
+            label: "ctrl->proc",
         };
-        // `extra` is processing time before the message departs; compute
-        // the fabric traversal from the departure instant so it does not
-        // double-queue behind this operation's own link reservations.
-        let depart = ctx.now() + extra;
-        let retry = self.fabric.borrow().params().retry;
-        let outcome = self.fabric.borrow_mut().try_send_parts(
-            depart,
-            ctx.rng(),
-            self.endpoint,
-            ep,
-            size,
-            TrafficClass::Control,
-        );
-        match outcome {
-            Some((delay, prop)) => {
-                let tctx = if base.is_some() {
-                    let ser_end = depart + delay.saturating_sub(prop);
-                    let s = ctx.span(SpanKind::FabricSer, "ctrl->proc", base, depart, ser_end);
-                    ctx.span(
-                        SpanKind::FabricProp,
-                        "ctrl->proc",
-                        s,
-                        ser_end,
-                        depart + delay,
-                    )
-                } else {
-                    TraceCtx::NONE
-                };
-                // A delivery slower than one RTO under active faults is
-                // presumed lost and re-fired once; the Process's sequence
-                // filter absorbs the duplicate (same trace context, no
-                // extra spans).
-                if attempt == 0 && delay > retry.rto(0) && self.fabric.borrow().has_faults() {
-                    let dup = self.fabric.borrow_mut().try_send_parts(
-                        depart,
-                        ctx.rng(),
-                        self.endpoint,
-                        ep,
-                        size,
-                        TrafficClass::Control,
-                    );
-                    if let Some((d2, _)) = dup {
-                        ctx.send_after(
-                            extra + d2,
-                            actor,
-                            ProcMsg::FromCtrl {
-                                seq,
-                                tctx,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
+        let label = match &msg {
+            CtrlToProc::Reply { .. } => "reply",
+            CtrlToProc::Deliver(_) => "deliver",
+            CtrlToProc::Monitor(_) => "monitor",
+        };
+        let base = self.control_span(ctx, attempt, label, extra);
+        match reliable_send(
+            &self.fabric,
+            ctx,
+            &hop,
+            base,
+            extra,
+            SimDuration::ZERO,
+            attempt,
+        ) {
+            Sent::Delivered { tctx, delay, dup } => {
+                let envelope = |msg| ProcMsg::FromCtrl { seq, tctx, msg };
+                if let Some(d2) = dup {
+                    ctx.send_after(d2, actor, envelope(msg.clone()));
                 }
-                ctx.send_after(extra + delay, actor, ProcMsg::FromCtrl { seq, tctx, msg });
+                ctx.send_after(delay, actor, envelope(msg));
             }
-            None => {
-                if attempt + 1 < retry.max_attempts {
-                    if base.is_some() {
-                        ctx.span(SpanKind::Fault, "drop", base, depart, depart);
-                        ctx.span(
-                            SpanKind::Retransmit,
-                            "ctrl->proc",
-                            base,
-                            depart,
-                            depart + retry.rto(attempt),
-                        );
-                    }
-                    ctx.schedule_self(
-                        extra + retry.rto(attempt),
-                        CtrlMsg::RetransmitProc {
-                            proc,
-                            msg,
-                            seq,
-                            attempt: attempt + 1,
-                            tctx: base,
-                        },
-                    );
-                } else {
-                    // Retry budget exhausted: the channel to the Process is
-                    // unusable — same §3.6 verdict as a severed channel.
-                    self.on_proc_severed(ctx, proc);
-                }
-            }
+            Sent::Retry { after } => ctx.schedule_self(
+                after,
+                CtrlMsg::RetransmitProc {
+                    proc,
+                    msg,
+                    seq,
+                    attempt: attempt + 1,
+                    tctx: base,
+                },
+            ),
+            // The channel to the Process is unusable — same §3.6 verdict as
+            // a severed channel.
+            Sent::Exhausted => self.on_proc_severed(ctx, proc),
         }
     }
 
@@ -454,23 +460,12 @@ impl ControllerActor {
         if to == self.addr {
             // Loopback peer op (e.g. registry co-located): handle directly
             // after the extra delay. No fabric hop — only a Control span.
-            let tctx = if attempt == 0 && self.cur.is_some() {
-                ctx.span(
-                    SpanKind::Control,
-                    peer_op_name(&op),
-                    self.cur,
-                    ctx.now(),
-                    ctx.now() + extra,
-                )
-            } else {
-                self.cur
-            };
-            let self_actor = ctx.self_id();
-            ctx.send_after(
+            let tctx = self.control_span(ctx, attempt, op.name(), extra);
+            let from = to;
+            ctx.schedule_self(
                 extra,
-                self_actor,
                 CtrlMsg::FromPeer {
-                    from: to,
+                    from,
                     op,
                     seq,
                     tctx,
@@ -488,137 +483,58 @@ impl ControllerActor {
             self.fail_ops_to(ctx, to);
             return;
         }
-        let crossing = ep.node != self.endpoint.node;
-        let ser = self.serialize_cost(&op, crossing);
+        let ser = self.serialize_cost(&op, ep.node != self.endpoint.node);
         let size = op.wire_size();
-        // Bulk payloads riding the control plane (e.g. large immediates in
-        // a refinement) count as data traffic.
-        let class = if size > 1024 {
-            TrafficClass::Data
-        } else {
-            TrafficClass::Control
+        let hop = Hop {
+            from: self.endpoint,
+            to: ep,
+            size,
+            // Bulk payloads riding the control plane (e.g. large immediates
+            // in a refinement) count as data traffic.
+            class: if size > 1024 {
+                TrafficClass::Data
+            } else {
+                TrafficClass::Control
+            },
+            label: "ctrl->ctrl",
         };
-        // Control span covers the peer-op processing charge; retransmits
-        // restore the base context from the retry message instead.
-        let base = if attempt == 0 && self.cur.is_some() {
-            ctx.span(
-                SpanKind::Control,
-                peer_op_name(&op),
-                self.cur,
-                ctx.now(),
-                ctx.now() + extra,
-            )
-        } else {
-            self.cur
-        };
-        let depart = ctx.now() + extra + ser;
-        let (faults, retry) = {
-            let fabric = self.fabric.borrow();
-            (fabric.has_faults(), fabric.params().retry)
-        };
+        let base = self.control_span(ctx, attempt, op.name(), extra);
         // Last-resort ack timeout for request-type ops: covers a lost or
         // abandoned return path that retransmits on this side cannot see.
-        if faults && attempt == 0 {
+        if attempt == 0 && self.fabric.borrow().has_faults() {
             if let Some(token) = op.ack_token() {
-                ctx.schedule_self(retry.ack_timeout, CtrlMsg::AckTimeout { token });
+                let ack_timeout = self.fabric.borrow().params().retry.ack_timeout;
+                ctx.schedule_self(ack_timeout, CtrlMsg::AckTimeout { token });
             }
         }
-        let outcome = self.fabric.borrow_mut().try_send_parts(
-            depart,
-            ctx.rng(),
-            self.endpoint,
-            ep,
-            size,
-            class,
-        );
-        match outcome {
-            Some((delay, prop)) => {
-                // The serialization span folds the CPU (de)serialization
-                // cost `ser` into the link-occupancy share of the fabric
-                // delay; propagation is the wire share.
-                let tctx = if base.is_some() {
-                    let ser_end = depart + delay.saturating_sub(prop);
-                    let s = ctx.span(
-                        SpanKind::FabricSer,
-                        "ctrl->ctrl",
-                        base,
-                        ctx.now() + extra,
-                        ser_end,
-                    );
-                    ctx.span(
-                        SpanKind::FabricProp,
-                        "ctrl->ctrl",
-                        s,
-                        ser_end,
-                        depart + delay,
-                    )
-                } else {
-                    TraceCtx::NONE
+        match reliable_send(&self.fabric, ctx, &hop, base, extra, ser, attempt) {
+            Sent::Delivered { tctx, delay, dup } => {
+                let from = self.addr;
+                let envelope = |op| CtrlMsg::FromPeer {
+                    from,
+                    op,
+                    seq,
+                    tctx,
                 };
-                // Presumed-lost duplicate when delivery is slower than one
-                // RTO; the receiver's sequence filter absorbs it.
-                if attempt == 0 && delay > retry.rto(0) && faults {
-                    let dup = self.fabric.borrow_mut().try_send_parts(
-                        depart,
-                        ctx.rng(),
-                        self.endpoint,
-                        ep,
-                        size,
-                        class,
-                    );
-                    if let Some((d2, _)) = dup {
-                        ctx.send_after(
-                            extra + ser + d2,
-                            actor,
-                            CtrlMsg::FromPeer {
-                                from: self.addr,
-                                op: op.clone(),
-                                seq,
-                                tctx,
-                            },
-                        );
-                    }
+                if let Some(d2) = dup {
+                    ctx.send_after(d2, actor, envelope(op.clone()));
                 }
-                ctx.send_after(
-                    extra + ser + delay,
-                    actor,
-                    CtrlMsg::FromPeer {
-                        from: self.addr,
-                        op,
-                        seq,
-                        tctx,
-                    },
-                );
+                ctx.send_after(delay, actor, envelope(op));
             }
-            None => {
-                if attempt + 1 < retry.max_attempts {
-                    if base.is_some() {
-                        ctx.span(SpanKind::Fault, "drop", base, depart, depart);
-                        ctx.span(
-                            SpanKind::Retransmit,
-                            "ctrl->ctrl",
-                            base,
-                            depart,
-                            depart + retry.rto(attempt),
-                        );
-                    }
-                    ctx.schedule_self(
-                        extra + ser + retry.rto(attempt),
-                        CtrlMsg::RetransmitPeer {
-                            to,
-                            op,
-                            seq,
-                            attempt: attempt + 1,
-                            tctx: base,
-                        },
-                    );
-                } else {
-                    // Retry budget exhausted: every operation pending on
-                    // this peer resolves to `ControllerUnreachable` (§3.6).
-                    // Only the watchdog may declare the peer dead.
-                    self.fail_ops_to(ctx, to);
-                }
-            }
+            Sent::Retry { after } => ctx.schedule_self(
+                after,
+                CtrlMsg::RetransmitPeer {
+                    to,
+                    op,
+                    seq,
+                    attempt: attempt + 1,
+                    tctx: base,
+                },
+            ),
+            // Every operation pending on this peer resolves to
+            // `ControllerUnreachable` (§3.6). Only the watchdog may declare
+            // the peer dead.
+            Sent::Exhausted => self.fail_ops_to(ctx, to),
         }
     }
 
@@ -657,6 +573,56 @@ impl ControllerActor {
         }
     }
 
+    /// Forwards a syscall on an object owned elsewhere: sends the peer op
+    /// `build(reply_to, token)` to `owner` after `extra`, and when its ack
+    /// (or a failure verdict) arrives replies to the caller with `map` of
+    /// it.
+    fn forward_to_owner(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        owner: ControllerAddr,
+        extra: SimDuration,
+        (proc, token): (ProcId, u64),
+        map: AckMap,
+        build: impl FnOnce(ControllerAddr, u64) -> PeerOp,
+    ) {
+        let ptoken = self.await_ack(
+            owner,
+            Box::new(move |this, ack, ctx| {
+                let result = map(this, proc, ack);
+                this.reply(ctx, proc, token, result, SimDuration::ZERO);
+            }),
+        );
+        let op = build(self.addr, ptoken);
+        self.peer_send(ctx, owner, op, extra);
+    }
+
+    /// The owner did it; nothing comes back.
+    fn ack_done(&mut self, _: ProcId, ack: Result<AckVal, FosError>) -> SyscallResult {
+        ack.map_or_else(SyscallResult::Err, |_| SyscallResult::Ok)
+    }
+
+    /// The owner revoked and reports how many tree nodes it invalidated.
+    fn ack_count(&mut self, _: ProcId, ack: Result<AckVal, FosError>) -> SyscallResult {
+        match ack {
+            Ok(AckVal::Count(n)) => SyscallResult::Value(n),
+            Ok(_) => SyscallResult::Ok,
+            Err(e) => SyscallResult::Err(e),
+        }
+    }
+
+    /// The owner derived a capability for `proc` to hold.
+    fn ack_derived(&mut self, proc: ProcId, ack: Result<AckVal, FosError>) -> SyscallResult {
+        let ca = ack.and_then(|v| v.cap_or(FosError::WrongObjectKind));
+        self.installed(proc, ca)
+    }
+
+    /// The registry looked a capability up for `proc`.
+    fn ack_lookup(&mut self, proc: ProcId, ack: Result<AckVal, FosError>) -> SyscallResult {
+        let ca = ack.and_then(|v| v.cap_or(FosError::NoSuchKey));
+        self.installed(proc, ca)
+    }
+
     // ------------------------------------------------------------------
     // Capability-space helpers
     // ------------------------------------------------------------------
@@ -683,6 +649,13 @@ impl ControllerActor {
             self.snaps.remove(&(proc, cid));
         }
         Ok(cid)
+    }
+
+    /// Installs a capability minted for `proc` into its space and reports
+    /// the new index as the syscall's result.
+    fn installed(&mut self, proc: ProcId, ca: Result<CapArg, FosError>) -> SyscallResult {
+        ca.and_then(|ca| self.install_cap(proc, ca))
+            .map_or_else(SyscallResult::Err, SyscallResult::NewCid)
     }
 
     // ------------------------------------------------------------------
@@ -804,10 +777,16 @@ impl ControllerActor {
 
     fn scrub_capspaces(&mut self, revoked: &[CapRef]) {
         let dead: HashSet<CapRef> = revoked.iter().copied().collect();
+        self.scrub_where(|cap| dead.contains(cap));
+    }
+
+    /// Drops every capability matching `dead` from the capability spaces of
+    /// the Processes managed here and from the bootstrap registry.
+    fn scrub_where(&mut self, dead: impl Fn(&CapRef) -> bool) {
         for (proc, space) in self.spaces.iter_mut() {
             let victims: Vec<Cid> = space
                 .iter()
-                .filter(|(_, cap)| dead.contains(cap))
+                .filter(|(_, cap)| dead(cap))
                 .map(|(cid, _)| cid)
                 .collect();
             for cid in victims {
@@ -815,7 +794,7 @@ impl ControllerActor {
                 self.snaps.remove(&(*proc, cid));
             }
         }
-        self.kv.retain(|_, ca| !dead.contains(&ca.cap));
+        self.kv.retain(|_, ca| !dead(&ca.cap));
     }
 
     fn dispatch_monitor_events(&mut self, ctx: &mut Ctx<'_>, events: &[MonitorEvent]) {
@@ -861,20 +840,16 @@ impl ControllerActor {
         &mut self,
         ctx: &mut Ctx<'_>,
         caps: Vec<CapArg>,
-        _acc: Vec<CapArg>,
         to: ProcId,
         done: DelegateDone,
     ) {
         let n = caps.len();
         // Shared fan-in state: result slots plus the final continuation.
-        type Done = Box<
-            dyn FnOnce(&mut ControllerActor, Result<Vec<CapArg>, FosError>, &mut Ctx<'_>) + Send,
-        >;
         struct FanIn {
             slots: Vec<Option<CapArg>>,
             outstanding: usize,
             failed: Option<FosError>,
-            done: Option<Done>,
+            done: Option<DelegateDone>,
         }
         impl FanIn {
             fn settle(state: &Shared<FanIn>, this: &mut ControllerActor, ctx: &mut Ctx<'_>) {
@@ -975,21 +950,35 @@ impl ControllerActor {
     // ------------------------------------------------------------------
 
     fn handle_syscall(&mut self, ctx: &mut Ctx<'_>, proc: ProcId, token: u64, sc: Syscall) {
-        ctx.metrics().incr(&format!("ctrl.ops.{}", sc.name()));
+        ctx.metrics().incr(sc.counter());
         if self.dead_procs.contains(&proc) {
             return;
         }
-        match sc {
-            Syscall::Null => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                self.reply(ctx, proc, token, SyscallResult::Ok, extra);
-            }
+        let cost = self.syscall_cost(&sc);
+        let extra = self.charge(ctx.now(), cost);
+        let outcome = self.exec_syscall(ctx, (proc, token), sc, extra);
+        if let Some(result) = outcome.unwrap_or_else(|e| Some(SyscallResult::Err(e))) {
+            self.reply(ctx, proc, token, result, extra);
+        }
+    }
+
+    /// Runs one syscall whose handling charge `extra` is already paid.
+    /// `Ok(Some(result))` and `Err(e)` are for the caller to reply after
+    /// `extra`; `Ok(None)` means the reply goes out later — from the ack of
+    /// an op forwarded to the object's owner, from a delegation fan-in, or
+    /// (`memory_copy`) when the transfer completes.
+    fn exec_syscall(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        caller: (ProcId, u64),
+        sc: Syscall,
+        extra: SimDuration,
+    ) -> Result<Option<SyscallResult>, FosError> {
+        let (proc, token) = caller;
+        Ok(match sc {
+            Syscall::Null => Some(SyscallResult::Ok),
             Syscall::MemoryCreate { addr, size, perms } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                let result = self.sc_memory_create(proc, addr, size, perms);
-                self.reply(ctx, proc, token, result, extra);
+                Some(self.sc_memory_create(proc, addr, size, perms))
             }
             Syscall::MemoryDiminish {
                 cid,
@@ -997,246 +986,229 @@ impl ControllerActor {
                 size,
                 drop_perms,
             } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                match self.resolve_cid(proc, cid) {
-                    Err(e) => self.reply(ctx, proc, token, SyscallResult::Err(e), extra),
-                    Ok((cap, _)) if cap.ctrl == self.addr => {
-                        let result =
-                            match self.do_local_diminish(cap, proc, offset, size, drop_perms) {
-                                Ok(ca) => match self.install_cap(proc, ca) {
-                                    Ok(cid) => SyscallResult::NewCid(cid),
-                                    Err(e) => SyscallResult::Err(e),
-                                },
-                                Err(e) => SyscallResult::Err(e),
-                            };
-                        self.reply(ctx, proc, token, result, extra);
-                    }
-                    Ok((cap, _)) => {
-                        let owner = cap.ctrl;
-                        let ptoken = self.await_ack(
-                            owner,
-                            Box::new(move |this, res, ctx| {
-                                let result = match res {
-                                    Ok(AckVal::Cap(ca)) => match this.install_cap(proc, ca) {
-                                        Ok(cid) => SyscallResult::NewCid(cid),
-                                        Err(e) => SyscallResult::Err(e),
-                                    },
-                                    Ok(_) => SyscallResult::Err(FosError::WrongObjectKind),
-                                    Err(e) => SyscallResult::Err(e),
-                                };
-                                this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                            }),
-                        );
-                        self.peer_send(
-                            ctx,
-                            owner,
-                            PeerOp::Derive {
-                                obj: cap,
-                                op: DeriveOp::Diminish {
-                                    offset,
-                                    size,
-                                    drop_perms,
-                                },
-                                creator: proc,
-                                reply_to: self.addr,
-                                token: ptoken,
-                            },
-                            extra,
-                        );
-                    }
-                }
+                let op = DeriveOp::Diminish {
+                    offset,
+                    size,
+                    drop_perms,
+                };
+                self.sc_derive(ctx, caller, cid, op, extra)?
             }
-            Syscall::MemoryCopy { src, dst } => self.sc_memory_copy(ctx, proc, token, src, dst),
+            Syscall::MemoryCopy { src, dst } => {
+                let (result, after) = self.sc_memory_copy(ctx, proc, src, dst, extra)?;
+                self.reply(ctx, proc, token, result, after);
+                None
+            }
             Syscall::RequestCreate {
                 base,
                 tag,
                 imms,
                 caps,
-            } => self.sc_request_create(ctx, proc, token, base, tag, imms, caps),
-            Syscall::RequestInvoke { cid } => self.sc_request_invoke(ctx, proc, token, cid),
-            Syscall::CapCreateRevtree { cid } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                match self.resolve_cid(proc, cid) {
-                    Err(e) => self.reply(ctx, proc, token, SyscallResult::Err(e), extra),
-                    Ok((cap, _)) if cap.ctrl == self.addr => {
-                        let result = match self.do_local_revtree(cap, proc) {
-                            Ok(ca) => match self.install_cap(proc, ca) {
-                                Ok(cid) => SyscallResult::NewCid(cid),
-                                Err(e) => SyscallResult::Err(e),
-                            },
-                            Err(e) => SyscallResult::Err(e),
-                        };
-                        self.reply(ctx, proc, token, result, extra);
+            } => {
+                // Resolve capability arguments from the caller's space.
+                let caps = caps
+                    .into_iter()
+                    .map(|cid| {
+                        let (cap, mem) = self.resolve_cid(proc, cid)?;
+                        Ok(CapArg { cap, mem })
+                    })
+                    .collect::<Result<Vec<_>, FosError>>()?;
+                match base {
+                    Some(base) => {
+                        self.sc_derive(ctx, caller, base, DeriveOp::Refine { imms, caps }, extra)?
                     }
-                    Ok((cap, _)) => {
-                        let owner = cap.ctrl;
-                        let ptoken = self.await_ack(
-                            owner,
-                            Box::new(move |this, res, ctx| {
-                                let result = match res {
-                                    Ok(AckVal::Cap(ca)) => match this.install_cap(proc, ca) {
-                                        Ok(cid) => SyscallResult::NewCid(cid),
-                                        Err(e) => SyscallResult::Err(e),
-                                    },
-                                    Ok(_) => SyscallResult::Err(FosError::WrongObjectKind),
-                                    Err(e) => SyscallResult::Err(e),
-                                };
-                                this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                            }),
-                        );
-                        self.peer_send(
-                            ctx,
-                            owner,
-                            PeerOp::Derive {
-                                obj: cap,
-                                op: DeriveOp::Revtree,
-                                creator: proc,
-                                reply_to: self.addr,
-                                token: ptoken,
-                            },
-                            extra,
-                        );
+                    None => {
+                        // New Request provided by the caller itself; it
+                        // already holds the argument capabilities, so no
+                        // delegation registration is needed.
+                        let desc = RequestDesc {
+                            provider: proc,
+                            tag,
+                            args: imms
+                                .into_iter()
+                                .map(Arg::Imm)
+                                .chain(caps.into_iter().map(Arg::Cap))
+                                .collect(),
+                        };
+                        let cap = self.table.create(proc.token(), ObjPayload::Request(desc));
+                        Some(self.installed(proc, Ok(CapArg { cap, mem: None })))
                     }
                 }
             }
+            Syscall::RequestInvoke { cid } => self.sc_request_invoke(ctx, caller, cid, extra)?,
+            Syscall::CapCreateRevtree { cid } => {
+                self.sc_derive(ctx, caller, cid, DeriveOp::Revtree, extra)?
+            }
             Syscall::CapRevoke { cid } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                match self.resolve_cid(proc, cid) {
-                    Err(e) => self.reply(ctx, proc, token, SyscallResult::Err(e), extra),
-                    Ok((cap, _)) if cap.ctrl == self.addr => {
-                        let result = match self.do_local_revoke(ctx, cap) {
-                            Ok(n) => SyscallResult::Value(n),
-                            Err(e) => SyscallResult::Err(e),
-                        };
-                        self.reply(ctx, proc, token, result, extra);
-                    }
-                    Ok((cap, _)) => {
-                        let owner = cap.ctrl;
-                        let ptoken = self.await_ack(
-                            owner,
-                            Box::new(move |this, res, ctx| {
-                                let result = match res {
-                                    Ok(AckVal::Count(n)) => SyscallResult::Value(n),
-                                    Ok(_) => SyscallResult::Ok,
-                                    Err(e) => SyscallResult::Err(e),
-                                };
-                                this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                            }),
-                        );
-                        self.peer_send(
-                            ctx,
-                            owner,
-                            PeerOp::Revoke {
-                                obj: cap,
-                                reply_to: self.addr,
-                                token: ptoken,
-                            },
-                            extra,
-                        );
-                    }
+                let (obj, _) = self.resolve_cid(proc, cid)?;
+                if obj.ctrl == self.addr {
+                    Some(SyscallResult::Value(self.do_local_revoke(ctx, obj)?))
+                } else {
+                    self.forward_to_owner(
+                        ctx,
+                        obj.ctrl,
+                        extra,
+                        caller,
+                        Self::ack_count,
+                        |reply_to, token| PeerOp::Revoke {
+                            obj,
+                            reply_to,
+                            token,
+                        },
+                    );
+                    None
                 }
             }
             Syscall::MonitorDelegate { cid, callback_id } => {
-                self.sc_monitor(ctx, proc, token, cid, MonitorKind::Delegate, callback_id)
+                self.sc_monitor(ctx, caller, cid, MonitorKind::Delegate, callback_id, extra)?
             }
             Syscall::MonitorReceive { cid, callback_id } => {
-                self.sc_monitor(ctx, proc, token, cid, MonitorKind::Receive, callback_id)
+                self.sc_monitor(ctx, caller, cid, MonitorKind::Receive, callback_id, extra)?
             }
             Syscall::MemoryStat { cid } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                let result = match self.resolve_cid(proc, cid) {
-                    Err(e) => SyscallResult::Err(e),
-                    Ok((_, None)) => SyscallResult::Err(FosError::WrongObjectKind),
-                    Ok((_, Some(desc))) => {
-                        if desc.proc == proc {
-                            SyscallResult::Stat {
-                                addr: desc.addr,
-                                off: desc.view_off,
-                                size: desc.size,
-                            }
-                        } else {
-                            // Only the backing Process may learn raw
-                            // addresses.
-                            SyscallResult::Err(FosError::PermissionDenied)
-                        }
-                    }
-                };
-                self.reply(ctx, proc, token, result, extra);
+                let (_, snap) = self.resolve_cid(proc, cid)?;
+                let desc = snap.ok_or(FosError::WrongObjectKind)?;
+                // Only the backing Process may learn raw addresses.
+                if desc.proc != proc {
+                    return Err(FosError::PermissionDenied);
+                }
+                Some(SyscallResult::Stat {
+                    addr: desc.addr,
+                    off: desc.view_off,
+                    size: desc.size,
+                })
             }
             Syscall::KvPut { key, cid } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
-                match self.resolve_cid(proc, cid) {
-                    Err(e) => self.reply(ctx, proc, token, SyscallResult::Err(e), extra),
-                    Ok((cap, mem)) => {
-                        let ca = CapArg { cap, mem };
-                        if self.addr == self.registry {
-                            self.kv.insert(key, ca);
-                            self.reply(ctx, proc, token, SyscallResult::Ok, extra);
-                        } else {
-                            let reg = self.registry;
-                            let ptoken = self.await_ack(
-                                reg,
-                                Box::new(move |this, res, ctx| {
-                                    let result = match res {
-                                        Ok(_) => SyscallResult::Ok,
-                                        Err(e) => SyscallResult::Err(e),
-                                    };
-                                    this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                                }),
-                            );
-                            self.peer_send(
-                                ctx,
-                                reg,
-                                PeerOp::KvPut {
-                                    key,
-                                    cap: ca,
-                                    reply_to: self.addr,
-                                    token: ptoken,
-                                },
-                                extra,
-                            );
-                        }
-                    }
+                let (cap, mem) = self.resolve_cid(proc, cid)?;
+                let cap = CapArg { cap, mem };
+                if self.addr == self.registry {
+                    self.kv.insert(key, cap);
+                    Some(SyscallResult::Ok)
+                } else {
+                    self.forward_to_owner(
+                        ctx,
+                        self.registry,
+                        extra,
+                        caller,
+                        Self::ack_done,
+                        |reply_to, token| PeerOp::KvPut {
+                            key,
+                            cap,
+                            reply_to,
+                            token,
+                        },
+                    );
+                    None
                 }
             }
             Syscall::KvGet { key } => {
-                let h = self.handling();
-                let extra = self.charge(ctx.now(), h * 2);
                 if self.addr == self.registry {
-                    self.kv_get_local(ctx, key, proc, None, token, extra);
+                    self.kv_get_local(ctx, &key, proc, extra, move |this, found, ctx, after| {
+                        this.reply_installed(ctx, caller, found, after)
+                    });
                 } else {
-                    let reg = self.registry;
-                    let ptoken = self.await_ack(
-                        reg,
-                        Box::new(move |this, res, ctx| {
-                            let result = match res {
-                                Ok(AckVal::Cap(ca)) => match this.install_cap(proc, ca) {
-                                    Ok(cid) => SyscallResult::NewCid(cid),
-                                    Err(e) => SyscallResult::Err(e),
-                                },
-                                Ok(_) => SyscallResult::Err(FosError::NoSuchKey),
-                                Err(e) => SyscallResult::Err(e),
-                            };
-                            this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                        }),
-                    );
-                    self.peer_send(
+                    self.forward_to_owner(
                         ctx,
-                        reg,
-                        PeerOp::KvGet {
+                        self.registry,
+                        extra,
+                        caller,
+                        Self::ack_lookup,
+                        |reply_to, token| PeerOp::KvGet {
                             key,
                             to: proc,
-                            reply_to: self.addr,
-                            token: ptoken,
+                            reply_to,
+                            token,
                         },
-                        extra,
                     );
                 }
+                None
+            }
+        })
+    }
+
+    /// Replies to `caller` with the index of a capability minted for it.
+    fn reply_installed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        (proc, token): (ProcId, u64),
+        ca: Result<CapArg, FosError>,
+        after: SimDuration,
+    ) {
+        let result = self.installed(proc, ca);
+        self.reply(ctx, proc, token, result, after);
+    }
+
+    /// A derivation syscall (`memory_diminish`, `cap_create_revtree`,
+    /// Request refinement): executes at the owner of the object behind
+    /// `cid`, which may be this Controller.
+    fn sc_derive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        caller: (ProcId, u64),
+        cid: Cid,
+        op: DeriveOp,
+        extra: SimDuration,
+    ) -> Result<Option<SyscallResult>, FosError> {
+        let creator = caller.0;
+        let (obj, _) = self.resolve_cid(creator, cid)?;
+        if obj.ctrl == self.addr {
+            self.derive_local(
+                ctx,
+                obj,
+                op,
+                creator,
+                extra,
+                move |this, derived, ctx, after| this.reply_installed(ctx, caller, derived, after),
+            );
+        } else {
+            self.forward_to_owner(
+                ctx,
+                obj.ctrl,
+                extra,
+                caller,
+                Self::ack_derived,
+                |reply_to, token| PeerOp::Derive {
+                    obj,
+                    op,
+                    creator,
+                    reply_to,
+                    token,
+                },
+            );
+        }
+        Ok(None)
+    }
+
+    /// Owner-side derivation. `done` receives the derived capability and the
+    /// delay after which to announce it: `extra` when derived inline, none
+    /// when a refinement first had to register delegations.
+    fn derive_local(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        obj: CapRef,
+        op: DeriveOp,
+        creator: ProcId,
+        extra: SimDuration,
+        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>, SimDuration)
+            + Send
+            + 'static,
+    ) {
+        match op {
+            DeriveOp::Diminish {
+                offset,
+                size,
+                drop_perms,
+            } => {
+                let derived = self.do_local_diminish(obj, creator, offset, size, drop_perms);
+                done(self, derived, ctx, extra);
+            }
+            DeriveOp::Revtree => {
+                let derived = self.do_local_revtree(obj, creator);
+                done(self, derived, ctx, extra);
+            }
+            DeriveOp::Refine { imms, caps } => {
+                self.refine_local(ctx, obj, creator, imms, caps, |this, derived, ctx| {
+                    done(this, derived, ctx, SimDuration::ZERO)
+                });
             }
         }
     }
@@ -1273,58 +1245,30 @@ impl ControllerActor {
             .table
             .create(proc.token(), ObjPayload::Memory(desc.clone()));
         self.mem.borrow_mut().register_window(cap, desc.clone());
-        match self.install_cap(
-            proc,
-            CapArg {
-                cap,
-                mem: Some(desc),
-            },
-        ) {
-            Ok(cid) => SyscallResult::NewCid(cid),
-            Err(e) => SyscallResult::Err(e),
-        }
+        let mem = Some(desc);
+        self.installed(proc, Ok(CapArg { cap, mem }))
     }
 
-    fn sc_memory_copy(&mut self, ctx: &mut Ctx<'_>, proc: ProcId, token: u64, src: Cid, dst: Cid) {
-        let h = self.handling();
-        let (src_ref, src_snap) = match self.resolve_cid(proc, src) {
-            Ok(v) => v,
-            Err(e) => {
-                let extra = self.charge(ctx.now(), h);
-                self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                return;
-            }
-        };
-        let (dst_ref, dst_snap) = match self.resolve_cid(proc, dst) {
-            Ok(v) => v,
-            Err(e) => {
-                let extra = self.charge(ctx.now(), h);
-                self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                return;
-            }
-        };
+    /// `memory_copy`: moves the bytes, models the transfer, and returns the
+    /// result to reply with together with the delay until the transfer
+    /// completes. An `Err` is a rejection before any byte moved; it costs
+    /// only the handling charge.
+    fn sc_memory_copy(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        proc: ProcId,
+        src: Cid,
+        dst: Cid,
+        handled: SimDuration,
+    ) -> Result<(SyscallResult, SimDuration), FosError> {
+        let (src_ref, src_snap) = self.resolve_cid(proc, src)?;
+        let (dst_ref, dst_snap) = self.resolve_cid(proc, dst)?;
         let (Some(src_desc), Some(dst_desc)) = (src_snap, dst_snap) else {
-            let extra = self.charge(ctx.now(), h);
-            self.reply(
-                ctx,
-                proc,
-                token,
-                SyscallResult::Err(FosError::WrongObjectKind),
-                extra,
-            );
-            return;
+            return Err(FosError::WrongObjectKind);
         };
         let size = src_desc.size;
         if dst_desc.size < size {
-            let extra = self.charge(ctx.now(), h);
-            self.reply(
-                ctx,
-                proc,
-                token,
-                SyscallResult::Err(FosError::SizeMismatch),
-                extra,
-            );
-            return;
+            return Err(FosError::SizeMismatch);
         }
 
         // Static pre-dispatch verification (§3.3): the copy's permission
@@ -1346,28 +1290,12 @@ impl ControllerActor {
             self.fabric
                 .borrow_mut()
                 .note_verify(|s| s.record_verify_reject());
-            let extra = self.charge(ctx.now(), h);
-            self.reply(
-                ctx,
-                proc,
-                token,
-                SyscallResult::Err(FosError::Verify(v)),
-                extra,
-            );
-            return;
+            return Err(FosError::Verify(v));
         }
 
         // Move the actual bytes through the windows (one-sided access with
         // validity, permission and bounds checks at the owner side).
-        let read = { self.mem.borrow().rdma_read_window(src_ref, 0, size) };
-        let mut data = match read {
-            Ok(d) => d,
-            Err(e) => {
-                let extra = self.charge(ctx.now(), h);
-                self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                return;
-            }
-        };
+        let mut data = self.mem.borrow().rdma_read_window(src_ref, 0, size)?;
         // Data-plane corruption: on links the armed plan names, one bit of
         // the payload may flip in flight (data class only — the control
         // plane keeps the drop model). The source checksum is the
@@ -1386,12 +1314,7 @@ impl ControllerActor {
                 None
             }
         };
-        let write = { self.mem.borrow_mut().rdma_write_window(dst_ref, 0, &data) };
-        if let Err(e) = write {
-            let extra = self.charge(ctx.now(), h);
-            self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-            return;
-        }
+        self.mem.borrow_mut().rdma_write_window(dst_ref, 0, &data)?;
 
         // Latency model. Snapshot the scalar knobs up front: `charge` and
         // the per-chunk `send`s below need the fabric lock themselves, so
@@ -1413,7 +1336,7 @@ impl ControllerActor {
         let extra = if third_party_rdma {
             // "HW copies" (Fig 5): the NIC moves data directly between the
             // two processes; the Controller only orchestrates.
-            let start = ctx.now() + self.charge(ctx.now(), h);
+            let start = ctx.now() + handled;
             let copy = {
                 let mut fabric = self.fabric.borrow_mut();
                 fabric.rdma_write(start, ctx.rng(), src_desc.location, dst_desc.location, size)
@@ -1434,7 +1357,7 @@ impl ControllerActor {
             } else {
                 size.max(1)
             };
-            let t0 = ctx.now() + self.charge(ctx.now(), h);
+            let t0 = ctx.now() + handled;
             let mut last_write_arrival = t0;
             let mut off = 0u64;
             while off < size {
@@ -1530,125 +1453,11 @@ impl ControllerActor {
                             at,
                         );
                     }
-                    self.reply(
-                        ctx,
-                        proc,
-                        token,
-                        SyscallResult::Err(FosError::IntegrityViolation),
-                        extra,
-                    );
-                    return;
+                    return Ok((SyscallResult::Err(FosError::IntegrityViolation), extra));
                 }
             }
         }
-        self.reply(ctx, proc, token, SyscallResult::Ok, extra);
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the syscall's shape
-    fn sc_request_create(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        proc: ProcId,
-        token: u64,
-        base: Option<Cid>,
-        tag: u64,
-        imms: Vec<Payload>,
-        caps: Vec<Cid>,
-    ) {
-        let h = self.handling();
-        let extra = self.charge(ctx.now(), h * 2);
-        // Resolve capability arguments from the caller's space.
-        let mut cap_args = Vec::with_capacity(caps.len());
-        for cid in caps {
-            match self.resolve_cid(proc, cid) {
-                Ok((cap, mem)) => cap_args.push(CapArg { cap, mem }),
-                Err(e) => {
-                    self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                    return;
-                }
-            }
-        }
-        match base {
-            None => {
-                // New Request provided by the caller itself; it already
-                // holds the argument capabilities, so no delegation
-                // registration is needed.
-                let desc = RequestDesc {
-                    provider: proc,
-                    tag,
-                    args: imms
-                        .into_iter()
-                        .map(Arg::Imm)
-                        .chain(cap_args.into_iter().map(Arg::Cap))
-                        .collect(),
-                };
-                let cap = self.table.create(proc.token(), ObjPayload::Request(desc));
-                let result = match self.install_cap(proc, CapArg { cap, mem: None }) {
-                    Ok(cid) => SyscallResult::NewCid(cid),
-                    Err(e) => SyscallResult::Err(e),
-                };
-                self.reply(ctx, proc, token, result, extra);
-            }
-            Some(base_cid) => {
-                let (base_ref, _) = match self.resolve_cid(proc, base_cid) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                        return;
-                    }
-                };
-                if base_ref.ctrl == self.addr {
-                    self.refine_local(
-                        ctx,
-                        base_ref,
-                        proc,
-                        imms,
-                        cap_args,
-                        move |this, res, ctx| {
-                            let result = match res {
-                                Ok(ca) => match this.install_cap(proc, ca) {
-                                    Ok(cid) => SyscallResult::NewCid(cid),
-                                    Err(e) => SyscallResult::Err(e),
-                                },
-                                Err(e) => SyscallResult::Err(e),
-                            };
-                            this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                        },
-                    );
-                } else {
-                    let owner = base_ref.ctrl;
-                    let ptoken = self.await_ack(
-                        owner,
-                        Box::new(move |this, res, ctx| {
-                            let result = match res {
-                                Ok(AckVal::Cap(ca)) => match this.install_cap(proc, ca) {
-                                    Ok(cid) => SyscallResult::NewCid(cid),
-                                    Err(e) => SyscallResult::Err(e),
-                                },
-                                Ok(_) => SyscallResult::Err(FosError::WrongObjectKind),
-                                Err(e) => SyscallResult::Err(e),
-                            };
-                            this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                        }),
-                    );
-                    self.peer_send(
-                        ctx,
-                        owner,
-                        PeerOp::Derive {
-                            obj: base_ref,
-                            op: DeriveOp::Refine {
-                                imms,
-                                caps: cap_args,
-                            },
-                            creator: proc,
-                            reply_to: self.addr,
-                            token: ptoken,
-                        },
-                        extra,
-                    );
-                }
-            }
-        }
+        Ok((SyscallResult::Ok, extra))
     }
 
     /// Owner-side Request refinement: register delegation of the appended
@@ -1679,7 +1488,6 @@ impl ControllerActor {
         self.delegate_seq(
             ctx,
             cap_args,
-            Vec::new(),
             provider,
             Box::new(move |this, res, ctx| match res {
                 Err(e) => done(this, Err(e), ctx),
@@ -1699,16 +1507,14 @@ impl ControllerActor {
         );
     }
 
-    fn sc_request_invoke(&mut self, ctx: &mut Ctx<'_>, proc: ProcId, token: u64, cid: Cid) {
-        let cost = self.invoke_handling();
-        let extra = self.charge(ctx.now(), cost);
-        let (req_ref, _) = match self.resolve_cid(proc, cid) {
-            Ok(v) => v,
-            Err(e) => {
-                self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                return;
-            }
-        };
+    fn sc_request_invoke(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        caller: (ProcId, u64),
+        cid: Cid,
+        extra: SimDuration,
+    ) -> Result<Option<SyscallResult>, FosError> {
+        let (req, _) = self.resolve_cid(caller.0, cid)?;
         // Submission-time verification (§3.3): the submitting Controller
         // statically checks what is provable from its own table before
         // dispatch. A remote root carries no local plan state — it is
@@ -1717,48 +1523,29 @@ impl ControllerActor {
         self.fabric
             .borrow_mut()
             .note_verify(|s| s.record_verify_submission());
-        if let Err(v) = crate::verify::verify_plan(&self.table, req_ref) {
+        if let Err(v) = crate::verify::verify_plan(&self.table, req) {
             self.fabric
                 .borrow_mut()
                 .note_verify(|s| s.record_verify_reject());
-            self.reply(
-                ctx,
-                proc,
+            return Err(FosError::Verify(v));
+        }
+        if req.ctrl == self.addr {
+            self.do_local_invoke(ctx, req, extra)?;
+            return Ok(Some(SyscallResult::Ok));
+        }
+        self.forward_to_owner(
+            ctx,
+            req.ctrl,
+            extra,
+            caller,
+            Self::ack_done,
+            |reply_to, token| PeerOp::Invoke {
+                req,
+                reply_to,
                 token,
-                SyscallResult::Err(FosError::Verify(v)),
-                extra,
-            );
-            return;
-        }
-        if req_ref.ctrl == self.addr {
-            let result = match self.do_local_invoke(ctx, req_ref, extra) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            };
-            self.reply(ctx, proc, token, result, extra);
-        } else {
-            let owner = req_ref.ctrl;
-            let ptoken = self.await_ack(
-                owner,
-                Box::new(move |this, res, ctx| {
-                    let result = match res {
-                        Ok(_) => SyscallResult::Ok,
-                        Err(e) => SyscallResult::Err(e),
-                    };
-                    this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                }),
-            );
-            self.peer_send(
-                ctx,
-                owner,
-                PeerOp::Invoke {
-                    req: req_ref,
-                    reply_to: self.addr,
-                    token: ptoken,
-                },
-                extra,
-            );
-        }
+            },
+        );
+        Ok(None)
     }
 
     /// Owner-side invocation: deliver the Request to its provider Process.
@@ -1818,53 +1605,34 @@ impl ControllerActor {
     fn sc_monitor(
         &mut self,
         ctx: &mut Ctx<'_>,
-        proc: ProcId,
-        token: u64,
+        caller: (ProcId, u64),
         cid: Cid,
         kind: MonitorKind,
         callback_id: u64,
-    ) {
-        let h = self.handling();
-        let extra = self.charge(ctx.now(), h * 2);
-        let (cap, _) = match self.resolve_cid(proc, cid) {
-            Ok(v) => v,
-            Err(e) => {
-                self.reply(ctx, proc, token, SyscallResult::Err(e), extra);
-                return;
-            }
-        };
-        if cap.ctrl == self.addr {
-            let result = match self.do_local_monitor(cap, kind, proc, callback_id) {
-                Ok(()) => SyscallResult::Ok,
-                Err(e) => SyscallResult::Err(e),
-            };
-            self.reply(ctx, proc, token, result, extra);
-        } else {
-            let owner = cap.ctrl;
-            let ptoken = self.await_ack(
-                owner,
-                Box::new(move |this, res, ctx| {
-                    let result = match res {
-                        Ok(_) => SyscallResult::Ok,
-                        Err(e) => SyscallResult::Err(e),
-                    };
-                    this.reply(ctx, proc, token, result, SimDuration::ZERO);
-                }),
-            );
-            self.peer_send(
-                ctx,
-                owner,
-                PeerOp::Monitor {
-                    obj: cap,
-                    kind,
-                    watcher: proc,
-                    callback_id,
-                    reply_to: self.addr,
-                    token: ptoken,
-                },
-                extra,
-            );
+        extra: SimDuration,
+    ) -> Result<Option<SyscallResult>, FosError> {
+        let watcher = caller.0;
+        let (obj, _) = self.resolve_cid(watcher, cid)?;
+        if obj.ctrl == self.addr {
+            self.do_local_monitor(obj, kind, watcher, callback_id)?;
+            return Ok(Some(SyscallResult::Ok));
         }
+        self.forward_to_owner(
+            ctx,
+            obj.ctrl,
+            extra,
+            caller,
+            Self::ack_done,
+            |reply_to, token| PeerOp::Monitor {
+                obj,
+                kind,
+                watcher,
+                callback_id,
+                reply_to,
+                token,
+            },
+        );
+        Ok(None)
     }
 
     fn do_local_monitor(
@@ -1886,62 +1654,29 @@ impl ControllerActor {
         Ok(())
     }
 
+    /// Registry lookup of `key` on behalf of Process `to`. `done` receives
+    /// the capability `to` should hold and the delay after which to
+    /// announce it: `extra` on a miss, none once the delegation to `to` is
+    /// registered at the capability's owner.
     fn kv_get_local(
         &mut self,
         ctx: &mut Ctx<'_>,
-        key: String,
+        key: &str,
         to: ProcId,
-        ack_to: Option<(ControllerAddr, u64)>,
-        proc_token: u64,
         extra: SimDuration,
+        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>, SimDuration)
+            + Send
+            + 'static,
     ) {
-        let Some(ca) = self.kv.get(&key).cloned() else {
-            match ack_to {
-                Some((peer, token)) => self.peer_send(
-                    ctx,
-                    peer,
-                    PeerOp::KvGetAck {
-                        token,
-                        result: Err(FosError::NoSuchKey),
-                    },
-                    extra,
-                ),
-                None => self.reply(
-                    ctx,
-                    to,
-                    proc_token,
-                    SyscallResult::Err(FosError::NoSuchKey),
-                    extra,
-                ),
-            }
-            return;
+        let Some(ca) = self.kv.get(key).cloned() else {
+            return done(self, Err(FosError::NoSuchKey), ctx, extra);
         };
-        // Register the delegation at the owner, then hand out the result.
         self.delegate_seq(
             ctx,
             vec![ca],
-            Vec::new(),
             to,
             Box::new(move |this, res, ctx| {
-                let result = res.map(|mut v| v.remove(0));
-                match ack_to {
-                    Some((peer, token)) => this.peer_send(
-                        ctx,
-                        peer,
-                        PeerOp::KvGetAck { token, result },
-                        SimDuration::ZERO,
-                    ),
-                    None => {
-                        let sr = match result {
-                            Ok(ca) => match this.install_cap(to, ca) {
-                                Ok(cid) => SyscallResult::NewCid(cid),
-                                Err(e) => SyscallResult::Err(e),
-                            },
-                            Err(e) => SyscallResult::Err(e),
-                        };
-                        this.reply(ctx, to, proc_token, sr, SimDuration::ZERO);
-                    }
-                }
+                done(this, res.map(|mut v| v.remove(0)), ctx, SimDuration::ZERO)
             }),
         );
     }
@@ -1957,7 +1692,8 @@ impl ControllerActor {
             None => false,
         };
         let ser = self.serialize_cost(&op, crossing);
-        let h = self.handling();
+        let cost = self.peer_cost(&op, ser);
+        let extra = self.charge(ctx.now(), cost);
 
         match op {
             PeerOp::Invoke {
@@ -1965,15 +1701,8 @@ impl ControllerActor {
                 reply_to,
                 token,
             } => {
-                let cost = self.invoke_handling();
-                let extra = self.charge(ctx.now(), cost + ser);
                 let result = self.do_local_invoke(ctx, req, extra);
                 self.peer_send(ctx, reply_to, PeerOp::InvokeAck { token, result }, extra);
-            }
-            PeerOp::InvokeAck { token, result } => {
-                let extra = self.charge(ctx.now(), h);
-                let _ = extra;
-                self.complete_ack(ctx, token, result.map(|()| AckVal::None));
             }
             PeerOp::Derive {
                 obj,
@@ -1981,51 +1710,22 @@ impl ControllerActor {
                 creator,
                 reply_to,
                 token,
-            } => {
-                let extra = self.charge(ctx.now(), h + ser);
-                match op {
-                    DeriveOp::Diminish {
-                        offset,
-                        size,
-                        drop_perms,
-                    } => {
-                        let result = self.do_local_diminish(obj, creator, offset, size, drop_perms);
-                        self.peer_send(ctx, reply_to, PeerOp::DeriveAck { token, result }, extra);
-                    }
-                    DeriveOp::Revtree => {
-                        let result = self.do_local_revtree(obj, creator);
-                        self.peer_send(ctx, reply_to, PeerOp::DeriveAck { token, result }, extra);
-                    }
-                    DeriveOp::Refine { imms, caps } => {
-                        self.refine_local(
-                            ctx,
-                            obj,
-                            creator,
-                            imms,
-                            caps,
-                            move |this, result, ctx| {
-                                this.peer_send(
-                                    ctx,
-                                    reply_to,
-                                    PeerOp::DeriveAck { token, result },
-                                    SimDuration::ZERO,
-                                );
-                            },
-                        );
-                    }
-                }
-            }
-            PeerOp::DeriveAck { token, result } | PeerOp::DelegateAck { token, result } => {
-                let _ = self.charge(ctx.now(), h + ser);
-                self.complete_ack(ctx, token, result.map(AckVal::Cap));
-            }
+            } => self.derive_local(
+                ctx,
+                obj,
+                op,
+                creator,
+                extra,
+                move |this, result, ctx, after| {
+                    this.peer_send(ctx, reply_to, PeerOp::DeriveAck { token, result }, after)
+                },
+            ),
             PeerOp::Delegate {
                 obj,
                 to,
                 reply_to,
                 token,
             } => {
-                let extra = self.charge(ctx.now(), h + ser);
                 let result = self.do_local_delegate(obj, to);
                 self.peer_send(ctx, reply_to, PeerOp::DelegateAck { token, result }, extra);
             }
@@ -2034,13 +1734,8 @@ impl ControllerActor {
                 reply_to,
                 token,
             } => {
-                let extra = self.charge(ctx.now(), h);
                 let result = self.do_local_revoke(ctx, obj);
                 self.peer_send(ctx, reply_to, PeerOp::RevokeAck { token, result }, extra);
-            }
-            PeerOp::RevokeAck { token, result } => {
-                let _ = self.charge(ctx.now(), h);
-                self.complete_ack(ctx, token, result.map(AckVal::Count));
             }
             PeerOp::Monitor {
                 obj,
@@ -2050,25 +1745,8 @@ impl ControllerActor {
                 reply_to,
                 token,
             } => {
-                let extra = self.charge(ctx.now(), h);
                 let result = self.do_local_monitor(obj, kind, watcher, callback_id);
                 self.peer_send(ctx, reply_to, PeerOp::MonitorAck { token, result }, extra);
-            }
-            PeerOp::MonitorAck { token, result } => {
-                let _ = self.charge(ctx.now(), h);
-                self.complete_ack(ctx, token, result.map(|()| AckVal::None));
-            }
-            PeerOp::MonitorEvent { proc, cb } => {
-                let extra = self.charge(ctx.now(), h);
-                self.send_proc(ctx, proc, CtrlToProc::Monitor(cb), extra);
-            }
-            PeerOp::Cleanup { objs } => {
-                let _ = self.charge(ctx.now(), h);
-                self.scrub_capspaces(&objs);
-            }
-            PeerOp::FailProcess { proc } => {
-                let _ = self.charge(ctx.now(), h);
-                self.fail_process_local(ctx, proc);
             }
             PeerOp::KvPut {
                 key,
@@ -2076,35 +1754,36 @@ impl ControllerActor {
                 reply_to,
                 token,
             } => {
-                let extra = self.charge(ctx.now(), h + ser);
                 self.kv.insert(key, cap);
-                self.peer_send(
-                    ctx,
-                    reply_to,
-                    PeerOp::KvPutAck {
-                        token,
-                        result: Ok(()),
-                    },
-                    extra,
-                );
-            }
-            PeerOp::KvPutAck { token, result } => {
-                let _ = self.charge(ctx.now(), h);
-                self.complete_ack(ctx, token, result.map(|()| AckVal::None));
+                let result = Ok(());
+                self.peer_send(ctx, reply_to, PeerOp::KvPutAck { token, result }, extra);
             }
             PeerOp::KvGet {
                 key,
                 to,
                 reply_to,
                 token,
-            } => {
-                let extra = self.charge(ctx.now(), h);
-                self.kv_get_local(ctx, key, to, Some((reply_to, token)), 0, extra);
+            } => self.kv_get_local(ctx, &key, to, extra, move |this, result, ctx, after| {
+                this.peer_send(ctx, reply_to, PeerOp::KvGetAck { token, result }, after)
+            }),
+            PeerOp::InvokeAck { token, result }
+            | PeerOp::MonitorAck { token, result }
+            | PeerOp::KvPutAck { token, result } => {
+                self.complete_ack(ctx, token, result.map(|()| AckVal::None))
             }
-            PeerOp::KvGetAck { token, result } => {
-                let _ = self.charge(ctx.now(), h + ser);
-                self.complete_ack(ctx, token, result.map(AckVal::Cap));
+            PeerOp::DeriveAck { token, result }
+            | PeerOp::DelegateAck { token, result }
+            | PeerOp::KvGetAck { token, result } => {
+                self.complete_ack(ctx, token, result.map(AckVal::Cap))
             }
+            PeerOp::RevokeAck { token, result } => {
+                self.complete_ack(ctx, token, result.map(AckVal::Count))
+            }
+            PeerOp::MonitorEvent { proc, cb } => {
+                self.send_proc(ctx, proc, CtrlToProc::Monitor(cb), extra)
+            }
+            PeerOp::Cleanup { objs } => self.scrub_capspaces(&objs),
+            PeerOp::FailProcess { proc } => self.fail_process_local(ctx, proc),
         }
     }
 
@@ -2150,6 +1829,16 @@ impl ControllerActor {
         }
     }
 
+    /// A reboot: the epoch advances and all volatile state is gone.
+    fn lose_state(&mut self) {
+        self.table.reboot();
+        self.spaces.clear();
+        self.snaps.clear();
+        self.kv.clear();
+        self.pending.clear();
+        self.dead_procs.clear();
+    }
+
     fn on_peer_failed(&mut self, ctx: &mut Ctx<'_>, peer: ControllerAddr) {
         if !self.peers_dead.insert(peer) {
             return;
@@ -2167,18 +1856,7 @@ impl ControllerActor {
         // managed here (later use yields a typed BadCid verdict, never a
         // silent hang on the dead owner) and from the bootstrap registry,
         // so lookups can never hand out a dead instance's capability.
-        for (proc, space) in self.spaces.iter_mut() {
-            let victims: Vec<Cid> = space
-                .iter()
-                .filter(|(_, cap)| cap.ctrl == peer)
-                .map(|(cid, _)| cid)
-                .collect();
-            for cid in victims {
-                let _ = space.remove(cid);
-                self.snaps.remove(&(*proc, cid));
-            }
-        }
-        self.kv.retain(|_, ca| ca.cap.ctrl != peer);
+        self.scrub_where(|cap| cap.ctrl == peer);
         self.peer_revocations.push((peer, ctx.now()));
         if ctx.spans_enabled() {
             ctx.span(
@@ -2205,12 +1883,7 @@ impl Actor for ControllerActor {
             // arrive as CtrlMsg::Reboot.
             if let CtrlMsg::Reboot = msg {
                 self.dead = false;
-                self.table.reboot();
-                self.spaces.clear();
-                self.snaps.clear();
-                self.kv.clear();
-                self.pending.clear();
-                self.dead_procs.clear();
+                self.lose_state();
                 self.dir.borrow_mut().revive_ctrl(self.addr);
             }
             return;
@@ -2231,10 +1904,9 @@ impl Actor for ControllerActor {
                     return;
                 }
                 self.cur = tctx;
-                // Account the arriving syscall's wire size once more is not
-                // needed — the sender already recorded it; just process.
-                let _ = syscall_msg_size(&sc);
-                ctx.trace(format!("{} syscall {} from {}", self.addr, sc.name(), proc));
+                if ctx.trace_enabled() {
+                    ctx.trace(format!("{} syscall {} from {}", self.addr, sc.name(), proc));
+                }
                 self.handle_syscall(ctx, proc, token, sc);
             }
             CtrlMsg::FromPeer {
@@ -2247,12 +1919,14 @@ impl Actor for ControllerActor {
                     return;
                 }
                 self.cur = tctx;
-                ctx.trace(format!(
-                    "{} peer-op from {}: {}",
-                    self.addr,
-                    from,
-                    peer_op_name(&op)
-                ));
+                if ctx.trace_enabled() {
+                    ctx.trace(format!(
+                        "{} peer-op from {}: {}",
+                        self.addr,
+                        from,
+                        op.name()
+                    ));
+                }
                 self.handle_peer(ctx, from, op)
             }
             CtrlMsg::RetransmitProc {
@@ -2296,15 +1970,8 @@ impl Actor for ControllerActor {
                 self.dead = true;
                 self.dir.borrow_mut().kill_ctrl(self.addr);
             }
-            CtrlMsg::Reboot => {
-                // Reboot of a live Controller: same state loss.
-                self.table.reboot();
-                self.spaces.clear();
-                self.snaps.clear();
-                self.kv.clear();
-                self.pending.clear();
-                self.dead_procs.clear();
-            }
+            // Reboot of a live Controller: same state loss.
+            CtrlMsg::Reboot => self.lose_state(),
             CtrlMsg::Ping {
                 watchdog,
                 watchdog_ep,

@@ -377,6 +377,29 @@ pub enum PeerOp {
 }
 
 impl PeerOp {
+    /// Short operation name (for traces and span labels).
+    pub fn name(&self) -> &'static str {
+        match self {
+            PeerOp::Invoke { .. } => "invoke",
+            PeerOp::InvokeAck { .. } => "invoke-ack",
+            PeerOp::Derive { .. } => "derive",
+            PeerOp::DeriveAck { .. } => "derive-ack",
+            PeerOp::Delegate { .. } => "delegate",
+            PeerOp::DelegateAck { .. } => "delegate-ack",
+            PeerOp::Revoke { .. } => "revoke",
+            PeerOp::RevokeAck { .. } => "revoke-ack",
+            PeerOp::Monitor { .. } => "monitor",
+            PeerOp::MonitorAck { .. } => "monitor-ack",
+            PeerOp::MonitorEvent { .. } => "monitor-event",
+            PeerOp::Cleanup { .. } => "cleanup",
+            PeerOp::FailProcess { .. } => "fail-process",
+            PeerOp::KvPut { .. } => "kv-put",
+            PeerOp::KvPutAck { .. } => "kv-put-ack",
+            PeerOp::KvGet { .. } => "kv-get",
+            PeerOp::KvGetAck { .. } => "kv-get-ack",
+        }
+    }
+
     /// Serialized size (the real wire encoding; see `crate::wire_peer`).
     pub fn wire_size(&self) -> u64 {
         crate::wire::Wire::wire_size(self)

@@ -210,22 +210,27 @@ pub enum Syscall {
 }
 
 impl Syscall {
-    /// Short operation name (for metrics and traces).
+    /// Short operation name (for traces and span labels).
     pub fn name(&self) -> &'static str {
+        &self.counter()["ctrl.ops.".len()..]
+    }
+
+    /// Name of the Controller's per-operation counter, `ctrl.ops.<name>`.
+    pub fn counter(&self) -> &'static str {
         match self {
-            Syscall::Null => "null",
-            Syscall::MemoryCreate { .. } => "memory_create",
-            Syscall::MemoryDiminish { .. } => "memory_diminish",
-            Syscall::MemoryCopy { .. } => "memory_copy",
-            Syscall::RequestCreate { .. } => "request_create",
-            Syscall::RequestInvoke { .. } => "request_invoke",
-            Syscall::CapCreateRevtree { .. } => "cap_create_revtree",
-            Syscall::CapRevoke { .. } => "cap_revoke",
-            Syscall::MonitorDelegate { .. } => "monitor_delegate",
-            Syscall::MonitorReceive { .. } => "monitor_receive",
-            Syscall::MemoryStat { .. } => "memory_stat",
-            Syscall::KvPut { .. } => "kv_put",
-            Syscall::KvGet { .. } => "kv_get",
+            Syscall::Null => "ctrl.ops.null",
+            Syscall::MemoryCreate { .. } => "ctrl.ops.memory_create",
+            Syscall::MemoryDiminish { .. } => "ctrl.ops.memory_diminish",
+            Syscall::MemoryCopy { .. } => "ctrl.ops.memory_copy",
+            Syscall::RequestCreate { .. } => "ctrl.ops.request_create",
+            Syscall::RequestInvoke { .. } => "ctrl.ops.request_invoke",
+            Syscall::CapCreateRevtree { .. } => "ctrl.ops.cap_create_revtree",
+            Syscall::CapRevoke { .. } => "ctrl.ops.cap_revoke",
+            Syscall::MonitorDelegate { .. } => "ctrl.ops.monitor_delegate",
+            Syscall::MonitorReceive { .. } => "ctrl.ops.monitor_receive",
+            Syscall::MemoryStat { .. } => "ctrl.ops.memory_stat",
+            Syscall::KvPut { .. } => "ctrl.ops.kv_put",
+            Syscall::KvGet { .. } => "ctrl.ops.kv_get",
         }
     }
 }
@@ -407,6 +412,7 @@ mod tests {
     #[test]
     fn syscall_names() {
         assert_eq!(Syscall::Null.name(), "null");
+        assert_eq!(Syscall::Null.counter(), "ctrl.ops.null");
         assert_eq!(
             Syscall::MemoryCopy {
                 src: Cid(0),

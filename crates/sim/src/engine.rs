@@ -134,6 +134,14 @@ impl Ctx<'_> {
         self.metrics
     }
 
+    /// Whether trace-point recording is enabled.
+    ///
+    /// Callers that need a formatted label should gate the `format!` behind
+    /// this so disabled runs allocate nothing.
+    pub fn trace_enabled(&self) -> bool {
+        self.trace.is_some()
+    }
+
     /// Records a trace point if tracing is enabled.
     pub fn trace(&mut self, label: impl Into<String>) {
         if let Some(trace) = self.trace.as_mut() {
