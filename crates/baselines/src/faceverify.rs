@@ -13,10 +13,11 @@ use std::collections::HashMap;
 use fractos_net::{Endpoint, Fabric, TrafficClass};
 use fractos_services::matcher::{synth_face, MATCH_THRESHOLD};
 use fractos_services::FvSample;
-use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime};
+use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration};
 
+use crate::closed_loop::ClosedLoop;
 use crate::raw::{raw_send, Peer};
-use crate::rcuda::{DriverCall, DriverReply, RcudaClient};
+use crate::rcuda::{DriverReply, RcudaClient, KERNEL_CALLS};
 use crate::storage::{NfsOp, NfsReply, NFS_CLIENT_OVERHEAD};
 
 /// Client → frontend request.
@@ -39,20 +40,11 @@ pub struct VerifyReply {
     pub distances: Vec<u8>,
 }
 
-/// Extra small driver-call round trips per kernel execution, modelling the
-/// chatter a transparently interposed CUDA runtime forwards besides the
-/// four essential calls (context queries, stream state, attribute reads —
-/// the reason the paper's Fig 9 shows rCUDA well above FractOS's single
-/// round trip per invocation).
-pub const INTERPOSITION_CALLS: u64 = 8;
-
 enum Phase {
     NfsRead,
-    H2d,
-    Chatter(u64),
-    Launch,
-    Sync,
-    D2h,
+    /// Call number `.0` of the rCUDA kernel-execution sequence
+    /// ([`RcudaClient::kernel_call`]).
+    Gpu(u64),
     /// Write the distances back through NFS (Fig 2's output path).
     NfsWrite,
 }
@@ -146,46 +138,12 @@ impl BaselineFrontend {
                     },
                 );
             }
-            Phase::H2d => {
-                // One bulk copy: queries ++ db into device memory.
-                let mut data = state.queries.clone();
-                data.extend_from_slice(&state.db);
-                let token = self.rcuda.call(ctx, |reply| DriverCall::MemcpyH2D {
-                    offset: 0,
-                    data,
-                    reply,
-                });
-                self.token_to_req.insert(token, req_id);
-            }
-            Phase::Chatter(_) => {
-                // Interposed runtime chatter: a cheap driver call forwarded
-                // over the network.
-                let token = self
-                    .rcuda
-                    .call(ctx, |reply| DriverCall::Synchronize { reply });
-                self.token_to_req.insert(token, req_id);
-            }
-            Phase::Launch => {
-                let token = self.rcuda.call(ctx, |reply| DriverCall::Launch {
-                    kernel: fractos_services::FACE_VERIFY_KERNEL,
-                    params: vec![batch, img],
-                    input: (0, 2 * batch * img),
-                    out_offset: 2 * batch * img,
-                    reply,
-                });
-                self.token_to_req.insert(token, req_id);
-            }
-            Phase::Sync => {
-                let token = self
-                    .rcuda
-                    .call(ctx, |reply| DriverCall::Synchronize { reply });
-                self.token_to_req.insert(token, req_id);
-            }
-            Phase::D2h => {
-                let token = self.rcuda.call(ctx, |reply| DriverCall::MemcpyD2H {
-                    offset: 2 * batch * img,
-                    len: batch,
-                    reply,
+            Phase::Gpu(call) => {
+                // The H2D copy ships queries ++ db in one bulk transfer.
+                let token = self.rcuda.kernel_call(ctx, call, batch, img, || {
+                    let mut data = state.queries.clone();
+                    data.extend_from_slice(&state.db);
+                    data
                 });
                 self.token_to_req.insert(token, req_id);
             }
@@ -206,7 +164,7 @@ impl BaselineFrontend {
                     self.nfs,
                     data.len() as u64,
                     TrafficClass::Data,
-                    crate::storage::NFS_CLIENT_OVERHEAD,
+                    NFS_CLIENT_OVERHEAD,
                     NfsOp::Write {
                         // Output region beyond the database.
                         offset: 0,
@@ -273,7 +231,7 @@ impl Actor for BaselineFrontend {
                 match state.phase {
                     Phase::NfsRead => {
                         state.db = reply.data;
-                        state.phase = Phase::H2d;
+                        state.phase = Phase::Gpu(0);
                         self.step(ctx, req_id);
                     }
                     Phase::NfsWrite => {
@@ -291,29 +249,13 @@ impl Actor for BaselineFrontend {
             };
             let state = self.reqs.get_mut(&req_id).expect("live");
             match state.phase {
-                Phase::H2d => {
-                    state.phase = Phase::Chatter(0);
+                Phase::Gpu(call) if call + 1 < KERNEL_CALLS => {
+                    state.phase = Phase::Gpu(call + 1);
                     self.step(ctx, req_id);
                 }
-                Phase::Chatter(k) => {
-                    state.phase = if k + 1 < INTERPOSITION_CALLS {
-                        Phase::Chatter(k + 1)
-                    } else {
-                        Phase::Launch
-                    };
-                    self.step(ctx, req_id);
-                }
-                Phase::Launch => {
-                    state.phase = Phase::Sync;
-                    self.step(ctx, req_id);
-                }
-                Phase::Sync => {
-                    state.phase = Phase::D2h;
-                    self.step(ctx, req_id);
-                }
-                Phase::D2h => {
+                // The D2H copy came back with the distances.
+                Phase::Gpu(_) => {
                     if self.store_results {
-                        let state = self.reqs.get_mut(&req_id).expect("live");
                         state.distances = reply.data;
                         state.phase = Phase::NfsWrite;
                         self.step(ctx, req_id);
@@ -340,13 +282,7 @@ pub struct BaselineClient {
     pub img: u64,
     /// Batch size.
     pub batch: u64,
-    /// Total requests.
-    pub requests: u64,
-    /// Requests kept in flight.
-    pub in_flight: u64,
-    issued: u64,
-    next_token: u64,
-    inflight_at: HashMap<u64, SimTime>,
+    run: ClosedLoop,
     /// Completed samples.
     pub samples: Vec<FvSample>,
 }
@@ -371,29 +307,21 @@ impl BaselineClient {
             fabric,
             img,
             batch,
-            requests,
-            in_flight: in_flight.max(1),
-            issued: 0,
-            next_token: 0,
-            inflight_at: HashMap::new(),
+            run: ClosedLoop::new(requests, in_flight),
             samples: Vec::new(),
         }
     }
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
-        if self.issued >= self.requests {
+        let Some(token) = self.run.next(ctx.now()) else {
             return;
-        }
-        self.issued += 1;
-        let token = self.next_token;
-        self.next_token += 1;
+        };
         // Same scattered id windows as the FractOS client.
         let first_id = (token * 53 + 17) % (256 - self.batch).max(1);
         let mut queries = Vec::with_capacity((self.batch * self.img) as usize);
         for i in 0..self.batch {
             queries.extend(synth_face(first_id + i, self.img as usize, token + 1));
         }
-        self.inflight_at.insert(token, ctx.now());
         let me = Peer {
             actor: ctx.self_id(),
             endpoint: self.endpoint,
@@ -524,16 +452,15 @@ pub fn deploy_baseline(
 impl Actor for BaselineClient {
     fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
         if msg.downcast_ref::<Start>().is_some() {
-            for _ in 0..self.in_flight.min(self.requests) {
+            for _ in 0..self.run.prime() {
                 self.issue(ctx);
             }
             return;
         }
         if let Ok(reply) = msg.downcast::<VerifyReply>() {
-            let issued = self
-                .inflight_at
-                .remove(&reply.token)
-                .unwrap_or(SimTime::ZERO);
+            let Some(issued) = self.run.complete(reply.token, ctx.now()) else {
+                return;
+            };
             let all_matched =
                 !reply.distances.is_empty() && reply.distances.iter().all(|&d| d < MATCH_THRESHOLD);
             self.samples.push(FvSample {

@@ -7,14 +7,18 @@
 //!
 //! * [`raw`] — infrastructure for non-FractOS actors plus the
 //!   `ibv_rc_pingpong` loopback baseline (Table 3);
+//! * [`closed_loop`] — the closed-loop load-generator core (N requests, k
+//!   in flight) every measured client embeds, here and in `fractos-bench`;
 //! * [`rcuda`] — rCUDA-style transparent GPU remoting: every interposed
-//!   CUDA driver call is one network round trip (Figs 9, 12, 13);
+//!   CUDA driver call is one network round trip, and the call sequence of
+//!   one kernel execution is stated once (Figs 9, 12, 13);
 //! * [`storage`] — NVMe-over-Fabrics target, Linux-style page cache, and an
 //!   NFS/ext4 file server (Figs 10–13);
 //! * [`faceverify`] — the §6.5 baseline application: frontend + NFS +
 //!   NVMe-oF + rCUDA in a star topology;
-//! * [`pipeline`] — the star and fast-star drivers of the composition
-//!   experiment (Fig 8), run against the same FractOS pipeline stages;
+//! * [`pipeline`] — the one centralized driver of the composition
+//!   experiment (Fig 8), star or fast-star by its data path, run against
+//!   the same FractOS pipeline stages;
 //! * [`local`] — analytic local-device baselines (Figs 9, 10).
 //!
 //! The raw baselines deliberately do *not* use FractOS: they are plain
@@ -36,6 +40,7 @@ pub fn paper_runtime(seed: u64) -> Box<dyn Runtime> {
     runtime_from_env(&config)
 }
 
+pub mod closed_loop;
 pub mod faceverify;
 pub mod local;
 pub mod pipeline;
@@ -43,11 +48,12 @@ pub mod raw;
 pub mod rcuda;
 pub mod storage;
 
+pub use closed_loop::ClosedLoop;
 pub use faceverify::{BaselineClient, BaselineFrontend, VerifyReply, VerifyReq};
 pub use local::{
     local_block_read_latency, local_block_write_latency, local_gpu_latency, local_gpu_throughput,
 };
-pub use pipeline::{FastStarDriver, StarDriver};
+pub use pipeline::{CentralDriver, DataPath};
 pub use raw::{Peer, PingPongClient, PingPongServer};
 pub use rcuda::{RcudaClient, RcudaServer};
 pub use storage::{NfsServer, NvmeOfTarget, PageCache};

@@ -1,16 +1,17 @@
-//! Centralized pipeline drivers for the composition experiment (Fig 8).
+//! The centralized pipeline driver for the composition experiment (Fig 8).
 //!
-//! Both drivers run against the same FractOS
+//! [`CentralDriver`] runs against the same FractOS
 //! [`PipelineStage`](fractos_services::pipeline::PipelineStage) services as
-//! the distributed chain driver, but keep the application centralized:
+//! the distributed chain driver, but keeps the application centralized —
+//! control returns to the client after every hop. Its [`DataPath`] selects
+//! where the data goes meanwhile:
 //!
-//! * [`StarDriver`] — centralized application *and* data ("star"): the
-//!   client copies the data to each stage and receives it back, stage by
-//!   stage (e.g. rCUDA-style designs, Fig 1 top-left);
-//! * [`FastStarDriver`] — centralized control, direct data ("fast-star"):
-//!   stages forward data directly to the next stage's buffer, but control
-//!   returns to the client after every hop (e.g. LegoOS-style designs,
-//!   Fig 1 bottom-left).
+//! * [`DataPath::ViaClient`] — centralized application *and* data ("star"):
+//!   the client copies the data to each stage and receives it back, stage
+//!   by stage (e.g. rCUDA-style designs, Fig 1 top-left);
+//! * [`DataPath::Direct`] — centralized control, direct data ("fast-star"):
+//!   stages forward data directly to the next stage's buffer (e.g.
+//!   LegoOS-style designs, Fig 1 bottom-left).
 
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
@@ -19,32 +20,28 @@ use fractos_devices::proto::imm;
 use fractos_services::pipeline::TAG_PIPE_REPLY;
 use fractos_sim::{SimDuration, SimTime};
 
-/// Common handle-fetching state for centralized drivers.
-struct Handles {
-    stage_reqs: Vec<Cid>,
-    stage_bufs: Vec<Cid>,
-    client_buf: Option<Cid>,
+/// Where a centralized driver's data travels between stages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataPath {
+    /// Through the client's buffer, before and after every stage (star).
+    ViaClient,
+    /// Stage to stage; only the last stage writes to the client (fast-star).
+    Direct,
 }
 
-impl Handles {
-    fn new() -> Self {
-        Handles {
-            stage_reqs: Vec::new(),
-            stage_bufs: Vec::new(),
-            client_buf: None,
-        }
-    }
-}
-
-/// The fully centralized (star) driver.
-pub struct StarDriver {
+/// The centralized (star or fast-star) driver.
+pub struct CentralDriver {
+    /// Where the data travels.
+    pub data: DataPath,
     /// Number of stages.
     pub stages: usize,
     /// Bytes streamed per iteration.
     pub size: u64,
     /// Iterations to run.
     pub iterations: u64,
-    handles: Handles,
+    stage_reqs: Vec<Cid>,
+    stage_bufs: Vec<Cid>,
+    client_buf: Option<Cid>,
     current_stage: usize,
     started_at: SimTime,
     remaining: u64,
@@ -52,14 +49,17 @@ pub struct StarDriver {
     pub latencies: Vec<SimDuration>,
 }
 
-impl StarDriver {
+impl CentralDriver {
     /// Creates the driver.
-    pub fn new(stages: usize, size: u64, iterations: u64) -> Self {
-        StarDriver {
+    pub fn new(data: DataPath, stages: usize, size: u64, iterations: u64) -> Self {
+        CentralDriver {
+            data,
             stages,
             size,
             iterations,
-            handles: Handles::new(),
+            stage_reqs: Vec::new(),
+            stage_bufs: Vec::new(),
+            client_buf: None,
             current_stage: 0,
             started_at: SimTime::ZERO,
             remaining: iterations,
@@ -72,7 +72,7 @@ impl StarDriver {
             let size = self.size;
             let addr = fos.mem_alloc(size);
             fos.memory_create(addr, size, Perms::RW, |s: &mut Self, res, fos| {
-                s.handles.client_buf = Some(res.cid());
+                s.client_buf = Some(res.cid());
                 s.iterate(fos);
             });
             return;
@@ -82,13 +82,13 @@ impl StarDriver {
                 key: format!("pipe.{i}.req"),
             },
             move |s: &mut Self, res, fos| {
-                s.handles.stage_reqs.push(res.cid());
+                s.stage_reqs.push(res.cid());
                 fos.call(
                     Syscall::KvGet {
                         key: format!("pipe.{i}.buf"),
                     },
                     move |s: &mut Self, res, fos| {
-                        s.handles.stage_bufs.push(res.cid());
+                        s.stage_bufs.push(res.cid());
                         s.fetch(i + 1, fos);
                     },
                 );
@@ -103,11 +103,15 @@ impl StarDriver {
         self.remaining -= 1;
         self.started_at = fos.now();
         self.current_stage = 0;
-        self.hop(fos);
+        match self.data {
+            DataPath::ViaClient => self.hop(fos),
+            // Seed: data into stage 0's buffer (one transfer).
+            DataPath::Direct => self.copy_to_stage(0, fos, |s, fos| s.hop(fos)),
+        }
     }
 
-    /// One star hop: copy data to the stage, invoke it with the client as
-    /// destination, wait for its completion invoke.
+    /// One hop: get stage `i` invoked with the right destination and wait
+    /// for its completion invoke.
     fn hop(&mut self, fos: &Fos<Self>) {
         let i = self.current_stage;
         if i == self.stages {
@@ -116,141 +120,38 @@ impl StarDriver {
             self.iterate(fos);
             return;
         }
-        let client_buf = self.handles.client_buf.expect("allocated");
-        let stage_buf = self.handles.stage_bufs[i];
-        let stage_req = self.handles.stage_reqs[i];
-        let size = self.size;
-        // Data transfer 1: client → stage.
-        fos.call(
-            Syscall::MemoryDiminish {
-                cid: stage_buf,
-                offset: 0,
-                size,
-                drop_perms: Perms::NONE,
-            },
-            move |_s: &mut Self, res, fos| {
-                let SyscallResult::NewCid(stage_view) = res else {
-                    return;
+        let client_buf = self.client_buf.expect("allocated");
+        match self.data {
+            // Data transfer 1: client → stage; transfer 2 happens inside
+            // the stage (stage → client).
+            DataPath::ViaClient => self.copy_to_stage(i, fos, move |s, fos| {
+                s.invoke_stage(i, client_buf, fos);
+            }),
+            // Destination = stage `i+1`'s buffer (or the client sink).
+            DataPath::Direct => {
+                let dst = if i + 1 == self.stages {
+                    client_buf
+                } else {
+                    self.stage_bufs[i + 1]
                 };
-                fos.memory_copy(client_buf, stage_view, move |_s: &mut Self, res, fos| {
-                    fos.call_ignore(Syscall::CapRevoke { cid: stage_view });
-                    debug_assert_eq!(res, SyscallResult::Ok);
-                    // Control: invoke the stage; data transfer 2 happens
-                    // inside it (stage → client).
-                    fos.request_create_new(
-                        TAG_PIPE_REPLY,
-                        vec![],
-                        vec![],
-                        move |_s: &mut Self, res, fos| {
-                            let reply = res.cid();
-                            fos.request_derive(
-                                stage_req,
-                                vec![imm(size)],
-                                vec![client_buf, reply],
-                                |_s, res, fos| {
-                                    fos.request_invoke(res.cid(), |_, res, _| {
-                                        debug_assert!(res.is_ok())
-                                    });
-                                },
-                            );
-                        },
-                    );
-                });
-            },
-        );
-    }
-}
-
-impl Service for StarDriver {
-    fn on_start(&mut self, fos: &Fos<Self>) {
-        self.fetch(0, fos);
-    }
-
-    fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
-        if req.tag != TAG_PIPE_REPLY {
-            return;
-        }
-        self.current_stage += 1;
-        self.hop(fos);
-    }
-}
-
-/// The centralized-control, direct-data (fast-star) driver.
-pub struct FastStarDriver {
-    /// Number of stages.
-    pub stages: usize,
-    /// Bytes streamed per iteration.
-    pub size: u64,
-    /// Iterations to run.
-    pub iterations: u64,
-    handles: Handles,
-    current_stage: usize,
-    started_at: SimTime,
-    remaining: u64,
-    /// Completed iteration latencies.
-    pub latencies: Vec<SimDuration>,
-}
-
-impl FastStarDriver {
-    /// Creates the driver.
-    pub fn new(stages: usize, size: u64, iterations: u64) -> Self {
-        FastStarDriver {
-            stages,
-            size,
-            iterations,
-            handles: Handles::new(),
-            current_stage: 0,
-            started_at: SimTime::ZERO,
-            remaining: iterations,
-            latencies: Vec::new(),
+                self.invoke_stage(i, dst, fos);
+            }
         }
     }
 
-    fn fetch(&mut self, i: usize, fos: &Fos<Self>) {
-        if i == self.stages {
-            let size = self.size;
-            let addr = fos.mem_alloc(size);
-            fos.memory_create(addr, size, Perms::RW, |s: &mut Self, res, fos| {
-                s.handles.client_buf = Some(res.cid());
-                s.iterate(fos);
-            });
-            return;
-        }
-        fos.call(
-            Syscall::KvGet {
-                key: format!("pipe.{i}.req"),
-            },
-            move |s: &mut Self, res, fos| {
-                s.handles.stage_reqs.push(res.cid());
-                fos.call(
-                    Syscall::KvGet {
-                        key: format!("pipe.{i}.buf"),
-                    },
-                    move |s: &mut Self, res, fos| {
-                        s.handles.stage_bufs.push(res.cid());
-                        s.fetch(i + 1, fos);
-                    },
-                );
-            },
-        );
-    }
-
-    fn iterate(&mut self, fos: &Fos<Self>) {
-        if self.remaining == 0 {
-            return;
-        }
-        self.remaining -= 1;
-        self.started_at = fos.now();
-        self.current_stage = 0;
-        // Seed: data into stage 0's buffer (one transfer).
-        let client_buf = self.handles.client_buf.expect("allocated");
-        let stage0 = self.handles.stage_bufs[0];
-        let size = self.size;
+    /// Copies the client buffer into stage `i`'s buffer, then runs `then`.
+    fn copy_to_stage(
+        &self,
+        i: usize,
+        fos: &Fos<Self>,
+        then: impl FnOnce(&mut Self, &Fos<Self>) + Send + 'static,
+    ) {
+        let client_buf = self.client_buf.expect("allocated");
         fos.call(
             Syscall::MemoryDiminish {
-                cid: stage0,
+                cid: self.stage_bufs[i],
                 offset: 0,
-                size,
+                size: self.size,
                 drop_perms: Perms::NONE,
             },
             move |_s: &mut Self, res, fos| {
@@ -260,49 +161,24 @@ impl FastStarDriver {
                 fos.memory_copy(client_buf, view, move |s: &mut Self, res, fos| {
                     fos.call_ignore(Syscall::CapRevoke { cid: view });
                     debug_assert_eq!(res, SyscallResult::Ok);
-                    s.hop(fos);
+                    then(s, fos);
                 });
             },
         );
     }
 
-    /// One fast-star hop: invoke stage `i`, destination = stage `i+1`'s
-    /// buffer (or client sink), control back to us.
-    fn hop(&mut self, fos: &Fos<Self>) {
-        let i = self.current_stage;
-        if i == self.stages {
-            self.latencies
-                .push(fos.now().duration_since(self.started_at));
-            self.iterate(fos);
-            return;
-        }
-        let dst = if i + 1 == self.stages {
-            self.handles.client_buf.expect("allocated")
-        } else {
-            self.handles.stage_bufs[i + 1]
-        };
-        let stage_req = self.handles.stage_reqs[i];
-        let size = self.size;
-        fos.request_create_new(
-            TAG_PIPE_REPLY,
-            vec![],
-            vec![],
-            move |_s: &mut Self, res, fos| {
-                let reply = res.cid();
-                fos.request_derive(
-                    stage_req,
-                    vec![imm(size)],
-                    vec![dst, reply],
-                    |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    },
-                );
-            },
+    /// Control: invoke stage `i` to move its data to `dst` and reply to us.
+    fn invoke_stage(&self, i: usize, dst: Cid, fos: &Fos<Self>) {
+        fos.invoke_with(
+            self.stage_reqs[i],
+            vec![imm(self.size)],
+            vec![dst],
+            vec![(TAG_PIPE_REPLY, vec![])],
         );
     }
 }
 
-impl Service for FastStarDriver {
+impl Service for CentralDriver {
     fn on_start(&mut self, fos: &Fos<Self>) {
         self.fetch(0, fos);
     }

@@ -282,7 +282,55 @@ impl RcudaClient {
         );
         token
     }
+
+    /// Issues call number `step` (counted from zero, below [`KERNEL_CALLS`])
+    /// of the sequence one kernel execution costs through the interposed
+    /// runtime, for a batch of `batch` image pairs of `img` bytes each:
+    /// the host-to-device copy of `input()` (both halves of every pair),
+    /// [`INTERPOSITION_CALLS`] cheap forwarded calls, launch, synchronize,
+    /// and the device-to-host copy of the `batch` result bytes.
+    pub fn kernel_call(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        step: u64,
+        batch: u64,
+        img: u64,
+        input: impl FnOnce() -> Vec<u8>,
+    ) -> u64 {
+        let launch = 1 + INTERPOSITION_CALLS;
+        self.call(ctx, |reply| match step {
+            0 => DriverCall::MemcpyH2D {
+                offset: 0,
+                data: input(),
+                reply,
+            },
+            s if s == launch => DriverCall::Launch {
+                kernel: fractos_services::FACE_VERIFY_KERNEL,
+                params: vec![batch, img],
+                input: (0, 2 * batch * img),
+                out_offset: 2 * batch * img,
+                reply,
+            },
+            s if s == launch + 2 => DriverCall::MemcpyD2H {
+                offset: 2 * batch * img,
+                len: batch,
+                reply,
+            },
+            // Runtime chatter before the launch, the real wait after it.
+            _ => DriverCall::Synchronize { reply },
+        })
+    }
 }
+
+/// Extra small driver-call round trips per kernel execution, modelling the
+/// chatter a transparently interposed CUDA runtime forwards besides the
+/// four essential calls (context queries, stream state, attribute reads —
+/// the reason the paper's Fig 9 shows rCUDA well above FractOS's single
+/// round trip per invocation).
+pub const INTERPOSITION_CALLS: u64 = 8;
+
+/// Driver calls per kernel execution: see [`RcudaClient::kernel_call`].
+pub const KERNEL_CALLS: u64 = 4 + INTERPOSITION_CALLS;
 
 #[cfg(test)]
 mod tests {
@@ -295,7 +343,6 @@ mod tests {
     /// A driver that runs the canonical verify sequence and checks data.
     struct Driver {
         client: RcudaClient,
-        phase: u64,
         tokens: HashMap<u64, u64>,
         pub result: Vec<u8>,
         pub done: bool,
@@ -347,7 +394,6 @@ mod tests {
                 }
                 _ => unreachable!(),
             }
-            let _ = self.phase;
         }
     }
 
@@ -380,7 +426,6 @@ mod tests {
                     },
                     fabric.clone(),
                 ),
-                phase: 0,
                 tokens: HashMap::new(),
                 result: Vec::new(),
                 done: false,

@@ -7,11 +7,11 @@
 //! server whose ext4 is backed by NVMe-oF. Both are modelled here as raw
 //! actors on the fabric.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use fractos_devices::{BlockOp, NvmeDevice, NvmeParams};
 use fractos_net::{Endpoint, Fabric, TrafficClass};
-use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime};
+use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration};
 
 use crate::raw::{raw_send, Peer};
 
@@ -131,7 +131,11 @@ impl Actor for NvmeOfTarget {
                 let delay = self
                     .device
                     .service_time(ctx.now(), BlockOp::Write, data.len() as u64);
-                let _ = self.device.write(self.namespace, offset, &data);
+                // Acknowledging a write the device refused would report
+                // lost data as stored.
+                self.device
+                    .write(self.namespace, offset, &data)
+                    .expect("write fits the namespace");
                 let fabric = self.fabric.clone();
                 raw_send(
                     ctx,
@@ -309,8 +313,6 @@ pub struct NfsServer {
     pub cache: PageCache,
     next_token: u64,
     pending: HashMap<u64, ServerPending>,
-    /// Queued same-extent requests to retry after a fill lands.
-    retry: VecDeque<(NfsOp, SimTime)>,
     /// Requests served (tests).
     pub served: u64,
 }
@@ -325,7 +327,6 @@ impl NfsServer {
             cache: PageCache::new(),
             next_token: 0,
             pending: HashMap::new(),
-            retry: VecDeque::new(),
             served: 0,
         }
     }
@@ -398,7 +399,6 @@ impl Actor for NfsServer {
                 }
             }
         }
-        let _ = &self.retry;
     }
 }
 
@@ -465,6 +465,45 @@ impl NfsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fractos_net::{NetParams, NodeId, Topology};
+    use fractos_sim::{Runtime, RuntimeExt, Sim};
+
+    #[test]
+    #[should_panic(expected = "write fits the namespace")]
+    fn target_refuses_to_acknowledge_an_out_of_range_write() {
+        // The one-shard engine: the panic surfaces on this thread, message
+        // intact, whatever `FRACTOS_RUNTIME` says.
+        let mut sim = Sim::new(9);
+        let fabric = Shared::named(
+            "fabric",
+            Fabric::new(Topology::paper_testbed(), NetParams::paper()),
+        );
+        let endpoint = Endpoint::cpu(NodeId(0));
+        let target = sim.add_actor_on(
+            0,
+            "nvmeof",
+            Box::new(NvmeOfTarget::new(
+                endpoint,
+                fabric,
+                NvmeParams::default(),
+                PAGE_SIZE,
+            )),
+        );
+        let reply = Peer {
+            actor: target,
+            endpoint,
+        };
+        sim.post(
+            SimDuration::ZERO,
+            target,
+            NvmeOfOp::Write {
+                offset: PAGE_SIZE,
+                data: vec![1; 8],
+                reply: (reply, 0),
+            },
+        );
+        sim.run();
+    }
 
     #[test]
     fn cache_roundtrip_and_coverage() {

@@ -3,7 +3,7 @@
 
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, Start};
 use fractos_baselines::paper_runtime;
-use fractos_baselines::pipeline::{FastStarDriver, StarDriver};
+use fractos_baselines::pipeline::{CentralDriver, DataPath};
 use fractos_baselines::Peer;
 use fractos_core::prelude::*;
 use fractos_net::{Fabric, NetParams, NodeId, Topology};
@@ -133,11 +133,11 @@ fn star_vs_faststar_vs_chain_ordering() {
                     "star",
                     cpu(0),
                     ctrls[0],
-                    StarDriver::new(stages, size, iterations),
+                    CentralDriver::new(DataPath::ViaClient, stages, size, iterations),
                 );
                 tb.start_process(d);
                 tb.run();
-                tb.with_service::<StarDriver, _>(d, |s| {
+                tb.with_service::<CentralDriver, _>(d, |s| {
                     assert_eq!(s.latencies.len() as u64, iterations);
                     s.latencies.iter().map(|l| l.as_micros_f64()).sum::<f64>() / iterations as f64
                 })
@@ -147,11 +147,11 @@ fn star_vs_faststar_vs_chain_ordering() {
                     "faststar",
                     cpu(0),
                     ctrls[0],
-                    FastStarDriver::new(stages, size, iterations),
+                    CentralDriver::new(DataPath::Direct, stages, size, iterations),
                 );
                 tb.start_process(d);
                 tb.run();
-                tb.with_service::<FastStarDriver, _>(d, |s| {
+                tb.with_service::<CentralDriver, _>(d, |s| {
                     assert_eq!(s.latencies.len() as u64, iterations);
                     s.latencies.iter().map(|l| l.as_micros_f64()).sum::<f64>() / iterations as f64
                 })

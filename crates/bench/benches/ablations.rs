@@ -11,9 +11,7 @@
 //! 4. **Congestion window** — the §4 back-pressure mechanism's effect on a
 //!    syscall-intensive workload.
 
-use fractos_bench::apps::{
-    fractos_faceverify_opts, fractos_faceverify_with, storage_fractos, FvDeploy,
-};
+use fractos_bench::apps::{fractos_faceverify, fractos_faceverify_with, storage_fractos, FvDeploy};
 use fractos_bench::report::{ratio, us, Table};
 use fractos_bench::scripts::Script;
 use fractos_core::prelude::*;
@@ -55,8 +53,8 @@ fn ablate_hw_offload() {
         &["batch", "bounce buffers", "HW copies (§7)", "speedup"],
     );
     for &batch in &[1u64, 8, 64] {
-        let base = fractos_faceverify_opts(FvDeploy::Cpu, 4096, batch, 10, 1, false);
-        let hw = fractos_faceverify_with(FvDeploy::Cpu, 4096, batch, 10, 1, false, |p| {
+        let base = fractos_faceverify(FvDeploy::Cpu, 4096, batch, 10, 1);
+        let hw = fractos_faceverify_with(FvDeploy::Cpu, 4096, batch, 10, 1, |p| {
             p.third_party_rdma = true;
         });
         assert!(base.ok && hw.ok);
@@ -198,8 +196,8 @@ fn ablate_poll_vs_interrupt() {
     );
     // Sparse workload: widely spaced requests always wake a sleeping
     // Controller.
-    let poll = fractos_faceverify_opts(FvDeploy::Cpu, 4096, 4, 6, 1, false);
-    let intr = fractos_faceverify_with(FvDeploy::Cpu, 4096, 4, 6, 1, false, |p| {
+    let poll = fractos_faceverify(FvDeploy::Cpu, 4096, 4, 6, 1);
+    let intr = fractos_faceverify_with(FvDeploy::Cpu, 4096, 4, 6, 1, |p| {
         p.controller_interrupts = true;
     });
     assert!(poll.ok && intr.ok);
@@ -210,8 +208,8 @@ fn ablate_poll_vs_interrupt() {
         ratio(intr.lat_mean, poll.lat_mean),
     ]);
     // Dense workload: pipelining keeps the Controllers polling.
-    let poll = fractos_faceverify_opts(FvDeploy::Cpu, 4096, 4, 24, 4, false);
-    let intr = fractos_faceverify_with(FvDeploy::Cpu, 4096, 4, 24, 4, false, |p| {
+    let poll = fractos_faceverify(FvDeploy::Cpu, 4096, 4, 24, 4);
+    let intr = fractos_faceverify_with(FvDeploy::Cpu, 4096, 4, 24, 4, |p| {
         p.controller_interrupts = true;
     });
     t.row(&[

@@ -1,25 +1,23 @@
 //! Runners for the application-level experiments (Figs 8–13, Fig 2, and
 //! the headline claims).
 
-use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, Start};
-use fractos_baselines::pipeline::{FastStarDriver, StarDriver};
-use fractos_baselines::raw::{raw_send, Peer};
-use fractos_baselines::storage::{NfsOp, NfsReply, NfsServer, NvmeOfTarget};
+use fractos_baselines::closed_loop::ClosedLoop;
+use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, BaselineFrontend, Start};
+use fractos_baselines::paper_runtime;
+use fractos_baselines::pipeline::{CentralDriver, DataPath};
+use fractos_baselines::raw::Peer;
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_devices::proto::{imm, imm_at};
 use fractos_devices::{BlockAdaptor, GpuAdaptor, GpuParams, NvmeParams};
-use fractos_net::{Fabric, NetParams, Topology, TrafficClass};
-use fractos_obs::MetricsSnapshot;
+use fractos_net::{Fabric, NetParams, Topology, TrafficStats};
+use fractos_obs::{HistSummary, MetricsSnapshot};
 use fractos_services::deploy::deploy_faceverify;
-use fractos_services::faceverify::FvClient;
+use fractos_services::faceverify::{FvClient, FvSample};
 use fractos_services::fs::{FsMode, FsService};
 use fractos_services::pipeline::{ChainDriver, PipelineStage};
 use fractos_services::{FvConfig, FACE_VERIFY_KERNEL};
-use fractos_sim::{
-    runtime_from_env, Actor, ActorId, Ctx, Histogram, Msg, Runtime, RuntimeConfig, Shared,
-    SimDuration, SimTime, SpanRecord, TelemetryEvent,
-};
+use fractos_sim::{Actor, ActorId, Ctx, Msg, Shared, SimDuration, SpanRecord, TelemetryEvent};
 
 /// Result of one application run.
 #[derive(Debug, Clone, Copy)]
@@ -47,19 +45,66 @@ pub struct AppResult {
 }
 
 impl AppResult {
+    /// Summarizes a face-verification run from its per-request latencies
+    /// (µs, completion order), the time it took and the traffic it caused.
+    fn new(lat: &[f64], ok: bool, wall_us: f64, traffic: &TrafficStats) -> Self {
+        let pct = HistSummary::from_samples(lat);
+        AppResult {
+            lat_mean: mean(lat),
+            lat_p50: pct.p50,
+            lat_p95: pct.p95,
+            lat_p99: pct.p99,
+            wall_us,
+            completed: pct.count,
+            net_bytes: traffic.network_bytes(),
+            net_msgs: traffic.network_msgs(),
+            data_msgs: traffic.network_data_msgs(),
+            ok,
+        }
+    }
+
     /// Requests per second.
     pub fn throughput(&self) -> f64 {
         self.completed as f64 / (self.wall_us / 1e6)
     }
 }
 
-/// Runtime for a paper-testbed-shaped run, on the backend selected by
-/// `FRACTOS_RUNTIME` (single-threaded when unset).
-pub(crate) fn paper_runtime(seed: u64) -> Box<dyn Runtime> {
-    let topology = Topology::paper_testbed();
-    let params = NetParams::paper();
-    let config = RuntimeConfig::new(seed, topology.len(), params.conservative_lookahead());
-    runtime_from_env(&config)
+/// Mean of `values`, summed in the order given — completion order for
+/// latencies, which the printed figures depend on — or 0 when empty.
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Latencies (µs, completion order) of a face-verification client's
+/// samples, and whether every one of them verified.
+fn fv_outcome(samples: &[FvSample]) -> (Vec<f64>, bool) {
+    let lat = samples
+        .iter()
+        .map(|s| s.latency().as_micros_f64())
+        .collect();
+    let ok = !samples.is_empty() && samples.iter().all(|s| s.all_matched);
+    (lat, ok)
+}
+
+/// `(mean latency µs, units per second)` of a finished closed-loop run.
+/// Throughput is steady-state: it skips the ramp-up burst of the first
+/// `skip` completions and counts `per_op` units for each later one, over
+/// the time from completion `skip` to the last.
+fn summarize(run: &ClosedLoop, skip: usize, per_op: f64) -> (f64, f64) {
+    let done_at: Vec<_> = run.done.iter().map(|(_, completed)| *completed).collect();
+    assert_eq!(done_at.len() as u64, run.total(), "every request completed");
+    let skip = skip.min(done_at.len() - 1);
+    let span = done_at
+        .last()
+        .unwrap()
+        .duration_since(done_at[skip])
+        .as_micros_f64()
+        .max(1.0);
+    let tput = ((done_at.len() - 1 - skip) as f64 * per_op) / (span / 1e6);
+    (mean(&run.latencies_us()), tput)
 }
 
 /// Deployment flavour for the FractOS face-verification app.
@@ -81,52 +126,29 @@ pub fn fractos_faceverify(
     requests: u64,
     in_flight: u64,
 ) -> AppResult {
-    fractos_faceverify_opts(deploy, img, batch, requests, in_flight, false)
+    fractos_faceverify_with(deploy, img, batch, requests, in_flight, |_| {})
 }
 
-/// As [`fractos_faceverify`], optionally running the full Fig 2 ring
-/// (results stored on the output SSD through the composed FS).
-pub fn fractos_faceverify_opts(
-    deploy: FvDeploy,
-    img: u64,
-    batch: u64,
-    requests: u64,
-    in_flight: u64,
-    store_results: bool,
-) -> AppResult {
-    fractos_faceverify_with(
-        deploy,
-        img,
-        batch,
-        requests,
-        in_flight,
-        store_results,
-        |_| {},
-    )
-}
-
-/// As [`fractos_faceverify_opts`] with a fabric-parameter tweak applied
-/// before the run (ablation studies).
+/// As [`fractos_faceverify`] with a fabric-parameter tweak applied before
+/// the run (ablation studies).
 pub fn fractos_faceverify_with(
     deploy: FvDeploy,
     img: u64,
     batch: u64,
     requests: u64,
     in_flight: u64,
-    store_results: bool,
     tweak: impl FnOnce(&mut NetParams),
 ) -> AppResult {
-    faceverify_run(
+    let run = FvRun {
         deploy,
         img,
         batch,
         requests,
         in_flight,
-        store_results,
-        tweak,
-        false,
-    )
-    .result
+        store_results: false,
+        trace: false,
+    };
+    faceverify_run(run, tweak).result
 }
 
 /// Observability capture from a traced FractOS face-verification run.
@@ -137,7 +159,7 @@ pub struct TracedRun {
     pub spans: Vec<SpanRecord>,
     /// Registered actor names, indexed by actor index (for trace export).
     pub actor_names: Vec<String>,
-    /// Deterministic snapshot of the run's metrics registry.
+    /// Deterministic snapshot of the run's counters and request latencies.
     pub snapshot: MetricsSnapshot,
     /// Telemetry events in canonical order (empty unless the telemetry
     /// plane was enabled via `FRACTOS_TELEMETRY`).
@@ -146,9 +168,11 @@ pub struct TracedRun {
     pub telemetry_period: Option<SimDuration>,
 }
 
-/// As [`fractos_faceverify_opts`] with causal span recording enabled for
-/// the measured phase. Spans are switched on after deployment and boot, so
-/// the capture covers exactly the top-level verification requests.
+/// As [`fractos_faceverify`] with causal span recording enabled for the
+/// measured phase, optionally running the full Fig 2 ring (results stored
+/// on the output SSD through the composed FS). Spans are switched on after
+/// deployment and boot, so the capture covers exactly the top-level
+/// verification requests.
 pub fn fractos_faceverify_traced(
     deploy: FvDeploy,
     img: u64,
@@ -157,40 +181,41 @@ pub fn fractos_faceverify_traced(
     in_flight: u64,
     store_results: bool,
 ) -> TracedRun {
-    faceverify_run(
+    let run = FvRun {
         deploy,
         img,
         batch,
         requests,
         in_flight,
         store_results,
-        |_| {},
-        true,
-    )
+        trace: true,
+    };
+    faceverify_run(run, |_| {})
 }
 
-#[allow(clippy::too_many_arguments)]
-fn faceverify_run(
+/// What one FractOS face-verification run does.
+struct FvRun {
     deploy: FvDeploy,
     img: u64,
     batch: u64,
     requests: u64,
     in_flight: u64,
     store_results: bool,
-    tweak: impl FnOnce(&mut NetParams),
     trace: bool,
-) -> TracedRun {
+}
+
+fn faceverify_run(run: FvRun, tweak: impl FnOnce(&mut NetParams)) -> TracedRun {
     let mut tb = Testbed::paper(61);
     tweak(tb.fabric.borrow_mut().params_mut());
-    let ctrls = match deploy {
+    let ctrls = match run.deploy {
         FvDeploy::Cpu => tb.controllers_per_node(false),
         FvDeploy::Snic => tb.controllers_per_node(true),
         FvDeploy::SharedHal => tb.shared_controller(NodeId(2)),
     };
     let cfg = FvConfig {
-        img_bytes: img,
-        max_batch: batch.max(64),
-        store_results,
+        img_bytes: run.img,
+        max_batch: run.batch.max(64),
+        store_results: run.store_results,
         ..FvConfig::default()
     };
     deploy_faceverify(&mut tb, &ctrls, cfg, 256);
@@ -200,65 +225,34 @@ fn faceverify_run(
     // unless `FRACTOS_TELEMETRY` asks for it — disabled runs take no
     // telemetry branches at all and stay byte-identical.
     let telemetry_period = tb.enable_telemetry_from_env().map(|cfg| cfg.period);
-    if trace {
+    if run.trace {
         tb.sim.enable_spans();
     }
-    let mut client_svc = FvClient::new(img, batch, requests, in_flight);
-    client_svc.expect_stored = store_results;
+    let mut client_svc = FvClient::new(run.img, run.batch, run.requests, run.in_flight);
+    client_svc.expect_stored = run.store_results;
     let client = tb.add_process("client", cpu(2), ctrls[2], client_svc);
     tb.start_process(client);
     let t0 = tb.now();
     tb.run();
     let wall_us = tb.now().duration_since(t0).as_micros_f64();
-    let (mut lat, completed, ok) = tb.with_service::<FvClient, _>(client, |c| {
-        let mut h = Histogram::new();
-        for s in &c.samples {
-            h.record(s.latency().as_micros_f64());
-        }
-        (
-            h,
-            c.samples.len() as u64,
-            !c.samples.is_empty() && c.samples.iter().all(|s| s.all_matched),
-        )
-    });
-    // Mirror the per-request samples into the run's registry so traced runs
-    // export the latency distribution in their metrics snapshot.
-    for &s in lat.samples() {
-        tb.sim.metrics_mut().sample("app.request_latency_us", s);
-    }
-    let t = tb.traffic();
-    let result = AppResult {
-        lat_mean: lat.mean(),
-        lat_p50: lat.p50(),
-        lat_p95: lat.p95(),
-        lat_p99: lat.p99(),
-        wall_us,
-        completed,
-        net_bytes: t.network_bytes(),
-        net_msgs: t.network_msgs(),
-        data_msgs: t.network_data_msgs(),
-        ok,
-    };
+    let (lat, ok) = tb.with_service::<FvClient, _>(client, |c| fv_outcome(&c.samples));
+    let result = AppResult::new(&lat, ok, wall_us, &tb.traffic());
     let telemetry = if telemetry_period.is_some() {
         tb.take_telemetry()
     } else {
         Vec::new()
     };
-    if !trace {
-        return TracedRun {
-            result,
-            spans: Vec::new(),
-            actor_names: Vec::new(),
-            snapshot: MetricsSnapshot::default(),
-            telemetry,
-            telemetry_period,
-        };
-    }
-    let spans = tb.sim.take_spans();
-    let actor_names = (0..tb.sim.actor_count())
-        .map(|i| tb.sim.actor_name(ActorId::from_raw(i as u32)).to_string())
-        .collect();
-    let snapshot = MetricsSnapshot::capture(tb.sim.metrics());
+    let (spans, actor_names, snapshot) = if run.trace {
+        let actor_names = (0..tb.sim.actor_count())
+            .map(|i| tb.sim.actor_name(ActorId::from_raw(i as u32)).to_string())
+            .collect();
+        // Traced runs export the latency distribution beside the counters.
+        let snapshot = MetricsSnapshot::capture(tb.sim.metrics())
+            .with_histogram("app.request_latency_us", &lat);
+        (tb.sim.take_spans(), actor_names, snapshot)
+    } else {
+        Default::default()
+    };
     TracedRun {
         result,
         spans,
@@ -287,9 +281,7 @@ pub fn baseline_faceverify_opts(
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
     let dep = deploy_baseline(sim.as_mut(), &fabric, img, 256);
     if store_results {
-        sim.with_actor::<fractos_baselines::faceverify::BaselineFrontend, _>(dep.frontend, |f| {
-            f.store_results = true
-        });
+        sim.with_actor::<BaselineFrontend, _>(dep.frontend, |f| f.store_results = true);
     }
     let client = sim.add_actor_on(
         2,
@@ -308,30 +300,9 @@ pub fn baseline_faceverify_opts(
     let t0 = sim.now();
     sim.run();
     let wall_us = sim.now().duration_since(t0).as_micros_f64();
-    let (mut lat, completed, ok) = sim.with_actor::<BaselineClient, _>(client, |c| {
-        let mut h = Histogram::new();
-        for s in &c.samples {
-            h.record(s.latency().as_micros_f64());
-        }
-        (
-            h,
-            c.samples.len() as u64,
-            !c.samples.is_empty() && c.samples.iter().all(|s| s.all_matched),
-        )
-    });
-    let t = fabric.borrow().stats().clone();
-    AppResult {
-        lat_mean: lat.mean(),
-        lat_p50: lat.p50(),
-        lat_p95: lat.p95(),
-        lat_p99: lat.p99(),
-        wall_us,
-        completed,
-        net_bytes: t.network_bytes(),
-        net_msgs: t.network_msgs(),
-        data_msgs: t.network_data_msgs(),
-        ok,
-    }
+    let (lat, ok) = sim.with_actor::<BaselineClient, _>(client, |c| fv_outcome(&c.samples));
+    let traffic = fabric.borrow().stats().clone();
+    AppResult::new(&lat, ok, wall_us, &traffic)
 }
 
 /// Pipeline driver kind (Fig 8).
@@ -363,31 +334,22 @@ pub fn pipeline_latency(kind: PipelineKind, stages: usize, size: u64) -> f64 {
         tb.start_process(p);
         tb.run();
     }
-    let mean = |lat: &[SimDuration]| {
-        lat.iter().map(|l| l.as_micros_f64()).sum::<f64>() / lat.len().max(1) as f64
+    let mean_us = |lat: &[SimDuration]| {
+        let us: Vec<f64> = lat.iter().map(|l| l.as_micros_f64()).collect();
+        mean(&us)
     };
     match kind {
-        PipelineKind::Star => {
-            let d = tb.add_process(
-                "star",
-                cpu(0),
-                ctrls[0],
-                StarDriver::new(stages, size, iterations),
-            );
+        PipelineKind::Star | PipelineKind::FastStar => {
+            let (name, data) = if kind == PipelineKind::Star {
+                ("star", DataPath::ViaClient)
+            } else {
+                ("faststar", DataPath::Direct)
+            };
+            let driver = CentralDriver::new(data, stages, size, iterations);
+            let d = tb.add_process(name, cpu(0), ctrls[0], driver);
             tb.start_process(d);
             tb.run();
-            tb.with_service::<StarDriver, _>(d, |s| mean(&s.latencies))
-        }
-        PipelineKind::FastStar => {
-            let d = tb.add_process(
-                "faststar",
-                cpu(0),
-                ctrls[0],
-                FastStarDriver::new(stages, size, iterations),
-            );
-            tb.start_process(d);
-            tb.run();
-            tb.with_service::<FastStarDriver, _>(d, |s| mean(&s.latencies))
+            tb.with_service::<CentralDriver, _>(d, |s| mean_us(&s.latencies))
         }
         PipelineKind::Chain => {
             let d = tb.add_process(
@@ -398,7 +360,7 @@ pub fn pipeline_latency(kind: PipelineKind, stages: usize, size: u64) -> f64 {
             );
             tb.start_process(d);
             tb.run();
-            tb.with_service::<ChainDriver, _>(d, |s| mean(&s.latencies))
+            tb.with_service::<ChainDriver, _>(d, |s| mean_us(&s.latencies))
         }
     }
 }
@@ -410,75 +372,63 @@ pub fn pipeline_latency(kind: PipelineKind, stages: usize, size: u64) -> f64 {
 /// A client of the bare GPU service: upload batch images, run the kernel,
 /// download results. Mirrors §6.3 (face-verification kernel on a remote
 /// GPU).
-pub struct GpuBenchClient {
+struct GpuBenchClient {
     img: u64,
     batch: u64,
-    requests: u64,
-    in_flight: u64,
+    run: ClosedLoop,
     // Bootstrap handles.
     alloc_req: Option<Cid>,
     load_req: Option<Cid>,
-    // Per-slot artifacts.
+    // Per-slot artifacts, one slot per request in flight.
     slots: Vec<GpuSlot>,
     building: usize,
-    issued: u64,
-    /// Completion stamps.
-    pub done_at: Vec<SimTime>,
-    issue_at: Vec<(usize, SimTime)>,
-    /// Per-request latencies (µs).
-    pub latencies: Vec<f64>,
 }
 
 struct GpuSlot {
     in_mem: Cid,
     out_mem: Cid,
     kernel_req: Cid,
-    local_addr: u64,
     local_mem: Cid,
-    busy: bool,
+    /// The request running on this slot.
+    running: Option<u64>,
 }
 
 const TAG_GB: u64 = 0x7100;
 
 impl GpuBenchClient {
-    /// Creates the client.
-    pub fn new(img: u64, batch: u64, requests: u64, in_flight: u64) -> Self {
+    fn new(img: u64, batch: u64, requests: u64, in_flight: u64) -> Self {
         GpuBenchClient {
             img,
             batch,
-            requests,
-            in_flight: in_flight.max(1),
+            run: ClosedLoop::new(requests, in_flight),
             alloc_req: None,
             load_req: None,
             slots: Vec::new(),
             building: 0,
-            issued: 0,
-            done_at: Vec::new(),
-            issue_at: Vec::new(),
-            latencies: Vec::new(),
         }
     }
 
     fn issue(&mut self, fos: &Fos<Self>) {
-        if self.issued >= self.requests {
-            return;
-        }
-        let Some(slot) = self.slots.iter().position(|s| !s.busy) else {
+        let Some(slot) = self.slots.iter().position(|s| s.running.is_none()) else {
             return;
         };
-        self.issued += 1;
-        self.slots[slot].busy = true;
-        self.issue_at.push((slot, fos.now()));
-        let (local_mem, in_mem, kernel_req) = {
-            let s = &self.slots[slot];
-            (s.local_mem, s.in_mem, s.kernel_req)
+        let Some(token) = self.run.next(fos.now()) else {
+            return;
         };
-        let _ = local_mem;
+        let s = &mut self.slots[slot];
+        s.running = Some(token);
+        let (local_mem, in_mem, kernel_req) = (s.local_mem, s.in_mem, s.kernel_req);
         // Upload (third-party copy local → GPU), then invoke the kernel.
         fos.memory_copy(local_mem, in_mem, move |_s: &mut Self, res, fos| {
             debug_assert_eq!(res, SyscallResult::Ok);
             fos.request_invoke(kernel_req, |_, res, _| debug_assert!(res.is_ok()));
         });
+    }
+
+    fn build_slot(&mut self, fos: &Fos<Self>) {
+        let alloc = self.alloc_req.unwrap();
+        let size = imm(2 * self.batch * self.img);
+        fos.invoke_with(alloc, vec![size], vec![], vec![(TAG_GB, vec![imm(1)])]);
     }
 }
 
@@ -486,18 +436,7 @@ impl Service for GpuBenchClient {
     fn on_start(&mut self, fos: &Fos<Self>) {
         // gpu.init → per-context alloc/load → per-slot buffers + kernel.
         fos.kv_get("gpu.init", |_s, res, fos| {
-            let init = res.cid();
-            fos.request_create_new(
-                TAG_GB,
-                vec![imm(0)],
-                vec![],
-                move |_s: &mut Self, res, fos| {
-                    let cont = res.cid();
-                    fos.request_derive(init, vec![], vec![cont], |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    });
-                },
-            );
+            fos.invoke_with(res.cid(), vec![], vec![], vec![(TAG_GB, vec![imm(0)])]);
         });
     }
 
@@ -517,47 +456,20 @@ impl Service for GpuBenchClient {
                     in_mem,
                     out_mem: Cid(u32::MAX),
                     kernel_req: Cid(u32::MAX),
-                    local_addr: 0,
                     local_mem: Cid(u32::MAX),
-                    busy: false,
+                    running: None,
                 });
                 let alloc = self.alloc_req.unwrap();
-                let batch = self.batch;
-                fos.request_create_new(
-                    TAG_GB,
-                    vec![imm(2)],
-                    vec![],
-                    move |_s: &mut Self, res, fos| {
-                        let cont = res.cid();
-                        fos.request_derive(alloc, vec![imm(batch)], vec![cont], |_s, res, fos| {
-                            fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                        });
-                    },
-                );
+                let size = imm(self.batch);
+                fos.invoke_with(alloc, vec![size], vec![], vec![(TAG_GB, vec![imm(2)])]);
             }
             // alloc output reply.
             2 => {
                 let slot = self.slots.len() - 1;
                 self.slots[slot].out_mem = req.caps[0];
                 let load = self.load_req.unwrap();
-                fos.request_create_new(
-                    TAG_GB,
-                    vec![imm(3)],
-                    vec![],
-                    move |_s: &mut Self, res, fos| {
-                        let cont = res.cid();
-                        fos.request_derive(
-                            load,
-                            vec![imm(FACE_VERIFY_KERNEL)],
-                            vec![cont],
-                            |_s, res, fos| {
-                                fos.request_invoke(res.cid(), |_, res, _| {
-                                    debug_assert!(res.is_ok())
-                                });
-                            },
-                        );
-                    },
-                );
+                let kernel = imm(FACE_VERIFY_KERNEL);
+                fos.invoke_with(load, vec![kernel], vec![], vec![(TAG_GB, vec![imm(3)])]);
             }
             // kernel-load reply: derive the per-slot invoke Request.
             3 => {
@@ -578,7 +490,6 @@ impl Service for GpuBenchClient {
                     data.extend(fractos_services::synth_face(i, img as usize, 0));
                 }
                 fos.mem_write(local_addr, 0, &data).unwrap();
-                self.slots[slot].local_addr = local_addr;
                 fos.memory_create(
                     local_addr,
                     2 * batch * img,
@@ -611,11 +522,11 @@ impl Service for GpuBenchClient {
                                                 };
                                                 s.slots[slot].kernel_req = kreq;
                                                 s.building += 1;
-                                                if (s.building as u64) < s.in_flight {
+                                                if (s.building as u64) < s.run.window() {
                                                     s.build_slot(fos);
                                                 } else {
                                                     // All slots ready; go.
-                                                    for _ in 0..s.in_flight {
+                                                    for _ in 0..s.run.prime() {
                                                         s.issue(fos);
                                                     }
                                                 }
@@ -632,13 +543,9 @@ impl Service for GpuBenchClient {
             // Kernel completion for slot (phase - 10).
             p if p >= 10 => {
                 let slot = (p - 10) as usize;
-                self.done_at.push(fos.now());
-                if let Some(i) = self.issue_at.iter().position(|(sl, _)| *sl == slot) {
-                    let (_, t0) = self.issue_at.swap_remove(i);
-                    self.latencies
-                        .push(fos.now().duration_since(t0).as_micros_f64());
+                if let Some(token) = self.slots[slot].running.take() {
+                    self.run.complete(token, fos.now());
                 }
-                self.slots[slot].busy = false;
                 self.issue(fos);
             }
             _ => {}
@@ -646,30 +553,8 @@ impl Service for GpuBenchClient {
     }
 }
 
-impl GpuBenchClient {
-    fn build_slot(&mut self, fos: &Fos<Self>) {
-        let alloc = self.alloc_req.unwrap();
-        let (batch, img) = (self.batch, self.img);
-        fos.request_create_new(
-            TAG_GB,
-            vec![imm(1)],
-            vec![],
-            move |_s: &mut Self, res, fos| {
-                let cont = res.cid();
-                fos.request_derive(
-                    alloc,
-                    vec![imm(2 * batch * img)],
-                    vec![cont],
-                    |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    },
-                );
-            },
-        );
-    }
-}
-
-/// FractOS GPU-service result for Fig 9.
+/// FractOS GPU-service result for Fig 9: `(mean latency µs, req/s)`, the
+/// rate taken from the first completion to the last.
 pub fn gpu_service_fractos(
     img: u64,
     batch: u64,
@@ -697,63 +582,42 @@ pub fn gpu_service_fractos(
     );
     tb.start_process(client);
     tb.run();
-    tb.with_service::<GpuBenchClient, _>(client, |c| {
-        assert_eq!(c.latencies.len() as u64, requests, "all kernels completed");
-        let mean = c.latencies.iter().sum::<f64>() / c.latencies.len() as f64;
-        let span = c
-            .done_at
-            .last()
-            .unwrap()
-            .duration_since(*c.done_at.first().unwrap())
-            .as_micros_f64()
-            .max(1.0);
-        let tput = (c.done_at.len() as f64 - 1.0) / (span / 1e6);
-        (mean, tput)
-    })
+    tb.with_service::<GpuBenchClient, _>(client, |c| summarize(&c.run, 0, 1.0))
 }
 
 /// rCUDA GPU-service result for Fig 9: `(mean latency µs, req/s)`.
 pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) -> (f64, f64) {
-    use fractos_baselines::rcuda::{DriverCall, DriverReply, RcudaClient, RcudaServer};
+    use fractos_baselines::rcuda::{DriverReply, RcudaClient, RcudaServer, KERNEL_CALLS};
 
-    /// Minimal rCUDA driver running the interposed H2D → (runtime chatter)
-    /// → launch → sync → D2H sequence, like the §6.5 baseline frontend.
+    /// Minimal rCUDA driver running the interposed kernel-execution
+    /// sequence once per request, like the §6.5 baseline frontend.
     struct Driver {
         client: RcudaClient,
         img: u64,
         batch: u64,
-        requests: u64,
-        in_flight: u64,
-        issued: u64,
-        /// token → (request, phase, t0); phases 0 = H2D, 1..=C = chatter,
-        /// C+1 = launch, C+2 = sync, C+3 = D2H.
-        phase_of: std::collections::HashMap<u64, (u64, u8, SimTime)>,
-        pub done_at: Vec<SimTime>,
-        pub latencies: Vec<f64>,
+        run: ClosedLoop,
+        /// Driver-call token → (request, call number in its sequence).
+        calls: std::collections::HashMap<u64, (u64, u64)>,
     }
-    const CHATTER: u8 = fractos_baselines::faceverify::INTERPOSITION_CALLS as u8;
     struct Go;
     impl Driver {
-        fn issue(&mut self, ctx: &mut Ctx<'_>) {
-            if self.issued >= self.requests {
-                return;
-            }
-            let req = self.issued;
-            self.issued += 1;
-            let t0 = ctx.now();
-            let data = vec![0x55u8; (2 * self.batch * self.img) as usize];
-            let token = self.client.call(ctx, |reply| DriverCall::MemcpyH2D {
-                offset: 0,
-                data,
-                reply,
+        fn call(&mut self, ctx: &mut Ctx<'_>, req: u64, step: u64) {
+            let (batch, img) = (self.batch, self.img);
+            let token = self.client.kernel_call(ctx, step, batch, img, || {
+                vec![0x55u8; (2 * batch * img) as usize]
             });
-            self.phase_of.insert(token, (req, 0, t0));
+            self.calls.insert(token, (req, step));
+        }
+        fn issue(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(req) = self.run.next(ctx.now()) {
+                self.call(ctx, req, 0);
+            }
         }
     }
     impl Actor for Driver {
         fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
             if msg.downcast_ref::<Go>().is_some() {
-                for _ in 0..self.in_flight.min(self.requests) {
+                for _ in 0..self.run.prime() {
                     self.issue(ctx);
                 }
                 return;
@@ -761,48 +625,14 @@ pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) ->
             let Ok(reply) = msg.downcast::<DriverReply>() else {
                 return;
             };
-            let Some((req, phase, t0)) = self.phase_of.remove(&reply.token) else {
+            let Some((req, step)) = self.calls.remove(&reply.token) else {
                 return;
             };
-            let (batch, img) = (self.batch, self.img);
-            match phase {
-                // Interposition chatter after the H2D, then launch.
-                p if p < CHATTER => {
-                    let token = self
-                        .client
-                        .call(ctx, |reply| DriverCall::Synchronize { reply });
-                    self.phase_of.insert(token, (req, p + 1, t0));
-                }
-                p if p == CHATTER => {
-                    let token = self.client.call(ctx, |reply| DriverCall::Launch {
-                        kernel: FACE_VERIFY_KERNEL,
-                        params: vec![batch, img],
-                        input: (0, 2 * batch * img),
-                        out_offset: 2 * batch * img,
-                        reply,
-                    });
-                    self.phase_of.insert(token, (req, CHATTER + 1, t0));
-                }
-                p if p == CHATTER + 1 => {
-                    let token = self
-                        .client
-                        .call(ctx, |reply| DriverCall::Synchronize { reply });
-                    self.phase_of.insert(token, (req, CHATTER + 2, t0));
-                }
-                p if p == CHATTER + 2 => {
-                    let token = self.client.call(ctx, |reply| DriverCall::MemcpyD2H {
-                        offset: 2 * batch * img,
-                        len: batch,
-                        reply,
-                    });
-                    self.phase_of.insert(token, (req, CHATTER + 3, t0));
-                }
-                _ => {
-                    self.latencies
-                        .push(ctx.now().duration_since(t0).as_micros_f64());
-                    self.done_at.push(ctx.now());
-                    self.issue(ctx);
-                }
+            if step + 1 < KERNEL_CALLS {
+                self.call(ctx, req, step + 1);
+            } else {
+                self.run.complete(req, ctx.now());
+                self.issue(ctx);
             }
         }
     }
@@ -832,29 +662,13 @@ pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) ->
             ),
             img,
             batch,
-            requests,
-            in_flight: in_flight.max(1),
-            issued: 0,
-            phase_of: std::collections::HashMap::new(),
-            done_at: Vec::new(),
-            latencies: Vec::new(),
+            run: ClosedLoop::new(requests, in_flight),
+            calls: std::collections::HashMap::new(),
         }),
     );
     sim.post(SimDuration::ZERO, driver, Go);
     sim.run();
-    sim.with_actor::<Driver, _>(driver, |d| {
-        assert_eq!(d.latencies.len() as u64, requests);
-        let mean = d.latencies.iter().sum::<f64>() / d.latencies.len() as f64;
-        let span = d
-            .done_at
-            .last()
-            .unwrap()
-            .duration_since(*d.done_at.first().unwrap())
-            .as_micros_f64()
-            .max(1.0);
-        let tput = (d.done_at.len() as f64 - 1.0) / (span / 1e6);
-        (mean, tput)
-    })
+    sim.with_actor::<Driver, _>(driver, |d| summarize(&d.run, 0, 1.0))
 }
 
 // ---------------------------------------------------------------------
@@ -869,18 +683,14 @@ pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) ->
 /// extent-local offsets, exactly like a DAX-aware application.
 struct StorageClient {
     io: u64,
-    count: u64,
-    in_flight: u64,
     write: bool,
     seq: bool,
+    run: ClosedLoop,
     /// Mediated: `[read, write]`. DAX: `[r0, w0, r1, w1, ...]`.
     handles: Vec<Cid>,
     extent_size: u64,
+    /// Free registered buffers, one per request in flight (taken LIFO).
     bufs: Vec<(u64, Cid)>,
-    issued: u64,
-    issue_at: Vec<(u64, SimTime)>,
-    pub latencies: Vec<f64>,
-    pub done_at: Vec<SimTime>,
     rng_state: u64,
 }
 
@@ -893,25 +703,20 @@ impl StorageClient {
     fn new(io: u64, count: u64, in_flight: u64, write: bool, seq: bool) -> Self {
         StorageClient {
             io,
-            count,
-            in_flight: in_flight.max(1),
             write,
             seq,
+            run: ClosedLoop::new(count, in_flight),
             handles: Vec::new(),
             extent_size: 0,
             bufs: Vec::new(),
-            issued: 0,
-            issue_at: Vec::new(),
-            latencies: Vec::new(),
-            done_at: Vec::new(),
             rng_state: 0xDEAD_BEEF,
         }
     }
 
-    fn next_offset(&mut self) -> u64 {
+    fn next_offset(&mut self, seq_no: u64) -> u64 {
         let slots = STORAGE_FILE / self.io;
         if self.seq {
-            (self.issued % slots) * self.io
+            (seq_no % slots) * self.io
         } else {
             self.rng_state = self
                 .rng_state
@@ -922,20 +727,15 @@ impl StorageClient {
     }
 
     fn issue(&mut self, fos: &Fos<Self>) {
-        if self.issued >= self.count {
-            return;
-        }
-        let Some((addr, buf)) = self.bufs.pop() else {
+        let Some(seq_no) = self.run.next(fos.now()) else {
             return;
         };
-        let seq_no = self.issued;
-        let offset = self.next_offset();
-        self.issued += 1;
+        let (addr, buf) = self.bufs.pop().expect("a buffer per request in flight");
+        let offset = self.next_offset(seq_no);
         if self.write {
             fos.mem_write(addr, 0, &vec![(seq_no % 256) as u8; self.io as usize])
                 .unwrap();
         }
-        self.issue_at.push((seq_no, fos.now()));
         // Mediated handles take file offsets; DAX handles are per extent.
         let dax = self.handles.len() > 2;
         let (req, op_offset) = if dax {
@@ -945,57 +745,21 @@ impl StorageClient {
         } else {
             (self.handles[usize::from(self.write)], offset)
         };
-        let io = self.io;
-        fos.request_create_new(
-            TAG_SB,
-            vec![imm(1), imm(seq_no), imm(addr), imm(buf.0 as u64)],
-            vec![],
-            move |_s: &mut Self, res, fos| {
-                let ok = res.cid();
-                fos.request_create_new(
-                    TAG_SB,
-                    vec![imm(9)],
-                    vec![],
-                    move |_s: &mut Self, res, fos| {
-                        let err = res.cid();
-                        fos.request_derive(
-                            req,
-                            vec![imm(op_offset), imm(io)],
-                            vec![buf, ok, err],
-                            |_s, res, fos| {
-                                fos.request_invoke(res.cid(), |_, res, _| {
-                                    debug_assert!(res.is_ok())
-                                });
-                            },
-                        );
-                    },
-                );
-            },
+        let done = vec![imm(1), imm(seq_no), imm(addr), imm(buf.0 as u64)];
+        fos.invoke_with(
+            req,
+            vec![imm(op_offset), imm(self.io)],
+            vec![buf],
+            vec![(TAG_SB, done), (TAG_SB, vec![imm(9)])],
         );
     }
 }
 
 impl Service for StorageClient {
     fn on_start(&mut self, fos: &Fos<Self>) {
-        fos.kv_get("fs.create", |s: &mut Self, res, fos| {
-            let create = res.cid();
-            let _ = s;
-            fos.request_create_new(
-                TAG_SB,
-                vec![imm(0)],
-                vec![],
-                move |_s: &mut Self, res, fos| {
-                    let cont = res.cid();
-                    fos.request_derive(
-                        create,
-                        vec![imm(STORAGE_FILE)],
-                        vec![cont],
-                        |_s, res, fos| {
-                            fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                        },
-                    );
-                },
-            );
+        fos.kv_get("fs.create", |_s, res, fos| {
+            let created = (TAG_SB, vec![imm(0)]);
+            fos.invoke_with(res.cid(), vec![imm(STORAGE_FILE)], vec![], vec![created]);
         });
     }
 
@@ -1005,11 +769,9 @@ impl Service for StorageClient {
                 self.handles = req.caps.clone();
                 self.extent_size = imm_at(&req.imms, 2).unwrap_or(u64::MAX);
                 // Register one buffer per in-flight slot, then go.
-                let n = self.in_flight;
-                let io = self.io;
                 fn mk(s: &mut StorageClient, left: u64, io: u64, fos: &Fos<StorageClient>) {
                     if left == 0 {
-                        for _ in 0..s.in_flight {
+                        for _ in 0..s.run.prime() {
                             s.issue(fos);
                         }
                         return;
@@ -1028,19 +790,14 @@ impl Service for StorageClient {
                         },
                     );
                 }
-                mk(self, n, io, fos);
+                mk(self, self.run.window(), self.io, fos);
             }
             1 => {
                 // I/O complete.
                 let seq_no = imm_at(&req.imms, 1).unwrap();
                 let addr = imm_at(&req.imms, 2).unwrap();
                 let buf_cid = imm_at(&req.imms, 3).unwrap();
-                if let Some(i) = self.issue_at.iter().position(|(s, _)| *s == seq_no) {
-                    let (_, t0) = self.issue_at.swap_remove(i);
-                    self.latencies
-                        .push(fos.now().duration_since(t0).as_micros_f64());
-                }
-                self.done_at.push(fos.now());
+                self.run.complete(seq_no, fos.now());
                 self.bufs.push((addr, Cid(buf_cid as u32)));
                 self.issue(fos);
             }
@@ -1060,7 +817,9 @@ pub fn storage_fractos(
     seq: bool,
     snic: bool,
 ) -> (f64, f64) {
-    storage_run(mode, io, count, in_flight, write, seq, snic, false)
+    let blk = BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk");
+    let client = StorageClient::new(io, count, in_flight, write, seq);
+    storage_run(blk, mode, snic, client)
 }
 
 /// §6.4 "Disaggregated Baseline": the same FractOS FS service over an
@@ -1073,269 +832,28 @@ pub fn storage_disagg_baseline(
     write: bool,
     seq: bool,
 ) -> (f64, f64) {
-    storage_run(
-        FsMode::Mediated,
-        io,
-        count,
-        in_flight,
-        write,
-        seq,
-        false,
-        true,
-    )
+    let blk = BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk").with_kernel_cache();
+    let client = StorageClient::new(io, count, in_flight, write, seq);
+    storage_run(blk, FsMode::Mediated, false, client)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn storage_run(
-    mode: FsMode,
-    io: u64,
-    count: u64,
-    in_flight: u64,
-    write: bool,
-    seq: bool,
-    snic: bool,
-    kernel_cache: bool,
-) -> (f64, f64) {
+fn storage_run(blk: BlockAdaptor, mode: FsMode, snic: bool, client: StorageClient) -> (f64, f64) {
     let mut tb = Testbed::paper(41);
-    if std::env::var("FRACTOS_PROBE_NOPROC").is_ok() {
-        tb.fabric.borrow_mut().params_mut().memcopy_proc_cpu = fractos_sim::SimDuration::ZERO;
-    }
     let ctrls = tb.controllers_per_node(snic);
     // SSD + adaptor on node 0, FS service on node 1, client on node 2
     // (two-tiered remote storage, §6.4–§6.5).
-    let blk_adaptor = if kernel_cache {
-        BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk").with_kernel_cache()
-    } else {
-        BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk")
-    };
-    let blk = tb.add_process("blk", cpu(0), ctrls[0], blk_adaptor);
+    let blk = tb.add_process("blk", cpu(0), ctrls[0], blk);
     tb.start_process(blk);
     tb.run();
     let fs = tb.add_process("fs", cpu(1), ctrls[1], FsService::new(mode, "fs", "blk"));
     tb.start_process(fs);
     tb.run();
-    let client = tb.add_process(
-        "client",
-        cpu(2),
-        ctrls[2],
-        StorageClient::new(io, count, in_flight, write, seq),
-    );
+    let client = tb.add_process("client", cpu(2), ctrls[2], client);
     tb.start_process(client);
     tb.run();
     tb.with_service::<StorageClient, _>(client, |c| {
-        assert_eq!(c.latencies.len() as u64, count, "all I/Os completed");
-        let mean = c.latencies.iter().sum::<f64>() / c.latencies.len() as f64;
-        // Steady-state throughput: skip the ramp-up burst of the first
-        // `in_flight` completions.
-        let skip = (in_flight as usize).min(c.done_at.len() - 1);
-        let span = c
-            .done_at
-            .last()
-            .unwrap()
-            .duration_since(c.done_at[skip])
-            .as_micros_f64()
-            .max(1.0);
-        let tput = ((c.done_at.len() - 1 - skip) as f64 * io as f64) / (span / 1e6) / 1e6;
-        (mean, tput)
+        // Bytes per second past the first window of completions, in MB/s.
+        let (mean, bytes_per_s) = summarize(&c.run, c.run.window() as usize, c.io as f64);
+        (mean, bytes_per_s / 1e6)
     })
-}
-
-/// Disaggregated-baseline storage run (kernel FS + NVMe-oF): returns
-/// `(mean µs, MB/s)`.
-pub fn storage_baseline(io: u64, count: u64, in_flight: u64, write: bool, seq: bool) -> (f64, f64) {
-    struct RawClient {
-        endpoint: fractos_net::Endpoint,
-        server: Peer,
-        fabric: Shared<Fabric>,
-        io: u64,
-        count: u64,
-        in_flight: u64,
-        write: bool,
-        seq: bool,
-        issued: u64,
-        next_token: u64,
-        issue_at: std::collections::HashMap<u64, SimTime>,
-        pub latencies: Vec<f64>,
-        pub done_at: Vec<SimTime>,
-        rng_state: u64,
-    }
-    struct Go;
-    impl RawClient {
-        fn next_offset(&mut self) -> u64 {
-            let slots = STORAGE_FILE / self.io;
-            if self.seq {
-                (self.issued % slots) * self.io
-            } else {
-                self.rng_state = self
-                    .rng_state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (self.rng_state >> 16) % slots * self.io
-            }
-        }
-        fn issue(&mut self, ctx: &mut Ctx<'_>) {
-            if self.issued >= self.count {
-                return;
-            }
-            let offset = self.next_offset();
-            self.issued += 1;
-            let token = self.next_token;
-            self.next_token += 1;
-            self.issue_at.insert(token, ctx.now());
-            let me = Peer {
-                actor: ctx.self_id(),
-                endpoint: self.endpoint,
-            };
-            let fabric = self.fabric.clone();
-            let op = if self.write {
-                NfsOp::Write {
-                    offset,
-                    data: vec![0xEE; self.io as usize],
-                    reply: (me, token),
-                }
-            } else {
-                NfsOp::Read {
-                    offset,
-                    len: self.io,
-                    reply: (me, token),
-                }
-            };
-            let size = if self.write { self.io } else { 64 };
-            raw_send(
-                ctx,
-                &fabric,
-                self.endpoint,
-                self.server,
-                size,
-                if self.write {
-                    TrafficClass::Data
-                } else {
-                    TrafficClass::Control
-                },
-                fractos_baselines::storage::NFS_CLIENT_OVERHEAD,
-                op,
-            );
-        }
-    }
-    impl Actor for RawClient {
-        fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            if msg.downcast_ref::<Go>().is_some() {
-                for _ in 0..self.in_flight.min(self.count) {
-                    self.issue(ctx);
-                }
-                return;
-            }
-            if let Ok(reply) = msg.downcast::<NfsReply>() {
-                if let Some(t0) = self.issue_at.remove(&reply.token) {
-                    self.latencies
-                        .push(ctx.now().duration_since(t0).as_micros_f64());
-                }
-                self.done_at.push(ctx.now());
-                self.issue(ctx);
-            }
-        }
-    }
-
-    let mut sim = paper_runtime(42);
-    let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
-    // Target on node 0, kernel-FS server on node 1, client on node 2.
-    let target_ep = fractos_net::Endpoint::cpu(NodeId(0));
-    let target = sim.add_actor_on(
-        0,
-        "nvmeof",
-        Box::new(NvmeOfTarget::new(
-            target_ep,
-            fabric.clone(),
-            NvmeParams::default(),
-            STORAGE_FILE,
-        )),
-    );
-    let nfs_ep = fractos_net::Endpoint::cpu(NodeId(1));
-    let nfs = sim.add_actor_on(
-        1,
-        "nfs",
-        Box::new(NfsServer::new(
-            nfs_ep,
-            fabric.clone(),
-            Peer {
-                actor: target,
-                endpoint: target_ep,
-            },
-        )),
-    );
-    let client = sim.add_actor_on(
-        2,
-        "client",
-        Box::new(RawClient {
-            endpoint: fractos_net::Endpoint::cpu(NodeId(2)),
-            server: Peer {
-                actor: nfs,
-                endpoint: nfs_ep,
-            },
-            fabric: fabric.clone(),
-            io,
-            count,
-            in_flight: in_flight.max(1),
-            write,
-            seq,
-            issued: 0,
-            next_token: 0,
-            issue_at: std::collections::HashMap::new(),
-            latencies: Vec::new(),
-            done_at: Vec::new(),
-            rng_state: 0xDEAD_BEEF,
-        }),
-    );
-    sim.post(SimDuration::ZERO, client, Go);
-    sim.run();
-    sim.with_actor::<RawClient, _>(client, |c| {
-        assert_eq!(c.latencies.len() as u64, count);
-        let mean = c.latencies.iter().sum::<f64>() / c.latencies.len() as f64;
-        let skip = (in_flight as usize).min(c.done_at.len() - 1);
-        let span = c
-            .done_at
-            .last()
-            .unwrap()
-            .duration_since(c.done_at[skip])
-            .as_micros_f64()
-            .max(1.0);
-        let tput = ((c.done_at.len() - 1 - skip) as f64 * io as f64) / (span / 1e6) / 1e6;
-        (mean, tput)
-    })
-}
-
-/// Debug helper: traced 2-in-flight mediated run (temporary).
-#[doc(hidden)]
-pub fn storage_fractos_traced() {
-    let io = 1u64 << 20;
-    let mut tb = Testbed::paper(41);
-    let ctrls = tb.controllers_per_node(false);
-    let blk = tb.add_process(
-        "blk",
-        cpu(0),
-        ctrls[0],
-        BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk"),
-    );
-    tb.start_process(blk);
-    tb.run();
-    let fs = tb.add_process(
-        "fs",
-        cpu(1),
-        ctrls[1],
-        FsService::new(FsMode::Mediated, "fs", "blk"),
-    );
-    tb.start_process(fs);
-    tb.run();
-    tb.sim.enable_trace();
-    let client = tb.add_process(
-        "client",
-        cpu(2),
-        ctrls[2],
-        StorageClient::new(io, 4, 2, false, false),
-    );
-    tb.start_process(client);
-    tb.run();
-    for e in tb.sim.take_trace() {
-        println!("{:>12} {}", e.time.to_string(), e.label);
-    }
 }

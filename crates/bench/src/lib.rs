@@ -22,6 +22,14 @@
 //!
 //! Run all with `cargo bench --workspace`, or one with
 //! `cargo bench -p fractos-bench --bench <target>`.
+//!
+//! Every closed-loop client in [`apps`] (GPU, rCUDA, storage) and the
+//! baseline face-verification client embed the same
+//! [`fractos_baselines::closed_loop::ClosedLoop`] core — N requests, k in
+//! flight — and `apps` turns its `(issued, completed)` pairs into every
+//! reported mean and throughput in one place, so two bars of a figure
+//! differ only in the system under test. Percentiles come from
+//! `fractos_obs::HistSummary`.
 
 pub mod apps;
 pub mod micro;

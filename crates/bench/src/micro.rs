@@ -16,7 +16,7 @@ pub const ITERS: u64 = 32;
 pub fn raw_loopback_rtt(server_on_snic: bool) -> f64 {
     use fractos_baselines::raw::{Peer, PingPongClient, PingPongServer, Start};
 
-    let mut sim = crate::apps::paper_runtime(1);
+    let mut sim = fractos_baselines::paper_runtime(1);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
     let server_ep = if server_on_snic {
         Endpoint::snic(NodeId(0))
@@ -192,14 +192,7 @@ pub fn rpc_latency(two_nodes: bool, ctrl_on_snic: bool, arg_bytes: usize) -> f64
     tb.run();
 
     fn issue(base: fractos_cap::Cid, arg_bytes: usize, fos: &Fos<Script>) {
-        fos.request_derive(
-            base,
-            vec![vec![0xA5; arg_bytes].into()],
-            vec![],
-            |_s, res, fos| {
-                fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-            },
-        );
+        fos.invoke_with(base, vec![vec![0xA5; arg_bytes].into()], vec![], vec![]);
     }
 
     // Client: one-time setup (reply creation + delegation into the base),
@@ -236,7 +229,6 @@ pub fn rpc_latency(two_nodes: bool, ctrl_on_snic: bool, arg_bytes: usize) -> f64
     );
     tb.start_process(client);
     tb.run();
-    let _ = server;
     tb.with_service::<Script, _>(client, |s| mean_gap_us(&s.stamps))
 }
 
@@ -274,9 +266,7 @@ pub fn delegation_rtt(ncaps: usize, ctrl_on_snic: bool) -> f64 {
         let mut caps: Vec<fractos_cap::Cid> = s.cids[1..].to_vec();
         let reply = caps.pop().expect("reply present");
         caps.push(reply);
-        fos.request_derive(svc, vec![], caps, |_s, res, fos| {
-            fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-        });
+        fos.invoke_with(svc, vec![], caps, vec![]);
     }
 
     let client = tb.add_process(
@@ -318,7 +308,6 @@ pub fn delegation_rtt(ncaps: usize, ctrl_on_snic: bool) -> f64 {
     );
     tb.start_process(client);
     tb.run();
-    let _ = server;
     tb.with_service::<Script, _>(client, |s| mean_gap_us(&s.stamps))
 }
 

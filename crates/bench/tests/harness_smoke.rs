@@ -101,3 +101,63 @@ fn headline_shape_holds() {
     assert!(fos.lat_mean < base.lat_mean);
     assert!(base.net_bytes as f64 / fos.net_bytes as f64 > 1.7);
 }
+
+/// FNV-1a of every number the Figs 8–13 runners return at the smoke sizes
+/// (`{:?}` of each `f64`, every `AppResult` field), captured by running this
+/// test at commit 11cf53e — before the closed-loop core, the run summary,
+/// the single pipeline driver and `Fos::invoke_with` replaced their copies.
+/// Re-capture only in a change that means to alter a figure, and say so.
+const FIGS_8_TO_13_GOLDEN: u64 = 0x8943_781d_65ba_4fe9;
+
+#[test]
+fn figs_8_to_13_match_the_golden_digest() {
+    use std::fmt::Write;
+    let mut text = String::new();
+    for kind in [
+        PipelineKind::Star,
+        PipelineKind::FastStar,
+        PipelineKind::Chain,
+    ] {
+        let lat = pipeline_latency(kind, 3, 16 * 1024);
+        writeln!(text, "fig8 {kind:?} {lat:?}").unwrap();
+    }
+    for in_flight in [1, 4] {
+        for snic in [false, true] {
+            let r = gpu_service_fractos(4096, 4, 6, in_flight, snic);
+            writeln!(text, "fig9 fractos snic={snic} k={in_flight} {r:?}").unwrap();
+        }
+        let r = gpu_service_rcuda(4096, 4, 6, in_flight);
+        writeln!(text, "fig9 rcuda k={in_flight} {r:?}").unwrap();
+    }
+    for in_flight in [1, 4] {
+        for mode in [FsMode::Mediated, FsMode::Compose, FsMode::Dax] {
+            for write in [false, true] {
+                let r = storage_fractos(mode, 16 * 1024, 8, in_flight, write, false, false);
+                writeln!(text, "fig10 {mode:?} write={write} k={in_flight} {r:?}").unwrap();
+            }
+        }
+        for (write, seq) in [(false, false), (true, false), (false, true)] {
+            let r = storage_disagg_baseline(16 * 1024, 8, in_flight, write, seq);
+            writeln!(
+                text,
+                "fig10 base write={write} seq={seq} k={in_flight} {r:?}"
+            )
+            .unwrap();
+        }
+    }
+    for in_flight in [1, 3] {
+        for deploy in [FvDeploy::Cpu, FvDeploy::Snic, FvDeploy::SharedHal] {
+            let r = fractos_faceverify(deploy, 4096, 8, 6, in_flight);
+            writeln!(text, "fig12 {deploy:?} k={in_flight} {r:?}").unwrap();
+        }
+    }
+    // One in flight only: with more, the baseline's raw actors see equal-time
+    // events in an order that differs between the two engines.
+    let r = baseline_faceverify(4096, 8, 6, 1);
+    writeln!(text, "fig12 base k=1 {r:?}").unwrap();
+    assert_eq!(
+        fractos_core::fnv1a(text.as_bytes()),
+        FIGS_8_TO_13_GOLDEN,
+        "a Figs 8-13 runner changed its numbers:\n{text}"
+    );
+}

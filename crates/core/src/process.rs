@@ -8,6 +8,11 @@
 //! style (CPS) model", and its prototype builds a bespoke promise/future
 //! library for the same purpose (§4). Continuations receive `&mut S`, so
 //! services keep plain owned state without interior mutability.
+//!
+//! Two methods carry the §3.4 call/return idiom so services do not spell
+//! out the syscalls: [`Fos::invoke_with`] calls a Request, minting the
+//! continuations the callee answers through, and [`Fos::reply_via`]
+//! answers by invoking the continuation it was handed.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -348,6 +353,38 @@ impl<S: Service> Fos<S> {
             if let SyscallResult::NewCid(cid) = res {
                 fos.request_invoke(cid, |_, _, _| {});
             }
+        });
+    }
+
+    /// The service-call idiom, the other half of [`Fos::reply_via`]: mint
+    /// one continuation Request per `(tag, imms)` of `conts`, derive `target`
+    /// with `imms` and `caps` followed by those continuations in order, and
+    /// invoke the derived Request (§3.4 — a call hands the callee the
+    /// Requests it returns through). The syscalls go out one after the
+    /// other: each create, then the derive, then the invoke.
+    ///
+    /// # Panics
+    ///
+    /// The caller holds `target` and provides the continuations itself, so
+    /// a create or derive that mints no capability is a bug in the caller
+    /// and panics; use [`Fos::request_derive`] where `target` may be revoked.
+    pub fn invoke_with(
+        &self,
+        target: Cid,
+        imms: Vec<Payload>,
+        mut caps: Vec<Cid>,
+        mut conts: Vec<(u64, Vec<Payload>)>,
+    ) {
+        if conts.is_empty() {
+            self.request_derive(target, imms, caps, |_s, res, fos| {
+                fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
+            });
+            return;
+        }
+        let (tag, cont_imms) = conts.remove(0);
+        self.request_create_new(tag, cont_imms, vec![], move |_s, res, fos| {
+            caps.push(res.cid());
+            fos.invoke_with(target, imms, caps, conts);
         });
     }
 

@@ -124,6 +124,61 @@ fn cross_node_invoke_delivers_imms_and_caps() {
     });
 }
 
+/// `invoke_with` and `reply_via` are the two halves of one call: the callee
+/// sees the caller's capabilities followed by the minted continuations in
+/// the order given, and answering through one of them reaches the caller
+/// with that continuation's preset arguments first.
+#[test]
+fn invoke_with_appends_continuations_in_order_and_reply_via_answers() {
+    struct AnswerLast;
+    impl Service for AnswerLast {
+        fn on_start(&mut self, fos: &Fos<Self>) {
+            fos.request_create_new(9, vec![], vec![], |_s, res, fos| {
+                fos.kv_put("svc", res.cid(), |_, res, _| assert!(res.is_ok()));
+            });
+        }
+        fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
+            assert_eq!(req.imms, vec![b"ping".to_vec()]);
+            assert_eq!(req.caps.len(), 3, "memory, then both continuations");
+            fos.reply_via(req.caps[2], vec![b"pong".to_vec().into()], vec![]);
+        }
+    }
+    struct Caller(Vec<IncomingRequest>);
+    impl Service for Caller {
+        fn on_start(&mut self, fos: &Fos<Self>) {
+            fos.memory_create_new(64, Perms::RW, |_s, _addr, mem, fos| {
+                let mem = mem.unwrap();
+                fos.kv_get("svc", move |_s, res, fos| {
+                    fos.invoke_with(
+                        res.cid(),
+                        vec![b"ping".to_vec().into()],
+                        vec![mem],
+                        vec![
+                            (21, vec![b"first".to_vec().into()]),
+                            (22, vec![b"second".to_vec().into()]),
+                        ],
+                    );
+                });
+            });
+        }
+        fn on_request(&mut self, req: IncomingRequest, _fos: &Fos<Self>) {
+            self.0.push(req);
+        }
+    }
+    let (mut tb, ctrls) = two_ctrl_testbed();
+    let svc = tb.add_process("svc", cpu(0), ctrls[0], AnswerLast);
+    let cli = tb.add_process("cli", cpu(1), ctrls[1], Caller(Vec::new()));
+    tb.start_process(svc);
+    tb.run();
+    tb.start_process(cli);
+    tb.run();
+    tb.with_service::<Caller, _>(cli, |c| {
+        assert_eq!(c.0.len(), 1, "answered once, through one continuation");
+        assert_eq!(c.0[0].tag, 22);
+        assert_eq!(c.0[0].imms, vec![b"second".to_vec(), b"pong".to_vec()]);
+    });
+}
+
 #[test]
 fn memory_copy_moves_real_bytes_across_nodes() {
     let (mut tb, ctrls) = two_ctrl_testbed();

@@ -32,9 +32,8 @@
 //! a deterministic order (sorted by file, line, rule, text), so running
 //! the tool twice produces byte-identical output.
 //!
-//! Two binaries share this library: `fractos-lint` (the original
-//! hazards-only entry point, kept for CI compatibility) and
-//! `fractos-analyze` (all passes plus allowlist hygiene).
+//! One binary drives this library: `fractos-analyze` (all passes plus
+//! allowlist hygiene; `--pass` narrows the run).
 //!
 //! [`Shared`]: ../fractos_sim/shared/index.html
 

@@ -1,16 +1,19 @@
-//! Structured, machine-readable snapshot of a run's metrics registry.
+//! Structured, machine-readable snapshot of a run's counters and latency
+//! summaries.
 //!
 //! The snapshot is deterministic across runtime backends: counters under
 //! the `runtime.` prefix are excluded (they describe the engine itself,
 //! e.g. sharded worker occupancy, and legitimately differ between
 //! backends), and histogram means are computed over *sorted* samples so
 //! floating-point summation order does not depend on event interleaving.
+//! [`HistSummary`] is the one exact summary of a sample set in the
+//! workspace (the streaming counterpart is `fractos_sim::StreamHist`).
 
 use fractos_sim::{quantile_sorted, Metrics};
 
 use crate::json::Json;
 
-/// Summary statistics of one histogram.
+/// Exact summary statistics of one set of samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistSummary {
     /// Number of samples.
@@ -30,7 +33,8 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    fn from_samples(samples: &[f64]) -> Self {
+    /// Summarizes `samples` (any order; nearest-rank percentiles).
+    pub fn from_samples(samples: &[f64]) -> Self {
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
         let mean = if sorted.is_empty() {
@@ -62,34 +66,41 @@ impl HistSummary {
     }
 }
 
-/// A point-in-time copy of a run's counters and histogram summaries,
-/// serializable to JSON with [`MetricsSnapshot::to_json`].
+/// A point-in-time copy of a run's counters plus the summaries of the
+/// sample sets handed to [`MetricsSnapshot::with_histogram`], serializable
+/// to JSON with [`MetricsSnapshot::to_json`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counters in name order (minus the backend-specific `runtime.`
     /// namespace).
     pub counters: Vec<(String, u64)>,
-    /// Histogram summaries in name order.
+    /// Sample-set summaries in name order.
     pub histograms: Vec<(String, HistSummary)>,
 }
 
 impl MetricsSnapshot {
-    /// Captures the registry. Counter iteration is already name-ordered
-    /// (the registry is a BTree map), so the snapshot is deterministic.
+    /// Captures the registry's counters. Counter iteration is already
+    /// name-ordered (the registry is a BTree map), so the snapshot is
+    /// deterministic.
     pub fn capture(metrics: &Metrics) -> Self {
         let counters = metrics
             .counters()
             .filter(|(name, _)| !name.starts_with("runtime."))
             .map(|(name, v)| (name.to_string(), v))
             .collect();
-        let histograms = metrics
-            .histograms()
-            .map(|(name, h)| (name.to_string(), HistSummary::from_samples(h.samples())))
-            .collect();
         MetricsSnapshot {
             counters,
-            histograms,
+            histograms: Vec::new(),
         }
+    }
+
+    /// Adds the summary of `samples` under `name`, keeping name order.
+    #[must_use]
+    pub fn with_histogram(mut self, name: &str, samples: &[f64]) -> Self {
+        let at = self.histograms.partition_point(|(n, _)| n.as_str() < name);
+        self.histograms
+            .insert(at, (name.to_string(), HistSummary::from_samples(samples)));
+        self
     }
 
     /// Serializes the snapshot (field order fixed: counters, histograms).
@@ -128,12 +139,12 @@ mod tests {
         m.add("runtime.sharded.active_workers.peak", 4);
         // Insertion order differs from sorted order; the mean must not
         // depend on it.
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            m.sample("lat", v);
-        }
-        let snap = MetricsSnapshot::capture(&m);
+        let snap = MetricsSnapshot::capture(&m)
+            .with_histogram("lat", &[5.0, 1.0, 3.0, 2.0, 4.0])
+            .with_histogram("a", &[]);
+        assert_eq!(snap.histograms[0].0, "a", "kept in name order");
         assert_eq!(snap.counters, vec![("net.msgs".to_string(), 3)]);
-        let (name, h) = &snap.histograms[0];
+        let (name, h) = &snap.histograms[1];
         assert_eq!(name, "lat");
         assert_eq!(h.count, 5);
         assert!((h.mean - 3.0).abs() < 1e-12);

@@ -54,7 +54,7 @@ pub enum WindowValue {
     Count(u64),
     /// Last gauge level observed in the window.
     Gauge(u64),
-    /// Histogram of the window's samples.
+    /// Streaming histogram of the window's samples.
     Hist(StreamHist),
 }
 

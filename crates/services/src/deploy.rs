@@ -11,7 +11,7 @@ use fractos_devices::proto::{imm, imm_at};
 use fractos_devices::{BlockAdaptor, GpuAdaptor, GpuParams, NvmeParams};
 
 use crate::faceverify::{FaceVerifyFrontend, FvConfig};
-use crate::fs::{FsMode, FsService, TAG_FS_WRITE};
+use crate::fs::{FsMode, FsService};
 use crate::matcher::{synth_face, FaceVerifyKernel, FACE_VERIFY_KERNEL};
 
 /// Loads the reference-photo database through the storage stack and
@@ -63,18 +63,8 @@ impl Service for DbLoader {
         let size = self.count * self.img_bytes;
         let fs_create = format!("{}.create", self.fs_key);
         fos.call(Syscall::KvGet { key: fs_create }, move |_s, res, fos| {
-            let create = res.cid();
-            fos.request_create_new(
-                TAG_DB_BOOT,
-                vec![imm(0)],
-                vec![],
-                move |_s: &mut Self, res, fos| {
-                    let cont = res.cid();
-                    fos.request_derive(create, vec![imm(size)], vec![cont], |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    });
-                },
-            );
+            let boot = (TAG_DB_BOOT, vec![imm(0)]);
+            fos.invoke_with(res.cid(), vec![imm(size)], vec![], vec![boot]);
         });
     }
 
@@ -98,31 +88,12 @@ impl Service for DbLoader {
                     let SyscallResult::NewCid(src) = res else {
                         return;
                     };
-                    fos.request_create_new(
-                        TAG_DB_BOOT,
-                        vec![imm(1)],
-                        vec![],
-                        move |_s: &mut Self, res, fos| {
-                            let done = res.cid();
-                            fos.request_create_new(
-                                TAG_DB_BOOT,
-                                vec![imm(9)],
-                                vec![],
-                                move |_s: &mut Self, res, fos| {
-                                    let err = res.cid();
-                                    fos.request_derive(
-                                        write_req,
-                                        vec![imm(0), imm(total)],
-                                        vec![src, done, err],
-                                        |_s, res, fos| {
-                                            fos.request_invoke(res.cid(), |_, res, _| {
-                                                debug_assert!(res.is_ok())
-                                            });
-                                        },
-                                    );
-                                },
-                            );
-                        },
+                    // Success and error continuations, then the write.
+                    fos.invoke_with(
+                        write_req,
+                        vec![imm(0), imm(total)],
+                        vec![src],
+                        vec![(TAG_DB_BOOT, vec![imm(1)]), (TAG_DB_BOOT, vec![imm(9)])],
                     );
                 });
             }
@@ -138,7 +109,6 @@ impl Service for DbLoader {
             9 => panic!("database write failed"),
             _ => {}
         }
-        let _ = TAG_FS_WRITE;
     }
 }
 
@@ -178,18 +148,8 @@ impl Service for OutFileCreator {
         let size = self.size;
         let create_key = format!("{}.create", self.fs_key);
         fos.call(Syscall::KvGet { key: create_key }, move |_s, res, fos| {
-            let create = res.cid();
-            fos.request_create_new(
-                TAG_DB_BOOT,
-                vec![imm(0)],
-                vec![],
-                move |_s: &mut Self, res, fos| {
-                    let cont = res.cid();
-                    fos.request_derive(create, vec![imm(size)], vec![cont], |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    });
-                },
-            );
+            let boot = (TAG_DB_BOOT, vec![imm(0)]);
+            fos.invoke_with(res.cid(), vec![imm(size)], vec![], vec![boot]);
         });
     }
 

@@ -179,29 +179,18 @@ impl FaceVerifyFrontend {
         2 * self.cfg.max_batch * self.cfg.img_bytes
     }
 
-    fn boot_cont(fos: &Fos<Self>, phase: u64, extra: u64) {
-        fos.request_create_new(
-            TAG_FV_BOOT,
-            vec![imm(phase), imm(extra)],
-            vec![],
-            move |s: &mut Self, res, fos| {
-                let cont = res.cid();
-                s.boot_step(phase, extra, cont, fos);
-            },
-        );
-    }
-
-    /// Bootstrap driver: each phase creates its continuation first, then
-    /// fires the RPC that will invoke it.
-    fn boot_step(&mut self, phase: u64, extra: u64, cont: Cid, fos: &Fos<Self>) {
+    /// Bootstrap driver: each phase mints its continuation (imms
+    /// `[phase, 0]`), then fires the RPC that will invoke it.
+    fn boot(&mut self, phase: u64, fos: &Fos<Self>) {
+        let cont = (TAG_FV_BOOT, vec![imm(phase), imm(0)]);
         match phase {
-            // Phase 0: gpu.init.
+            // Phase 0: gpu.init, looked up once its continuation exists.
             0 => {
                 let key = format!("{}.init", self.cfg.gpu_key);
-                fos.call(Syscall::KvGet { key }, move |_s, res, fos| {
-                    let init = res.cid();
-                    fos.request_derive(init, vec![], vec![cont], |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
+                fos.request_create_new(cont.0, cont.1, vec![], move |_s: &mut Self, res, fos| {
+                    let cont = res.cid();
+                    fos.call(Syscall::KvGet { key }, move |_s, res, fos| {
+                        fos.invoke_with(res.cid(), vec![], vec![cont], vec![]);
                     });
                 });
             }
@@ -213,22 +202,13 @@ impl FaceVerifyFrontend {
                 } else {
                     self.cfg.max_batch
                 };
-                let _ = extra;
-                fos.request_derive(alloc, vec![imm(size)], vec![cont], |_s, res, fos| {
-                    fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                });
+                fos.invoke_with(alloc, vec![imm(size)], vec![], vec![cont]);
             }
             // Final phase: load the kernel.
             p if p == 1 + 2 * self.cfg.pool as u64 => {
                 let load = self.load_req.expect("init done");
-                fos.request_derive(
-                    load,
-                    vec![imm(crate::matcher::FACE_VERIFY_KERNEL)],
-                    vec![cont],
-                    |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    },
-                );
+                let kernel = imm(crate::matcher::FACE_VERIFY_KERNEL);
+                fos.invoke_with(load, vec![kernel], vec![], vec![cont]);
             }
             _ => unreachable!("bootstrap phase {phase}"),
         }
@@ -240,7 +220,7 @@ impl FaceVerifyFrontend {
             0 => {
                 self.alloc_req = Some(req.caps[0]);
                 self.load_req = Some(req.caps[1]);
-                Self::boot_cont(fos, 1, 0);
+                self.boot(1, fos);
             }
             p if p >= 1 && p < 1 + 2 * self.cfg.pool as u64 => {
                 let mem = req.caps[0];
@@ -255,7 +235,7 @@ impl FaceVerifyFrontend {
                     self.slots.last_mut().expect("input first").out_mem = mem;
                     self.boot_allocs += 1;
                 }
-                Self::boot_cont(fos, p + 1, 0);
+                self.boot(p + 1, fos);
             }
             p if p == 1 + 2 * self.cfg.pool as u64 => {
                 self.invoke_req = Some(req.caps[0]);
@@ -612,7 +592,7 @@ impl FaceVerifyFrontend {
 
 impl Service for FaceVerifyFrontend {
     fn on_start(&mut self, fos: &Fos<Self>) {
-        Self::boot_cont(fos, 0, 0);
+        self.boot(0, fos);
     }
 
     fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
@@ -767,21 +747,11 @@ impl FvClient {
         query_mem: Cid,
         fos: &Fos<Self>,
     ) {
-        fos.request_create_new(
-            TAG_FV_REPLY,
-            vec![imm(seq)],
-            vec![],
-            move |_s: &mut Self, res, fos| {
-                let reply = res.cid();
-                fos.request_derive(
-                    verify,
-                    vec![imm(batch), imm(first_id)],
-                    vec![query_mem, reply],
-                    |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    },
-                );
-            },
+        fos.invoke_with(
+            verify,
+            vec![imm(batch), imm(first_id)],
+            vec![query_mem],
+            vec![(TAG_FV_REPLY, vec![imm(seq)])],
         );
     }
 }

@@ -374,9 +374,7 @@ impl ForkJoinDriver {
                 for i in 0..s.stages {
                     let base = s.stage_reqs[i];
                     let dst = s.sink_views[i];
-                    fos.request_derive(base, vec![imm(s.size)], vec![dst, join], |_s, res, fos| {
-                        fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-                    });
+                    fos.invoke_with(base, vec![imm(s.size)], vec![dst, join], vec![]);
                 }
             },
         );

@@ -48,7 +48,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use engine::{Actor, ActorId, Ctx, Msg, NodeOutage, RunOutcome, Sim, TraceEntry};
-pub use metrics::{quantile_sorted, Histogram, Metrics, StreamHist};
+pub use metrics::{quantile_sorted, Metrics, StreamHist};
 pub use payload::Payload;
 pub use queue::EventQueue;
 pub use rng::SimRng;

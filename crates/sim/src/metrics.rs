@@ -1,8 +1,10 @@
-//! Counters and latency histograms for experiments.
+//! Counters and the streaming histogram for experiments.
 //!
-//! Experiments record named counters (e.g. per-link message counts) and
-//! latency samples. The registry is owned by the simulation and exposed to
-//! actors through the [`crate::engine::Ctx`]; benches read it after the run.
+//! Experiments record named counters (e.g. per-link message counts). The
+//! registry is owned by the simulation and exposed to actors through the
+//! [`crate::engine::Ctx`]; benches read it after the run. Latency samples
+//! either stream into a [`StreamHist`] (the telemetry plane) or are kept by
+//! the client that measured them and summarized exactly by `fractos-obs`.
 
 use std::collections::BTreeMap;
 
@@ -12,9 +14,9 @@ use crate::time::SimDuration;
 /// nearest-rank, or 0 when empty.
 ///
 /// This is the single reference implementation of the percentile math:
-/// [`Histogram::quantile`], `fractos-obs`'s snapshot summaries, and the
-/// property test pinning [`StreamHist`] against a sorted reference all
-/// route through it, so every exact-quantile consumer agrees byte-for-byte.
+/// `fractos-obs`'s `HistSummary` and the property test pinning
+/// [`StreamHist`] against a sorted reference both route through it, so
+/// every exact-quantile consumer agrees byte-for-byte.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -193,8 +195,8 @@ impl StreamHist {
     }
 
     /// 99.9th percentile (bucket-exact) — the tail the streaming design
-    /// exists for; the raw-sample [`Histogram`] cannot report it without
-    /// retaining every sample.
+    /// exists for; an exact summary cannot report it without retaining
+    /// every sample.
     #[must_use]
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
@@ -233,112 +235,10 @@ impl StreamHist {
     }
 }
 
-/// A set of latency samples with summary statistics.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample (any unit; durations are recorded in microseconds).
-    pub fn record(&mut self, value: f64) {
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Records a duration sample in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Population standard deviation, or 0 when empty.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|s| (s - mean) * (s - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) by nearest-rank, or 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
-            self.sorted = true;
-        }
-        quantile_sorted(&self.samples, q)
-    }
-
-    /// Median (p50).
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// 50th percentile (alias for [`Histogram::median`]).
-    pub fn p50(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&mut self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&mut self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Minimum sample, or 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum sample, or 0 when empty.
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0f64, f64::max)
-    }
-
-    /// All raw samples in insertion order is not preserved after quantile
-    /// queries; use before calling quantile functions if order matters.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-/// Named counters and histograms for one simulation run.
+/// Named counters for one simulation run.
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Metrics {
@@ -373,47 +273,9 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a sample into the named histogram. Only the first touch of
-    /// a name allocates it.
-    // analyze: hot-path
-    pub fn sample(&mut self, name: &str, value: f64) {
-        match self.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => self.first_sample(name, value),
-        }
-    }
-
-    #[cold]
-    fn first_sample(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Records a duration sample (in microseconds) into the named histogram.
-    pub fn sample_duration(&mut self, name: &str, d: SimDuration) {
-        self.sample(name, d.as_micros_f64());
-    }
-
-    /// Returns a histogram by name, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Returns a mutable histogram by name, if any samples were recorded.
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
-    }
-
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates over all histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Iterates over all counter names matching a prefix.
@@ -430,25 +292,16 @@ impl Metrics {
         self.counters_with_prefix(prefix).map(|(_, v)| v).sum()
     }
 
-    /// Clears all counters and histograms.
+    /// Clears all counters.
     pub fn reset(&mut self) {
         self.counters.clear();
-        self.histograms.clear();
     }
 
-    /// Folds another registry into this one: counters add, histogram
-    /// samples append. The sharded engine merges per-shard registries in
-    /// shard order at the end of each run, so merged output is
-    /// deterministic for a fixed shard layout.
+    /// Folds another registry into this one: counters add. The sharded
+    /// engine merges per-shard registries at the end of each run.
     pub fn merge_from(&mut self, other: &Metrics) {
         for (name, value) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, hist) in &other.histograms {
-            let dst = self.histograms.entry(name.clone()).or_default();
-            for s in hist.samples() {
-                dst.record(*s);
-            }
         }
     }
 }
@@ -464,38 +317,6 @@ mod tests {
         m.add("msgs", 4);
         assert_eq!(m.counter("msgs"), 5);
         assert_eq!(m.counter("absent"), 0);
-    }
-
-    #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new();
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!((h.mean() - 3.0).abs() < 1e-12);
-        assert!((h.median() - 3.0).abs() < 1e-12);
-        assert_eq!(h.p50(), h.median());
-        assert_eq!(h.p95(), 5.0);
-        assert_eq!(h.p99(), 5.0);
-        assert!((h.quantile(1.0) - 5.0).abs() < 1e-12);
-        assert!((h.stddev() - 2.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(h.max(), 5.0);
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroes() {
-        let mut h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.median(), 0.0);
-        assert_eq!(h.stddev(), 0.0);
-    }
-
-    #[test]
-    fn duration_samples_are_micros() {
-        let mut m = Metrics::new();
-        m.sample_duration("lat", SimDuration::from_micros(12));
-        assert!((m.histogram("lat").unwrap().mean() - 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -621,17 +442,13 @@ mod tests {
     }
 
     #[test]
-    fn quantile_sorted_matches_histogram() {
-        let mut h = Histogram::new();
-        let mut raw = Vec::new();
-        for v in [9.0, 1.0, 5.0, 3.0, 7.0] {
-            h.record(v);
-            raw.push(v);
-        }
-        raw.sort_by(|a, b| a.total_cmp(b));
-        for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
-            assert_eq!(h.quantile(q), quantile_sorted(&raw, q));
-        }
+    fn quantile_sorted_is_nearest_rank() {
+        let sorted = [1.0, 3.0, 5.0, 7.0, 9.0];
+        assert_eq!(quantile_sorted(&sorted, 0.0), 1.0);
+        assert_eq!(quantile_sorted(&sorted, 0.25), 3.0);
+        assert_eq!(quantile_sorted(&sorted, 0.5), 5.0);
+        assert_eq!(quantile_sorted(&sorted, 0.95), 9.0);
+        assert_eq!(quantile_sorted(&sorted, 1.0), 9.0);
         assert_eq!(quantile_sorted(&[], 0.5), 0.0);
     }
 
@@ -639,9 +456,8 @@ mod tests {
     fn reset_clears_everything() {
         let mut m = Metrics::new();
         m.incr("a");
-        m.sample("h", 1.0);
         m.reset();
         assert_eq!(m.counter("a"), 0);
-        assert!(m.histogram("h").is_none());
+        assert_eq!(m.counters().count(), 0);
     }
 }

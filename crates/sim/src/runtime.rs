@@ -76,11 +76,11 @@ pub trait Runtime {
     /// Number of pending events.
     fn pending(&self) -> usize;
 
-    /// The metric registry (counters and histograms of the whole run).
+    /// The metric registry (counters of the whole run).
     fn metrics(&self) -> &Metrics;
 
     /// Mutable access to the metric registry (harnesses record
-    /// run-level samples between runs).
+    /// run-level counters between runs).
     fn metrics_mut(&mut self) -> &mut Metrics;
 
     /// The registered name of an actor.

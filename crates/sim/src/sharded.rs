@@ -686,7 +686,6 @@ mod tests {
         impl Actor for Counting {
             fn handle(&mut self, _msg: Msg, ctx: &mut Ctx<'_>) {
                 ctx.metrics().incr("hits");
-                ctx.metrics().sample("lat", 1.5);
             }
         }
         let mut rt = ShardedSim::new(&config(5, 2));
@@ -696,7 +695,6 @@ mod tests {
         rt.post(SimDuration::ZERO, b, 0u32);
         rt.run();
         assert_eq!(rt.metrics().counter("hits"), 2);
-        assert_eq!(rt.metrics().histogram("lat").unwrap().count(), 2);
     }
 
     /// A fixed-delay echo for the per-link tests.
