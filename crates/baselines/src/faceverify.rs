@@ -11,11 +11,11 @@
 use std::collections::HashMap;
 
 use fractos_net::{Endpoint, Fabric, TrafficClass};
+use fractos_services::closed_loop::ClosedLoop;
 use fractos_services::matcher::{synth_face, MATCH_THRESHOLD};
 use fractos_services::FvSample;
 use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration};
 
-use crate::closed_loop::ClosedLoop;
 use crate::raw::{raw_send, Peer};
 use crate::rcuda::{DriverReply, RcudaClient, KERNEL_CALLS};
 use crate::storage::{NfsOp, NfsReply, NFS_CLIENT_OVERHEAD};

@@ -7,8 +7,6 @@
 //!
 //! * [`raw`] — infrastructure for non-FractOS actors plus the
 //!   `ibv_rc_pingpong` loopback baseline (Table 3);
-//! * [`closed_loop`] — the closed-loop load-generator core (N requests, k
-//!   in flight) every measured client embeds, here and in `fractos-bench`;
 //! * [`rcuda`] — rCUDA-style transparent GPU remoting: every interposed
 //!   CUDA driver call is one network round trip, and the call sequence of
 //!   one kernel execution is stated once (Figs 9, 12, 13);
@@ -40,7 +38,6 @@ pub fn paper_runtime(seed: u64) -> Box<dyn Runtime> {
     runtime_from_env(&config)
 }
 
-pub mod closed_loop;
 pub mod faceverify;
 pub mod local;
 pub mod pipeline;
@@ -48,7 +45,6 @@ pub mod raw;
 pub mod rcuda;
 pub mod storage;
 
-pub use closed_loop::ClosedLoop;
 pub use faceverify::{BaselineClient, BaselineFrontend, VerifyReply, VerifyReq};
 pub use local::{
     local_block_read_latency, local_block_write_latency, local_gpu_latency, local_gpu_throughput,

@@ -17,7 +17,7 @@ use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_devices::proto::imm;
-use fractos_services::pipeline::TAG_PIPE_REPLY;
+use fractos_services::pipeline::{stage_lookups, TAG_PIPE_REPLY};
 use fractos_sim::{SimDuration, SimTime};
 
 /// Where a centralized driver's data travels between stages.
@@ -65,35 +65,6 @@ impl CentralDriver {
             remaining: iterations,
             latencies: Vec::new(),
         }
-    }
-
-    fn fetch(&mut self, i: usize, fos: &Fos<Self>) {
-        if i == self.stages {
-            let size = self.size;
-            let addr = fos.mem_alloc(size);
-            fos.memory_create(addr, size, Perms::RW, |s: &mut Self, res, fos| {
-                s.client_buf = Some(res.cid());
-                s.iterate(fos);
-            });
-            return;
-        }
-        fos.call(
-            Syscall::KvGet {
-                key: format!("pipe.{i}.req"),
-            },
-            move |s: &mut Self, res, fos| {
-                s.stage_reqs.push(res.cid());
-                fos.call(
-                    Syscall::KvGet {
-                        key: format!("pipe.{i}.buf"),
-                    },
-                    move |s: &mut Self, res, fos| {
-                        s.stage_bufs.push(res.cid());
-                        s.fetch(i + 1, fos);
-                    },
-                );
-            },
-        );
     }
 
     fn iterate(&mut self, fos: &Fos<Self>) {
@@ -180,7 +151,18 @@ impl CentralDriver {
 
 impl Service for CentralDriver {
     fn on_start(&mut self, fos: &Fos<Self>) {
-        self.fetch(0, fos);
+        // Every stage's handles, then the client buffer, then go.
+        fos.chain(stage_lookups(self.stages), |s: &mut Self, res, fos| {
+            let handles = res.expect("pipeline stages published");
+            for pair in handles.chunks(2) {
+                s.stage_reqs.push(pair[0]);
+                s.stage_bufs.push(pair[1]);
+            }
+            fos.memory_create_new(s.size, Perms::RW, |s: &mut Self, _addr, buf, fos| {
+                s.client_buf = buf.ok();
+                s.iterate(fos);
+            });
+        });
     }
 
     fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {

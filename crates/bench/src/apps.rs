@@ -1,7 +1,6 @@
 //! Runners for the application-level experiments (Figs 8–13, Fig 2, and
 //! the headline claims).
 
-use fractos_baselines::closed_loop::ClosedLoop;
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, BaselineFrontend, Start};
 use fractos_baselines::paper_runtime;
 use fractos_baselines::pipeline::{CentralDriver, DataPath};
@@ -12,6 +11,7 @@ use fractos_devices::proto::{imm, imm_at};
 use fractos_devices::{BlockAdaptor, GpuAdaptor, GpuParams, NvmeParams};
 use fractos_net::{Fabric, NetParams, Topology, TrafficStats};
 use fractos_obs::{HistSummary, MetricsSnapshot};
+use fractos_services::closed_loop::ClosedLoop;
 use fractos_services::deploy::deploy_faceverify;
 use fractos_services::faceverify::{FvClient, FvSample};
 use fractos_services::fs::{FsMode, FsService};
@@ -490,54 +490,32 @@ impl Service for GpuBenchClient {
                     data.extend(fractos_services::synth_face(i, img as usize, 0));
                 }
                 fos.mem_write(local_addr, 0, &data).unwrap();
-                fos.memory_create(
-                    local_addr,
-                    2 * batch * img,
-                    Perms::RW,
-                    move |s: &mut Self, res, fos| {
-                        let SyscallResult::NewCid(local_mem) = res else {
+                let size = 2 * batch * img;
+                fos.memory_create(local_addr, size, Perms::RW, move |s, res, fos| {
+                    let SyscallResult::NewCid(local_mem) = res else {
+                        return;
+                    };
+                    s.slots[slot].local_mem = local_mem;
+                    // Success/error continuations + kernel Request.
+                    let cont = |phase| (TAG_GB, vec![imm(phase)]);
+                    let conts = vec![cont(10 + slot as u64), cont(99)];
+                    let (params, caps) = (vec![imm(batch), imm(img)], vec![in_mem, out_mem]);
+                    fos.derive_with(invoke_base, params, caps, conts, move |s, res, fos| {
+                        let Ok(&[_done, _err, kernel_req]) = res.as_deref() else {
                             return;
                         };
-                        s.slots[slot].local_mem = local_mem;
-                        // Success/error continuations + kernel Request.
-                        fos.request_create_new(
-                            TAG_GB,
-                            vec![imm(10 + slot as u64)],
-                            vec![],
-                            move |_s: &mut Self, res, fos| {
-                                let done = res.cid();
-                                fos.request_create_new(
-                                    TAG_GB,
-                                    vec![imm(99)],
-                                    vec![],
-                                    move |_s: &mut Self, res, fos| {
-                                        let err = res.cid();
-                                        fos.request_derive(
-                                            invoke_base,
-                                            vec![imm(batch), imm(img)],
-                                            vec![in_mem, out_mem, done, err],
-                                            move |s: &mut Self, res, fos| {
-                                                let SyscallResult::NewCid(kreq) = res else {
-                                                    return;
-                                                };
-                                                s.slots[slot].kernel_req = kreq;
-                                                s.building += 1;
-                                                if (s.building as u64) < s.run.window() {
-                                                    s.build_slot(fos);
-                                                } else {
-                                                    // All slots ready; go.
-                                                    for _ in 0..s.run.prime() {
-                                                        s.issue(fos);
-                                                    }
-                                                }
-                                            },
-                                        );
-                                    },
-                                );
-                            },
-                        );
-                    },
-                );
+                        s.slots[slot].kernel_req = kernel_req;
+                        s.building += 1;
+                        if (s.building as u64) < s.run.window() {
+                            s.build_slot(fos);
+                        } else {
+                            // All slots ready; go.
+                            for _ in 0..s.run.prime() {
+                                s.issue(fos);
+                            }
+                        }
+                    });
+                });
             }
             99 => panic!("GPU kernel error"),
             // Kernel completion for slot (phase - 10).

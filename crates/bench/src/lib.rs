@@ -18,14 +18,16 @@
 //! | `fig13_faceverify_throughput` | Fig 13: end-to-end throughput |
 //! | `fig2_message_complexity` | Fig 2 / §2.1: message complexity |
 //! | `headline_claims` | §1/§6: 47% faster, 3× less traffic |
-//! | `micro_datastructures` | Criterion: real data-structure wall time |
+//! | `ablations` | design-choice ablations (composition, HW copies, windows) |
+//! | `recovery` | §3.6: crash-recovery MTTR attribution |
 //!
 //! Run all with `cargo bench --workspace`, or one with
-//! `cargo bench -p fractos-bench --bench <target>`.
+//! `cargo bench -p fractos-bench --bench <target>`. Wall-clock speed is
+//! measured by the `perf/` benchmark package, not here.
 //!
-//! Every closed-loop client in [`apps`] (GPU, rCUDA, storage) and the
-//! baseline face-verification client embed the same
-//! [`fractos_baselines::closed_loop::ClosedLoop`] core — N requests, k in
+//! Every closed-loop client in [`apps`] (GPU, rCUDA, storage), both
+//! face-verification clients and the baselines embed the same
+//! [`fractos_services::closed_loop::ClosedLoop`] core — N requests, k in
 //! flight — and `apps` turns its `(issued, completed)` pairs into every
 //! reported mean and throughput in one place, so two bars of a figure
 //! differ only in the system under test. Percentiles come from

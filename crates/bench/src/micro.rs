@@ -1,6 +1,6 @@
 //! Runners for the §6.1 micro-benchmarks (Table 3, Figs 5–7).
 
-use fractos_cap::Perms;
+use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_core::CtrlPlacement;
@@ -128,28 +128,24 @@ pub fn memcopy_latency(size: u64, ctrl_on_snic: bool, third_party: bool) -> f64 
         cpu(0),
         ctrls[0],
         Script::new(move |_s, fos| {
-            fos.memory_create_new(size, Perms::RW, move |_s, _a, cid, fos| {
-                let src = cid.unwrap();
-                fos.kv_get("dst", move |s: &mut Script, res, fos| {
-                    let dst = res.cid();
+            fn next(s: &mut Script, src: Cid, dst: Cid, fos: &Fos<Script>) {
+                if s.stamps.len() as u64 > ITERS {
+                    return;
+                }
+                fos.memory_copy(src, dst, move |s: &mut Script, res, fos| {
+                    assert_eq!(res, SyscallResult::Ok);
                     s.stamps.push(fos.now());
-                    fn next(
-                        s: &mut Script,
-                        src: fractos_cap::Cid,
-                        dst: fractos_cap::Cid,
-                        fos: &Fos<Script>,
-                    ) {
-                        if s.stamps.len() as u64 > ITERS {
-                            return;
-                        }
-                        fos.memory_copy(src, dst, move |s: &mut Script, res, fos| {
-                            assert_eq!(res, SyscallResult::Ok);
-                            s.stamps.push(fos.now());
-                            next(s, src, dst, fos);
-                        });
-                    }
                     next(s, src, dst, fos);
                 });
+            }
+            // The source buffer, then the destination's, then the loop.
+            let (addr, perms) = (fos.mem_alloc(size), Perms::RW);
+            let create = Syscall::MemoryCreate { addr, size, perms };
+            let lookup = Syscall::KvGet { key: "dst".into() };
+            fos.chain(vec![create, lookup], |s, res, fos| {
+                let bufs = res.unwrap();
+                s.stamps.push(fos.now());
+                next(s, bufs[0], bufs[1], fos);
             });
         }),
     );
@@ -180,9 +176,7 @@ pub fn rpc_latency(two_nodes: bool, ctrl_on_snic: bool, arg_bytes: usize) -> f64
         cpu(server_node),
         ctrls[server_node as usize],
         Script::new(|_s, fos| {
-            fos.request_create_new(TAG_SVC, vec![], vec![], |_s, res, fos| {
-                fos.kv_put("svc", res.cid(), |_, res, _| assert!(res.is_ok()));
-            });
+            fos.publish("svc", TAG_SVC, vec![], |_, res, _| assert!(res.is_ok()));
         })
         .with_handler(|_s, req, fos| {
             fos.request_invoke(req.caps[0], |_, res, _| debug_assert!(res.is_ok()));
@@ -191,7 +185,7 @@ pub fn rpc_latency(two_nodes: bool, ctrl_on_snic: bool, arg_bytes: usize) -> f64
     tb.start_process(server);
     tb.run();
 
-    fn issue(base: fractos_cap::Cid, arg_bytes: usize, fos: &Fos<Script>) {
+    fn issue(base: Cid, arg_bytes: usize, fos: &Fos<Script>) {
         fos.invoke_with(base, vec![vec![0xA5; arg_bytes].into()], vec![], vec![]);
     }
 
@@ -202,21 +196,16 @@ pub fn rpc_latency(two_nodes: bool, ctrl_on_snic: bool, arg_bytes: usize) -> f64
         cpu(client_node),
         ctrls[client_node as usize],
         Script::new(move |_s, fos| {
-            fos.request_create_new(TAG_REPLY, vec![], vec![], move |_s, res, fos| {
-                let reply = res.cid();
-                fos.kv_get("svc", move |_s, res, fos| {
-                    let svc = res.cid();
-                    fos.request_derive(
-                        svc,
-                        vec![],
-                        vec![reply],
-                        move |s: &mut Script, res, fos| {
-                            let base = res.cid();
-                            s.cids.push(base);
-                            s.stamps.push(fos.now());
-                            issue(base, arg_bytes, fos);
-                        },
-                    );
+            let reply = Syscall::new_request(TAG_REPLY, vec![]);
+            let lookup = Syscall::KvGet { key: "svc".into() };
+            fos.chain(vec![reply, lookup], move |_s, res, fos| {
+                let handles = res.unwrap();
+                let (reply, svc) = (handles[0], handles[1]);
+                fos.request_derive(svc, vec![], vec![reply], move |s, res, fos| {
+                    let base = res.cid();
+                    s.cids.push(base);
+                    s.stamps.push(fos.now());
+                    issue(base, arg_bytes, fos);
                 });
             });
         })
@@ -246,9 +235,7 @@ pub fn delegation_rtt(ncaps: usize, ctrl_on_snic: bool) -> f64 {
         cpu(0),
         ctrls[0],
         Script::new(|_s, fos| {
-            fos.request_create_new(TAG_SVC, vec![], vec![], |_s, res, fos| {
-                fos.kv_put("svc", res.cid(), |_, res, _| assert!(res.is_ok()));
-            });
+            fos.publish("svc", TAG_SVC, vec![], |_, res, _| assert!(res.is_ok()));
         })
         .with_handler(|_s, req, fos| {
             // The reply continuation is the last capability argument.
@@ -261,12 +248,8 @@ pub fn delegation_rtt(ncaps: usize, ctrl_on_snic: bool) -> f64 {
     tb.run();
 
     fn issue(s: &Script, fos: &Fos<Script>) {
-        // caps[0] = svc base, caps[1..=n] = memories, last = reply.
-        let svc = s.cids[0];
-        let mut caps: Vec<fractos_cap::Cid> = s.cids[1..].to_vec();
-        let reply = caps.pop().expect("reply present");
-        caps.push(reply);
-        fos.invoke_with(svc, vec![], caps, vec![]);
+        // cids[0] = svc base, cids[1..=n] = memories, last = reply.
+        fos.invoke_with(s.cids[0], vec![], s.cids[1..].to_vec(), vec![]);
     }
 
     let client = tb.add_process(
@@ -274,29 +257,18 @@ pub fn delegation_rtt(ncaps: usize, ctrl_on_snic: bool) -> f64 {
         cpu(1),
         ctrls[1],
         Script::new(move |_s, fos| {
-            // Create the argument memories, the reply, then loop.
-            fn setup(_s: &mut Script, remaining: usize, fos: &Fos<Script>) {
-                if remaining == 0 {
-                    fos.request_create_new(
-                        TAG_REPLY,
-                        vec![],
-                        vec![],
-                        |s: &mut Script, res, fos| {
-                            s.cids.push(res.cid());
-                            s.stamps.push(fos.now());
-                            issue(s, fos);
-                        },
-                    );
-                    return;
-                }
-                fos.memory_create_new(4096, Perms::RW, move |s: &mut Script, _a, cid, fos| {
-                    s.cids.push(cid.unwrap());
-                    setup(s, remaining - 1, fos);
-                });
+            // Look up the service, create the argument memories and the
+            // reply, then loop.
+            let mut calls = vec![Syscall::KvGet { key: "svc".into() }];
+            for _ in 0..ncaps {
+                let (addr, size, perms) = (fos.mem_alloc(4096), 4096, Perms::RW);
+                calls.push(Syscall::MemoryCreate { addr, size, perms });
             }
-            fos.kv_get("svc", move |s: &mut Script, res, fos| {
-                s.cids.push(res.cid());
-                setup(s, ncaps, fos);
+            calls.push(Syscall::new_request(TAG_REPLY, vec![]));
+            fos.chain(calls, |s: &mut Script, res, fos| {
+                s.cids = res.unwrap();
+                s.stamps.push(fos.now());
+                issue(s, fos);
             });
         })
         .with_handler(move |s, _req, fos| {
@@ -330,37 +302,19 @@ pub fn revoke_latency(n: usize, shared_tree: bool, ctrl_on_snic: bool) -> f64 {
             fos.memory_create_new(4096, Perms::RW, move |s: &mut Script, _a, cid, fos| {
                 let base = cid.unwrap();
                 s.cids.push(base);
-                if shared_tree {
-                    // One indirection object; everything points at it.
-                    fos.call(
-                        Syscall::CapCreateRevtree { cid: base },
-                        |s: &mut Script, res, fos| {
-                            s.cids.push(res.cid());
-                            fos.kv_put("obj", res.cid(), |_, res, _| assert!(res.is_ok()));
-                        },
-                    );
-                } else {
-                    // One separately revocable node per capability.
-                    fn mint(
-                        _s: &mut Script,
-                        base: fractos_cap::Cid,
-                        left: usize,
-                        fos: &Fos<Script>,
-                    ) {
-                        if left == 0 {
-                            fos.kv_put("ready", base, |_, res, _| assert!(res.is_ok()));
-                            return;
-                        }
-                        fos.call(
-                            Syscall::CapCreateRevtree { cid: base },
-                            move |s: &mut Script, res, fos| {
-                                s.cids.push(res.cid());
-                                mint(s, base, left - 1, fos);
-                            },
-                        );
-                    }
-                    mint(s, base, n, fos);
-                }
+                // One indirection object everything points at, or one
+                // separately revocable node per capability.
+                let nodes = if shared_tree { 1 } else { n };
+                let revtrees = vec![Syscall::CapCreateRevtree { cid: base }; nodes];
+                fos.chain(revtrees, move |s: &mut Script, res, fos| {
+                    s.cids.extend(res.unwrap());
+                    let (key, published) = if shared_tree {
+                        ("obj", s.cids[1])
+                    } else {
+                        ("ready", base)
+                    };
+                    fos.kv_put(key, published, |_, res, _| assert!(res.is_ok()));
+                });
             });
         }),
     );
@@ -369,7 +323,7 @@ pub fn revoke_latency(n: usize, shared_tree: bool, ctrl_on_snic: bool) -> f64 {
 
     // Revoke from the owner and time it.
     let fos = tb.fos_of::<Script>(owner);
-    let victims: Vec<fractos_cap::Cid> = tb.with_service::<Script, _>(owner, |s| {
+    let victims: Vec<Cid> = tb.with_service::<Script, _>(owner, |s| {
         if shared_tree {
             vec![s.cids[1]]
         } else {
@@ -381,7 +335,7 @@ pub fn revoke_latency(n: usize, shared_tree: bool, ctrl_on_snic: bool) -> f64 {
     // one. Each completion stamps; the measured window ends at the last
     // revocation *reply* (the out-of-band cleanup broadcast runs after and
     // is not latency-critical, §3.5).
-    fn revoke_seq(fos: &Fos<Script>, mut rest: Vec<fractos_cap::Cid>) {
+    fn revoke_seq(fos: &Fos<Script>, mut rest: Vec<Cid>) {
         let Some(cid) = rest.pop() else { return };
         fos.call(
             Syscall::CapRevoke { cid },

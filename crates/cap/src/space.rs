@@ -41,6 +41,12 @@ impl CapSpace {
         }
     }
 
+    /// Caps the space at `quota` live slots. Capabilities already held
+    /// stay; insertions fail while `quota` or more are live.
+    pub fn set_quota(&mut self, quota: usize) {
+        self.quota = quota;
+    }
+
     /// Inserts a capability at the lowest free index.
     pub fn insert(&mut self, cap: CapRef) -> Result<Cid> {
         if self.live >= self.quota {

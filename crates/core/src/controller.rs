@@ -183,12 +183,12 @@ impl ControllerActor {
         self.spaces.insert(proc, CapSpace::new());
     }
 
-    /// Caps the Process's capability space at `quota` slots (§4: "a set
-    /// amount of memory for the capability space … can be capped via
-    /// quotas"). Only effective before the Process holds capabilities.
+    /// Caps the Process's capability space at `quota` live slots (§4: "a
+    /// set amount of memory for the capability space … can be capped via
+    /// quotas"). Capabilities the Process already holds stay.
     pub fn set_capspace_quota(&mut self, proc: ProcId, quota: usize) {
-        if self.spaces.get(&proc).is_some_and(|s| s.is_empty()) {
-            self.spaces.insert(proc, CapSpace::with_quota(quota));
+        if let Some(space) = self.spaces.get_mut(&proc) {
+            space.set_quota(quota);
         }
     }
 

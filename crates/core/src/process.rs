@@ -9,14 +9,25 @@
 //! library for the same purpose (§4). Continuations receive `&mut S`, so
 //! services keep plain owned state without interior mutability.
 //!
-//! Two methods carry the §3.4 call/return idiom so services do not spell
-//! out the syscalls: [`Fos::invoke_with`] calls a Request, minting the
-//! continuations the callee answers through, and [`Fos::reply_via`]
-//! answers by invoking the continuation it was handed.
+//! The library's two combinators are [`Fos::call_all`], the join, and
+//! [`Fos::chain`], the sequence: syscalls issued one after the other,
+//! each once the previous one has replied, ending in one continuation that
+//! gets every minted capability or the first failure. Services are written
+//! against the idioms built on the chain rather than against nested
+//! per-syscall closures:
+//!
+//! * [`Fos::reply_via`] — answer a call by invoking the continuation it
+//!   handed over (§3.4: a reply *is* an invocation);
+//! * [`Fos::invoke_with`] — call a Request: mint the continuations the
+//!   callee answers through, derive, invoke. [`Fos::invoke_with_or`] is
+//!   the same call with an error continuation, and [`Fos::derive_with`]
+//!   stops before the invoke and hands back the derived Request;
+//! * [`Fos::publish`] — create a Request and put it in the bootstrap
+//!   registry.
 
 use std::collections::{HashMap, VecDeque};
 
-use fractos_cap::{Cid, Perms};
+use fractos_cap::{CapError, Cid, Perms};
 use fractos_net::{Endpoint, Payload, TrafficClass};
 use fractos_sim::{
     Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TelemetryKind, TraceCtx,
@@ -59,6 +70,16 @@ pub trait Service: Send + 'static {
 
 type Cont<S> = Box<dyn FnOnce(&mut S, SyscallResult, &Fos<S>) + Send>;
 type TimerCont<S> = Box<dyn FnOnce(&mut S, &Fos<S>) + Send>;
+type ChainCont<S> = Box<dyn FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send>;
+
+/// One link of a chain: the next syscall, built once every link before it
+/// has replied, from the capabilities they minted. A link that cannot be
+/// built ends the chain with its error.
+type Link = Box<dyn FnOnce(&[Cid]) -> Result<Syscall, FosError> + Send>;
+
+fn fixed(sc: Syscall) -> Link {
+    Box::new(move |_| Ok(sc))
+}
 
 enum Out {
     Syscall {
@@ -233,6 +254,50 @@ impl<S: Service> Fos<S> {
         }
     }
 
+    /// Issues `calls` one after the other, each only once the previous one
+    /// has replied — the sequential (`then`) combinator of the paper's
+    /// promise/future library (§4), the counterpart of [`Fos::call_all`].
+    /// `k` runs once, with every capability the calls minted in call order,
+    /// or with the first failure; the chain stops at that failure.
+    pub fn chain(
+        &self,
+        calls: Vec<Syscall>,
+        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send + 'static,
+    ) {
+        self.run_links(calls.into_iter().map(fixed).collect(), Box::new(k));
+    }
+
+    fn run_links(&self, mut links: VecDeque<Link>, k: ChainCont<S>) {
+        // Nothing is minted before the first link, so it reads nothing.
+        let done = match links.pop_front().map(|link| link(&[])) {
+            Some(Ok(sc)) => return self.link(sc, links, Vec::new(), k),
+            Some(Err(e)) => Err(e),
+            None => Ok(Vec::new()),
+        };
+        // Degenerate chain: complete via a null syscall so `k` still runs
+        // from a continuation context.
+        self.call(Syscall::Null, move |s, _res, fos| k(s, done, fos));
+    }
+
+    fn link(&self, sc: Syscall, mut rest: VecDeque<Link>, mut minted: Vec<Cid>, k: ChainCont<S>) {
+        self.call(sc, move |s, res, fos| {
+            let next = match res {
+                SyscallResult::Err(e) => Err(e),
+                res => {
+                    if let SyscallResult::NewCid(cid) = res {
+                        minted.push(cid);
+                    }
+                    rest.pop_front().map(|link| link(&minted)).transpose()
+                }
+            };
+            match next {
+                Ok(Some(sc)) => fos.link(sc, rest, minted, k),
+                Ok(None) => k(s, Ok(minted), fos),
+                Err(e) => k(s, Err(e), fos),
+            }
+        });
+    }
+
     /// Arms a local timer; `k` runs after `delay` of virtual time. Used by
     /// device adaptors to model device service times.
     pub fn sleep(&self, delay: SimDuration, k: impl FnOnce(&mut S, &Fos<S>) + Send + 'static) {
@@ -346,12 +411,15 @@ impl<S: Service> Fos<S> {
     /// The service-reply idiom: derive the received continuation Request
     /// with result arguments and invoke it (§3.4 — a reply *is* the
     /// invocation of a continuation).
+    ///
+    /// A failure means the continuation was revoked or its holder died, and
+    /// there is nobody left to answer — except when this Process's own
+    /// capability space is full: the continuation is intact then, so it is
+    /// invoked bare and the caller resumes without the results.
     pub fn reply_via(&self, cont: Cid, imms: Vec<Payload>, caps: Vec<Cid>) {
-        self.request_derive(cont, imms, caps, |_s, res, fos| {
-            // A failed derivation means the continuation was revoked or its
-            // holder died; there is nobody left to answer.
-            if let SyscallResult::NewCid(cid) = res {
-                fos.request_invoke(cid, |_, _, _| {});
+        self.invoke_with_or(cont, imms, caps, vec![], move |_s, err, fos| {
+            if err == FosError::Cap(CapError::SpaceExhausted) {
+                fos.request_invoke(cont, |_, _, _| {});
             }
         });
     }
@@ -360,32 +428,107 @@ impl<S: Service> Fos<S> {
     /// one continuation Request per `(tag, imms)` of `conts`, derive `target`
     /// with `imms` and `caps` followed by those continuations in order, and
     /// invoke the derived Request (§3.4 — a call hands the callee the
-    /// Requests it returns through). The syscalls go out one after the
-    /// other: each create, then the derive, then the invoke.
+    /// Requests it returns through). The syscalls go out as one chain: each
+    /// create, then the derive, then the invoke.
     ///
     /// # Panics
     ///
     /// The caller holds `target` and provides the continuations itself, so
-    /// a create or derive that mints no capability is a bug in the caller
-    /// and panics; use [`Fos::request_derive`] where `target` may be revoked.
+    /// any failure is a bug in the caller and panics; use
+    /// [`Fos::invoke_with_or`] where `target` may be revoked or unreachable.
     pub fn invoke_with(
         &self,
         target: Cid,
         imms: Vec<Payload>,
-        mut caps: Vec<Cid>,
-        mut conts: Vec<(u64, Vec<Payload>)>,
+        caps: Vec<Cid>,
+        conts: Vec<(u64, Vec<Payload>)>,
     ) {
-        if conts.is_empty() {
-            self.request_derive(target, imms, caps, |_s, res, fos| {
-                fos.request_invoke(res.cid(), |_, res, _| debug_assert!(res.is_ok()));
-            });
-            return;
-        }
-        let (tag, cont_imms) = conts.remove(0);
-        self.request_create_new(tag, cont_imms, vec![], move |_s, res, fos| {
-            caps.push(res.cid());
-            fos.invoke_with(target, imms, caps, conts);
+        self.invoke_with_or(target, imms, caps, conts, |_s, err, _fos| {
+            panic!("invoke_with: {err:?}")
         });
+    }
+
+    /// [`Fos::invoke_with`] that hands the first failure of its chain to
+    /// `on_err` instead of panicking.
+    pub fn invoke_with_or(
+        &self,
+        target: Cid,
+        imms: Vec<Payload>,
+        caps: Vec<Cid>,
+        conts: Vec<(u64, Vec<Payload>)>,
+        on_err: impl FnOnce(&mut S, FosError, &Fos<S>) + Send + 'static,
+    ) {
+        let mut links = Self::derive_links(target, imms, caps, conts);
+        // The derived Request is the last capability the chain minted.
+        links.push_back(Box::new(|minted| {
+            let cid = minted.last().copied().ok_or(FosError::WrongObjectKind)?;
+            Ok(Syscall::RequestInvoke { cid })
+        }));
+        self.run_links(
+            links,
+            Box::new(move |s, done, fos| {
+                if let Err(err) = done {
+                    on_err(s, err, fos);
+                }
+            }),
+        );
+    }
+
+    /// The first half of [`Fos::invoke_with`], for a caller that keeps the
+    /// derived Request instead of invoking it: `k` receives the minted
+    /// continuations followed by the derived Request, or the first failure.
+    pub fn derive_with(
+        &self,
+        target: Cid,
+        imms: Vec<Payload>,
+        caps: Vec<Cid>,
+        conts: Vec<(u64, Vec<Payload>)>,
+        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send + 'static,
+    ) {
+        self.run_links(Self::derive_links(target, imms, caps, conts), Box::new(k));
+    }
+
+    /// The links shared by the `invoke_with` family: one create per
+    /// continuation, then the derive that appends them to `caps`.
+    fn derive_links(
+        target: Cid,
+        imms: Vec<Payload>,
+        mut caps: Vec<Cid>,
+        conts: Vec<(u64, Vec<Payload>)>,
+    ) -> VecDeque<Link> {
+        let mut links: VecDeque<Link> = conts
+            .into_iter()
+            .map(|(tag, imms)| fixed(Syscall::new_request(tag, imms)))
+            .collect();
+        links.push_back(Box::new(move |conts| {
+            caps.extend_from_slice(conts);
+            Ok(Syscall::RequestCreate {
+                base: Some(target),
+                tag: 0,
+                imms,
+                caps,
+            })
+        }));
+        links
+    }
+
+    /// Publishes a new Request this Process provides under `key` in the
+    /// bootstrap registry: `request_create`, then `kv_put`. `k` receives the
+    /// published Request, or the first failure.
+    pub fn publish(
+        &self,
+        key: &str,
+        tag: u64,
+        imms: Vec<Payload>,
+        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send + 'static,
+    ) {
+        let key = key.to_string();
+        let put: Link = Box::new(move |minted| {
+            let cid = minted.first().copied().ok_or(FosError::WrongObjectKind)?;
+            Ok(Syscall::KvPut { key, cid })
+        });
+        let links = VecDeque::from([fixed(Syscall::new_request(tag, imms)), put]);
+        self.run_links(links, Box::new(k));
     }
 
     /// Writes into this Process's own memory (ordinary local access, not a

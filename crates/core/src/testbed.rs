@@ -385,7 +385,8 @@ impl Testbed {
             .post(SimDuration::ZERO, actor, ProcMsg::Timer { token: u64::MAX });
     }
 
-    /// Caps a Process's capability space (call before it runs).
+    /// Caps a Process's capability space at `quota` live slots; the
+    /// capabilities it already holds stay.
     pub fn set_capspace_quota(&mut self, proc: ProcId, quota: usize) {
         let ctrl = self.dir.borrow().proc(proc).expect("registered").ctrl;
         let actor = self.ctrl_actor(ctrl);

@@ -210,6 +210,17 @@ pub enum Syscall {
 }
 
 impl Syscall {
+    /// `request_create` of a brand-new Request this Process provides, with
+    /// `imms` preset and no capability arguments.
+    pub fn new_request(tag: u64, imms: Vec<Payload>) -> Syscall {
+        Syscall::RequestCreate {
+            base: None,
+            tag,
+            imms,
+            caps: vec![],
+        }
+    }
+
     /// Short operation name (for traces and span labels).
     pub fn name(&self) -> &'static str {
         &self.counter()["ctrl.ops.".len()..]

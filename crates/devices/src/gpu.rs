@@ -183,42 +183,33 @@ impl GpuAdaptor {
         self.contexts
             .insert(ctx_id, GpuContext { allocs: Vec::new() });
         let init_time = self.device.params.init_time;
-        fos.sleep_dev(init_time, "gpu.init", move |s: &mut Self, fos| {
-            let _ = s;
+        fos.sleep_dev(init_time, "gpu.init", move |_s: &mut Self, fos| {
             // Mint the per-context alloc and load Requests; their context id
             // is preset and immutable (refinement security, §3.4).
-            fos.request_create_new(
-                TAG_GPU_ALLOC,
-                vec![imm(ctx_id)],
-                vec![],
-                move |_s, res, fos| {
-                    let alloc_req = res.cid();
-                    fos.request_create_new(
-                        TAG_GPU_LOAD,
-                        vec![imm(ctx_id)],
-                        vec![],
-                        move |_s: &mut Self, res, fos| {
-                            let load_req = res.cid();
-                            // Watch the alloc Request's delegations: when the
-                            // client revokes (or dies), reap the context.
-                            fos.call(
-                                Syscall::MonitorDelegate {
-                                    cid: alloc_req,
-                                    callback_id: ctx_id,
-                                },
-                                move |s: &mut Self, res, fos| {
-                                    if !res.is_ok() {
-                                        // Reaping for this context is
-                                        // degraded; the context still works.
-                                        s.setup_failures += 1;
-                                    }
-                                    fos.reply_via(cont, vec![], vec![alloc_req, load_req]);
-                                },
-                            );
-                        },
-                    );
-                },
-            );
+            let request = |tag| Syscall::new_request(tag, vec![imm(ctx_id)]);
+            let requests = vec![request(TAG_GPU_ALLOC), request(TAG_GPU_LOAD)];
+            fos.chain(requests, move |s: &mut Self, res, fos| {
+                let Ok(&[alloc_req, load_req]) = res.as_deref() else {
+                    // The context cannot be offered: answer without it.
+                    s.setup_failures += 1;
+                    fos.reply_via(cont, vec![], vec![]);
+                    return;
+                };
+                // Watch the alloc Request's delegations: when the client
+                // revokes (or dies), reap the context.
+                let monitor = Syscall::MonitorDelegate {
+                    cid: alloc_req,
+                    callback_id: ctx_id,
+                };
+                fos.call(monitor, move |s: &mut Self, res, fos| {
+                    if !res.is_ok() {
+                        // Reaping for this context is degraded; the context
+                        // still works.
+                        s.setup_failures += 1;
+                    }
+                    fos.reply_via(cont, vec![], vec![alloc_req, load_req]);
+                });
+            });
         });
     }
 
@@ -258,15 +249,16 @@ impl GpuAdaptor {
         }
         let load_time = self.device.params.load_time;
         fos.sleep_dev(load_time, "gpu.load", move |_s: &mut Self, fos| {
-            fos.request_create_new(
-                TAG_GPU_INVOKE,
-                vec![imm(ctx_id), imm(kernel_id)],
-                vec![],
-                move |_s: &mut Self, res, fos| {
-                    let invoke_req = res.cid();
-                    fos.reply_via(cont, vec![], vec![invoke_req]);
-                },
-            );
+            let imms = vec![imm(ctx_id), imm(kernel_id)];
+            fos.request_create_new(TAG_GPU_INVOKE, imms, vec![], move |s, res, fos| {
+                let SyscallResult::NewCid(invoke_req) = res else {
+                    // The kernel cannot be offered: answer without it.
+                    s.setup_failures += 1;
+                    fos.reply_via(cont, vec![], vec![]);
+                    return;
+                };
+                fos.reply_via(cont, vec![], vec![invoke_req]);
+            });
         });
     }
 
@@ -389,12 +381,10 @@ impl GpuAdaptor {
 impl Service for GpuAdaptor {
     fn on_start(&mut self, fos: &Fos<Self>) {
         let key = format!("{}.init", self.key_prefix);
-        fos.request_create_new(TAG_GPU_INIT, vec![], vec![], move |_s, res, fos| {
-            fos.kv_put(&key, res.cid(), |s: &mut Self, res, _| {
-                if !res.is_ok() {
-                    s.setup_failures += 1;
-                }
-            });
+        fos.publish(&key, TAG_GPU_INIT, vec![], |s: &mut Self, res, _| {
+            if res.is_err() {
+                s.setup_failures += 1;
+            }
         });
     }
 

@@ -349,36 +349,29 @@ impl BlockAdaptor {
         // has revoked (or died), the volume's storage is reclaimed — the
         // §3.5 "free one of their blocks" pattern, driven entirely by the
         // capability machinery.
-        fos.request_create_new(
-            TAG_BLK_READ,
-            vec![imm(vol)],
-            vec![],
-            move |_s: &mut Self, res, fos| {
-                let read_req = res.cid();
-                fos.request_create_new(
-                    TAG_BLK_WRITE,
-                    vec![imm(vol)],
-                    vec![],
-                    move |_s: &mut Self, res, fos| {
-                        let write_req = res.cid();
-                        fos.call(
-                            fractos_core::types::Syscall::MonitorDelegate {
-                                cid: read_req,
-                                callback_id: vol,
-                            },
-                            move |s: &mut Self, res, fos| {
-                                if !res.is_ok() {
-                                    // Reaping for this volume is degraded;
-                                    // the volume itself still works.
-                                    s.setup_failures += 1;
-                                }
-                                fos.reply_via(cont, vec![imm(vol)], vec![read_req, write_req]);
-                            },
-                        );
-                    },
-                );
-            },
-        );
+        let request = |tag| Syscall::new_request(tag, vec![imm(vol)]);
+        let requests = vec![request(TAG_BLK_READ), request(TAG_BLK_WRITE)];
+        fos.chain(requests, move |s: &mut Self, res, fos| {
+            let Ok(&[read_req, write_req]) = res.as_deref() else {
+                // The volume cannot be offered: free it and answer without.
+                s.setup_failures += 1;
+                s.device.delete_volume(vol);
+                fos.reply_via(cont, vec![imm(vol)], vec![]);
+                return;
+            };
+            let monitor = Syscall::MonitorDelegate {
+                cid: read_req,
+                callback_id: vol,
+            };
+            fos.call(monitor, move |s: &mut Self, res, fos| {
+                if !res.is_ok() {
+                    // Reaping for this volume is degraded; the volume
+                    // itself still works.
+                    s.setup_failures += 1;
+                }
+                fos.reply_via(cont, vec![imm(vol)], vec![read_req, write_req]);
+            });
+        });
     }
 
     fn on_read(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
@@ -627,12 +620,10 @@ impl Service for BlockAdaptor {
             });
         }
         let key = format!("{}.create_vol", self.key);
-        fos.request_create_new(TAG_BLK_CREATE_VOL, vec![], vec![], move |_s, res, fos| {
-            fos.kv_put(&key, res.cid(), |s: &mut Self, res, _| {
-                if !res.is_ok() {
-                    s.setup_failures += 1;
-                }
-            });
+        fos.publish(&key, TAG_BLK_CREATE_VOL, vec![], |s: &mut Self, res, _| {
+            if res.is_err() {
+                s.setup_failures += 1;
+            }
         });
     }
 

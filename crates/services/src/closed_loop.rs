@@ -3,8 +3,9 @@
 //! §6 measures each application figure the same way: `total` requests with
 //! a fixed window kept in flight, the next one issued when one completes.
 //! [`ClosedLoop`] is that bookkeeping as a plain value, so the FractOS
-//! clients in `fractos-bench` and the raw baseline clients here differ only
-//! in how they put a request on the wire.
+//! clients (the face-verification client here, the GPU and storage clients
+//! in `fractos-bench`) and the raw baseline clients in `fractos-baselines`
+//! differ only in how they put a request on the wire.
 
 use fractos_sim::SimTime;
 
@@ -46,6 +47,11 @@ impl ClosedLoop {
     /// when that is shorter.
     pub fn prime(&self) -> u64 {
         self.window.min(self.total)
+    }
+
+    /// Requests issued and not yet completed.
+    pub fn outstanding(&self) -> u64 {
+        self.in_flight.len() as u64
     }
 
     /// Starts the next request at `now` and returns its token (0, 1, 2, …

@@ -31,6 +31,7 @@ use fractos_core::types::Syscall;
 use fractos_devices::proto::{imm, imm_at, DevError};
 use fractos_sim::{SimDuration, SimTime};
 
+use crate::closed_loop::ClosedLoop;
 use crate::matcher::{synth_face, MATCH_THRESHOLD};
 
 /// Frontend: verify a batch. Imms: `[batch, first id]`.
@@ -184,14 +185,16 @@ impl FaceVerifyFrontend {
     fn boot(&mut self, phase: u64, fos: &Fos<Self>) {
         let cont = (TAG_FV_BOOT, vec![imm(phase), imm(0)]);
         match phase {
-            // Phase 0: gpu.init, looked up once its continuation exists.
+            // Phase 0: gpu.init, looked up once its continuation exists. A
+            // failure leaves the frontend unready, which deployment checks.
             0 => {
+                let (tag, imms) = cont;
                 let key = format!("{}.init", self.cfg.gpu_key);
-                fos.request_create_new(cont.0, cont.1, vec![], move |_s: &mut Self, res, fos| {
-                    let cont = res.cid();
-                    fos.call(Syscall::KvGet { key }, move |_s, res, fos| {
-                        fos.invoke_with(res.cid(), vec![], vec![cont], vec![]);
-                    });
+                let calls = vec![Syscall::new_request(tag, imms), Syscall::KvGet { key }];
+                fos.chain(calls, |_s, res, fos| {
+                    if let Ok(&[cont, init]) = res.as_deref() {
+                        fos.invoke_with(init, vec![], vec![cont], vec![]);
+                    }
                 });
             }
             // Phase 1+2k: allocate input buffer for slot k; 2+2k: output.
@@ -214,12 +217,17 @@ impl FaceVerifyFrontend {
         }
     }
 
+    /// Bootstrap replies. An adaptor that cannot offer a context or a
+    /// kernel answers without capabilities, and the frontend stays unready.
     fn on_boot_reply(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
         let phase = imm_at(&req.imms, 0).unwrap_or(u64::MAX);
         match phase {
             0 => {
-                self.alloc_req = Some(req.caps[0]);
-                self.load_req = Some(req.caps[1]);
+                let [alloc, load] = req.caps[..] else {
+                    return;
+                };
+                self.alloc_req = Some(alloc);
+                self.load_req = Some(load);
                 self.boot(1, fos);
             }
             p if p >= 1 && p < 1 + 2 * self.cfg.pool as u64 => {
@@ -238,28 +246,21 @@ impl FaceVerifyFrontend {
                 self.boot(p + 1, fos);
             }
             p if p == 1 + 2 * self.cfg.pool as u64 => {
-                self.invoke_req = Some(req.caps[0]);
+                let Some(&invoke) = req.caps.first() else {
+                    return;
+                };
+                self.invoke_req = Some(invoke);
                 // Fetch the database read Request, publish verify, done.
-                let db_key = self.cfg.db_read_key.clone();
-                let verify_key = self.cfg.verify_key.clone();
-                fos.call(
-                    Syscall::KvGet { key: db_key },
-                    move |s: &mut Self, res, fos| {
-                        s.db_read_req = Some(res.cid());
-                        fos.request_create_new(
-                            TAG_FV_VERIFY,
-                            vec![],
-                            vec![],
-                            move |_s: &mut Self, res, fos| {
-                                let v = res.cid();
-                                fos.kv_put(&verify_key, v, |s: &mut Self, res, _| {
-                                    debug_assert!(res.is_ok());
-                                    s.ready = true;
-                                });
-                            },
-                        );
-                    },
-                );
+                let key = self.cfg.verify_key.clone();
+                fos.kv_get(&self.cfg.db_read_key, move |s, res, fos| {
+                    let SyscallResult::NewCid(db_read) = res else {
+                        return;
+                    };
+                    s.db_read_req = Some(db_read);
+                    fos.publish(&key, TAG_FV_VERIFY, vec![], |s, res, _| {
+                        s.ready = res.is_ok();
+                    });
+                });
             }
             _ => {}
         }
@@ -321,122 +322,56 @@ impl FaceVerifyFrontend {
         let in_mem = self.slots[slot].in_mem;
         let out_mem = self.slots[slot].out_mem;
         let invoke_base = self.invoke_req.expect("ready");
-
-        // Query-half view.
-        fos.call(
-            Syscall::MemoryDiminish {
-                cid: in_mem,
-                offset: 0,
-                size: batch * img,
-                drop_perms: Perms::NONE,
-            },
-            move |_s: &mut Self, res, fos| {
-                let SyscallResult::NewCid(in_a) = res else { return };
-                // Reference-half view.
-                fos.call(
-                    Syscall::MemoryDiminish {
-                        cid: in_mem,
-                        offset: batch * img,
-                        size: batch * img,
-                        drop_perms: Perms::NONE,
-                    },
-                    move |_s: &mut Self, res, fos| {
-                        let SyscallResult::NewCid(in_b) = res else { return };
-                        // Whole-input view the kernel reads.
-                        fos.call(
-                            Syscall::MemoryDiminish {
-                                cid: in_mem,
-                                offset: 0,
-                                size: 2 * batch * img,
-                                drop_perms: Perms::WRITE,
-                            },
-                            move |_s: &mut Self, res, fos| {
-                                let SyscallResult::NewCid(k_in) = res else { return };
-                                // Output view.
-                                fos.call(
-                                    Syscall::MemoryDiminish {
-                                        cid: out_mem,
-                                        offset: 0,
-                                        size: batch,
-                                        drop_perms: Perms::NONE,
-                                    },
-                                    move |_s: &mut Self, res, fos| {
-                                        let SyscallResult::NewCid(out_view) = res else {
-                                            return;
-                                        };
-                                        // Frontend continuations.
-                                        fos.request_create_new(
-                                            TAG_FV_GPU_DONE,
-                                            vec![imm(slot as u64)],
-                                            vec![],
-                                            move |_s: &mut Self, res, fos| {
-                                                let done = res.cid();
-                                                fos.request_create_new(
-                                                    TAG_FV_ERR,
-                                                    vec![imm(slot as u64)],
-                                                    vec![],
-                                                    move |_s: &mut Self, res, fos| {
-                                                        let err = res.cid();
-                                                        // Fully pre-derive
-                                                        // the kernel Request.
-                                                        fos.request_derive(
-                                                            invoke_base,
-                                                            vec![imm(batch), imm(img)],
-                                                            vec![k_in, out_view, done, err],
-                                                            move |s: &mut Self, res, fos| {
-                                                                let SyscallResult::NewCid(
-                                                                    kernel_req,
-                                                                ) = res
-                                                                else {
-                                                                    s.fail_slot(slot, fos);
-                                                                    return;
-                                                                };
-                                                                let out_local_addr =
-                                                                    fos.mem_alloc(
-                                                                        s.cfg.max_batch,
-                                                                    );
-                                                                fos.memory_create(
-                                                                    out_local_addr,
-                                                                    s.cfg.max_batch,
-                                                                    Perms::RW,
-                                                                    move |s: &mut Self,
-                                                                          res,
-                                                                          fos| {
-                                                                        let SyscallResult::NewCid(out_local) = res else {
-                                                                            s.fail_slot(slot, fos);
-                                                                            return;
-                                                                        };
-                                                                        s.slots[slot].cache =
-                                                                            Some(SlotCache {
-                                                                                batch,
-                                                                                in_a,
-                                                                                in_b,
-                                                                                kernel_req,
-                                                                                err,
-                                                                                out_local_addr,
-                                                                                out_local,
-                                                                                out_view,
-                                                                            });
-                                                                        s.issue(
-                                                                            slot, first_id,
-                                                                            query_mem, fos,
-                                                                        );
-                                                                    },
-                                                                );
-                                                            },
-                                                        );
-                                                    },
-                                                );
-                                            },
-                                        );
-                                    },
-                                );
-                            },
-                        );
-                    },
-                );
-            },
-        );
+        let view = |cid, offset, size, drop_perms| Syscall::MemoryDiminish {
+            cid,
+            offset,
+            size,
+            drop_perms,
+        };
+        let views = vec![
+            // Query half, reference half, the whole input the kernel reads,
+            // and the output.
+            view(in_mem, 0, batch * img, Perms::NONE),
+            view(in_mem, batch * img, batch * img, Perms::NONE),
+            view(in_mem, 0, 2 * batch * img, Perms::WRITE),
+            view(out_mem, 0, batch, Perms::NONE),
+        ];
+        // Every failure below answers the request empty: the slot was
+        // marked busy and the request recorded by `on_verify`.
+        fos.chain(views, move |s, res, fos| {
+            let Ok(&[in_a, in_b, k_in, out_view]) = res.as_deref() else {
+                s.fail_slot(slot, fos);
+                return;
+            };
+            // The frontend's continuations, preset into the fully
+            // pre-derived kernel Request.
+            let cont = |tag| (tag, vec![imm(slot as u64)]);
+            let conts = vec![cont(TAG_FV_GPU_DONE), cont(TAG_FV_ERR)];
+            let (params, caps) = (vec![imm(batch), imm(img)], vec![k_in, out_view]);
+            fos.derive_with(invoke_base, params, caps, conts, move |s, res, fos| {
+                let Ok(&[_done, err, kernel_req]) = res.as_deref() else {
+                    s.fail_slot(slot, fos);
+                    return;
+                };
+                fos.memory_create_new(s.cfg.max_batch, Perms::RW, move |s, addr, res, fos| {
+                    let Ok(out_local) = res else {
+                        s.fail_slot(slot, fos);
+                        return;
+                    };
+                    s.slots[slot].cache = Some(SlotCache {
+                        batch,
+                        in_a,
+                        in_b,
+                        kernel_req,
+                        err,
+                        out_local_addr: addr,
+                        out_local,
+                        out_view,
+                    });
+                    s.issue(slot, first_id, query_mem, fos);
+                });
+            });
+        });
     }
 
     /// Fast path (steps 2–3): third-party copy of the queries into the GPU
@@ -461,18 +396,11 @@ impl FaceVerifyFrontend {
                     return;
                 }
             }
-            fos.request_derive(
-                db_read,
-                vec![imm(first_id * img), imm(batch * img)],
-                vec![in_b, kernel_req, err],
-                move |s: &mut Self, res, fos| {
-                    let SyscallResult::NewCid(read) = res else {
-                        s.fail_slot(slot, fos);
-                        return;
-                    };
-                    fos.request_invoke(read, |_, res, _| debug_assert!(res.is_ok()));
-                },
-            );
+            let range = vec![imm(first_id * img), imm(batch * img)];
+            let caps = vec![in_b, kernel_req, err];
+            fos.invoke_with_or(db_read, range, caps, vec![], move |s, _err, fos| {
+                s.fail_slot(slot, fos);
+            });
         });
     }
 
@@ -485,41 +413,30 @@ impl FaceVerifyFrontend {
         let Some(slot) = imm_at(&req.imms, 0).map(|s| s as usize) else {
             return;
         };
-        if self.inflight[slot].is_none() {
+        // A completion for a slot with no request in flight, or one whose
+        // cache is being rebuilt, is stale.
+        let (Some(inflight), Some(cache)) = (&self.inflight[slot], &self.slots[slot].cache) else {
             return;
-        }
+        };
+        let (batch, out_view) = (inflight.batch, cache.out_view);
         if let Some(out_write) = self.out_write_req {
-            let cache = self.slots[slot].cache.as_ref().expect("cache built");
-            let (out_view, err) = (cache.out_view, cache.err);
-            let batch = self.inflight[slot].as_ref().expect("checked").batch;
-            let Some(inflight) = self.inflight[slot].take() else {
-                return;
-            };
-            let reply = inflight.reply;
+            let caps = vec![out_view, inflight.reply, cache.err];
             // Distinct output region per slot so concurrent requests do
             // not clobber each other.
             let offset = slot as u64 * self.cfg.max_batch;
+            self.inflight[slot] = None;
             self.slots[slot].busy = false;
             self.served += 1;
-            fos.request_derive(
-                out_write,
-                vec![imm(offset), imm(batch)],
-                vec![out_view, reply, err],
-                move |s: &mut Self, res, fos| {
-                    if let SyscallResult::NewCid(w) = res {
-                        fos.request_invoke(w, |_, res, _| debug_assert!(res.is_ok()));
-                    }
-                    if let Some(queued) = s.backlog.pop_front() {
-                        s.on_verify(queued, fos);
-                    }
-                },
-            );
+            let range = vec![imm(offset), imm(batch)];
+            fos.request_derive(out_write, range, caps, move |s: &mut Self, res, fos| {
+                if let SyscallResult::NewCid(w) = res {
+                    fos.request_invoke(w, |_, res, _| debug_assert!(res.is_ok()));
+                }
+                s.admit_queued(fos);
+            });
             return;
         }
-        let cache = self.slots[slot].cache.as_ref().expect("cache built");
-        let (out_view, out_local, out_addr) =
-            (cache.out_view, cache.out_local, cache.out_local_addr);
-        let batch = self.inflight[slot].as_ref().expect("checked").batch;
+        let (out_local, out_addr) = (cache.out_local, cache.out_local_addr);
         fos.memory_copy(out_view, out_local, move |s: &mut Self, res, fos| {
             match res {
                 SyscallResult::Ok => {}
@@ -541,11 +458,15 @@ impl FaceVerifyFrontend {
             s.slots[slot].busy = false;
             s.served += 1;
             fos.reply_via(inflight.reply, vec![distances], vec![]);
-            // Admit one queued request, if any.
-            if let Some(queued) = s.backlog.pop_front() {
-                s.on_verify(queued, fos);
-            }
+            s.admit_queued(fos);
         });
+    }
+
+    /// A slot came free: admit one queued request, if any.
+    fn admit_queued(&mut self, fos: &Fos<Self>) {
+        if let Some(queued) = self.backlog.pop_front() {
+            self.on_verify(queued, fos);
+        }
     }
 
     /// Decides what to do with a typed error for `slot`'s in-flight
@@ -584,9 +505,7 @@ impl FaceVerifyFrontend {
             self.slots[slot].busy = false;
             fos.reply_via(inflight.reply, vec![Payload::empty()], vec![]);
         }
-        if let Some(queued) = self.backlog.pop_front() {
-            self.on_verify(queued, fos);
-        }
+        self.admit_queued(fos);
     }
 }
 
@@ -638,10 +557,6 @@ pub struct FvClient {
     pub img_bytes: u64,
     /// Batch size per request.
     pub batch: u64,
-    /// Total requests to issue.
-    pub requests: u64,
-    /// Requests kept in flight.
-    pub in_flight: u64,
     /// Identity range to draw from.
     pub id_range: u64,
     /// When the frontend runs in `store_results` mode, replies arrive from
@@ -651,9 +566,8 @@ pub struct FvClient {
     /// Registry key of the frontend's verify Request.
     pub verify_key: String,
     verify_req: Option<Cid>,
-    issued: u64,
-    seq: u64,
-    pending_issue: Vec<(u64, SimTime)>,
+    /// Requests issued and in flight; a request's token is its `seq`.
+    run: ClosedLoop,
     /// Reusable registered query buffers: `(addr, Memory cid)` free list.
     buffers: Vec<(u64, Cid)>,
     /// Buffers lent out per in-flight seq.
@@ -672,15 +586,11 @@ impl FvClient {
         FvClient {
             img_bytes,
             batch,
-            requests,
-            in_flight: in_flight.max(1),
             id_range: 256,
             expect_stored: false,
             verify_key: "fv.verify".into(),
             verify_req: None,
-            issued: 0,
-            seq: 0,
-            pending_issue: Vec::new(),
+            run: ClosedLoop::new(requests, in_flight),
             buffers: Vec::new(),
             lent: Vec::new(),
             samples: Vec::new(),
@@ -689,14 +599,11 @@ impl FvClient {
     }
 
     fn issue_one(&mut self, fos: &Fos<Self>) {
-        if self.issued >= self.requests {
+        let Some(seq) = self.run.next(fos.now()) else {
             return;
-        }
+        };
         // Each top-level verification request roots its own span tree.
         fos.trace_root();
-        self.issued += 1;
-        let seq = self.seq;
-        self.seq += 1;
         let verify = self.verify_req.expect("bootstrapped");
         let batch = self.batch;
         let img = self.img_bytes;
@@ -709,10 +616,8 @@ impl FvClient {
         for i in 0..batch {
             data.extend(synth_face(first_id + i, img as usize, seq + 1));
         }
-        let issued_at = fos.now();
-        self.pending_issue.push((seq, issued_at));
         fos.telemetry_count("app.fv.issued", 1);
-        fos.telemetry_gauge("app.fv.inflight", self.pending_issue.len() as u64);
+        fos.telemetry_gauge("app.fv.inflight", self.run.outstanding());
 
         // Reuse a registered buffer when one is free (clients keep a small
         // pool, like the frontend's GPU buffer pool).
@@ -764,7 +669,7 @@ impl Service for FvClient {
             },
             |s: &mut Self, res, fos| {
                 s.verify_req = Some(res.cid());
-                for _ in 0..s.in_flight.min(s.requests) {
+                for _ in 0..s.run.prime() {
                     s.issue_one(fos);
                 }
             },
@@ -776,12 +681,7 @@ impl Service for FvClient {
             return;
         }
         let seq = imm_at(&req.imms, 0).unwrap_or(0);
-        let issued = self
-            .pending_issue
-            .iter()
-            .position(|(s, _)| *s == seq)
-            .map(|i| self.pending_issue.swap_remove(i).1)
-            .unwrap_or(SimTime::ZERO);
+        let issued = self.run.complete(seq, fos.now()).unwrap_or(SimTime::ZERO);
         // The appended immediate holds the distance bytes.
         let distances = req.imms.get(1).cloned().unwrap_or_default();
         if let Some(i) = self.lent.iter().position(|(s, _)| *s == seq) {
@@ -796,7 +696,7 @@ impl Service for FvClient {
             all_matched,
         };
         fos.telemetry_sample("app.fv.latency_ns", sample.latency().as_nanos());
-        fos.telemetry_gauge("app.fv.inflight", self.pending_issue.len() as u64);
+        fos.telemetry_gauge("app.fv.inflight", self.run.outstanding());
         self.samples.push(sample);
         self.issue_one(fos);
     }

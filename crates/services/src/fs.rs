@@ -106,21 +106,28 @@ struct FsFile {
     extents: Vec<Extent>,
 }
 
+/// One mediated read or write: the block Request it goes through, the
+/// in-extent range it covers, and the client's buffer and continuations.
+#[derive(Clone, Copy)]
+struct MediatedIo {
+    blk_req: Cid,
+    ext_off: u64,
+    size: u64,
+    client_mem: Cid,
+    success: Cid,
+    error: Cid,
+    is_read: bool,
+}
+
 /// In-flight mediated operation. Carries everything needed to *re-issue*
 /// the block operation: under a device-fault plan the adaptor may reply
 /// with a recoverable typed error ([`DevError::Media`],
 /// [`DevError::Integrity`], …) and the FS retries with backoff instead of
 /// propagating the first fault to the client.
 struct PendingOp {
-    client_mem: Cid,
-    client_success: Cid,
-    client_error: Cid,
+    io: MediatedIo,
     staging_view: Cid,
     staging_slot: usize,
-    blk_req: Cid,
-    ext_off: u64,
-    size: u64,
-    is_read: bool,
     attempts: u32,
 }
 
@@ -205,27 +212,9 @@ impl FsService {
         t
     }
 
-    /// Creates an internal continuation Request carrying `[kind, op]` and
-    /// passes its cid on. Under an armed fault plan the Controller may be
-    /// unable to mint the Request (retry budget exhausted); the callback
-    /// then receives the error so callers can fail the pending operation
-    /// instead of hanging it.
-    fn internal_cont(
-        fos: &Fos<Self>,
-        kind: u64,
-        op: u64,
-        k: impl FnOnce(&mut Self, Result<Cid, FosError>, &Fos<Self>) + Send + 'static,
-    ) {
-        fos.request_create_new(
-            TAG_FS_INTERNAL,
-            vec![imm(kind), imm(op)],
-            vec![],
-            move |s, res, fos| match res {
-                SyscallResult::NewCid(cid) => k(s, Ok(cid), fos),
-                SyscallResult::Err(e) => k(s, Err(e), fos),
-                _ => k(s, Err(FosError::WrongObjectKind), fos),
-            },
-        );
+    /// The internal continuation `(tag, imms)` for event `kind` of op `op`.
+    fn internal(kind: u64, op: u64) -> (u64, Vec<Payload>) {
+        (TAG_FS_INTERNAL, vec![imm(kind), imm(op)])
     }
 
     /// Acquires a free staging slot, growing the pool when all are busy
@@ -281,29 +270,15 @@ impl FsService {
         self.request_extent(fos, create_vol, op);
     }
 
+    /// Calls the block adaptor's `create_vol` for one more extent of
+    /// pending create `op`. Under an armed fault plan the Controller may be
+    /// unable to get the call out (retry budget exhausted); the create then
+    /// fails typed instead of hanging.
     fn request_extent(&mut self, fos: &Fos<Self>, create_vol: Cid, op: u64) {
-        let extent_size = self.extent_size;
-        FsService::internal_cont(fos, codes::FSI_EXTENT_READY, op, move |s, cont, fos| {
-            let Ok(cont) = cont else {
-                s.fail_create(op, fos);
-                return;
-            };
-            fos.request_derive(
-                create_vol,
-                vec![imm(extent_size)],
-                vec![cont],
-                move |s: &mut Self, res, fos| {
-                    let SyscallResult::NewCid(cid) = res else {
-                        s.fail_create(op, fos);
-                        return;
-                    };
-                    fos.request_invoke(cid, move |s: &mut Self, res, fos| {
-                        if !res.is_ok() {
-                            s.fail_create(op, fos);
-                        }
-                    });
-                },
-            );
+        let ready = vec![Self::internal(codes::FSI_EXTENT_READY, op)];
+        let size = vec![imm(self.extent_size)];
+        fos.invoke_with_or(create_vol, size, vec![], ready, move |s, _err, fos| {
+            s.fail_create(op, fos)
         });
     }
 
@@ -323,9 +298,13 @@ impl FsService {
     /// A `create_vol` completion arrived: `[vol]` imm plus
     /// `[read, write]` Requests.
     fn on_extent_ready(&mut self, op: u64, req: &IncomingRequest, fos: &Fos<Self>) {
-        // Reply imms: [kind, op, vol]; caps: [read, write].
+        // Reply imms: [kind, op, vol]; caps: [read, write], or none when the
+        // adaptor could not offer the volume.
         let vol = imm_at(&req.imms, 2).unwrap_or(0);
-        let (read_req, write_req) = (req.caps[0], req.caps[1]);
+        let [read_req, write_req] = req.caps[..] else {
+            self.fail_create(op, fos);
+            return;
+        };
         let Some(pending) = self.creates.get_mut(&op) else {
             return;
         };
@@ -363,41 +342,17 @@ impl FsService {
         match self.mode {
             FsMode::Mediated | FsMode::Compose => {
                 // Mint per-file FS read/write Requests with the file preset.
-                fos.request_create_new(
-                    TAG_FS_READ,
-                    vec![imm(file_id)],
-                    vec![],
-                    move |_s: &mut Self, res, fos| {
-                        let SyscallResult::NewCid(fs_read) = res else {
-                            fos.reply_via(cont, vec![imm(fs_err::INTERNAL)], vec![]);
-                            return;
-                        };
-                        if writable {
-                            fos.request_create_new(
-                                TAG_FS_WRITE,
-                                vec![imm(file_id)],
-                                vec![],
-                                move |_s: &mut Self, res, fos| {
-                                    let SyscallResult::NewCid(fs_write) = res else {
-                                        fos.reply_via(cont, vec![imm(fs_err::INTERNAL)], vec![]);
-                                        return;
-                                    };
-                                    fos.reply_via(
-                                        cont,
-                                        vec![imm(file_id), imm(extent_size)],
-                                        vec![fs_read, fs_write],
-                                    );
-                                },
-                            );
-                        } else {
-                            fos.reply_via(
-                                cont,
-                                vec![imm(file_id), imm(extent_size)],
-                                vec![fs_read],
-                            );
-                        }
-                    },
-                );
+                let handle = |tag| Syscall::new_request(tag, vec![imm(file_id)]);
+                let mut handles = vec![handle(TAG_FS_READ)];
+                if writable {
+                    handles.push(handle(TAG_FS_WRITE));
+                }
+                fos.chain(handles, move |_s, res, fos| match res {
+                    Ok(handles) => {
+                        fos.reply_via(cont, vec![imm(file_id), imm(extent_size)], handles)
+                    }
+                    Err(_) => fos.reply_via(cont, vec![imm(fs_err::INTERNAL)], vec![]),
+                });
             }
             FsMode::Dax => {
                 // Hand out the block-device Requests themselves, per extent
@@ -494,53 +449,34 @@ impl FsService {
                 // with the *client's* buffer and continuations. Data and
                 // completion flow device ↔ client directly.
                 self.completed_ops += 1;
-                fos.request_derive(
-                    blk_req,
-                    vec![imm(ext_off), imm(size)],
-                    vec![client_mem, success, error],
-                    move |_s, res, fos| {
-                        let SyscallResult::NewCid(cid) = res else {
-                            fos.reply_via(error, vec![imm(fs_err::COMPOSE)], vec![]);
-                            return;
-                        };
-                        fos.request_invoke(cid, move |_, res, fos| {
-                            if !res.is_ok() {
-                                fos.reply_via(error, vec![imm(fs_err::COMPOSE)], vec![]);
-                            }
-                        });
-                    },
-                );
+                let range = vec![imm(ext_off), imm(size)];
+                let caps = vec![client_mem, success, error];
+                fos.invoke_with_or(blk_req, range, caps, vec![], move |_s, _err, fos| {
+                    fos.reply_via(error, vec![imm(fs_err::COMPOSE)], vec![])
+                });
             }
             FsMode::Mediated | FsMode::Dax => {
                 // (A DAX client normally bypasses the FS, but the mediated
                 // path still works for it.)
-                self.grab_staging(fos, move |s: &mut Self, slot, fos| {
-                    let Ok(slot) = slot else {
-                        fos.reply_via(error, vec![imm(fs_err::STAGING)], vec![]);
-                        return;
-                    };
-                    s.mediated_io(
-                        slot, blk_req, ext_off, size, client_mem, success, error, is_read, fos,
-                    );
+                let io = MediatedIo {
+                    blk_req,
+                    ext_off,
+                    size,
+                    client_mem,
+                    success,
+                    error,
+                    is_read,
+                };
+                self.grab_staging(fos, move |s: &mut Self, slot, fos| match slot {
+                    Ok(slot) => s.mediated_io(slot, io, fos),
+                    Err(_) => fos.reply_via(error, vec![imm(fs_err::STAGING)], vec![]),
                 });
             }
         }
     }
 
     /// Mediated data path once a staging slot is held.
-    #[allow(clippy::too_many_arguments)]
-    fn mediated_io(
-        &mut self,
-        slot: usize,
-        blk_req: Cid,
-        ext_off: u64,
-        size: u64,
-        client_mem: Cid,
-        success: Cid,
-        error: Cid,
-        is_read: bool,
-        fos: &Fos<Self>,
-    ) {
+    fn mediated_io(&mut self, slot: usize, io: MediatedIo, fos: &Fos<Self>) {
         let staging_cid = self.staging[slot].cid;
         let op = self.op_token();
         // A sized view of the staging buffer for this operation.
@@ -548,78 +484,59 @@ impl FsService {
             Syscall::MemoryDiminish {
                 cid: staging_cid,
                 offset: 0,
-                size,
+                size: io.size,
                 drop_perms: Perms::NONE,
             },
             move |s: &mut Self, res, fos| {
                 let SyscallResult::NewCid(view) = res else {
                     s.staging[slot].busy = false;
-                    fos.reply_via(error, vec![imm(fs_err::STAGING)], vec![]);
+                    fos.reply_via(io.error, vec![imm(fs_err::STAGING)], vec![]);
                     return;
                 };
                 s.ops.insert(
                     op,
                     PendingOp {
-                        client_mem,
-                        client_success: success,
-                        client_error: error,
+                        io,
                         staging_view: view,
                         staging_slot: slot,
-                        blk_req,
-                        ext_off,
-                        size,
-                        is_read,
                         attempts: 0,
                     },
                 );
-                if is_read {
-                    // Device → staging, then staging → client.
-                    Self::start_blk(op, blk_req, ext_off, size, view, fos);
-                } else {
-                    // Client → staging, then staging → device.
-                    Self::start_write(op, blk_req, ext_off, size, client_mem, view, fos);
-                }
+                Self::start_io(op, io, view, fos);
             },
         );
     }
 
-    /// Mints fresh internal success/failure continuations and fires the
-    /// block operation for op `op`. Re-entered on every retry.
-    fn start_blk(op: u64, blk_req: Cid, ext_off: u64, size: u64, view: Cid, fos: &Fos<Self>) {
-        FsService::internal_cont(fos, codes::FSI_BLK_OK, op, move |s, done, fos| {
-            let Ok(done) = done else {
-                s.finish_op(op, false, fos);
-                return;
-            };
-            FsService::internal_cont(fos, codes::FSI_BLK_ERR, op, move |s, fail, fos| {
-                let Ok(fail) = fail else {
-                    s.finish_op(op, false, fos);
-                    return;
-                };
-                Self::invoke_blk(blk_req, ext_off, size, view, done, fail, op, fos);
-            });
-        });
-    }
-
-    /// Write data path: pull the client's payload into the staging view,
-    /// then commit it to the device. A corrupted pull (integrity envelope
+    /// (Re-)starts op `op`. A read goes device → staging, then staging →
+    /// client. A write pulls the client's payload into the staging view,
+    /// then commits it to the device; a corrupted pull (integrity envelope
     /// mismatch on the copy) is retried — the client's buffer still holds
     /// the payload, so re-pulling re-stamps it.
-    fn start_write(
-        op: u64,
-        blk_req: Cid,
-        ext_off: u64,
-        size: u64,
-        client_mem: Cid,
-        view: Cid,
-        fos: &Fos<Self>,
-    ) {
-        fos.memory_copy(client_mem, view, move |s: &mut Self, res, fos| match res {
-            SyscallResult::Ok => Self::start_blk(op, blk_req, ext_off, size, view, fos),
+    fn start_io(op: u64, io: MediatedIo, view: Cid, fos: &Fos<Self>) {
+        if io.is_read {
+            Self::start_blk(op, io, view, fos);
+            return;
+        }
+        fos.memory_copy(io.client_mem, view, move |s, res, fos| match res {
+            SyscallResult::Ok => Self::start_blk(op, io, view, fos),
             SyscallResult::Err(FosError::IntegrityViolation) => {
                 s.retry_or_fail(op, Some(DevError::Integrity.code()), fos)
             }
             _ => s.finish_op(op, false, fos),
+        });
+    }
+
+    /// Calls the block-device Request with the staging view and fresh
+    /// internal success/failure continuations. Any failure to get the call
+    /// out fails op `op` typed.
+    fn start_blk(op: u64, io: MediatedIo, view: Cid, fos: &Fos<Self>) {
+        let conts = vec![
+            Self::internal(codes::FSI_BLK_OK, op),
+            Self::internal(codes::FSI_BLK_ERR, op),
+        ];
+        let range = vec![imm(io.ext_off), imm(io.size)];
+        fos.invoke_with_or(io.blk_req, range, vec![view], conts, move |s, _err, fos| {
+            s.finish_op(op, false, fos)
         });
     }
 
@@ -644,47 +561,11 @@ impl FsService {
         }
         p.attempts += 1;
         let backoff = retry.rto(p.attempts - 1);
-        let (blk_req, ext_off, size, view) = (p.blk_req, p.ext_off, p.size, p.staging_view);
-        let (is_read, client_mem) = (p.is_read, p.client_mem);
+        let (io, view) = (p.io, p.staging_view);
         self.retried_ops += 1;
         fos.sleep(backoff, move |_s: &mut Self, fos| {
-            if is_read {
-                Self::start_blk(op, blk_req, ext_off, size, view, fos);
-            } else {
-                Self::start_write(op, blk_req, ext_off, size, client_mem, view, fos);
-            }
+            Self::start_io(op, io, view, fos)
         });
-    }
-
-    /// Derives the block-device Request with the staging view and internal
-    /// continuations, then fires it. Any failure fails op `op` typed.
-    #[allow(clippy::too_many_arguments)]
-    fn invoke_blk(
-        blk_req: Cid,
-        ext_off: u64,
-        size: u64,
-        view: Cid,
-        done: Cid,
-        fail: Cid,
-        op: u64,
-        fos: &Fos<Self>,
-    ) {
-        fos.request_derive(
-            blk_req,
-            vec![imm(ext_off), imm(size)],
-            vec![view, done, fail],
-            move |s: &mut Self, res, fos| {
-                let SyscallResult::NewCid(cid) = res else {
-                    s.finish_op(op, false, fos);
-                    return;
-                };
-                fos.request_invoke(cid, move |s: &mut Self, res, fos| {
-                    if !res.is_ok() {
-                        s.finish_op(op, false, fos);
-                    }
-                });
-            },
-        );
     }
 
     /// Completes a mediated op: for reads, copy staging → client first.
@@ -696,8 +577,8 @@ impl FsService {
             self.retry_or_fail(op, code, fos);
             return;
         }
-        if p.is_read {
-            let (view, client_mem) = (p.staging_view, p.client_mem);
+        if p.io.is_read {
+            let (view, client_mem) = (p.staging_view, p.io.client_mem);
             fos.memory_copy(view, client_mem, move |s: &mut Self, res, fos| {
                 match res {
                     SyscallResult::Ok => s.finish_op(op, true, fos),
@@ -724,9 +605,9 @@ impl FsService {
         });
         if ok {
             self.completed_ops += 1;
-            fos.reply_via(p.client_success, vec![imm(p.size)], vec![]);
+            fos.reply_via(p.io.success, vec![imm(p.io.size)], vec![]);
         } else {
-            fos.reply_via(p.client_error, vec![imm(fs_err::IO)], vec![]);
+            fos.reply_via(p.io.error, vec![imm(fs_err::IO)], vec![]);
         }
     }
 }
@@ -754,24 +635,14 @@ impl Service for FsService {
                 if let SyscallResult::NewCid(cid) = res {
                     s.create_vol_req = Some(cid);
                 }
-                let create_key = format!("{key}.create");
-                let open_key = format!("{key}.open");
-                fos.request_create_new(TAG_FS_CREATE, vec![], vec![], move |_s, res, fos| {
-                    if let SyscallResult::NewCid(c) = res {
-                        fos.kv_put(&create_key, c, |_, _, _| {});
-                    }
-                });
-                fos.request_create_new(TAG_FS_OPEN, vec![], vec![], move |_s, res, fos| {
-                    if let SyscallResult::NewCid(o) = res {
-                        fos.kv_put(&open_key, o, |_, _, _| {});
-                    }
-                });
-                let delete_key = format!("{key}.delete");
-                fos.request_create_new(TAG_FS_DELETE, vec![], vec![], move |_s, res, fos| {
-                    if let SyscallResult::NewCid(del) = res {
-                        fos.kv_put(&delete_key, del, |_, _, _| {});
-                    }
-                });
+                let endpoints = [
+                    ("create", TAG_FS_CREATE),
+                    ("open", TAG_FS_OPEN),
+                    ("delete", TAG_FS_DELETE),
+                ];
+                for (name, tag) in endpoints {
+                    fos.publish(&format!("{key}.{name}"), tag, vec![], |_, _, _| {});
+                }
             },
         );
     }

@@ -13,8 +13,12 @@
 //!   experiment (Fig 8), including the fully distributed chain driver;
 //! * [`deploy`] — testbed assembly helpers for the paper's 3-node layout;
 //! * [`replicated`] — replicated service instances with directory-routed
-//!   failover, used by the crash-recovery experiments (§3.6).
+//!   failover, used by the crash-recovery experiments (§3.6);
+//! * [`closed_loop`] — the closed-loop load-generator core (N requests, k
+//!   in flight) every measured client embeds, here, in `fractos-bench` and
+//!   in `fractos-baselines`.
 
+pub mod closed_loop;
 pub mod deploy;
 pub mod faceverify;
 pub mod fs;
@@ -22,6 +26,7 @@ pub mod matcher;
 pub mod pipeline;
 pub mod replicated;
 
+pub use closed_loop::ClosedLoop;
 pub use deploy::{deploy_faceverify, DbLoader, FvDeployment};
 pub use faceverify::{FaceVerifyFrontend, FvClient, FvConfig, FvSample};
 pub use fs::{FsMode, FsService};

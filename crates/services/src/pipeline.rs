@@ -29,6 +29,15 @@ pub const TAG_PIPE_STAGE: u64 = 0x0500;
 /// Client reply tag.
 pub const TAG_PIPE_REPLY: u64 = 0x0501;
 
+/// Registry lookups of the first `stages` stages' Request and buffer, in
+/// stage order: `[req 0, buf 0, req 1, buf 1, …]`.
+pub fn stage_lookups(stages: usize) -> Vec<Syscall> {
+    (0..stages)
+        .flat_map(|i| ["req", "buf"].map(|what| format!("pipe.{i}.{what}")))
+        .map(|key| Syscall::KvGet { key })
+        .collect()
+}
+
 /// One pipeline stage Process.
 pub struct PipelineStage {
     /// Stage index (for registry keys `pipe.{i}.req` / `pipe.{i}.buf`).
@@ -100,10 +109,9 @@ impl Service for PipelineStage {
             fos.kv_put(&format!("pipe.{index}.buf"), buf, |_, res, _| {
                 debug_assert!(res.is_ok());
             });
-            fos.request_create_new(TAG_PIPE_STAGE, vec![], vec![], move |_s, res, fos| {
-                fos.kv_put(&format!("pipe.{index}.req"), res.cid(), |_, res, _| {
-                    debug_assert!(res.is_ok());
-                });
+            let key = format!("pipe.{index}.req");
+            fos.publish(&key, TAG_PIPE_STAGE, vec![], |_, res, _| {
+                debug_assert!(res.is_ok());
             });
         });
     }
@@ -171,81 +179,46 @@ impl ChainDriver {
         }
     }
 
-    fn fetch_handles(&mut self, i: usize, fos: &Fos<Self>) {
-        let stages = self.stages;
-        if i == stages {
-            // All handles in: allocate the client sink buffer and start.
-            let size = self.size;
-            let addr = fos.mem_alloc(size);
-            fos.memory_create(addr, size, Perms::RW, |s: &mut Self, res, fos| {
-                s.client_buf = Some(res.cid());
-                s.run_iteration(fos);
-            });
-            return;
-        }
-        fos.call(
-            Syscall::KvGet {
-                key: format!("pipe.{i}.req"),
-            },
-            move |s: &mut Self, res, fos| {
-                s.stage_reqs.push(res.cid());
-                fos.call(
-                    Syscall::KvGet {
-                        key: format!("pipe.{i}.buf"),
-                    },
-                    move |s: &mut Self, res, fos| {
-                        s.stage_bufs.push(res.cid());
-                        s.fetch_handles(i + 1, fos);
-                    },
-                );
-            },
-        );
-    }
-
-    /// Builds the Request chain back to front, then fires stage 0.
+    /// Builds the Request chain back to front, then fires stage 0. The
+    /// last stage's link mints the client's reply Request and delivers
+    /// into the client sink.
     fn run_iteration(&mut self, fos: &Fos<Self>) {
+        let Some(last) = self.stages.checked_sub(1) else {
+            return;
+        };
         if self.remaining == 0 {
             return;
         }
         self.remaining -= 1;
         self.started_at = fos.now();
-        let size = self.size;
-        // Final continuation: the client's reply Request.
-        fos.request_create_new(
-            TAG_PIPE_REPLY,
-            vec![],
-            vec![],
-            move |s: &mut Self, res, fos| {
-                let reply = res.cid();
-                s.build_link(s.stages, reply, size, fos);
-            },
-        );
+        let sink = vec![self.client_buf.expect("allocated")];
+        let (base, size) = (self.stage_reqs[last], vec![imm(self.size)]);
+        let reply = vec![(TAG_PIPE_REPLY, vec![])];
+        fos.derive_with(base, size, sink, reply, move |s, res, fos| {
+            if let Ok(&[_reply, link]) = res.as_deref() {
+                s.build_link(last, link, fos);
+            }
+        });
     }
 
     /// Recursively derives stage `i-1`'s Request so that its destination is
-    /// stage `i`'s buffer (or the client sink) and its continuation is the
-    /// already-built tail.
-    fn build_link(&mut self, i: usize, next: Cid, size: u64, fos: &Fos<Self>) {
+    /// stage `i`'s buffer and its continuation is the already-built tail.
+    fn build_link(&mut self, i: usize, next: Cid, fos: &Fos<Self>) {
         if i == 0 {
             // Chain complete: invoke the head.
             fos.request_invoke(next, |_, res, _| debug_assert!(res.is_ok()));
             return;
         }
-        let dst = if i == self.stages {
-            self.client_buf.expect("allocated")
-        } else {
-            self.stage_bufs[i]
-        };
-        let base = self.stage_reqs[i - 1];
+        let (base, dst) = (self.stage_reqs[i - 1], self.stage_bufs[i]);
         fos.request_derive(
             base,
-            vec![imm(size)],
+            vec![imm(self.size)],
             vec![dst, next],
             move |s: &mut Self, res, fos| {
                 let SyscallResult::NewCid(link) = res else {
                     return;
                 };
-                s.build_link(i - 1, link, size, fos);
+                s.build_link(i - 1, link, fos);
             },
         );
     }
@@ -253,7 +226,18 @@ impl ChainDriver {
 
 impl Service for ChainDriver {
     fn on_start(&mut self, fos: &Fos<Self>) {
-        self.fetch_handles(0, fos);
+        // Every stage's handles, then the client sink buffer, then go.
+        fos.chain(stage_lookups(self.stages), |s: &mut Self, res, fos| {
+            let handles = res.expect("pipeline stages published");
+            for pair in handles.chunks(2) {
+                s.stage_reqs.push(pair[0]);
+                s.stage_bufs.push(pair[1]);
+            }
+            fos.memory_create_new(s.size, Perms::RW, |s: &mut Self, _addr, buf, fos| {
+                s.client_buf = buf.ok();
+                s.run_iteration(fos);
+            });
+        });
     }
 
     fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
@@ -281,7 +265,6 @@ pub struct ForkJoinDriver {
     /// Iterations to run.
     pub iterations: u64,
     stage_reqs: Vec<Cid>,
-    sink: Option<Cid>,
     sink_views: Vec<Cid>,
     pending: usize,
     started_at: SimTime,
@@ -298,7 +281,6 @@ impl ForkJoinDriver {
             size,
             iterations,
             stage_reqs: Vec::new(),
-            sink: None,
             sink_views: Vec::new(),
             pending: 0,
             started_at: SimTime::ZERO,
@@ -307,53 +289,29 @@ impl ForkJoinDriver {
         }
     }
 
-    fn fetch_handles(&mut self, i: usize, fos: &Fos<Self>) {
-        if i == self.stages {
-            // One sink buffer with a disjoint writable view per stage.
-            let total = self.size * self.stages as u64;
-            let addr = fos.mem_alloc(total);
-            fos.memory_create(addr, total, Perms::RW, |s: &mut Self, res, fos| {
-                let SyscallResult::NewCid(sink) = res else {
-                    return;
-                };
-                s.sink = Some(sink);
-                s.carve_views(0, fos);
+    /// One sink buffer with a disjoint writable view per stage, then go.
+    fn carve_views(&mut self, fos: &Fos<Self>) {
+        let total = self.size * self.stages as u64;
+        fos.memory_create_new(total, Perms::RW, |s: &mut Self, _addr, sink, fos| {
+            let Ok(sink) = sink else {
+                return;
+            };
+            let size = s.size;
+            let views = (0..s.stages as u64)
+                .map(|i| Syscall::MemoryDiminish {
+                    cid: sink,
+                    offset: i * size,
+                    size,
+                    drop_perms: Perms::NONE,
+                })
+                .collect();
+            fos.chain(views, |s: &mut Self, res, fos| {
+                if let Ok(views) = res {
+                    s.sink_views = views;
+                    s.run_iteration(fos);
+                }
             });
-            return;
-        }
-        fos.call(
-            Syscall::KvGet {
-                key: format!("pipe.{i}.req"),
-            },
-            move |s: &mut Self, res, fos| {
-                s.stage_reqs.push(res.cid());
-                s.fetch_handles(i + 1, fos);
-            },
-        );
-    }
-
-    fn carve_views(&mut self, i: usize, fos: &Fos<Self>) {
-        if i == self.stages {
-            self.run_iteration(fos);
-            return;
-        }
-        let sink = self.sink.expect("allocated");
-        let size = self.size;
-        fos.call(
-            Syscall::MemoryDiminish {
-                cid: sink,
-                offset: i as u64 * size,
-                size,
-                drop_perms: Perms::NONE,
-            },
-            move |s: &mut Self, res, fos| {
-                let SyscallResult::NewCid(view) = res else {
-                    return;
-                };
-                s.sink_views.push(view);
-                s.carve_views(i + 1, fos);
-            },
-        );
+        });
     }
 
     fn run_iteration(&mut self, fos: &Fos<Self>) {
@@ -383,7 +341,15 @@ impl ForkJoinDriver {
 
 impl Service for ForkJoinDriver {
     fn on_start(&mut self, fos: &Fos<Self>) {
-        self.fetch_handles(0, fos);
+        let lookups = (0..self.stages)
+            .map(|i| Syscall::KvGet {
+                key: format!("pipe.{i}.req"),
+            })
+            .collect();
+        fos.chain(lookups, |s: &mut Self, res, fos| {
+            s.stage_reqs = res.expect("pipeline stages published");
+            s.carve_views(fos);
+        });
     }
 
     fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {

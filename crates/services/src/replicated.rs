@@ -25,6 +25,7 @@
 use fractos_cap::Cid;
 use fractos_core::directory::ServiceInstance;
 use fractos_core::prelude::*;
+use fractos_core::types::Syscall;
 use fractos_core::Directory;
 use fractos_devices::proto::{imm, imm_at};
 use fractos_sim::{Shared, SimDuration, SimTime};
@@ -75,11 +76,8 @@ impl ReplicaWorker {
 impl Service for ReplicaWorker {
     fn on_start(&mut self, fos: &Fos<Self>) {
         let key = format!("{}.{}.req", self.name, self.index);
-        fos.request_create_new(TAG_REPLICA_WORK, vec![], vec![], move |_s, res, fos| {
-            fos.kv_put(&key, res.cid(), |s: &mut Self, res, _| {
-                debug_assert!(res.is_ok());
-                s.ready = true;
-            });
+        fos.publish(&key, TAG_REPLICA_WORK, vec![], |s: &mut Self, res, _| {
+            s.ready = res.is_ok();
         });
     }
 
@@ -227,20 +225,6 @@ impl FailoverClient {
         self.remaining == 0 && self.outstanding.is_none()
     }
 
-    fn fetch_caps(&mut self, i: usize, fos: &Fos<Self>) {
-        if i == self.replicas {
-            self.instances = self.dir.borrow().service_instances(&self.name);
-            debug_assert_eq!(self.instances.len(), self.replicas);
-            self.next_request(fos);
-            return;
-        }
-        let key = format!("{}.{i}.req", self.name);
-        fos.kv_get(&key, move |s: &mut Self, res, fos| {
-            s.work_caps.push(res.cid());
-            s.fetch_caps(i + 1, fos);
-        });
-    }
-
     /// The registry's current pick, as an index into `instances`.
     fn route(&self) -> Option<usize> {
         let inst = self.dir.borrow().service_route(&self.name)?;
@@ -272,33 +256,11 @@ impl FailoverClient {
         let attempt = self.attempt;
         self.outstanding = Some(attempt);
         let work = self.work_caps[self.current];
-        fos.request_create_new(
-            TAG_REPLICA_REPLY,
-            vec![imm(attempt)],
-            vec![],
-            move |_s: &mut Self, res, fos| {
-                let SyscallResult::NewCid(reply) = res else {
-                    return;
-                };
-                fos.request_derive(
-                    work,
-                    vec![imm(attempt)],
-                    vec![reply],
-                    move |s: &mut Self, res, fos| {
-                        match res {
-                            SyscallResult::NewCid(derived) => {
-                                fos.request_invoke(derived, move |s: &mut Self, res, fos| {
-                                    if !res.is_ok() {
-                                        s.attempt_failed(attempt, fos);
-                                    }
-                                });
-                            }
-                            _ => s.attempt_failed(attempt, fos),
-                        };
-                    },
-                );
-            },
-        );
+        let imms = vec![imm(attempt)];
+        let reply = vec![(TAG_REPLICA_REPLY, vec![imm(attempt)])];
+        fos.invoke_with_or(work, imms, vec![], reply, move |s, _err, fos| {
+            s.attempt_failed(attempt, fos)
+        });
         // Backstop for replies lost after the invoke was acknowledged
         // (e.g. the worker's node died mid-service).
         fos.sleep(self.reply_timeout, move |s: &mut Self, fos| {
@@ -352,7 +314,22 @@ impl FailoverClient {
 
 impl Service for FailoverClient {
     fn on_start(&mut self, fos: &Fos<Self>) {
-        self.fetch_caps(0, fos);
+        // One lookup per instance, in registration order. If bootstrap
+        // fails no request is issued, which `all_resolved` reports.
+        let lookups = (0..self.replicas)
+            .map(|i| Syscall::KvGet {
+                key: format!("{}.{i}.req", self.name),
+            })
+            .collect();
+        fos.chain(lookups, |s: &mut Self, res, fos| {
+            let Ok(work_caps) = res else {
+                return;
+            };
+            s.work_caps = work_caps;
+            s.instances = s.dir.borrow().service_instances(&s.name);
+            debug_assert_eq!(s.instances.len(), s.replicas);
+            s.next_request(fos);
+        });
     }
 
     fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {

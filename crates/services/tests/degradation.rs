@@ -1,18 +1,22 @@
-//! Graceful degradation of the storage stack under failures.
+//! Graceful degradation of the storage stack and the face-verification
+//! frontend under failures.
 //!
 //! An FS whose block-adaptor dependency is missing or partitioned away
 //! must answer every client request with a *typed* failure — a zero-cap
 //! reply carrying an `fs_err` code — never hang a continuation. Success
 //! replies always carry at least one capability, so the two shapes cannot
-//! be confused.
+//! be confused. A frontend that cannot finish setting up a request answers
+//! it empty.
 
 use fractos_cap::Cid;
 use fractos_core::prelude::*;
 use fractos_devices::proto::{imm, imm_at};
 use fractos_devices::{BlockAdaptor, NvmeParams};
 use fractos_net::{FaultPlan, NodeId};
+use fractos_services::deploy::deploy_faceverify;
 use fractos_services::fs::{fs_err, FsMode, FsService};
-use fractos_sim::SimTime;
+use fractos_services::{FaceVerifyFrontend, FvClient, FvConfig};
+use fractos_sim::{RunOutcome, SimTime};
 
 const TAG_T: u64 = 0x7100;
 
@@ -196,4 +200,37 @@ fn fs_create_fails_typed_when_block_adaptor_partitioned() {
             "partitioned block adaptor must surface as a typed failure"
         );
     });
+}
+
+/// Runs one face-verify request against a frontend allowed `headroom`
+/// capability slots beyond what it holds after bootstrap. The request must
+/// be answered — empty, so it does not verify — and the run must drain.
+fn faceverify_under_quota(headroom: usize) {
+    let mut tb = Testbed::paper(14);
+    let ctrls = tb.controllers_per_node(false);
+    let dep = deploy_faceverify(&mut tb, &ctrls, FvConfig::default(), 256);
+    let held = tb.with_controller(ctrls[2], |c| c.capspace_len(dep.frontend));
+    tb.set_capspace_quota(dep.frontend, held + headroom);
+    let cli = tb.add_process("cli", cpu(2), ctrls[2], FvClient::new(4096, 8, 1, 1));
+    tb.start_process(cli);
+    assert_eq!(tb.run(), RunOutcome::Drained, "headroom {headroom}");
+    tb.with_service::<FvClient, _>(cli, |c| {
+        assert_eq!(
+            c.samples.len(),
+            1,
+            "headroom {headroom}: request unanswered"
+        );
+        assert!(!c.samples[0].all_matched, "headroom {headroom}");
+    });
+    tb.with_service::<FaceVerifyFrontend, _>(dep.frontend, |f| assert_eq!(f.served, 0));
+}
+
+/// The frontend's capability space fills while it builds a slot's views
+/// and continuations, after the request was admitted to the slot. Two
+/// slots admit the delivered request's query buffer and reply but not the
+/// first view; six admit the four views but not the continuations.
+#[test]
+fn faceverify_answers_when_its_capability_space_fills_mid_setup() {
+    faceverify_under_quota(2);
+    faceverify_under_quota(6);
 }
