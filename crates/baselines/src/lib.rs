@@ -22,19 +22,17 @@
 //! The raw baselines deliberately do *not* use FractOS: they are plain
 //! simulation actors on the same fabric, paying their own protocol costs.
 
+use fractos_core::Testbed;
 use fractos_net::{NetParams, Topology};
-use fractos_sim::{runtime_from_env, Runtime, RuntimeConfig};
+use fractos_sim::{runtime_from_env, Runtime};
 
 /// Builds a paper-testbed-shaped runtime on the backend selected by the
 /// `FRACTOS_RUNTIME` environment variable (single-threaded when unset).
 ///
-/// The lookahead window is derived from the paper fabric's minimum
-/// inter-node latency, so the sharded backend is safe for any workload on
-/// [`Topology::paper_testbed`].
+/// The configuration is [`Testbed::runtime_config`]'s, so the sharded
+/// backend is safe for any workload on [`Topology::paper_testbed`].
 pub fn paper_runtime(seed: u64) -> Box<dyn Runtime> {
-    let topology = Topology::paper_testbed();
-    let params = NetParams::paper();
-    let config = RuntimeConfig::new(seed, topology.len(), params.conservative_lookahead());
+    let config = Testbed::runtime_config(&Topology::paper_testbed(), &NetParams::paper(), seed);
     runtime_from_env(&config)
 }
 

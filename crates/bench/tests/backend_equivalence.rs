@@ -18,9 +18,7 @@ use fractos_obs::TelemetryReport;
 use fractos_services::deploy::deploy_faceverify;
 use fractos_services::faceverify::FvClient;
 use fractos_services::FvConfig;
-use fractos_sim::{
-    build_runtime, Runtime, RuntimeConfig, RuntimeKind, ShardedSim, Shared, SimDuration,
-};
+use fractos_sim::{build_runtime, Runtime, RuntimeKind, ShardedSim, Shared, SimDuration};
 
 const IMG: u64 = 4096;
 const BATCH: u64 = 8;
@@ -295,7 +293,7 @@ fn sharded_backend_uses_multiple_os_threads_on_four_nodes() {
         topology.add_node(NodeConfig::cpu_only(name));
     }
     let params = NetParams::paper();
-    let config = RuntimeConfig::new(9, topology.len(), params.conservative_lookahead());
+    let config = Testbed::runtime_config(&topology, &params, 9);
     let mut sim = ShardedSim::new(&config);
     assert!(sim.workers() >= 2, "expected at least two workers");
     let fabric = Shared::new(Fabric::new(topology, params));

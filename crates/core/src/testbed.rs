@@ -83,13 +83,10 @@ impl Testbed {
     }
 
     /// The [`RuntimeConfig`] a cluster of this shape needs: one shard per
-    /// node, uniform lookahead from the fabric's minimum inter-node
-    /// latency, plus the per-link matrix (same bound widened by the
-    /// cross-rack extra for inter-rack node pairs) for the sharded
-    /// backend's per-link synchronization windows.
+    /// node, synchronized by [`NetParams::conservative_lookahead`] — the
+    /// fabric's minimum inter-node latency less its jitter floor.
     pub fn runtime_config(topology: &Topology, params: &NetParams, seed: u64) -> RuntimeConfig {
         RuntimeConfig::new(seed, topology.len(), params.conservative_lookahead())
-            .with_link_lookahead(params.link_lookahead_matrix(topology))
     }
 
     /// Creates an empty testbed over an already-built runtime.

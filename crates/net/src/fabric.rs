@@ -573,12 +573,6 @@ impl Fabric {
             }
         } else {
             base += p.remote_oneway;
-            if self.topology.cross_rack(src.node, dst.node) {
-                // Aggregation-switch traversal between racks; joins the
-                // base so `NetParams::link_lookahead_matrix` (which floors
-                // the same sum by the jitter band) stays a lower bound.
-                base += p.cross_rack_extra;
-            }
             edges.push(Edge::NetUp(src.node));
             edges.push(Edge::NetDown(dst.node));
             Medium::Network

@@ -24,8 +24,6 @@
 
 use fractos_sim::SimDuration;
 
-use crate::topology::{NodeId, Topology};
-
 /// Where a piece of software executes; scales its processing time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeDomain {
@@ -154,13 +152,6 @@ pub struct NetParams {
     pub double_buffer_threshold: u64,
     /// Chunk size used when double buffering.
     pub double_buffer_chunk: u64,
-    /// Extra one-way latency for messages between nodes in *different
-    /// racks* (aggregation-switch traversal). Zero — the paper's testbed
-    /// hangs off a single ToR switch — unless a sensitivity study sets it.
-    /// The extra joins the route base (and so jitters with it) and widens
-    /// the sharded engine's per-link lookahead for cross-rack node pairs;
-    /// see [`NetParams::link_lookahead_matrix`].
-    pub cross_rack_extra: SimDuration,
     /// Multiplicative latency jitter amplitude (uniform ±frac); the paper
     /// reports all stddevs below 3% of the mean.
     pub jitter_frac: f64,
@@ -209,7 +200,6 @@ impl NetParams {
             bounce_memcpy_snic: 3.0e9,
             double_buffer_threshold: 16 * 1024,
             double_buffer_chunk: 16 * 1024,
-            cross_rack_extra: SimDuration::ZERO,
             jitter_frac: 0.0,
             third_party_rdma: false,
             controller_interrupts: false,
@@ -238,44 +228,10 @@ impl NetParams {
     /// backend: a cross-node message sent at `t` can never take effect
     /// before `t + conservative_lookahead()`.
     pub fn conservative_lookahead(&self) -> SimDuration {
-        self.lookahead_floor(self.remote_oneway)
-    }
-
-    /// Jitter-and-rounding-safe lower bound for a nominal one-way latency.
-    fn lookahead_floor(&self, oneway: SimDuration) -> SimDuration {
-        let floor = oneway * (1.0 - self.jitter_frac.clamp(0.0, 1.0));
+        let floor = self.remote_oneway * (1.0 - self.jitter_frac.clamp(0.0, 1.0));
         floor
             .saturating_sub(SimDuration::from_nanos(1))
             .max(SimDuration::from_nanos(1))
-    }
-
-    /// Per-link lookahead matrix for the sharded runtime backend: entry
-    /// `[j][i]` is a strict lower bound on the delay of any message from
-    /// an endpoint on node `j` to an endpoint on node `i`. Same-rack
-    /// pairs use [`conservative_lookahead`](NetParams::conservative_lookahead);
-    /// cross-rack pairs take the same jitter-floored bound over
-    /// `remote_oneway + cross_rack_extra`, the nominal base the fabric
-    /// charges on every inter-rack message — slow links buy the engine
-    /// wider synchronization windows instead of throttling the cluster to
-    /// the fastest link's bound. Diagonal entries are unused by the
-    /// engine and hold the base bound.
-    pub fn link_lookahead_matrix(&self, topology: &Topology) -> Vec<Vec<SimDuration>> {
-        let base = self.conservative_lookahead();
-        let wide = self.lookahead_floor(self.remote_oneway.saturating_add(self.cross_rack_extra));
-        let n = topology.len();
-        (0..n)
-            .map(|j| {
-                (0..n)
-                    .map(|i| {
-                        if i != j && topology.cross_rack(NodeId(j as u32), NodeId(i as u32)) {
-                            wide
-                        } else {
-                            base
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
     }
 
     /// FractOS per-message handling cost in the given compute domain.
@@ -438,27 +394,6 @@ mod tests {
         ] {
             assert!(snic > cpu);
         }
-    }
-
-    #[test]
-    fn lookahead_matrix_widens_cross_rack_links() {
-        use crate::topology::NodeConfig;
-        let mut p = NetParams::paper();
-        p.cross_rack_extra = SimDuration::from_micros(5);
-        let mut t = Topology::new();
-        t.add_node(NodeConfig::cpu_only("a"));
-        t.add_node(NodeConfig::cpu_only("b"));
-        t.add_node(NodeConfig::cpu_only("c").in_rack(1));
-        let m = p.link_lookahead_matrix(&t);
-        let base = p.conservative_lookahead();
-        let wide = base + SimDuration::from_micros(5);
-        assert_eq!(m[0][1], base);
-        assert_eq!(m[1][0], base);
-        assert_eq!(m[0][2], wide);
-        assert_eq!(m[2][1], wide);
-        // Zero extra (the default) collapses to the uniform bound.
-        let uniform = NetParams::paper().link_lookahead_matrix(&t);
-        assert!(uniform.iter().flatten().all(|&l| l == base));
     }
 
     #[test]

@@ -105,12 +105,6 @@ pub struct NodeConfig {
     pub gpus: u8,
     /// Number of NVMe drives.
     pub nvmes: u8,
-    /// Rack the node is mounted in. Nodes in different racks pay the
-    /// fabric's cross-rack latency extra on every message between them;
-    /// the same extra widens the sharded engine's per-link lookahead for
-    /// those node pairs. All nodes default to rack 0 (single-switch
-    /// cluster, the paper's testbed).
-    pub rack: u32,
 }
 
 impl NodeConfig {
@@ -121,7 +115,6 @@ impl NodeConfig {
             snic: false,
             gpus: 0,
             nvmes: 0,
-            rack: 0,
         }
     }
 
@@ -140,12 +133,6 @@ impl NodeConfig {
     /// Adds `n` NVMe drives.
     pub fn with_nvmes(mut self, n: u8) -> Self {
         self.nvmes = n;
-        self
-    }
-
-    /// Mounts the node in `rack`.
-    pub fn in_rack(mut self, rack: u32) -> Self {
-        self.rack = rack;
         self
     }
 }
@@ -202,21 +189,6 @@ impl Topology {
     /// Panics if `node` is not part of the topology.
     pub fn node(&self, node: NodeId) -> &NodeConfig {
         &self.nodes[node.0 as usize]
-    }
-
-    /// Rack of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not part of the topology.
-    pub fn rack(&self, node: NodeId) -> u32 {
-        self.nodes[node.0 as usize].rack
-    }
-
-    /// Whether two nodes sit in different racks (and so pay the fabric's
-    /// cross-rack latency extra between them).
-    pub fn cross_rack(&self, a: NodeId, b: NodeId) -> bool {
-        self.rack(a) != self.rack(b)
     }
 
     /// Iterates over `(id, config)` pairs.
@@ -325,21 +297,5 @@ mod tests {
             .with_nvmes(3);
         assert!(cfg.snic);
         assert_eq!((cfg.gpus, cfg.nvmes), (2, 3));
-        assert_eq!(cfg.rack, 0);
-    }
-
-    #[test]
-    fn racks_default_to_zero_and_split_the_cluster() {
-        let mut t = Topology::new();
-        let a = t.add_node(NodeConfig::cpu_only("a"));
-        let b = t.add_node(NodeConfig::cpu_only("b").in_rack(1));
-        let c = t.add_node(NodeConfig::cpu_only("c").in_rack(1));
-        assert_eq!(t.rack(a), 0);
-        assert_eq!(t.rack(b), 1);
-        assert!(t.cross_rack(a, b));
-        assert!(!t.cross_rack(b, c));
-        // The paper testbed hangs off one switch: no cross-rack pairs.
-        let p = Topology::paper_testbed();
-        assert!(!p.cross_rack(NodeId(0), NodeId(2)));
     }
 }

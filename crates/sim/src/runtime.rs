@@ -11,7 +11,7 @@
 //!   queue, FIFO at equal timestamps, bit-exact determinism: the same seed
 //!   always yields the identical event trace. This is the default.
 //! * [`ShardedSim`](crate::sharded::ShardedSim) — one shard per simulated
-//!   node, run in parallel and synchronized by per-link channel lookahead
+//!   node, run in parallel and synchronized by one conservative lookahead
 //!   (Chandy–Misra–Bryant style; see its module docs). Deterministic for a
 //!   fixed seed and shard layout; per-link traffic counters and application
 //!   payloads match `Sim`, while exact event interleavings (and thus
@@ -221,22 +221,12 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Number of simulated nodes (= shards on the parallel backend).
     pub nodes: usize,
-    /// Uniform conservative synchronization bound for the sharded backend:
-    /// a strict lower bound on the delay of every cross-node message.
-    /// Derived from the fabric's minimum inter-node one-way latency
-    /// (including its jitter floor). Used for every link when
-    /// [`link_lookahead`](RuntimeConfig::link_lookahead) is absent; ignored
-    /// by the single-threaded backend.
+    /// Conservative synchronization bound for the sharded backend: a
+    /// strict lower bound on the delay of every cross-node message, and
+    /// positive. Derived from the fabric's minimum inter-node one-way
+    /// latency (including its jitter floor; see `Testbed::runtime_config`
+    /// in `fractos-core`); ignored by the single-threaded backend.
     pub lookahead: SimDuration,
-    /// Per-link lookahead matrix for the sharded backend: entry `[j][i]`
-    /// is a strict lower bound on the delay of any message from node `j`
-    /// to node `i` (diagonal entries are unused). Lets shards synchronize
-    /// against the channel clocks of their actual links — slow (e.g.
-    /// cross-rack) links widen peer windows instead of throttling the
-    /// whole cluster. Derived by the harness from the topology and
-    /// `NetParams` (see `Testbed::runtime_config` in `fractos-core`).
-    /// `None` falls back to the uniform `lookahead` on every link.
-    pub link_lookahead: Option<Vec<Vec<SimDuration>>>,
     /// Worker-thread override for the sharded backend; `None` means
     /// `min(available cores, shards)`, clamped to at least 2 so parallelism
     /// is exercised even on single-core hosts. Also settable via
@@ -245,22 +235,14 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// A config for `nodes` nodes with the given seed and uniform lookahead.
+    /// A config for `nodes` nodes with the given seed and lookahead.
     pub fn new(seed: u64, nodes: usize, lookahead: SimDuration) -> Self {
         RuntimeConfig {
             seed,
             nodes,
             lookahead,
-            link_lookahead: None,
             workers: None,
         }
-    }
-
-    /// Installs a per-link lookahead matrix (see
-    /// [`link_lookahead`](RuntimeConfig::link_lookahead)).
-    pub fn with_link_lookahead(mut self, matrix: Vec<Vec<SimDuration>>) -> Self {
-        self.link_lookahead = Some(matrix);
-        self
     }
 }
 

@@ -82,7 +82,7 @@ pub(crate) struct Shard {
     pub(crate) outages: Vec<NodeOutage>,
     /// Sends `route` called remote, buffered until the driver's barrier as
     /// `(sent_at, arrival, dst, msg)`; the send instant lets the barrier
-    /// check each message against its link's lookahead on the main thread
+    /// check each message against the lookahead on the main thread
     /// (so a violation panics with a diagnostic instead of a bare
     /// "scoped thread panicked").
     pub(crate) cross: Vec<(SimTime, SimTime, ActorId, Msg)>,

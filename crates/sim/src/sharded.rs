@@ -3,66 +3,56 @@
 //! Events are delivered by the crate's one loop (`Shard::run_window` in
 //! `shard.rs`), which [`Sim`](crate::Sim) drives with a single shard. This
 //! module owns only what is genuinely parallel — actor placement, the
-//! lookahead matrix, the horizons, the worker fan-out and the barrier.
+//! horizons, the worker fan-out and the barrier.
 //!
-//! One shard per simulated node, synchronized by *per-link channel
-//! lookahead* in the conservative Chandy–Misra–Bryant style. Each ordered
-//! shard pair `(j, i)` has a link lookahead `la[j][i]`: a strict lower
-//! bound on the delay of any message an actor on shard `j` sends to an
-//! actor on shard `i`. The engine runs rounds:
+//! One shard per simulated node, synchronized conservatively in the
+//! Chandy–Misra–Bryant style by one lookahead `L`
+//! ([`RuntimeConfig::lookahead`]): a strict lower bound on the delay of any
+//! message an actor on one shard sends to an actor on another. The engine
+//! runs rounds:
 //!
-//! 1. At the start of a round every shard `j` publishes `next_j` — the
-//!    timestamp of its earliest pending event (a shard with an empty queue
-//!    publishes nothing). From these the engine derives each shard's
-//!    *channel clock* `ready_j`: a lower bound on when `j` can next
-//!    execute **any** event, including ones it has not received yet. An
-//!    idle shard's clock is not infinity — a peer can wake it, and it can
-//!    then forward the disturbance — so the clocks are the shortest-path
-//!    closure `ready_j = min(next_j, min over k ≠ j of ready_k + la[k][j])`
-//!    over the lookahead graph.
-//! 2. Each shard `i` computes its private horizon
-//!    `H_i = min over j ≠ i of (ready_j + la[j][i])` — the earliest
-//!    instant at which *any* peer could still affect it, along any causal
-//!    chain. A shard nothing can ever reach is unbounded and drains
-//!    freely. Shards then process their events with `time < H_i` in
-//!    `(time, seq)` order, in parallel on worker threads; intra-shard
-//!    sends enqueue locally, cross-shard sends are buffered.
-//! 3. At the barrier, buffered messages are exchanged in shard order
-//!    (deterministic) and the next round begins.
+//! 1. Let `t₁` be the earliest pending event, on shard `k`, and `t₂` the
+//!    earliest pending event on any other shard (none when they are all
+//!    idle). Every shard except `k` gets the horizon `t₁ + L`; shard `k`
+//!    gets `min(t₂, t₁ + L) + L`. A deadline caps every horizon; a lone
+//!    shard has no peer to wait for and is bounded by the deadline only.
+//! 2. Shards process their events with `time < H_i` in `(time, seq)`
+//!    order, in parallel on worker threads; intra-shard sends enqueue
+//!    locally, cross-shard sends are buffered.
+//! 3. At the barrier, buffered messages are exchanged in shard order, each
+//!    shard's in production order (deterministic), and the next round
+//!    begins.
 //!
-//! Safety: any message `i` will ever receive — this round or later — is
-//! the tail of a causal chain that starts at some pending event at shard
-//! `k` and hops `k → … → j → i`; it departs `j` no earlier than `ready_j`
-//! (by induction over the closure) and so arrives at
-//! `≥ ready_j + la[j][i] ≥ H_i`, never inside the window `i` is
-//! concurrently processing — that is the channel-clock invariant.
-//! Progress: the globally earliest shard `k` has `ready_k = next_k` (every
-//! relaxation path adds positive lookahead to a value `≥ next_k`), hence
-//! `H_k ≥ next_k + min la > next_k`, so every round processes at least one
-//! event. Unlike a single global `T_min + lookahead` horizon, a shard is
-//! bounded only by the links that can actually reach it: far-behind or
-//! slow (e.g. cross-rack) links widen its window instead of throttling the
-//! whole cluster.
+//! Safety: no event anywhere happens before `t₁`, and a new event is never
+//! earlier than its cause, so every message a shard receives — this round
+//! or later — arrives at `t₁ + L` or after. Any event shard `j` will ever
+//! execute is therefore no earlier than `t₁` for `j = k`, and no earlier
+//! than `min(t₂, t₁ + L)` for every other `j` (its own pending events are
+//! at `t₂` or later). A message to shard `i` leaves some `j ≠ i` and takes
+//! at least `L`: for `i ≠ k` it arrives at `t₁ + L` or later, for `i = k`
+//! at `min(t₂, t₁ + L) + L` or later — exactly the horizons, so no shard
+//! ever receives a message inside the window it ran. Progress: `k`'s
+//! horizon is at least `t₁ + L > t₁`, and a deadline caps it no lower than
+//! one nanosecond past `t₁` (the run stops once `t₁` passes the deadline),
+//! so every round processes at least one event. The closed form is the
+//! channel-clock closure over a uniform lookahead; the test module keeps
+//! that closure as its reference model.
 //!
-//! The per-link bounds come from the fabric: every inter-node delay is at
-//! least the remote one-way latency (minus the jitter floor), plus any
-//! cross-rack extra for links between racks — see
-//! `NetParams::link_lookahead_matrix` in `fractos-net`, delivered here
-//! through [`RuntimeConfig::link_lookahead`]. The engine asserts the bound
-//! on every cross-shard message at send time, so a violating workload
-//! fails loudly instead of simulating nonsense.
+//! The lookahead comes from the fabric: every inter-node delay is at least
+//! the remote one-way latency minus the jitter floor (see
+//! `NetParams::conservative_lookahead` in `fractos-net`). The engine asserts
+//! the bound on every cross-shard message at the barrier, so a violating
+//! workload fails loudly instead of simulating nonsense.
 //!
 //! Determinism: for a fixed seed, shard layout, and worker count the engine
 //! is deterministic — each shard owns a forked RNG stream and processes its
 //! events in a total order, and the barrier exchange is ordered by shard
-//! index. Event *interleavings across shards* differ from the
-//! single-threaded engine, so order-sensitive observables (latency samples,
-//! link-schedule reservations) may differ between backends; order-free
-//! observables (per-link message/byte counters, end-to-end payloads) match.
-//! The cross-backend equivalence suite pins exactly that contract.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! index. Horizons decide how far a shard runs, never the order inside it.
+//! Event *interleavings across shards* differ from the single-threaded
+//! engine, so order-sensitive observables (latency samples, link-schedule
+//! reservations) may differ between backends; order-free observables
+//! (per-link message/byte counters, end-to-end payloads) match. The
+//! cross-backend equivalence suite pins exactly that contract.
 
 use crate::engine::{Actor, ActorId, Msg, NodeOutage, RunOutcome, TraceEntry};
 use crate::metrics::Metrics;
@@ -95,6 +85,71 @@ fn route(locs: &[Loc], me: usize) -> impl Fn(ActorId) -> Option<u32> + '_ {
 /// [`ShardedSim::run_scheduled`]).
 type Pick<'a> = &'a mut dyn FnMut(u64, &[usize]) -> Vec<usize>;
 
+/// One round's exclusive horizons (`None` is unbounded): shard `first`,
+/// which holds the earliest pending event, runs to `own`, every other shard
+/// to `rest`.
+#[derive(Clone, Copy)]
+struct Horizons {
+    /// The earliest pending event on any shard.
+    earliest: SimTime,
+    first: usize,
+    own: Option<SimTime>,
+    rest: Option<SimTime>,
+}
+
+impl Horizons {
+    fn of(&self, shard: usize) -> Option<SimTime> {
+        if shard == self.first {
+            self.own
+        } else {
+            self.rest
+        }
+    }
+}
+
+/// The closed-form horizons of one round (see the [module docs](self))
+/// from each shard's earliest pending event, `None` for an idle shard.
+/// Returns `None` when every shard is idle.
+fn horizons(
+    nexts: impl Iterator<Item = Option<SimTime>>,
+    la: SimDuration,
+    deadline: Option<SimTime>,
+) -> Option<Horizons> {
+    let mut shards = 0;
+    let mut first: Option<(usize, SimTime)> = None;
+    let mut second: Option<SimTime> = None;
+    for (i, next) in nexts.enumerate() {
+        shards += 1;
+        let Some(t) = next else { continue };
+        match first {
+            Some((_, t1)) if t >= t1 => second = Some(second.map_or(t, |t2| t2.min(t))),
+            _ => {
+                second = first.map(|(_, t1)| t1);
+                first = Some((i, t));
+            }
+        }
+    }
+    let (first, earliest) = first?;
+    // The horizon is exclusive; an inclusive deadline caps it one
+    // nanosecond past.
+    let cap = deadline.and_then(shard::horizon_after);
+    let capped = |h: SimTime| Some(cap.map_or(h, |c| c.min(h)));
+    let rest = earliest.saturating_add(la);
+    let own = second.map_or(rest, |t2| t2.min(rest)).saturating_add(la);
+    // A lone shard has no peer to wait for.
+    let (own, rest) = if shards > 1 {
+        (capped(own), capped(rest))
+    } else {
+        (cap, cap)
+    };
+    Some(Horizons {
+        earliest,
+        first,
+        own,
+        rest,
+    })
+}
+
 /// The parallel sharded simulation engine.
 ///
 /// See the [module docs](self) for the synchronization scheme. Constructed
@@ -106,9 +161,8 @@ pub struct ShardedSim {
     shards: Vec<Shard>,
     locs: Vec<Loc>,
     names: Vec<String>,
-    /// `la[j][i]`: lower bound on the delay of any message from shard `j`
-    /// to shard `i`. Diagonal entries are unused.
-    la: Vec<Vec<SimDuration>>,
+    /// Lower bound on the delay of any cross-shard message.
+    la: SimDuration,
     workers: usize,
     /// Accumulated metrics: per-shard registries merged after every run,
     /// plus anything the harness records between runs.
@@ -118,38 +172,20 @@ pub struct ShardedSim {
 }
 
 impl ShardedSim {
-    /// Builds an engine with one shard per node.
-    ///
-    /// The per-link lookahead matrix comes from
-    /// [`RuntimeConfig::link_lookahead`] when present; otherwise every link
-    /// uses the uniform [`RuntimeConfig::lookahead`].
+    /// Builds an engine with one shard per node, synchronized by
+    /// [`RuntimeConfig::lookahead`].
     ///
     /// # Panics
     ///
-    /// Panics if `config.nodes` is zero, if any link lookahead is zero (a
-    /// conservative engine cannot make progress without positive channel
-    /// lookahead), or if a provided matrix is not `nodes × nodes`.
+    /// Panics if `config.nodes` is zero or the lookahead is zero (a
+    /// conservative engine cannot make progress without positive
+    /// lookahead).
     pub fn new(config: &RuntimeConfig) -> Self {
         assert!(config.nodes > 0, "sharded runtime needs at least one node");
-        let la = match &config.link_lookahead {
-            Some(matrix) => {
-                assert!(
-                    matrix.len() == config.nodes && matrix.iter().all(|r| r.len() == config.nodes),
-                    "link lookahead matrix must be {n}×{n}",
-                    n = config.nodes
-                );
-                matrix.clone()
-            }
-            None => vec![vec![config.lookahead; config.nodes]; config.nodes],
-        };
-        for (j, row) in la.iter().enumerate() {
-            for (i, &l) in row.iter().enumerate() {
-                assert!(
-                    i == j || l > SimDuration::ZERO,
-                    "sharded runtime needs a positive lookahead window on link {j}→{i}"
-                );
-            }
-        }
+        assert!(
+            config.lookahead > SimDuration::ZERO,
+            "sharded runtime needs a positive lookahead window"
+        );
         let mut root = SimRng::new(config.seed);
         let shards = (0..config.nodes)
             .map(|_| Shard::new(config.seed, root.fork()))
@@ -159,7 +195,7 @@ impl ShardedSim {
             shards,
             locs: Vec::new(),
             names: Vec::new(),
-            la,
+            la: config.lookahead,
             workers,
             metrics: Metrics::new(),
             now: SimTime::ZERO,
@@ -191,75 +227,6 @@ impl ShardedSim {
         });
         self.names.push(name.to_string());
         id
-    }
-
-    /// Per-shard horizons for one round: shard `i` may process events
-    /// strictly before `min over j ≠ i of (ready_j + la[j][i])`, where
-    /// `ready_j` is shard `j`'s *channel clock* — a lower bound on when `j`
-    /// can next execute **any** event, including ones it has not received
-    /// yet. `None` means unbounded — no peer can ever reach the shard.
-    ///
-    /// An idle shard's clock is not infinity: a peer can wake it, and it
-    /// can then forward the disturbance. The clocks are therefore the
-    /// shortest-path closure of pending-event times over the lookahead
-    /// graph, `ready_j = min(next_j, min over k ≠ j of ready_k + la[k][j])`,
-    /// computed by Bellman–Ford relaxation (lookaheads are strictly
-    /// positive, so the fixpoint exists and sweeps converge; `n` is the
-    /// node count, so the O(n³) worst case is tiny).
-    /// Returns each shard's horizon plus the number of Bellman–Ford
-    /// relaxation sweeps the closure took — the conservative engine's
-    /// analogue of CMB null-message rounds, surfaced as an engine
-    /// self-profiling counter when telemetry is on.
-    fn horizons(
-        &self,
-        nexts: &[Option<SimTime>],
-        deadline: Option<SimTime>,
-    ) -> (Vec<Option<SimTime>>, u64) {
-        let n = self.shards.len();
-        let mut ready: Vec<Option<SimTime>> = nexts.to_vec();
-        let mut sweeps = 0u64;
-        for _ in 1..n {
-            let mut changed = false;
-            sweeps += 1;
-            for j in 0..n {
-                let Some(rj) = ready[j] else { continue };
-                for (i, ri) in ready.iter_mut().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    let reach = rj.saturating_add(self.la[j][i]);
-                    let closer = match *ri {
-                        None => true,
-                        Some(ri) => reach < ri,
-                    };
-                    if closer {
-                        *ri = Some(reach);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let horizons = (0..n)
-            .map(|i| {
-                // The horizon is exclusive; an inclusive deadline caps it
-                // one nanosecond past.
-                let mut bound: Option<SimTime> = deadline.and_then(shard::horizon_after);
-                for (j, r) in ready.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    if let Some(r) = r {
-                        let reach = r.saturating_add(self.la[j][i]);
-                        bound = Some(bound.map_or(reach, |b| b.min(reach)));
-                    }
-                }
-                bound
-            })
-            .collect();
-        (horizons, sweeps)
     }
 
     /// Runs the workload to completion with every round's shard order
@@ -301,36 +268,35 @@ impl ShardedSim {
         let start_steps = self.steps;
         let mut log = Vec::new();
         let outcome = loop {
-            let nexts: Vec<Option<SimTime>> =
-                self.shards.iter().map(Shard::next_event_time).collect();
-            let Some(t_min) = nexts.iter().flatten().min().copied() else {
+            let nexts = self.shards.iter().map(Shard::next_event_time);
+            let Some(horizons) = horizons(nexts, self.la, deadline) else {
                 break RunOutcome::Drained;
             };
-            if let Some(d) = deadline {
-                if t_min > d {
-                    break RunOutcome::LimitReached;
-                }
+            if deadline.is_some_and(|d| horizons.earliest > d) {
+                break RunOutcome::LimitReached;
             }
             let done = self.steps.saturating_sub(start_steps);
             if done >= max_steps {
                 break RunOutcome::LimitReached;
             }
             let budget = max_steps - done;
-            let (horizons, sweeps) = self.horizons(&nexts, deadline);
             if profile {
                 // Engine self-profiling (virtual-domain only — wall
-                // clocks are lint-banned in product crates): round count,
-                // channel-clock relaxation sweeps (the CMB null-message
-                // analogue), and per-shard busy/stall shares in events.
+                // clocks are lint-banned in product crates): round count
+                // here, per-shard busy/stall shares in events at the
+                // barrier.
                 self.metrics.incr("runtime.sharded.rounds");
-                self.metrics.add("runtime.sharded.cc_sweeps", sweeps);
             }
 
             match pick.as_deref_mut() {
                 Some(pick) => {
                     let round = log.len() as u64;
                     let active: Vec<usize> = (0..n)
-                        .filter(|&i| nexts[i].is_some_and(|t| horizons[i].is_none_or(|h| t < h)))
+                        .filter(|&i| {
+                            self.shards[i]
+                                .next_event_time()
+                                .is_some_and(|t| horizons.of(i).is_none_or(|h| t < h))
+                        })
                         .collect();
                     let order = pick(round, &active);
                     let mut sorted = order.clone();
@@ -341,63 +307,13 @@ impl ShardedSim {
                     );
                     // The idle shards' windows are empty by construction.
                     let idle = (0..n).filter(|i| !active.contains(i));
-                    self.run_in_order(order.into_iter().chain(idle), &horizons, budget);
+                    self.run_in_order(order.into_iter().chain(idle), horizons, budget);
                     log.push(active);
                 }
-                None if self.workers <= 1 || n <= 1 => self.run_in_order(0..n, &horizons, budget),
-                None => self.run_on_workers(&horizons, budget),
+                None if self.workers <= 1 || n <= 1 => self.run_in_order(0..n, horizons, budget),
+                None => self.run_on_workers(horizons, budget),
             }
-
-            // Deterministic exchange: shards in index order, each shard's
-            // sends in production order. Each message is checked against
-            // its link's lookahead — the channel-clock invariant — which
-            // together with the horizon construction guarantees it lands
-            // at or past its receiver's processed window.
-            let mut moved = Vec::new();
-            let mut stalled = 0u64;
-            for (j, s) in self.shards.iter_mut().enumerate() {
-                self.now = self.now.max(s.now);
-                self.steps += s.processed;
-                if profile {
-                    // A shard that processed nothing this round spent the
-                    // whole window blocked on the barrier: the per-shard
-                    // busy (events) vs. barrier-wait (stalled rounds)
-                    // split, measured in deterministic virtual units.
-                    if s.processed == 0 {
-                        stalled += 1;
-                        self.metrics
-                            .incr(&format!("runtime.shard{j}.stalled_rounds"));
-                    } else {
-                        self.metrics
-                            .add(&format!("runtime.shard{j}.busy_events"), s.processed);
-                    }
-                }
-                s.processed = 0;
-                moved.extend(
-                    s.cross
-                        .drain(..)
-                        .map(|(sent, time, dst, msg)| (j, sent, time, dst, msg)),
-                );
-            }
-            if profile {
-                self.metrics
-                    .add("runtime.sharded.stalled_shard_rounds", stalled);
-                self.metrics
-                    .add("runtime.sharded.cross_msgs", moved.len() as u64);
-            }
-            for (src, sent, time, dst, msg) in moved {
-                let loc = self.locs[dst.index()];
-                let la = self.la[src][loc.shard as usize];
-                assert!(
-                    time >= sent.saturating_add(la),
-                    "lookahead violation: cross-shard message for {dst} at {time} \
-                     sent at {sent} undercuts the link lookahead ({la}) from shard \
-                     {src} to shard {peer} — the configured lookahead is not a \
-                     lower bound on cross-node delay",
-                    peer = loc.shard,
-                );
-                self.shards[loc.shard as usize].push(time, loc.local, dst, msg);
-            }
+            self.exchange(profile);
             if self.shards.iter().any(|s| s.stop) {
                 break RunOutcome::Stopped;
             }
@@ -410,60 +326,109 @@ impl ShardedSim {
         (outcome, log)
     }
 
+    /// The barrier: folds each shard's round into the engine clock and
+    /// step count, then delivers its buffered cross-shard messages —
+    /// shards in index order, each shard's sends in production order.
+    /// Each message is checked against the lookahead, which together with
+    /// the horizons guarantees it lands at or past its receiver's
+    /// processed window.
+    fn exchange(&mut self, profile: bool) {
+        let mut stalled = 0u64;
+        let mut crossed = 0u64;
+        for j in 0..self.shards.len() {
+            let s = &mut self.shards[j];
+            self.now = self.now.max(s.now);
+            self.steps += s.processed;
+            if profile {
+                // A shard that processed nothing this round spent the
+                // whole window blocked on the barrier: the per-shard
+                // busy (events) vs. barrier-wait (stalled rounds)
+                // split, measured in deterministic virtual units.
+                if s.processed == 0 {
+                    stalled += 1;
+                    self.metrics
+                        .incr(&format!("runtime.shard{j}.stalled_rounds"));
+                } else {
+                    self.metrics
+                        .add(&format!("runtime.shard{j}.busy_events"), s.processed);
+                }
+            }
+            s.processed = 0;
+            let mut cross = std::mem::take(&mut s.cross);
+            crossed += cross.len() as u64;
+            for (sent, time, dst, msg) in cross.drain(..) {
+                let loc = self.locs[dst.index()];
+                assert!(
+                    time >= sent.saturating_add(self.la),
+                    "lookahead violation: cross-shard message for {dst} at {time} \
+                     sent at {sent} undercuts the lookahead ({la}) from shard {j} \
+                     to shard {peer} — the configured lookahead is not a lower \
+                     bound on cross-node delay",
+                    la = self.la,
+                    peer = loc.shard,
+                );
+                self.shards[loc.shard as usize].push(time, loc.local, dst, msg);
+            }
+            // Hand the emptied buffer back so its capacity is reused.
+            self.shards[j].cross = cross;
+        }
+        if profile {
+            self.metrics
+                .add("runtime.sharded.stalled_shard_rounds", stalled);
+            self.metrics.add("runtime.sharded.cross_msgs", crossed);
+        }
+    }
+
     /// Runs one window on each of `order`'s shards, back to back on the
     /// calling thread.
     fn run_in_order(
         &mut self,
         order: impl Iterator<Item = usize>,
-        horizons: &[Option<SimTime>],
+        horizons: Horizons,
         budget: u64,
     ) {
         for i in order {
-            self.shards[i].run_window(horizons[i], budget, route(&self.locs, i));
+            self.shards[i].run_window(horizons.of(i), budget, route(&self.locs, i));
         }
     }
 
-    /// Runs one window across all shards on the worker pool.
-    fn run_on_workers(&mut self, horizons: &[Option<SimTime>], budget: u64) {
+    /// Runs one window across all shards on the worker pool: worker `w`
+    /// owns shards `w, w + workers, …` outright, so no shard is shared and
+    /// nothing is locked. A worker's panic is re-raised here with its own
+    /// payload.
+    fn run_on_workers(&mut self, horizons: Horizons, budget: u64) {
         let locs = &self.locs;
-        let slots: Vec<Mutex<&mut Shard>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let workers = self.workers.min(slots.len());
-        let active = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let slots = &slots;
-                let active = &active;
-                scope.spawn(move || {
-                    let mut did_work = false;
-                    for (i, slot) in slots.iter().enumerate() {
-                        if i % workers != w {
-                            continue;
+        let workers = self.workers.min(self.shards.len());
+        let mut parts: Vec<Vec<(usize, &mut Shard)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            parts[i % workers].push((i, shard));
+        }
+        let active = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .into_iter()
+                .map(|part| {
+                    scope.spawn(move || {
+                        let mut did_work = false;
+                        for (i, shard) in part {
+                            shard.run_window(horizons.of(i), budget, route(locs, i));
+                            did_work |= shard.processed > 0;
                         }
-                        // Poison recovery mirrors Shared<T>: a panicking
-                        // worker already aborts the run; cascading
-                        // "poisoned" panics on the other workers would
-                        // bury the original diagnostic.
-                        let mut shard = slot
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        shard.run_window(horizons[i], budget, route(locs, i));
-                        did_work |= shard.processed > 0;
-                    }
-                    if did_work {
-                        active.fetch_or(1 << w, Ordering::Relaxed);
-                    }
-                });
-            }
+                        did_work
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .filter(|&did_work| did_work)
+                .count() as u64
         });
-        let active_count = active.load(Ordering::Relaxed).count_ones() as u64;
-        if active_count > 0 {
-            // Track peak concurrency so tests (and users) can verify the
-            // backend actually fans out over OS threads.
-            let peak = self.metrics.counter("runtime.sharded.active_workers.peak");
-            if active_count > peak {
-                self.metrics
-                    .add("runtime.sharded.active_workers.peak", active_count - peak);
-            }
+        // Track peak concurrency so tests (and users) can verify the
+        // backend actually fans out over OS threads.
+        let peak = self.metrics.counter("runtime.sharded.active_workers.peak");
+        if active > peak {
+            self.metrics
+                .add("runtime.sharded.active_workers.peak", active - peak);
         }
     }
 }
@@ -697,98 +662,118 @@ mod tests {
         assert_eq!(rt.metrics().counter("hits"), 2);
     }
 
-    /// A fixed-delay echo for the per-link tests.
-    struct Echo {
-        peer: ActorId,
-        delay: SimDuration,
+    /// A worker's index is not a bit position: with more workers than a
+    /// `u64` has bits, the one worker that ran an event still counts once.
+    #[test]
+    fn sixty_five_workers_count_the_one_that_worked() {
+        let mut c = RuntimeConfig::new(1, 65, LOOKAHEAD);
+        c.workers = Some(65);
+        let mut rt = ShardedSim::new(&c);
+        let last = rt.add_actor_on(64, "p", pinger());
+        rt.post(SimDuration::ZERO, last, 0u32);
+        assert_eq!(rt.run(), RunOutcome::Drained);
+        assert_eq!(rt.steps(), 1);
+        assert_eq!(
+            rt.metrics().counter("runtime.sharded.active_workers.peak"),
+            1
+        );
     }
-    impl Actor for Echo {
-        fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            let v = *msg.downcast::<u32>().expect("u32");
-            if v > 0 {
-                let (peer, delay) = (self.peer, self.delay);
-                ctx.send_after(delay, peer, v - 1);
+
+    /// The reference model: the channel-clock closure over the uniform
+    /// lookahead graph, `ready_j = min(next_j, min over k ≠ j of
+    /// ready_k + la)` by Bellman–Ford relaxation, then
+    /// `H_i = min over j ≠ i of ready_j + la`, capped by the deadline.
+    fn reference_horizons(
+        nexts: &[Option<SimTime>],
+        la: SimDuration,
+        deadline: Option<SimTime>,
+    ) -> Vec<Option<SimTime>> {
+        let n = nexts.len();
+        let mut ready: Vec<Option<SimTime>> = nexts.to_vec();
+        for _ in 1..n {
+            let mut changed = false;
+            for j in 0..n {
+                let Some(rj) = ready[j] else { continue };
+                let reach = rj.saturating_add(la);
+                for (i, ri) in ready.iter_mut().enumerate() {
+                    if i != j && ri.is_none_or(|ri| reach < ri) {
+                        *ri = Some(reach);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
             }
         }
+        (0..n)
+            .map(|i| {
+                let mut bound = deadline.and_then(shard::horizon_after);
+                for (j, r) in ready.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    if let Some(r) = r {
+                        let reach = r.saturating_add(la);
+                        bound = Some(bound.map_or(reach, |b| b.min(reach)));
+                    }
+                }
+                bound
+            })
+            .collect()
     }
 
-    /// 3 nodes; the 0↔1 link allows 1 µs messages while every other link
-    /// requires 5 µs. Under a single global-minimum bound the 5 µs links
-    /// would be over-constrained or the 1 µs traffic rejected.
-    fn asymmetric_config(seed: u64) -> RuntimeConfig {
-        let fast = SimDuration::from_micros(1);
-        let slow = SimDuration::from_micros(5);
-        let mut la = vec![vec![slow; 3]; 3];
-        la[0][1] = fast;
-        la[1][0] = fast;
-        let mut c = RuntimeConfig::new(seed, 3, fast);
-        c.link_lookahead = Some(la);
-        c.workers = Some(2);
-        c
-    }
-
+    /// Seeded rounds with idle shards, ties at the earliest time, sums that
+    /// saturate at the end of the timeline, and no deadline, the end of the
+    /// timeline or a random one.
     #[test]
-    fn per_link_lookahead_accepts_fast_link_traffic() {
-        let mut rt = ShardedSim::new(&asymmetric_config(3));
-        let a = rt.add_actor_on(0, "a", pinger());
-        let b = rt.add_actor_on(1, "b", pinger());
-        rt.with_actor::<Pinger, _>(a, |p| p.peer = Some(b));
-        rt.with_actor::<Pinger, _>(b, |p| p.peer = Some(a));
-        // Pinger replies after LOOKAHEAD (2 µs) ≥ the 1 µs fast link bound
-        // but below the 5 µs bound of every other link: accepted, because
-        // only the 0↔1 link's lookahead governs this traffic.
-        rt.post(SimDuration::ZERO, a, 8u32);
-        assert_eq!(rt.run(), RunOutcome::Drained);
-        assert_eq!(rt.steps(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn per_link_lookahead_rejects_undercutting_the_slow_link() {
-        let mut rt = ShardedSim::new(&asymmetric_config(3));
-        let sink = rt.add_actor_on(2, "sink", pinger());
-        // 2 µs delay clears the 1 µs fast link but undercuts the 5 µs
-        // bound on the 0→2 link.
-        let rogue = rt.add_actor_on(
-            0,
-            "rogue",
-            Box::new(Echo {
-                peer: sink,
-                delay: SimDuration::from_micros(2),
-            }),
-        );
-        rt.post(SimDuration::ZERO, rogue, 1u32);
-        rt.run();
-    }
-
-    #[test]
-    fn heterogeneous_links_drain_deterministically() {
-        let run = || {
-            let mut rt = ShardedSim::new(&asymmetric_config(11));
-            // Ring of echoes with 5 µs hops (≥ every link bound).
-            let ids: Vec<_> = (0..3)
-                .map(|n| {
-                    rt.add_actor_on(
-                        n,
-                        "e",
-                        Box::new(Echo {
-                            peer: ActorId::from_raw(0),
-                            delay: SimDuration::from_micros(5),
-                        }),
-                    )
-                })
-                .collect();
-            for (i, id) in ids.iter().enumerate() {
-                let peer = ids[(i + 1) % ids.len()];
-                rt.with_actor::<Echo, _>(*id, |e| e.peer = peer);
+    fn closed_form_horizons_match_the_bellman_ford_closure() {
+        let end = SimTime::from_nanos(u64::MAX);
+        let mut rng = SimRng::new(24);
+        for n in [1, 2, 3, 4, 7, 64] {
+            for _ in 0..2_000 {
+                let la = SimDuration::from_nanos(1 + rng.gen_range(3_000));
+                // Near the end of the timeline the sums saturate.
+                let base = if rng.gen_bool(0.1) {
+                    u64::MAX - rng.gen_range(10_000)
+                } else {
+                    rng.gen_range(1 << 40)
+                };
+                let spread = 1 + rng.gen_range(4 * la.as_nanos());
+                let at = |rng: &mut SimRng| {
+                    SimTime::from_nanos(base.saturating_add(rng.gen_range(spread)))
+                };
+                let mut nexts: Vec<Option<SimTime>> = (0..n)
+                    .map(|_| (!rng.gen_bool(0.4)).then(|| at(&mut rng)))
+                    .collect();
+                if n > 1 && rng.gen_bool(0.3) {
+                    // Two shards share the earliest pending time.
+                    let a = rng.gen_range(n as u64) as usize;
+                    let b = (a + 1 + rng.gen_range(n as u64 - 1) as usize) % n;
+                    let t = nexts.iter().flatten().min().copied();
+                    let t = t.unwrap_or_else(|| at(&mut rng));
+                    nexts[a] = Some(t);
+                    nexts[b] = Some(t);
+                }
+                let deadline = match rng.gen_range(4) {
+                    0 => None,
+                    1 => Some(end),
+                    _ => Some(at(&mut rng)),
+                };
+                let want = reference_horizons(&nexts, la, deadline);
+                let Some(got) = horizons(nexts.iter().copied(), la, deadline) else {
+                    assert!(nexts.iter().all(Option::is_none), "{nexts:?}");
+                    continue;
+                };
+                assert_eq!(Some(got.earliest), nexts.iter().flatten().min().copied());
+                for (i, want) in want.into_iter().enumerate() {
+                    assert_eq!(
+                        got.of(i),
+                        want,
+                        "shard {i} of {n}: nexts {nexts:?}, la {la}, deadline {deadline:?}"
+                    );
+                }
             }
-            rt.post(SimDuration::ZERO, ids[0], 12u32);
-            assert_eq!(rt.run(), RunOutcome::Drained);
-            (rt.steps(), rt.now())
-        };
-        assert_eq!(run(), run());
-        let (steps, end) = run();
-        assert_eq!(steps, 13);
-        assert_eq!(end, SimTime::from_nanos(12 * 5_000));
+        }
     }
 }

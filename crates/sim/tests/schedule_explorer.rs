@@ -1,8 +1,8 @@
 //! Bounded schedule explorer for the sharded barrier (DPOR-lite).
 //!
 //! The sharded backend's correctness argument is that the conservative
-//! per-link horizon (with the Bellman–Ford channel-clock closure) makes
-//! the shard executions of one round *commute*: cross-shard messages only
+//! closed-form horizons over one lookahead make the shard executions of
+//! one round *commute*: cross-shard messages only
 //! move at the barrier, so any interleaving of a round's shards yields
 //! the same behavior. This harness checks that argument exhaustively on
 //! tiny topologies instead of trusting the few schedules the OS happens
