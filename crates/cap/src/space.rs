@@ -102,15 +102,6 @@ impl CapSpace {
             .enumerate()
             .filter_map(|(i, slot)| slot.map(|cap| (Cid(i as u32), cap)))
     }
-
-    /// Removes every capability, returning them (used on Process failure).
-    pub fn drain_all(&mut self) -> Vec<CapRef> {
-        let caps: Vec<CapRef> = self.slots.iter().copied().flatten().collect();
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-        caps
-    }
 }
 
 impl Default for CapSpace {
@@ -170,17 +161,6 @@ mod tests {
         assert_eq!(s.insert(cap(2)), Err(CapError::SpaceExhausted));
         s.remove(Cid(0)).unwrap();
         assert!(s.insert(cap(3)).is_ok());
-    }
-
-    #[test]
-    fn drain_all_empties() {
-        let mut s = CapSpace::new();
-        s.insert(cap(1)).unwrap();
-        s.insert(cap(2)).unwrap();
-        let drained = s.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert!(s.is_empty());
-        assert_eq!(s.insert(cap(3)).unwrap(), Cid(0));
     }
 
     #[test]

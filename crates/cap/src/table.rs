@@ -70,37 +70,25 @@ pub enum MonitorEvent {
     Receive(Watcher),
 }
 
-/// The result of a revocation: which objects were invalidated, which
-/// payloads were released (so backing resources can be freed), and which
+/// The result of a revocation: which objects were invalidated and which
 /// monitor callbacks fired.
 #[derive(Debug, Default)]
-pub struct RevokeOutcome<T> {
+pub struct RevokeOutcome {
     /// Every object invalidated, in cascade order (the argument first).
     pub revoked: Vec<ObjectId>,
-    /// Payloads of invalidated `Owned` objects.
-    pub released: Vec<T>,
     /// Monitor callbacks to deliver.
     pub events: Vec<MonitorEvent>,
 }
 
-impl<T> RevokeOutcome<T> {
-    fn new() -> Self {
-        RevokeOutcome {
-            revoked: Vec::new(),
-            released: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
+impl RevokeOutcome {
     /// Number of revocation-tree nodes visited (the Fig 7 cost metric).
     pub fn nodes_visited(&self) -> usize {
         self.revoked.len()
     }
 
     /// Merges another outcome into this one.
-    pub fn merge(&mut self, other: RevokeOutcome<T>) {
+    pub fn merge(&mut self, other: RevokeOutcome) {
         self.revoked.extend(other.revoked);
-        self.released.extend(other.released);
         self.events.extend(other.events);
     }
 }
@@ -303,14 +291,6 @@ impl<T> ObjectTable<T> {
         }
     }
 
-    /// The Process that registered the object.
-    pub fn owner_of(&self, id: ObjectId) -> Result<ProcessToken> {
-        self.entries
-            .get(&id)
-            .map(|e| e.owner)
-            .ok_or(CapError::NoSuchObject(id))
-    }
-
     /// Mutable access to an object's payload (e.g. Request refinement by the
     /// Controller itself).
     pub fn payload_mut(&mut self, cap: CapRef) -> Result<&mut T> {
@@ -375,14 +355,14 @@ impl<T> ObjectTable<T> {
     /// Invalidation is local to this (owner) table; dangling capabilities at
     /// other Controllers are removed by the later cleanup broadcast and are
     /// harmless in between because every use contacts this table.
-    pub fn revoke(&mut self, id: ObjectId) -> Result<RevokeOutcome<T>> {
+    pub fn revoke(&mut self, id: ObjectId) -> Result<RevokeOutcome> {
         self.check_live(id)?;
-        let mut outcome = RevokeOutcome::new();
+        let mut outcome = RevokeOutcome::default();
         self.revoke_subtree(id, &mut outcome);
         Ok(outcome)
     }
 
-    fn revoke_subtree(&mut self, root: ObjectId, outcome: &mut RevokeOutcome<T>) {
+    fn revoke_subtree(&mut self, root: ObjectId, outcome: &mut RevokeOutcome) {
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
             let Some(entry) = self.entries.get_mut(&id) else {
@@ -399,14 +379,9 @@ impl<T> ObjectTable<T> {
             for w in entry.receive_watchers.drain(..) {
                 outcome.events.push(MonitorEvent::Receive(w));
             }
-            // Release owned payloads so backing resources can be freed.
-            if let Payload::Owned(_) = entry.payload {
-                if let Payload::Owned(t) = std::mem::replace(&mut entry.payload, Payload::Inherit) {
-                    outcome.released.push(t);
-                }
-                // A released node keeps `Inherit`; it is revoked, so the
-                // payload can never be resolved through it again.
-            }
+            // Drop the payload: the node is revoked, so it can never be
+            // resolved through again.
+            entry.payload = Payload::Inherit;
             let delegatee_of = entry.delegatee_of;
 
             // Decrement the delegator counter if this was a monitored
@@ -429,14 +404,14 @@ impl<T> ObjectTable<T> {
     /// Translates a Process failure into revocations (§3.6): every object
     /// registered by the failed Process is revoked, and its monitor
     /// registrations are discarded (no callbacks to the dead).
-    pub fn fail_process(&mut self, proc: ProcessToken) -> RevokeOutcome<T> {
+    pub fn fail_process(&mut self, proc: ProcessToken) -> RevokeOutcome {
         let owned: Vec<ObjectId> = self
             .entries
             .iter()
             .filter(|(_, e)| e.owner == proc && !e.revoked)
             .map(|(id, _)| *id)
             .collect();
-        let mut outcome = RevokeOutcome::new();
+        let mut outcome = RevokeOutcome::default();
         for id in owned {
             // A cascade from an earlier root may have taken this one already.
             if let Ok(o) = self.revoke(id) {
@@ -547,8 +522,6 @@ mod tests {
         assert_eq!(t.check(root), Ok(()));
         assert_eq!(t.check(child), Err(CapError::Revoked(child.object)));
         assert_eq!(t.check(grand), Err(CapError::Revoked(grand.object)));
-        // Released payloads come back for resource freeing.
-        assert_eq!(outcome.released.len(), 2);
     }
 
     #[test]

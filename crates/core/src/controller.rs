@@ -37,7 +37,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use fractos_cap::{CapRef, CapSpace, Cid, ControllerAddr, MonitorEvent, ObjectTable, Watcher};
+use fractos_cap::{
+    CapRef, CapSpace, Cid, ControllerAddr, MonitorEvent, ObjectTable, RevokeOutcome, Watcher,
+};
 use fractos_net::{ComputeDomain, Endpoint, Fabric, NetParams, Payload, SendOutcome, TrafficClass};
 use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TraceCtx};
 
@@ -698,7 +700,7 @@ impl ControllerActor {
             .as_memory()
             .cloned()
             .ok_or(FosError::WrongObjectKind)?;
-        if offset + size > src.size {
+        if offset.checked_add(size).is_none_or(|end| end > src.size) {
             return Err(FosError::OutOfBounds);
         }
         let desc = MemoryDesc {
@@ -736,29 +738,10 @@ impl ControllerActor {
     fn do_local_revoke(&mut self, ctx: &mut Ctx<'_>, cap: CapRef) -> Result<u64, FosError> {
         self.table.check(cap)?;
         let outcome = self.table.revoke(cap.object)?;
-        let epoch = self.table.epoch();
-        {
-            let mut mem = self.mem.borrow_mut();
-            for id in &outcome.revoked {
-                mem.invalidate_window(CapRef {
-                    ctrl: self.addr,
-                    epoch,
-                    object: *id,
-                });
-            }
-        }
-        self.dispatch_monitor_events(ctx, &outcome.events);
+        let visited = outcome.nodes_visited() as u64;
+        let refs = self.retire(ctx, outcome);
         // Out-of-critical-path cleanup broadcast: peers drop dangling
         // capabilities referencing the invalidated objects.
-        let refs: Vec<CapRef> = outcome
-            .revoked
-            .iter()
-            .map(|id| CapRef {
-                ctrl: self.addr,
-                epoch,
-                object: *id,
-            })
-            .collect();
         let peers = self.dir.borrow().all_ctrls();
         for peer in peers {
             if peer != self.addr && !self.peers_dead.contains(&peer) {
@@ -771,17 +754,38 @@ impl ControllerActor {
             }
         }
         // Local cleanup of the owner's own bookkeeping.
-        self.scrub_capspaces(&refs);
-        Ok(outcome.nodes_visited() as u64)
+        self.scrub_where(|c| refs.contains(c));
+        Ok(visited)
     }
 
-    fn scrub_capspaces(&mut self, revoked: &[CapRef]) {
-        let dead: HashSet<CapRef> = revoked.iter().copied().collect();
-        self.scrub_where(|cap| dead.contains(cap));
+    /// The owner-side end of a revocation: removes the memory window of
+    /// every revoked object, then delivers the monitor callbacks. Returns
+    /// the revoked objects' references, which peers may still hold.
+    fn retire(&mut self, ctx: &mut Ctx<'_>, outcome: RevokeOutcome) -> Vec<CapRef> {
+        let epoch = self.table.epoch();
+        let refs: Vec<CapRef> = outcome
+            .revoked
+            .iter()
+            .map(|&object| CapRef {
+                ctrl: self.addr,
+                epoch,
+                object,
+            })
+            .collect();
+        {
+            let mut mem = self.mem.borrow_mut();
+            for r in &refs {
+                mem.invalidate_window(*r);
+            }
+        }
+        self.dispatch_monitor_events(ctx, &outcome.events);
+        refs
     }
 
     /// Drops every capability matching `dead` from the capability spaces of
-    /// the Processes managed here and from the bootstrap registry.
+    /// the Processes managed here and from the bootstrap registry. A
+    /// revoked list is one revocation subtree, so testing each held slot
+    /// against the slice is cheaper than hashing every slot.
     fn scrub_where(&mut self, dead: impl Fn(&CapRef) -> bool) {
         for (proc, space) in self.spaces.iter_mut() {
             let victims: Vec<Cid> = space
@@ -1782,7 +1786,7 @@ impl ControllerActor {
             PeerOp::MonitorEvent { proc, cb } => {
                 self.send_proc(ctx, proc, CtrlToProc::Monitor(cb), extra)
             }
-            PeerOp::Cleanup { objs } => self.scrub_capspaces(&objs),
+            PeerOp::Cleanup { objs } => self.scrub_where(|c| objs.contains(c)),
             PeerOp::FailProcess { proc } => self.fail_process_local(ctx, proc),
         }
     }
@@ -1796,18 +1800,7 @@ impl ControllerActor {
     /// space.
     fn fail_process_local(&mut self, ctx: &mut Ctx<'_>, proc: ProcId) {
         let outcome = self.table.fail_process(proc.token());
-        let epoch = self.table.epoch();
-        {
-            let mut mem = self.mem.borrow_mut();
-            for id in &outcome.revoked {
-                mem.invalidate_window(CapRef {
-                    ctrl: self.addr,
-                    epoch,
-                    object: *id,
-                });
-            }
-        }
-        self.dispatch_monitor_events(ctx, &outcome.events);
+        self.retire(ctx, outcome);
         if self.spaces.remove(&proc).is_some() {
             self.dead_procs.insert(proc);
             self.snaps.retain(|(p, _), _| *p != proc);

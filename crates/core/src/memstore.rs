@@ -16,13 +16,6 @@ use fractos_cap::{CapRef, Perms};
 
 use crate::types::{FosError, MemoryDesc, ProcId};
 
-/// State of one registered memory window.
-#[derive(Debug, Clone)]
-struct Window {
-    desc: MemoryDesc,
-    valid: bool,
-}
-
 /// One allocated region of Process memory.
 #[derive(Debug)]
 struct Region {
@@ -43,8 +36,9 @@ pub struct MemoryStore {
     regions: BTreeMap<(ProcId, u64), Region>,
     /// Bump allocator cursor per process.
     next_addr: BTreeMap<ProcId, u64>,
-    /// Registered RDMA windows keyed by the capability that minted them.
-    windows: BTreeMap<CapRef, Window>,
+    /// Live RDMA windows keyed by the capability that minted them; a
+    /// revoked window is removed.
+    windows: BTreeMap<CapRef, MemoryDesc>,
 }
 
 impl MemoryStore {
@@ -146,25 +140,19 @@ impl MemoryStore {
 
     /// Registers an RDMA window for the capability `cap` over `desc`.
     pub fn register_window(&mut self, cap: CapRef, desc: MemoryDesc) {
-        self.windows.insert(cap, Window { desc, valid: true });
+        self.windows.insert(cap, desc);
     }
 
-    /// Invalidates the window minted by `cap` (owner-side revocation).
+    /// Removes the window minted by `cap` (owner-side revocation).
     /// Idempotent; unknown windows are ignored (they may belong to Request
     /// objects).
     pub fn invalidate_window(&mut self, cap: CapRef) {
-        if let Some(w) = self.windows.get_mut(&cap) {
-            w.valid = false;
-        }
+        self.windows.remove(&cap);
     }
 
-    /// Invalidates every window owned by `proc` (process failure).
+    /// Removes every window over `proc`'s memory (process failure).
     pub fn invalidate_proc_windows(&mut self, proc: ProcId) {
-        for w in self.windows.values_mut() {
-            if w.desc.proc == proc {
-                w.valid = false;
-            }
-        }
+        self.windows.retain(|_, desc| desc.proc != proc);
     }
 
     /// One-sided RDMA read through a window: checks validity, permissions
@@ -176,7 +164,7 @@ impl MemoryStore {
         len: u64,
     ) -> Result<Vec<u8>, FosError> {
         let w = self.check_window(window, offset, len, Perms::READ)?;
-        self.read(w.desc.proc, w.desc.addr, w.desc.view_off + offset, len)
+        self.read(w.proc, w.addr, w.view_off + offset, len)
     }
 
     /// One-sided RDMA write through a window.
@@ -189,7 +177,7 @@ impl MemoryStore {
         let w = self
             .check_window(window, offset, data.len() as u64, Perms::WRITE)?
             .clone();
-        self.write(w.desc.proc, w.desc.addr, w.desc.view_off + offset, data)
+        self.write(w.proc, w.addr, w.view_off + offset, data)
     }
 
     fn check_window(
@@ -198,27 +186,15 @@ impl MemoryStore {
         offset: u64,
         len: u64,
         need: Perms,
-    ) -> Result<&Window, FosError> {
+    ) -> Result<&MemoryDesc, FosError> {
         let w = self.windows.get(&window).ok_or(FosError::WindowInvalid)?;
-        if !w.valid {
-            return Err(FosError::WindowInvalid);
-        }
-        if !w.desc.perms.contains(need) {
+        if !w.perms.contains(need) {
             return Err(FosError::PermissionDenied);
         }
-        if offset + len > w.desc.size {
+        if offset.checked_add(len).is_none_or(|end| end > w.size) {
             return Err(FosError::OutOfBounds);
         }
         Ok(w)
-    }
-
-    /// The descriptor behind a window, if it is still valid.
-    pub fn window_desc(&self, window: CapRef) -> Result<&MemoryDesc, FosError> {
-        let w = self.windows.get(&window).ok_or(FosError::WindowInvalid)?;
-        if !w.valid {
-            return Err(FosError::WindowInvalid);
-        }
-        Ok(&w.desc)
     }
 }
 

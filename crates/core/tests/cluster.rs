@@ -287,6 +287,34 @@ fn diminish_narrows_extent_and_permissions() {
     });
 }
 
+/// A Process-supplied extent whose end overflows `u64` is out of bounds,
+/// not a wrapped view.
+#[test]
+fn diminish_with_overflowing_extent_is_out_of_bounds() {
+    let (mut tb, ctrls) = two_ctrl_testbed();
+    let p = tb.add_process(
+        "p",
+        cpu(0),
+        ctrls[0],
+        Script::new(|_, fos| {
+            fos.memory_create_new(64, Perms::RW, |_s, _addr, cid, fos| {
+                let diminish = Syscall::MemoryDiminish {
+                    cid: cid.unwrap(),
+                    offset: u64::MAX,
+                    size: 2,
+                    drop_perms: Perms::NONE,
+                };
+                fos.call(diminish, |s: &mut Script, res, _| s.results.push(res));
+            });
+        }),
+    );
+    tb.start_process(p);
+    tb.run();
+    tb.with_service::<Script, _>(p, |s| {
+        assert_eq!(s.results, vec![SyscallResult::Err(FosError::OutOfBounds)]);
+    });
+}
+
 #[test]
 fn revocation_is_immediate_for_data_plane() {
     let (mut tb, ctrls) = two_ctrl_testbed();
@@ -370,6 +398,96 @@ fn revocation_is_immediate_for_data_plane() {
             matches!(s.results[1], SyscallResult::Err(FosError::Cap(_))),
             "after cleanup the cid is dangling, got {:?}",
             s.results[1]
+        );
+    });
+}
+
+/// The cleanup broadcast at a peer Controller drops every slot holding a
+/// revoked reference, and only those: in the client's capability space and
+/// in the registry.
+#[test]
+fn cleanup_broadcast_scrubs_every_slot_of_the_revoked_ref() {
+    let (mut tb, ctrls) = two_ctrl_testbed();
+    // The owner sits away from the registry, so both the client's space and
+    // the registry are scrubbed by the `Cleanup` the owner broadcasts.
+    let owner = tb.add_process(
+        "owner",
+        cpu(1),
+        ctrls[1],
+        Script::new(|_, fos| {
+            fos.memory_create_new(64, Perms::RW, |_s, _a, root, fos| {
+                let revtree = Syscall::CapCreateRevtree { cid: root.unwrap() };
+                fos.call(revtree, |s: &mut Script, res, fos| {
+                    let node = res.cid();
+                    s.cids.push(node);
+                    fos.kv_put("node", node, |_, res, _| assert!(res.is_ok()));
+                });
+            });
+            fos.memory_create_new(64, Perms::RW, |_s, _a, other, fos| {
+                fos.kv_put("other", other.unwrap(), |_, res, _| assert!(res.is_ok()));
+            });
+        }),
+    );
+    tb.start_process(owner);
+    tb.run();
+
+    // Two lookups of the node give two slots holding one reference.
+    let get = |key: &str| Syscall::KvGet { key: key.into() };
+    let client = tb.add_process(
+        "client",
+        cpu(0),
+        ctrls[0],
+        Script::new(move |_, fos| {
+            fos.memory_create_new(64, Perms::RW, move |s: &mut Script, _a, buf, fos| {
+                s.cids.push(buf.unwrap());
+                fos.chain(
+                    vec![get("node"), get("node"), get("other")],
+                    |s: &mut Script, res, _| s.cids.extend(res.unwrap()),
+                );
+            });
+        }),
+    );
+    tb.start_process(client);
+    tb.run();
+    let len = |tb: &mut Testbed| {
+        tb.with_controller(ctrls[0], |c: &mut ControllerActor| c.capspace_len(client))
+    };
+    let held = len(&mut tb);
+
+    let node = tb.with_service::<Script, _>(owner, |s| s.cids[0]);
+    let fos = tb.fos_of::<Script>(owner);
+    fos.call(Syscall::CapRevoke { cid: node }, |s, res, _| {
+        s.results.push(res)
+    });
+    tb.poke(owner);
+    tb.run();
+    tb.with_service::<Script, _>(owner, |s| {
+        assert_eq!(s.results, vec![SyscallResult::Value(1)]);
+    });
+    assert_eq!(len(&mut tb), held - 2, "both node slots, nothing else");
+    let keys = tb.with_controller(ctrls[0], |c: &mut ControllerActor| c.kv_keys());
+    assert_eq!(keys, vec!["other".to_string()]);
+
+    let [buf, node1, node2, other] =
+        tb.with_service::<Script, _>(client, |s| <[Cid; 4]>::try_from(s.cids.clone()).unwrap());
+    let fos = tb.fos_of::<Script>(client);
+    fos.memory_copy(node1, buf, move |s: &mut Script, res, fos| {
+        s.results.push(res);
+        fos.memory_copy(other, buf, move |s: &mut Script, res, fos| {
+            s.results.push(res);
+            fos.kv_get("other", |s: &mut Script, res, _| s.results.push(res));
+        });
+    });
+    tb.poke(client);
+    tb.run();
+    tb.with_service::<Script, _>(client, |s| {
+        assert_eq!(
+            s.results,
+            vec![
+                SyscallResult::Err(FosError::Cap(CapError::BadCid(node1))),
+                SyscallResult::Ok,
+                SyscallResult::NewCid(node1.min(node2)),
+            ]
         );
     });
 }
