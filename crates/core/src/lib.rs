@@ -13,7 +13,9 @@
 //! Module map:
 //!
 //! * [`types`] — Memory/Request descriptors, the Table-1 syscall surface;
-//! * [`wire`] — the hand-rolled wire codec (sizes feed traffic accounting);
+//! * [`wire`] — the wire codec: one layout declaration per message
+//!   generates both encode and decode (sizes feed traffic accounting);
+//!   [`wire_peer`] declares the Controller ↔ Controller messages;
 //! * [`memstore`] — simulated Process memory + RDMA windows (real bytes);
 //! * [`messages`] — Process↔Controller and Controller↔Controller messages;
 //! * [`process`] — the Process runtime and `libfractos` CPS API;

@@ -1,4 +1,4 @@
-//! Hand-rolled wire codec.
+//! The wire codec, stated once per message.
 //!
 //! FractOS Controllers exchange serialized syscalls, Requests and
 //! capabilities over RoCE queue pairs. The codec here is a compact
@@ -6,15 +6,30 @@
 //! fabric's traffic accounting and serialization delays reflect what a real
 //! deployment would put on the wire, and (2) prove by round-trip tests that
 //! the protocol is actually serializable (no in-memory-only shortcuts).
+//!
+//! Each layout is declared once, in a `wire!` block: a struct lists its
+//! fields in wire order; an enum lists its variants, each with its one-byte
+//! tag, and the variant's fields follow the tag in the order listed. The
+//! macro generates `encode` and `decode` from that one list, so the two
+//! halves cannot drift apart: a missing field or variant does not compile,
+//! and a duplicate tag is an unreachable pattern, which CI denies. Building
+//! blocks have generic impls: integers, strings and payloads (`u32` length
+//! prefix), vectors (`u32` count), `Option` and `Result<_, FosError>` (tag 0
+//! for `None`/`Ok`, 1 for `Some`/`Err`). The tag values are frozen
+//! protocol: `tests/wire_golden.rs` pins every byte.
 
-use fractos_cap::{CapRef, Cid, ControllerAddr, Epoch, ObjectId, Perms};
-use fractos_net::{Endpoint, Location, NodeId};
+use fractos_cap::{CapError, CapRef, Cid, ControllerAddr, Epoch, ObjectId, Perms};
+use fractos_net::{Endpoint, Location, NodeId, Payload, TopologyError};
+use fractos_sim::TraceCtx;
 
 use crate::types::{
-    Arg, CapArg, FosError, IncomingRequest, MemoryDesc, RequestDesc, Syscall, SyscallResult,
+    Arg, CapArg, FosError, IncomingRequest, MemoryDesc, ProcId, RequestDesc, Syscall, SyscallResult,
 };
+use crate::verify::{PlanPath, PlanStep, VerifyError, VerifyErrorKind};
 
-pub mod codes;
+/// A decoded count pre-allocates at most this many elements, so a hostile
+/// count cannot reserve memory the buffer does not back.
+const MAX_PREALLOC: usize = 1024;
 
 /// Buffer-writing half of the codec.
 #[derive(Debug, Default)]
@@ -58,15 +73,15 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("blob too large"));
-        self.buf.extend_from_slice(v);
+    /// Appends a `u32` length or element count.
+    fn count(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("length exceeds the u32 wire count"));
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
+    /// Appends a length-prefixed byte string.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.count(v.len());
+        self.buf.extend_from_slice(v);
     }
 }
 
@@ -114,7 +129,11 @@ impl<'a> Decoder<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.slice(N)?.try_into().expect("slice(N) is N bytes"))
+    }
+
+    fn slice(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.buf.len() {
             return Err(DecodeError::Truncated);
         }
@@ -125,28 +144,23 @@ impl<'a> Decoder<'a> {
 
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, DecodeError> {
-        String::from_utf8(self.bytes()?).map_err(|_| DecodeError::BadUtf8)
+        self.slice(n)
     }
 }
 
@@ -183,159 +197,94 @@ pub trait Wire: Sized {
     }
 }
 
-impl Wire for CapRef {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.ctrl.0);
-        e.u64(self.epoch.0);
-        e.u64(self.object.0);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(CapRef {
-            ctrl: ControllerAddr(d.u32()?),
-            epoch: Epoch(d.u64()?),
-            object: ObjectId(d.u64()?),
-        })
-    }
-}
-
-/// Trace-context header extension: 16 bytes, two little-endian `u64`s
-/// (trace id, parent span id).
+/// Declares wire layouts and generates their [`Wire`] impls.
 ///
-/// Carried *out of band* next to the message header — analogous to an RDMA
-/// immediate or an optional header TLV — so it is deliberately excluded
-/// from every `wire_size` used for traffic accounting: per-link byte
-/// counters are identical whether or not span recording is enabled. The
-/// codec exists to pin the format (and prove serializability) for a real
-/// deployment.
-impl Wire for fractos_sim::TraceCtx {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.trace);
-        e.u64(self.span);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(fractos_sim::TraceCtx {
-            trace: d.u64()?,
-            span: d.u64()?,
-        })
+/// `struct Name { a, b }` encodes the named fields in the order listed
+/// (`{ 0 }` for a newtype). `enum Name { V = 0, W(x) = 1, X { a, b } = 2 }`
+/// writes the variant's tag, then its fields in the order listed; decoding
+/// rejects an unknown tag before reading anything after it.
+macro_rules! wire {
+    () => {};
+    (struct $ty:ident { $($f:tt),* } $($rest:tt)*) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, e: &mut $crate::wire::Encoder) {
+                $( $crate::wire::Wire::encode(&self.$f, e); )*
+            }
+            fn decode(
+                d: &mut $crate::wire::Decoder<'_>,
+            ) -> Result<Self, $crate::wire::DecodeError> {
+                Ok(Self { $( $f: $crate::wire::Wire::decode(d)? ),* })
+            }
+        }
+        $crate::wire::wire!($($rest)*);
+    };
+    (enum $ty:ident {
+        $( $v:ident $(( $($tf:ident),* ))? $({ $($sf:ident),* })? = $tag:literal ),* $(,)?
+    } $($rest:tt)*) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, e: &mut $crate::wire::Encoder) {
+                match self {
+                    $( Self::$v $(( $($tf),* ))? $({ $($sf),* })? => {
+                        e.u8($tag);
+                        $($( $crate::wire::Wire::encode($tf, e); )*)?
+                        $($( $crate::wire::Wire::encode($sf, e); )*)?
+                    } )*
+                }
+            }
+            fn decode(
+                d: &mut $crate::wire::Decoder<'_>,
+            ) -> Result<Self, $crate::wire::DecodeError> {
+                Ok(match d.u8()? {
+                    $( $tag => {
+                        $($( let $tf = $crate::wire::Wire::decode(d)?; )*)?
+                        $($( let $sf = $crate::wire::Wire::decode(d)?; )*)?
+                        Self::$v $(( $($tf),* ))? $({ $($sf),* })?
+                    } )*
+                    t => return Err($crate::wire::DecodeError::BadTag(t)),
+                })
+            }
+        }
+        $crate::wire::wire!($($rest)*);
+    };
+}
+pub(crate) use wire;
+
+macro_rules! int_wire {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn encode(&self, e: &mut Encoder) {
+                e.$t(*self);
+            }
+            fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                d.$t()
+            }
+        }
+    )*};
+}
+int_wire!(u8, u32, u64);
+
+impl Wire for () {
+    fn encode(&self, _: &mut Encoder) {}
+    fn decode(_: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(())
     }
 }
 
-impl Wire for Endpoint {
+impl Wire for String {
     fn encode(&self, e: &mut Encoder) {
-        e.u32(self.node.0);
-        match self.loc {
-            Location::HostCpu => e.u8(codes::LOC_HOST_CPU),
-            Location::SmartNic => e.u8(codes::LOC_SMART_NIC),
-            Location::Gpu(n) => {
-                e.u8(codes::LOC_GPU);
-                e.u8(n);
-            }
-            Location::Nvme(n) => {
-                e.u8(codes::LOC_NVME);
-                e.u8(n);
-            }
-        }
+        e.bytes(self.as_bytes());
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let node = NodeId(d.u32()?);
-        let loc = match d.u8()? {
-            codes::LOC_HOST_CPU => Location::HostCpu,
-            codes::LOC_SMART_NIC => Location::SmartNic,
-            codes::LOC_GPU => Location::Gpu(d.u8()?),
-            codes::LOC_NVME => Location::Nvme(d.u8()?),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        Ok(Endpoint { node, loc })
+        String::from_utf8(d.bytes()?.to_vec()).map_err(|_| DecodeError::BadUtf8)
     }
 }
 
-impl Wire for MemoryDesc {
+impl Wire for Payload {
     fn encode(&self, e: &mut Encoder) {
-        e.u32(self.proc.0);
-        self.location.encode(e);
-        e.u64(self.addr);
-        e.u64(self.view_off);
-        e.u64(self.size);
-        e.u8(self.perms.bits());
+        e.bytes(self);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MemoryDesc {
-            proc: crate::types::ProcId(d.u32()?),
-            location: Endpoint::decode(d)?,
-            addr: d.u64()?,
-            view_off: d.u64()?,
-            size: d.u64()?,
-            perms: Perms::from_bits(d.u8()?),
-        })
-    }
-}
-
-impl Wire for CapArg {
-    fn encode(&self, e: &mut Encoder) {
-        self.cap.encode(e);
-        match &self.mem {
-            None => e.u8(codes::OPT_NONE),
-            Some(m) => {
-                e.u8(codes::OPT_SOME);
-                m.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let cap = CapRef::decode(d)?;
-        let mem = match d.u8()? {
-            codes::OPT_NONE => None,
-            codes::OPT_SOME => Some(MemoryDesc::decode(d)?),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        Ok(CapArg { cap, mem })
-    }
-}
-
-impl Wire for Arg {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Arg::Imm(b) => {
-                e.u8(codes::ARG_IMM);
-                e.bytes(b);
-            }
-            Arg::Cap(c) => {
-                e.u8(codes::ARG_CAP);
-                c.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            codes::ARG_IMM => Ok(Arg::Imm(d.bytes()?.into())),
-            codes::ARG_CAP => Ok(Arg::Cap(CapArg::decode(d)?)),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for RequestDesc {
-    fn encode(&self, e: &mut Encoder) {
-        e.u32(self.provider.0);
-        e.u64(self.tag);
-        e.u32(self.args.len() as u32);
-        for a in &self.args {
-            a.encode(e);
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let provider = crate::types::ProcId(d.u32()?);
-        let tag = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut args = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            args.push(Arg::decode(d)?);
-        }
-        Ok(RequestDesc {
-            provider,
-            tag,
-            args,
-        })
+        Ok(d.bytes()?.into())
     }
 }
 
@@ -348,377 +297,210 @@ impl Wire for Perms {
     }
 }
 
-impl Wire for Cid {
+impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, e: &mut Encoder) {
-        e.u32(self.0);
+        e.count(self.len());
+        for x in self {
+            x.encode(e);
+        }
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Cid(d.u32()?))
+        let n = d.u32()? as usize;
+        let mut v = Vec::with_capacity(n.min(MAX_PREALLOC));
+        for _ in 0..n {
+            v.push(T::decode(d)?);
+        }
+        Ok(v)
     }
 }
 
-impl Wire for Syscall {
+impl<T: Wire> Wire for Option<T> {
     fn encode(&self, e: &mut Encoder) {
         match self {
-            Syscall::Null => e.u8(codes::SC_NULL),
-            Syscall::MemoryCreate { addr, size, perms } => {
-                e.u8(codes::SC_MEMORY_CREATE);
-                e.u64(*addr);
-                e.u64(*size);
-                perms.encode(e);
-            }
-            Syscall::MemoryDiminish {
-                cid,
-                offset,
-                size,
-                drop_perms,
-            } => {
-                e.u8(codes::SC_MEMORY_DIMINISH);
-                cid.encode(e);
-                e.u64(*offset);
-                e.u64(*size);
-                drop_perms.encode(e);
-            }
-            Syscall::MemoryCopy { src, dst } => {
-                e.u8(codes::SC_MEMORY_COPY);
-                src.encode(e);
-                dst.encode(e);
-            }
-            Syscall::RequestCreate {
-                base,
-                tag,
-                imms,
-                caps,
-            } => {
-                e.u8(codes::SC_REQUEST_CREATE);
-                match base {
-                    None => e.u8(codes::OPT_NONE),
-                    Some(b) => {
-                        e.u8(codes::OPT_SOME);
-                        b.encode(e);
-                    }
-                }
-                e.u64(*tag);
-                e.u32(imms.len() as u32);
-                for imm in imms {
-                    e.bytes(imm);
-                }
-                e.u32(caps.len() as u32);
-                for c in caps {
-                    c.encode(e);
-                }
-            }
-            Syscall::RequestInvoke { cid } => {
-                e.u8(codes::SC_REQUEST_INVOKE);
-                cid.encode(e);
-            }
-            Syscall::CapCreateRevtree { cid } => {
-                e.u8(codes::SC_CAP_CREATE_REVTREE);
-                cid.encode(e);
-            }
-            Syscall::CapRevoke { cid } => {
-                e.u8(codes::SC_CAP_REVOKE);
-                cid.encode(e);
-            }
-            Syscall::MonitorDelegate { cid, callback_id } => {
-                e.u8(codes::SC_MONITOR_DELEGATE);
-                cid.encode(e);
-                e.u64(*callback_id);
-            }
-            Syscall::MonitorReceive { cid, callback_id } => {
-                e.u8(codes::SC_MONITOR_RECEIVE);
-                cid.encode(e);
-                e.u64(*callback_id);
-            }
-            Syscall::KvPut { key, cid } => {
-                e.u8(codes::SC_KV_PUT);
-                e.str(key);
-                cid.encode(e);
-            }
-            Syscall::KvGet { key } => {
-                e.u8(codes::SC_KV_GET);
-                e.str(key);
-            }
-            Syscall::MemoryStat { cid } => {
-                e.u8(codes::SC_MEMORY_STAT);
-                cid.encode(e);
+            None => e.u8(0),
+            Some(x) => {
+                e.u8(1);
+                x.encode(e);
             }
         }
     }
-
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            codes::SC_NULL => Syscall::Null,
-            codes::SC_MEMORY_CREATE => Syscall::MemoryCreate {
-                addr: d.u64()?,
-                size: d.u64()?,
-                perms: Perms::decode(d)?,
-            },
-            codes::SC_MEMORY_DIMINISH => Syscall::MemoryDiminish {
-                cid: Cid::decode(d)?,
-                offset: d.u64()?,
-                size: d.u64()?,
-                drop_perms: Perms::decode(d)?,
-            },
-            codes::SC_MEMORY_COPY => Syscall::MemoryCopy {
-                src: Cid::decode(d)?,
-                dst: Cid::decode(d)?,
-            },
-            codes::SC_REQUEST_CREATE => {
-                let base = match d.u8()? {
-                    codes::OPT_NONE => None,
-                    codes::OPT_SOME => Some(Cid::decode(d)?),
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                let tag = d.u64()?;
-                let n = d.u32()? as usize;
-                let mut imms = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    imms.push(d.bytes()?.into());
-                }
-                let m = d.u32()? as usize;
-                let mut caps = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    caps.push(Cid::decode(d)?);
-                }
-                Syscall::RequestCreate {
-                    base,
-                    tag,
-                    imms,
-                    caps,
-                }
-            }
-            codes::SC_REQUEST_INVOKE => Syscall::RequestInvoke {
-                cid: Cid::decode(d)?,
-            },
-            codes::SC_CAP_CREATE_REVTREE => Syscall::CapCreateRevtree {
-                cid: Cid::decode(d)?,
-            },
-            codes::SC_CAP_REVOKE => Syscall::CapRevoke {
-                cid: Cid::decode(d)?,
-            },
-            codes::SC_MONITOR_DELEGATE => Syscall::MonitorDelegate {
-                cid: Cid::decode(d)?,
-                callback_id: d.u64()?,
-            },
-            codes::SC_MONITOR_RECEIVE => Syscall::MonitorReceive {
-                cid: Cid::decode(d)?,
-                callback_id: d.u64()?,
-            },
-            codes::SC_KV_PUT => Syscall::KvPut {
-                key: d.str()?,
-                cid: Cid::decode(d)?,
-            },
-            codes::SC_KV_GET => Syscall::KvGet { key: d.str()? },
-            codes::SC_MEMORY_STAT => Syscall::MemoryStat {
-                cid: Cid::decode(d)?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        })
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(d)?)),
+            t => Err(DecodeError::BadTag(t)),
+        }
     }
 }
 
-impl Wire for FosError {
-    fn encode(&self, e: &mut Encoder) {
-        // Errors serialize to a compact code; capability sub-errors keep
-        // enough detail for the caller to react.
-        let code: u8 = match self {
-            FosError::Cap(_) => codes::FOS_CAP,
-            FosError::WrongObjectKind => codes::FOS_WRONG_OBJECT_KIND,
-            FosError::OutOfBounds => codes::FOS_OUT_OF_BOUNDS,
-            FosError::PermissionDenied => codes::FOS_PERMISSION_DENIED,
-            FosError::SizeMismatch => codes::FOS_SIZE_MISMATCH,
-            FosError::NoSuchKey => codes::FOS_NO_SUCH_KEY,
-            FosError::ControllerUnreachable => codes::FOS_CONTROLLER_UNREACHABLE,
-            FosError::ProcessFailed => codes::FOS_PROCESS_FAILED,
-            FosError::Topology(_) => codes::FOS_TOPOLOGY,
-            FosError::WindowInvalid => codes::FOS_WINDOW_INVALID,
-            FosError::IntegrityViolation => codes::FOS_INTEGRITY_VIOLATION,
-            FosError::Verify(_) => codes::FOS_VERIFY,
-        };
-        e.u8(code);
-        if let FosError::Cap(c) = self {
-            use fractos_cap::CapError;
-            let (sub, obj): (u8, u64) = match c {
-                CapError::NoSuchObject(o) => (codes::CAPE_NO_SUCH_OBJECT, o.0),
-                CapError::Revoked(o) => (codes::CAPE_REVOKED, o.0),
-                CapError::StaleEpoch(o) => (codes::CAPE_STALE_EPOCH, o.0),
-                CapError::BadCid(c) => (codes::CAPE_BAD_CID, c.0 as u64),
-                CapError::SpaceExhausted => (codes::CAPE_SPACE_EXHAUSTED, 0),
-                CapError::PermissionDenied => (codes::CAPE_PERMISSION_DENIED, 0),
-                CapError::HasChildren(o) => (codes::CAPE_HAS_CHILDREN, o.0),
-                CapError::AlreadyMonitored(o) => (codes::CAPE_ALREADY_MONITORED, o.0),
-            };
-            e.u8(sub);
-            e.u64(obj);
-        }
-        if let FosError::Verify(v) = self {
-            use crate::verify::VerifyErrorKind as K;
-            let (kind, perms): (u8, u8) = match v.kind {
-                K::DanglingCap => (codes::VK_DANGLING_CAP, 0),
-                K::RevokedCap => (codes::VK_REVOKED_CAP, 0),
-                K::StaleEpoch => (codes::VK_STALE_EPOCH, 0),
-                K::CyclicContinuation => (codes::VK_CYCLIC_CONTINUATION, 0),
-                K::PrivilegeEscalation => (codes::VK_PRIVILEGE_ESCALATION, 0),
-                K::RefinementViolation => (codes::VK_REFINEMENT_VIOLATION, 0),
-                K::MissingPerm(p) => (codes::VK_MISSING_PERM, p.bits()),
-                K::WrongObjectKind => (codes::VK_WRONG_OBJECT_KIND, 0),
-            };
-            e.u8(kind);
-            e.u8(perms);
-            e.u32(v.path.0.len() as u32);
-            for step in &v.path.0 {
-                e.u64(step.object.0);
-                match step.arg {
-                    Some(a) => {
-                        e.u8(codes::OPT_SOME);
-                        e.u32(a);
-                    }
-                    None => e.u8(codes::OPT_NONE),
-                }
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        use fractos_cap::CapError;
-        Ok(match d.u8()? {
-            codes::FOS_CAP => {
-                let sub = d.u8()?;
-                let obj = d.u64()?;
-                let id = ObjectId(obj);
-                FosError::Cap(match sub {
-                    codes::CAPE_NO_SUCH_OBJECT => CapError::NoSuchObject(id),
-                    codes::CAPE_REVOKED => CapError::Revoked(id),
-                    codes::CAPE_STALE_EPOCH => CapError::StaleEpoch(id),
-                    codes::CAPE_BAD_CID => CapError::BadCid(Cid(obj as u32)),
-                    codes::CAPE_SPACE_EXHAUSTED => CapError::SpaceExhausted,
-                    codes::CAPE_PERMISSION_DENIED => CapError::PermissionDenied,
-                    codes::CAPE_HAS_CHILDREN => CapError::HasChildren(id),
-                    codes::CAPE_ALREADY_MONITORED => CapError::AlreadyMonitored(id),
-                    t => return Err(DecodeError::BadTag(t)),
-                })
-            }
-            codes::FOS_WRONG_OBJECT_KIND => FosError::WrongObjectKind,
-            codes::FOS_OUT_OF_BOUNDS => FosError::OutOfBounds,
-            codes::FOS_PERMISSION_DENIED => FosError::PermissionDenied,
-            codes::FOS_SIZE_MISMATCH => FosError::SizeMismatch,
-            codes::FOS_NO_SUCH_KEY => FosError::NoSuchKey,
-            codes::FOS_CONTROLLER_UNREACHABLE => FosError::ControllerUnreachable,
-            codes::FOS_PROCESS_FAILED => FosError::ProcessFailed,
-            codes::FOS_TOPOLOGY => {
-                FosError::Topology(fractos_net::TopologyError::UnknownNode(NodeId(0)))
-            }
-            codes::FOS_WINDOW_INVALID => FosError::WindowInvalid,
-            codes::FOS_INTEGRITY_VIOLATION => FosError::IntegrityViolation,
-            codes::FOS_VERIFY => {
-                use crate::verify::{PlanPath, PlanStep, VerifyError, VerifyErrorKind as K};
-                let kind = d.u8()?;
-                let perms = d.u8()?;
-                let kind = match kind {
-                    codes::VK_DANGLING_CAP => K::DanglingCap,
-                    codes::VK_REVOKED_CAP => K::RevokedCap,
-                    codes::VK_STALE_EPOCH => K::StaleEpoch,
-                    codes::VK_CYCLIC_CONTINUATION => K::CyclicContinuation,
-                    codes::VK_PRIVILEGE_ESCALATION => K::PrivilegeEscalation,
-                    codes::VK_REFINEMENT_VIOLATION => K::RefinementViolation,
-                    codes::VK_MISSING_PERM => K::MissingPerm(fractos_cap::Perms::from_bits(perms)),
-                    codes::VK_WRONG_OBJECT_KIND => K::WrongObjectKind,
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                let n = d.u32()?;
-                let mut steps = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    let object = ObjectId(d.u64()?);
-                    let arg = match d.u8()? {
-                        codes::OPT_NONE => None,
-                        codes::OPT_SOME => Some(d.u32()?),
-                        t => return Err(DecodeError::BadTag(t)),
-                    };
-                    steps.push(PlanStep { object, arg });
-                }
-                FosError::Verify(VerifyError {
-                    kind,
-                    path: PlanPath(steps),
-                })
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        })
-    }
-}
-
-impl Wire for SyscallResult {
+impl<T: Wire> Wire for Result<T, FosError> {
     fn encode(&self, e: &mut Encoder) {
         match self {
-            SyscallResult::Ok => e.u8(codes::RES_OK),
-            SyscallResult::NewCid(cid) => {
-                e.u8(codes::RES_NEW_CID);
-                cid.encode(e);
+            Ok(x) => {
+                e.u8(0);
+                x.encode(e);
             }
-            SyscallResult::Value(v) => {
-                e.u8(codes::RES_VALUE);
-                e.u64(*v);
-            }
-            SyscallResult::Stat { addr, off, size } => {
-                e.u8(codes::RES_STAT);
-                e.u64(*addr);
-                e.u64(*off);
-                e.u64(*size);
-            }
-            SyscallResult::Err(err) => {
-                e.u8(codes::RES_ERR);
+            Err(err) => {
+                e.u8(1);
                 err.encode(e);
             }
         }
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            codes::RES_OK => SyscallResult::Ok,
-            codes::RES_NEW_CID => SyscallResult::NewCid(Cid::decode(d)?),
-            codes::RES_ERR => SyscallResult::Err(FosError::decode(d)?),
-            codes::RES_VALUE => SyscallResult::Value(d.u64()?),
-            codes::RES_STAT => SyscallResult::Stat {
-                addr: d.u64()?,
-                off: d.u64()?,
-                size: d.u64()?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        })
+        match d.u8()? {
+            0 => Ok(Ok(T::decode(d)?)),
+            1 => Ok(Err(FosError::decode(d)?)),
+            t => Err(DecodeError::BadTag(t)),
+        }
     }
 }
 
-impl Wire for IncomingRequest {
+wire! {
+    struct Cid { 0 }
+    struct ControllerAddr { 0 }
+    struct Epoch { 0 }
+    struct ObjectId { 0 }
+    struct ProcId { 0 }
+    struct NodeId { 0 }
+    struct CapRef { ctrl, epoch, object }
+    struct Endpoint { node, loc }
+    enum Location { HostCpu = 0, SmartNic = 1, Gpu(n) = 2, Nvme(n) = 3 }
+    struct MemoryDesc { proc, location, addr, view_off, size, perms }
+    struct CapArg { cap, mem }
+    enum Arg { Imm(b) = 0, Cap(c) = 1 }
+    struct RequestDesc { provider, tag, args }
+    struct IncomingRequest { tag, imms, caps }
+    enum Syscall {
+        Null = 0,
+        MemoryCreate { addr, size, perms } = 1,
+        MemoryDiminish { cid, offset, size, drop_perms } = 2,
+        MemoryCopy { src, dst } = 3,
+        RequestCreate { base, tag, imms, caps } = 4,
+        RequestInvoke { cid } = 5,
+        CapCreateRevtree { cid } = 6,
+        CapRevoke { cid } = 7,
+        MonitorDelegate { cid, callback_id } = 8,
+        MonitorReceive { cid, callback_id } = 9,
+        KvPut { key, cid } = 10,
+        KvGet { key } = 11,
+        MemoryStat { cid } = 12,
+    }
+    enum SyscallResult {
+        Ok = 0,
+        NewCid(cid) = 1,
+        Err(err) = 2,
+        Value(v) = 3,
+        Stat { addr, off, size } = 4,
+    }
+    enum FosError {
+        Cap(c) = 0,
+        WrongObjectKind = 1,
+        OutOfBounds = 2,
+        PermissionDenied = 3,
+        SizeMismatch = 4,
+        NoSuchKey = 5,
+        ControllerUnreachable = 6,
+        ProcessFailed = 7,
+        Topology(t) = 8,
+        WindowInvalid = 9,
+        IntegrityViolation = 10,
+        Verify(v) = 11,
+    }
+    struct VerifyError { kind, path }
+    struct PlanPath { 0 }
+    struct PlanStep { object, arg }
+    // Trace-context header extension: 16 bytes (trace id, parent span id).
+    // Carried *out of band* next to the message header — analogous to an
+    // RDMA immediate or an optional header TLV — so it is deliberately
+    // excluded from every `wire_size` used for traffic accounting: per-link
+    // byte counters are identical whether or not span recording is enabled.
+    // The codec pins the format for a real deployment.
+    struct TraceCtx { trace, span }
+}
+
+// `FosError`'s payloads are the irregular, frozen part of the format, so
+// they keep hand-written codecs.
+
+/// A capability sub-error: its code, then a `u64` that is always present
+/// (the object id; a `Cid` widened; 0 when the variant carries nothing).
+impl Wire for CapError {
     fn encode(&self, e: &mut Encoder) {
-        e.u64(self.tag);
-        e.u32(self.imms.len() as u32);
-        for imm in &self.imms {
-            e.bytes(imm);
-        }
-        e.u32(self.caps.len() as u32);
-        for c in &self.caps {
-            c.encode(e);
-        }
+        let (code, obj) = match *self {
+            CapError::NoSuchObject(o) => (0, o.0),
+            CapError::Revoked(o) => (1, o.0),
+            CapError::StaleEpoch(o) => (2, o.0),
+            CapError::BadCid(c) => (3, u64::from(c.0)),
+            CapError::SpaceExhausted => (4, 0),
+            CapError::PermissionDenied => (5, 0),
+            CapError::HasChildren(o) => (6, o.0),
+            CapError::AlreadyMonitored(o) => (7, o.0),
+        };
+        e.u8(code);
+        e.u64(obj);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let tag = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut imms = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            imms.push(d.bytes()?.into());
-        }
-        let m = d.u32()? as usize;
-        let mut caps = Vec::with_capacity(m.min(1024));
-        for _ in 0..m {
-            caps.push(Cid::decode(d)?);
-        }
-        Ok(IncomingRequest { tag, imms, caps })
+        let make: fn(u64) -> CapError = match d.u8()? {
+            0 => |o| CapError::NoSuchObject(ObjectId(o)),
+            1 => |o| CapError::Revoked(ObjectId(o)),
+            2 => |o| CapError::StaleEpoch(ObjectId(o)),
+            3 => |o| CapError::BadCid(Cid(o as u32)),
+            4 => |_| CapError::SpaceExhausted,
+            5 => |_| CapError::PermissionDenied,
+            6 => |o| CapError::HasChildren(ObjectId(o)),
+            7 => |o| CapError::AlreadyMonitored(ObjectId(o)),
+            t => return Err(DecodeError::BadTag(t)),
+        };
+        Ok(make(d.u64()?))
+    }
+}
+
+/// A topology rejection is its `FosError` tag alone: the node does not
+/// travel, so every one decodes as `UnknownNode(NodeId(0))`.
+impl Wire for TopologyError {
+    fn encode(&self, _: &mut Encoder) {}
+    fn decode(_: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TopologyError::UnknownNode(NodeId(0)))
+    }
+}
+
+/// A verifier rejection's kind packs into two bytes: its code, then the
+/// missing permissions (0 for every kind but `MissingPerm`).
+impl Wire for VerifyErrorKind {
+    fn encode(&self, e: &mut Encoder) {
+        use VerifyErrorKind as K;
+        let (code, perms) = match *self {
+            K::DanglingCap => (0, Perms::NONE),
+            K::RevokedCap => (1, Perms::NONE),
+            K::StaleEpoch => (2, Perms::NONE),
+            K::CyclicContinuation => (3, Perms::NONE),
+            K::PrivilegeEscalation => (4, Perms::NONE),
+            K::RefinementViolation => (5, Perms::NONE),
+            K::MissingPerm(p) => (6, p),
+            K::WrongObjectKind => (7, Perms::NONE),
+        };
+        e.u8(code);
+        perms.encode(e);
+    }
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        use VerifyErrorKind as K;
+        let make: fn(Perms) -> K = match d.u8()? {
+            0 => |_| K::DanglingCap,
+            1 => |_| K::RevokedCap,
+            2 => |_| K::StaleEpoch,
+            3 => |_| K::CyclicContinuation,
+            4 => |_| K::PrivilegeEscalation,
+            5 => |_| K::RefinementViolation,
+            6 => K::MissingPerm,
+            7 => |_| K::WrongObjectKind,
+            t => return Err(DecodeError::BadTag(t)),
+        };
+        Ok(make(Perms::decode(d)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::ProcId;
 
     fn roundtrip<T: Wire + PartialEq + core::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
@@ -874,5 +656,14 @@ mod tests {
     #[test]
     fn bad_tags_rejected() {
         assert_eq!(Syscall::from_bytes(&[200]), Err(DecodeError::BadTag(200)));
+    }
+
+    #[test]
+    fn unknown_tags_rejected_before_the_fields_after_them() {
+        use crate::types::MonitorCb;
+        assert_eq!(MonitorCb::from_bytes(&[9]), Err(DecodeError::BadTag(9)));
+        // Capability sub-code, then verifier kind, each with nothing after.
+        assert_eq!(FosError::from_bytes(&[0, 9]), Err(DecodeError::BadTag(9)));
+        assert_eq!(FosError::from_bytes(&[11, 9]), Err(DecodeError::BadTag(9)));
     }
 }

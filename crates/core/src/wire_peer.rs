@@ -1,403 +1,51 @@
-//! Wire codec for the Controller ↔ Controller protocol.
+//! Wire layouts of the Controller ↔ Controller protocol.
 //!
 //! Everything Controllers exchange is serializable with the same
-//! little-endian format as the syscall surface — the round-trip property
-//! tests prove there are no in-memory-only shortcuts in the peer protocol
-//! either. [`PeerOp::wire_size`](crate::messages::PeerOp) delegates to
-//! these encodings, so traffic accounting uses real sizes.
-
-use fractos_cap::{CapRef, ControllerAddr, Perms};
+//! little-endian format as the syscall surface, declared the same way (see
+//! [`crate::wire`]): the round-trip property tests prove there are no
+//! in-memory-only shortcuts in the peer protocol either.
+//! [`PeerOp::wire_size`](crate::messages::PeerOp) delegates to these
+//! encodings, so traffic accounting uses real sizes.
 
 use crate::messages::{DeriveOp, MonitorKind, PeerOp};
-use crate::types::{CapArg, FosError, MonitorCb, ProcId};
-use crate::wire::{codes, DecodeError, Decoder, Encoder, Wire};
+use crate::types::MonitorCb;
+use crate::wire::wire;
 
-impl Wire for MonitorKind {
-    fn encode(&self, e: &mut Encoder) {
-        e.u8(match self {
-            MonitorKind::Delegate => codes::MON_DELEGATE,
-            MonitorKind::Receive => codes::MON_RECEIVE,
-        });
+wire! {
+    enum MonitorKind { Delegate = 0, Receive = 1 }
+    enum MonitorCb { DelegateDrained { callback_id } = 0, Receive { callback_id } = 1 }
+    enum DeriveOp {
+        Diminish { offset, size, drop_perms } = 0,
+        Refine { imms, caps } = 1,
+        Revtree = 2,
     }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            codes::MON_DELEGATE => Ok(MonitorKind::Delegate),
-            codes::MON_RECEIVE => Ok(MonitorKind::Receive),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for MonitorCb {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            MonitorCb::DelegateDrained { callback_id } => {
-                e.u8(codes::MCB_DELEGATE_DRAINED);
-                e.u64(*callback_id);
-            }
-            MonitorCb::Receive { callback_id } => {
-                e.u8(codes::MCB_RECEIVE);
-                e.u64(*callback_id);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let tag = d.u8()?;
-        let callback_id = d.u64()?;
-        match tag {
-            codes::MCB_DELEGATE_DRAINED => Ok(MonitorCb::DelegateDrained { callback_id }),
-            codes::MCB_RECEIVE => Ok(MonitorCb::Receive { callback_id }),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for DeriveOp {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            DeriveOp::Diminish {
-                offset,
-                size,
-                drop_perms,
-            } => {
-                e.u8(codes::DRV_DIMINISH);
-                e.u64(*offset);
-                e.u64(*size);
-                drop_perms.encode(e);
-            }
-            DeriveOp::Refine { imms, caps } => {
-                e.u8(codes::DRV_REFINE);
-                e.u32(imms.len() as u32);
-                for imm in imms {
-                    e.bytes(imm);
-                }
-                e.u32(caps.len() as u32);
-                for c in caps {
-                    c.encode(e);
-                }
-            }
-            DeriveOp::Revtree => e.u8(codes::DRV_REVTREE),
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            codes::DRV_DIMINISH => DeriveOp::Diminish {
-                offset: d.u64()?,
-                size: d.u64()?,
-                drop_perms: Perms::decode(d)?,
-            },
-            codes::DRV_REFINE => {
-                let n = d.u32()? as usize;
-                let mut imms = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    imms.push(d.bytes()?.into());
-                }
-                let m = d.u32()? as usize;
-                let mut caps = Vec::with_capacity(m.min(1024));
-                for _ in 0..m {
-                    caps.push(CapArg::decode(d)?);
-                }
-                DeriveOp::Refine { imms, caps }
-            }
-            codes::DRV_REVTREE => DeriveOp::Revtree,
-            t => return Err(DecodeError::BadTag(t)),
-        })
-    }
-}
-
-fn encode_result_cap(e: &mut Encoder, r: &Result<CapArg, FosError>) {
-    match r {
-        Ok(c) => {
-            e.u8(codes::RESULT_OK);
-            c.encode(e);
-        }
-        Err(err) => {
-            e.u8(codes::RESULT_ERR);
-            err.encode(e);
-        }
-    }
-}
-
-fn decode_result_cap(d: &mut Decoder<'_>) -> Result<Result<CapArg, FosError>, DecodeError> {
-    match d.u8()? {
-        codes::RESULT_OK => Ok(Ok(CapArg::decode(d)?)),
-        codes::RESULT_ERR => Ok(Err(FosError::decode(d)?)),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn encode_result_unit(e: &mut Encoder, r: &Result<(), FosError>) {
-    match r {
-        Ok(()) => e.u8(codes::RESULT_OK),
-        Err(err) => {
-            e.u8(codes::RESULT_ERR);
-            err.encode(e);
-        }
-    }
-}
-
-fn decode_result_unit(d: &mut Decoder<'_>) -> Result<Result<(), FosError>, DecodeError> {
-    match d.u8()? {
-        codes::RESULT_OK => Ok(Ok(())),
-        codes::RESULT_ERR => Ok(Err(FosError::decode(d)?)),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-impl Wire for PeerOp {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            PeerOp::Invoke {
-                req,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_INVOKE);
-                req.encode(e);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::InvokeAck { token, result } => {
-                e.u8(codes::PEER_INVOKE_ACK);
-                e.u64(*token);
-                encode_result_unit(e, result);
-            }
-            PeerOp::Derive {
-                obj,
-                op,
-                creator,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_DERIVE);
-                obj.encode(e);
-                op.encode(e);
-                e.u32(creator.0);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::DeriveAck { token, result } => {
-                e.u8(codes::PEER_DERIVE_ACK);
-                e.u64(*token);
-                encode_result_cap(e, result);
-            }
-            PeerOp::Delegate {
-                obj,
-                to,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_DELEGATE);
-                obj.encode(e);
-                e.u32(to.0);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::DelegateAck { token, result } => {
-                e.u8(codes::PEER_DELEGATE_ACK);
-                e.u64(*token);
-                encode_result_cap(e, result);
-            }
-            PeerOp::Revoke {
-                obj,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_REVOKE);
-                obj.encode(e);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::RevokeAck { token, result } => {
-                e.u8(codes::PEER_REVOKE_ACK);
-                e.u64(*token);
-                match result {
-                    Ok(n) => {
-                        e.u8(codes::PEER_INVOKE);
-                        e.u64(*n);
-                    }
-                    Err(err) => {
-                        e.u8(codes::PEER_INVOKE_ACK);
-                        err.encode(e);
-                    }
-                }
-            }
-            PeerOp::Monitor {
-                obj,
-                kind,
-                watcher,
-                callback_id,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_MONITOR);
-                obj.encode(e);
-                kind.encode(e);
-                e.u32(watcher.0);
-                e.u64(*callback_id);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::MonitorAck { token, result } => {
-                e.u8(codes::PEER_MONITOR_ACK);
-                e.u64(*token);
-                encode_result_unit(e, result);
-            }
-            PeerOp::MonitorEvent { proc, cb } => {
-                e.u8(codes::PEER_MONITOR_EVENT);
-                e.u32(proc.0);
-                cb.encode(e);
-            }
-            PeerOp::Cleanup { objs } => {
-                e.u8(codes::PEER_CLEANUP);
-                e.u32(objs.len() as u32);
-                for o in objs {
-                    o.encode(e);
-                }
-            }
-            PeerOp::FailProcess { proc } => {
-                e.u8(codes::PEER_FAIL_PROCESS);
-                e.u32(proc.0);
-            }
-            PeerOp::KvPut {
-                key,
-                cap,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_KV_PUT);
-                e.str(key);
-                cap.encode(e);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::KvPutAck { token, result } => {
-                e.u8(codes::PEER_KV_PUT_ACK);
-                e.u64(*token);
-                encode_result_unit(e, result);
-            }
-            PeerOp::KvGet {
-                key,
-                to,
-                reply_to,
-                token,
-            } => {
-                e.u8(codes::PEER_KV_GET);
-                e.str(key);
-                e.u32(to.0);
-                e.u32(reply_to.0);
-                e.u64(*token);
-            }
-            PeerOp::KvGetAck { token, result } => {
-                e.u8(codes::PEER_KV_GET_ACK);
-                e.u64(*token);
-                encode_result_cap(e, result);
-            }
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match d.u8()? {
-            codes::PEER_INVOKE => PeerOp::Invoke {
-                req: CapRef::decode(d)?,
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_INVOKE_ACK => PeerOp::InvokeAck {
-                token: d.u64()?,
-                result: decode_result_unit(d)?,
-            },
-            codes::PEER_DERIVE => PeerOp::Derive {
-                obj: CapRef::decode(d)?,
-                op: DeriveOp::decode(d)?,
-                creator: ProcId(d.u32()?),
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_DERIVE_ACK => PeerOp::DeriveAck {
-                token: d.u64()?,
-                result: decode_result_cap(d)?,
-            },
-            codes::PEER_DELEGATE => PeerOp::Delegate {
-                obj: CapRef::decode(d)?,
-                to: ProcId(d.u32()?),
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_DELEGATE_ACK => PeerOp::DelegateAck {
-                token: d.u64()?,
-                result: decode_result_cap(d)?,
-            },
-            codes::PEER_REVOKE => PeerOp::Revoke {
-                obj: CapRef::decode(d)?,
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_REVOKE_ACK => {
-                let token = d.u64()?;
-                let result = match d.u8()? {
-                    codes::RESULT_OK => Ok(d.u64()?),
-                    codes::RESULT_ERR => Err(FosError::decode(d)?),
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                PeerOp::RevokeAck { token, result }
-            }
-            codes::PEER_MONITOR => PeerOp::Monitor {
-                obj: CapRef::decode(d)?,
-                kind: MonitorKind::decode(d)?,
-                watcher: ProcId(d.u32()?),
-                callback_id: d.u64()?,
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_MONITOR_ACK => PeerOp::MonitorAck {
-                token: d.u64()?,
-                result: decode_result_unit(d)?,
-            },
-            codes::PEER_MONITOR_EVENT => PeerOp::MonitorEvent {
-                proc: ProcId(d.u32()?),
-                cb: MonitorCb::decode(d)?,
-            },
-            codes::PEER_CLEANUP => {
-                let n = d.u32()? as usize;
-                let mut objs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    objs.push(CapRef::decode(d)?);
-                }
-                PeerOp::Cleanup { objs }
-            }
-            codes::PEER_FAIL_PROCESS => PeerOp::FailProcess {
-                proc: ProcId(d.u32()?),
-            },
-            codes::PEER_KV_PUT => PeerOp::KvPut {
-                key: d.str()?,
-                cap: CapArg::decode(d)?,
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_KV_PUT_ACK => PeerOp::KvPutAck {
-                token: d.u64()?,
-                result: decode_result_unit(d)?,
-            },
-            codes::PEER_KV_GET => PeerOp::KvGet {
-                key: d.str()?,
-                to: ProcId(d.u32()?),
-                reply_to: ControllerAddr(d.u32()?),
-                token: d.u64()?,
-            },
-            codes::PEER_KV_GET_ACK => PeerOp::KvGetAck {
-                token: d.u64()?,
-                result: decode_result_cap(d)?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        })
+    enum PeerOp {
+        Invoke { req, reply_to, token } = 0,
+        InvokeAck { token, result } = 1,
+        Derive { obj, op, creator, reply_to, token } = 2,
+        DeriveAck { token, result } = 3,
+        Delegate { obj, to, reply_to, token } = 4,
+        DelegateAck { token, result } = 5,
+        Revoke { obj, reply_to, token } = 6,
+        RevokeAck { token, result } = 7,
+        Monitor { obj, kind, watcher, callback_id, reply_to, token } = 8,
+        MonitorAck { token, result } = 9,
+        MonitorEvent { proc, cb } = 10,
+        Cleanup { objs } = 11,
+        FailProcess { proc } = 12,
+        KvPut { key, cap, reply_to, token } = 13,
+        KvPutAck { token, result } = 14,
+        KvGet { key, to, reply_to, token } = 15,
+        KvGetAck { token, result } = 16,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractos_cap::{Epoch, ObjectId};
+    use crate::types::{CapArg, FosError, ProcId};
+    use crate::wire::Wire;
+    use fractos_cap::{CapRef, ControllerAddr, Epoch, ObjectId};
 
     fn cref(n: u64) -> CapRef {
         CapRef {

@@ -8,7 +8,6 @@
 //! them (§3.4, §5).
 
 use fractos_core::prelude::Payload;
-use fractos_core::wire::codes;
 
 /// GPU adaptor (§5 "Accelerator Service: GPU"): context initialization.
 ///
@@ -52,41 +51,52 @@ pub const TAG_BLK_WRITE: u64 = 0x0202;
 /// failures into typed error invocations the caller can act on).
 ///
 /// The discriminant is the wire code: `DevError::Media as u64` is what
-/// `imm_at(&req.imms, N)` yields at the error continuation. The codes
-/// themselves live in the [`fractos_core::wire::codes`] registry (`DEV_*`
-/// group) so the wire-conformance pass can check mint and decode sites
-/// across crates.
+/// `imm_at(&req.imms, N)` yields at the error continuation. The values are
+/// frozen protocol; 0 is never a code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum DevError {
     /// The request was malformed: wrong capability count or undecodable
     /// immediates. Not recoverable by retrying the same request.
-    BadRequest = codes::DEV_BAD_REQUEST,
+    BadRequest = 1,
     /// The transfer exceeds the adaptor's staging capacity.
-    TooLarge = codes::DEV_TOO_LARGE,
+    TooLarge = 2,
     /// The volume/offset/size triple falls outside the volume, or the
     /// context/volume does not exist.
-    Bounds = codes::DEV_BOUNDS,
+    Bounds = 3,
     /// A `memory_copy` leg of the operation failed (revoked window,
     /// unreachable peer, or an integrity-envelope mismatch in flight).
     /// Recoverable when the cause is transient.
-    Transfer = codes::DEV_TRANSFER,
+    Transfer = 4,
     /// The requested GPU kernel is not loaded.
-    NoKernel = codes::DEV_NO_KERNEL,
+    NoKernel = 5,
     /// A GPU input/output buffer capability failed to stat or read.
-    BadBuffer = codes::DEV_BAD_BUFFER,
+    BadBuffer = 6,
     /// An injected (or real) NVMe media error. Recoverable: the adaptor's
     /// caller may re-issue the read/write.
-    Media = codes::DEV_MEDIA,
+    Media = 7,
     /// A GPU kernel launch failure. Recoverable by relaunching.
-    Launch = codes::DEV_LAUNCH,
+    Launch = 8,
     /// The payload failed its integrity envelope at a consumption
     /// boundary (torn write, corrupted output). Recoverable: re-running
     /// the producing operation re-stamps the envelope.
-    Integrity = codes::DEV_INTEGRITY,
+    Integrity = 9,
 }
 
 impl DevError {
+    /// Every error, in code order.
+    const ALL: [DevError; 9] = [
+        DevError::BadRequest,
+        DevError::TooLarge,
+        DevError::Bounds,
+        DevError::Transfer,
+        DevError::NoKernel,
+        DevError::BadBuffer,
+        DevError::Media,
+        DevError::Launch,
+        DevError::Integrity,
+    ];
+
     /// The wire code of this error.
     pub fn code(self) -> u64 {
         self as u64
@@ -99,18 +109,7 @@ impl DevError {
 
     /// Decodes a wire code.
     pub fn from_code(code: u64) -> Option<Self> {
-        Some(match code {
-            codes::DEV_BAD_REQUEST => DevError::BadRequest,
-            codes::DEV_TOO_LARGE => DevError::TooLarge,
-            codes::DEV_BOUNDS => DevError::Bounds,
-            codes::DEV_TRANSFER => DevError::Transfer,
-            codes::DEV_NO_KERNEL => DevError::NoKernel,
-            codes::DEV_BAD_BUFFER => DevError::BadBuffer,
-            codes::DEV_MEDIA => DevError::Media,
-            codes::DEV_LAUNCH => DevError::Launch,
-            codes::DEV_INTEGRITY => DevError::Integrity,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|e| e.code() == code)
     }
 
     /// Whether re-issuing the same operation can plausibly succeed
@@ -151,21 +150,14 @@ mod tests {
 
     #[test]
     fn dev_error_codes_roundtrip() {
-        for e in [
-            DevError::BadRequest,
-            DevError::TooLarge,
-            DevError::Bounds,
-            DevError::Transfer,
-            DevError::NoKernel,
-            DevError::BadBuffer,
-            DevError::Media,
-            DevError::Launch,
-            DevError::Integrity,
-        ] {
+        for (e, code) in DevError::ALL.into_iter().zip(1..) {
+            assert_eq!(e.code(), code, "{e:?}: codes are frozen, dense from 1");
             assert_eq!(DevError::from_code(e.code()), Some(e));
             assert_eq!(imm_at(&[e.imm()], 0), Some(e.code()));
         }
+        assert_eq!(DevError::Integrity.code(), 9, "documented anchor");
         assert_eq!(DevError::from_code(0), None);
+        assert_eq!(DevError::from_code(10), None);
         assert_eq!(DevError::from_code(99), None);
         assert!(DevError::Media.is_recoverable());
         assert!(!DevError::Bounds.is_recoverable());

@@ -3,13 +3,14 @@
 //!
 //! The simulation's headline invariant is bit-identical replay, and its
 //! concurrency story rests on a small set of conventions that rustc does
-//! not check: a canonical lock acquisition order over [`Shared`] handles,
-//! a single registry for wire-protocol code points, and allocation-free
-//! hot paths in the engine core. This crate checks all of them from
-//! source text, with no dependency on rustc internals or external crates
-//! (the build environment is offline).
+//! not check: a canonical lock acquisition order over [`Shared`] handles
+//! and allocation-free hot paths in the engine core. This crate checks
+//! them from source text, with no dependency on rustc internals or
+//! external crates (the build environment is offline). The wire codec
+//! needs no pass: each layout is declared once and `fractos_core::wire`
+//! generates both directions from it, so drift does not compile.
 //!
-//! Four passes:
+//! Three passes:
 //!
 //! * **hazards** — the original determinism lint: wall-clock reads,
 //!   `thread_local!`, ambient randomness, hash-order iteration and
@@ -18,10 +19,6 @@
 //!   acquiring* graph over `Shared<T>` borrow/lock call sites and denies
 //!   cycles and same-class nesting (see [`passes::lockorder`]). The
 //!   runtime complement is the `lockdep` feature of `fractos-sim`.
-//! * **wire-conf** — checks the `fractos_core::wire::codes` registry
-//!   against every encode/decode site: every code handled or explicitly
-//!   rejected at every decode fn, no literal tag bytes, no dead or
-//!   duplicate code points (see [`passes::wireconf`]).
 //! * **hot-path** — denies allocation/copy idioms inside functions
 //!   marked `// analyze: hot-path` (see [`passes::hotpath`]).
 //!
@@ -67,7 +64,6 @@ pub enum Rule {
     HashIter,
     Unwrap,
     LockOrder,
-    WireConf,
     HotPath,
 }
 
@@ -80,7 +76,6 @@ impl Rule {
             Rule::HashIter => "hash-iter",
             Rule::Unwrap => "unwrap",
             Rule::LockOrder => "lock-order",
-            Rule::WireConf => "wire-conf",
             Rule::HotPath => "hot-path",
         }
     }
@@ -93,7 +88,6 @@ impl Rule {
             "hash-iter" => Some(Rule::HashIter),
             "unwrap" => Some(Rule::Unwrap),
             "lock-order" => Some(Rule::LockOrder),
-            "wire-conf" => Some(Rule::WireConf),
             "hot-path" => Some(Rule::HotPath),
             _ => None,
         }
@@ -535,14 +529,6 @@ pub fn fn_spans(file: &SourceFile) -> Vec<FnSpan> {
     spans
 }
 
-/// The innermost function span containing byte `pos`, if any.
-pub fn enclosing_fn(spans: &[FnSpan], pos: usize) -> Option<&FnSpan> {
-    spans
-        .iter()
-        .filter(|s| s.body_start < pos && pos < s.body_end)
-        .min_by_key(|s| s.body_end - s.body_start)
-}
-
 pub fn walk_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -588,23 +574,16 @@ pub fn load_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
 pub enum Pass {
     Hazards,
     LockOrder,
-    WireConf,
     HotPath,
 }
 
 impl Pass {
-    pub const ALL: &[Pass] = &[
-        Pass::Hazards,
-        Pass::LockOrder,
-        Pass::WireConf,
-        Pass::HotPath,
-    ];
+    pub const ALL: &[Pass] = &[Pass::Hazards, Pass::LockOrder, Pass::HotPath];
 
     pub fn as_str(self) -> &'static str {
         match self {
             Pass::Hazards => "hazards",
             Pass::LockOrder => "lock-order",
-            Pass::WireConf => "wire-conf",
             Pass::HotPath => "hot-path",
         }
     }
@@ -613,7 +592,6 @@ impl Pass {
         match s {
             "hazards" => Some(Pass::Hazards),
             "lock-order" => Some(Pass::LockOrder),
-            "wire-conf" => Some(Pass::WireConf),
             "hot-path" => Some(Pass::HotPath),
             _ => None,
         }
@@ -623,7 +601,6 @@ impl Pass {
         match self {
             Pass::Hazards => passes::hazards::run(files),
             Pass::LockOrder => passes::lockorder::run(files),
-            Pass::WireConf => passes::wireconf::run(files),
             Pass::HotPath => passes::hotpath::run(files),
         }
     }
@@ -730,8 +707,8 @@ mod tests {
         assert!(parse_allowlist("unwrap|net/src/fabric.rs|checked_add|").is_err());
         assert!(parse_allowlist("nosuch|a.rs|*|why").is_err());
         assert!(parse_allowlist("# comment\n\n").unwrap().is_empty());
-        let new_rules = "lock-order|sim/src/x.rs|*|why\nwire-conf|a.rs|*|why\nhot-path|b.rs|*|why";
-        assert_eq!(parse_allowlist(new_rules).unwrap().len(), 3);
+        let new_rules = "lock-order|sim/src/x.rs|*|why\nhot-path|b.rs|*|why";
+        assert_eq!(parse_allowlist(new_rules).unwrap().len(), 2);
     }
 
     #[test]
@@ -771,8 +748,6 @@ mod tests {
         let top = spans.iter().find(|s| s.name == "top").unwrap();
         let nested = spans.iter().find(|s| s.name == "nested").unwrap();
         assert!(top.body_start < nested.body_start && nested.body_end < top.body_end);
-        let inner_pos = nested.body_start + 1;
-        assert_eq!(enclosing_fn(&spans, inner_pos).unwrap().name, "nested");
     }
 
     #[test]
@@ -796,7 +771,7 @@ mod tests {
 
     #[test]
     fn analysis_runs_clean_over_this_repository() {
-        // The repo-level guarantee CI enforces: all four passes, zero
+        // The repo-level guarantee CI enforces: all three passes, zero
         // unallowlisted findings, zero stale allowlist entries.
         let root = workspace_root();
         let analysis = analyze(&root, Pass::ALL, true).expect("analysis runs");

@@ -10,4 +10,3 @@
 pub mod hazards;
 pub mod hotpath;
 pub mod lockorder;
-pub mod wireconf;

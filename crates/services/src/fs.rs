@@ -23,7 +23,6 @@ use std::collections::HashMap;
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
-use fractos_core::wire::codes;
 use fractos_devices::proto::{imm, imm_at, DevError};
 
 /// FS: create a file. Imms: `[size]`. Caps: `[continuation]`.
@@ -51,7 +50,16 @@ pub const TAG_FS_WRITE: u64 = 0x0303;
 pub const TAG_FS_DELETE: u64 = 0x0304;
 
 /// Internal completion continuations the FS hands to the block device.
+/// Imms: `[kind, op, ...]`, where kind is one of the `FSI_*` below; the FS
+/// mints and dispatches them itself, so this tag space is private.
 const TAG_FS_INTERNAL: u64 = 0x0310;
+/// A volume extent finished deriving.
+const FSI_EXTENT_READY: u64 = 0;
+/// A block operation completed successfully.
+const FSI_BLK_OK: u64 = 1;
+/// A block operation failed; the adaptor's typed `DevError` code rides at
+/// immediate index 2.
+const FSI_BLK_ERR: u64 = 2;
 
 /// Typed FS failure codes.
 ///
@@ -61,25 +69,24 @@ const TAG_FS_INTERNAL: u64 = 0x0310;
 /// the dedicated success Request, so the two shapes cannot be confused.
 /// Under an armed fault plan these codes are how the FS degrades instead of
 /// hanging: a partitioned block adaptor or an exhausted retry budget
-/// surfaces here rather than as a lost continuation.
+/// surfaces here rather than as a lost continuation. Clients assert on the
+/// values, which are frozen protocol.
 pub mod fs_err {
-    use fractos_core::wire::codes;
-
     /// Read/write range straddles extents or exceeds the file.
-    pub const RANGE: u64 = codes::FSE_RANGE;
+    pub const RANGE: u64 = 1;
     /// Dynamic composition failed (block Request unreachable or revoked).
-    pub const COMPOSE: u64 = codes::FSE_COMPOSE;
+    pub const COMPOSE: u64 = 2;
     /// Staging-buffer setup failed.
-    pub const STAGING: u64 = codes::FSE_STAGING;
+    pub const STAGING: u64 = 3;
     /// FS degraded: the block adaptor is unreachable (bootstrap failed or
     /// its Controller is partitioned), so no volumes can be provisioned.
-    pub const DEGRADED: u64 = codes::FSE_DEGRADED;
+    pub const DEGRADED: u64 = 4;
     /// No such file.
-    pub const NO_FILE: u64 = codes::FSE_NO_FILE;
+    pub const NO_FILE: u64 = 5;
     /// Minting an internal continuation or per-file handle failed.
-    pub const INTERNAL: u64 = codes::FSE_INTERNAL;
+    pub const INTERNAL: u64 = 6;
     /// Block-device operation failed.
-    pub const IO: u64 = codes::FSE_IO;
+    pub const IO: u64 = 9;
 }
 
 /// Data-path mode of the storage stack.
@@ -275,7 +282,7 @@ impl FsService {
     /// unable to get the call out (retry budget exhausted); the create then
     /// fails typed instead of hanging.
     fn request_extent(&mut self, fos: &Fos<Self>, create_vol: Cid, op: u64) {
-        let ready = vec![Self::internal(codes::FSI_EXTENT_READY, op)];
+        let ready = vec![Self::internal(FSI_EXTENT_READY, op)];
         let size = vec![imm(self.extent_size)];
         fos.invoke_with_or(create_vol, size, vec![], ready, move |s, _err, fos| {
             s.fail_create(op, fos)
@@ -531,8 +538,8 @@ impl FsService {
     /// out fails op `op` typed.
     fn start_blk(op: u64, io: MediatedIo, view: Cid, fos: &Fos<Self>) {
         let conts = vec![
-            Self::internal(codes::FSI_BLK_OK, op),
-            Self::internal(codes::FSI_BLK_ERR, op),
+            Self::internal(FSI_BLK_OK, op),
+            Self::internal(FSI_BLK_ERR, op),
         ];
         let range = vec![imm(io.ext_off), imm(io.size)];
         fos.invoke_with_or(io.blk_req, range, vec![view], conts, move |s, _err, fos| {
@@ -647,7 +654,6 @@ impl Service for FsService {
         );
     }
 
-    // analyze: wire-decode
     fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
         match req.tag {
             TAG_FS_CREATE => self.on_create(req, fos),
@@ -662,13 +668,32 @@ impl Service for FsService {
                     return;
                 };
                 match kind {
-                    codes::FSI_EXTENT_READY => self.on_extent_ready(op, &req, fos),
-                    codes::FSI_BLK_OK => self.on_blk_done(op, true, None, fos),
-                    codes::FSI_BLK_ERR => self.on_blk_done(op, false, imm_at(&req.imms, 2), fos),
+                    FSI_EXTENT_READY => self.on_extent_ready(op, &req, fos),
+                    FSI_BLK_OK => self.on_blk_done(op, true, None, fos),
+                    FSI_BLK_ERR => self.on_blk_done(op, false, imm_at(&req.imms, 2), fos),
                     _ => {}
                 }
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fs_err;
+
+    #[test]
+    fn fs_err_codes_are_frozen() {
+        let codes = [
+            fs_err::RANGE,
+            fs_err::COMPOSE,
+            fs_err::STAGING,
+            fs_err::DEGRADED,
+            fs_err::NO_FILE,
+            fs_err::INTERNAL,
+            fs_err::IO,
+        ];
+        assert_eq!(codes, [1, 2, 3, 4, 5, 6, 9]);
     }
 }
