@@ -154,10 +154,7 @@ mod tests {
     #[test]
     fn raw_loopback_matches_table3() {
         let mut sim = paper_runtime(1);
-        let fabric = Shared::named(
-            "fabric",
-            Fabric::new(Topology::paper_testbed(), NetParams::paper()),
-        );
+        let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::cpu(NodeId(0));
         let server = sim.add_actor_on(
             0,
@@ -189,10 +186,7 @@ mod tests {
     #[test]
     fn raw_loopback_snic_matches_table3() {
         let mut sim = paper_runtime(1);
-        let fabric = Shared::named(
-            "fabric",
-            Fabric::new(Topology::paper_testbed(), NetParams::paper()),
-        );
+        let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::snic(NodeId(0));
         let server = sim.add_actor_on(
             0,

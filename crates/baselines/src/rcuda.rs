@@ -400,10 +400,7 @@ mod tests {
     #[test]
     fn rcuda_sequence_computes_and_takes_four_round_trips() {
         let mut sim = paper_runtime(5);
-        let fabric = Shared::named(
-            "fabric",
-            Fabric::new(Topology::paper_testbed(), NetParams::paper()),
-        );
+        let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::cpu(NodeId(1));
         let server = sim.add_actor_on(
             1,

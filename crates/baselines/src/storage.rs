@@ -474,10 +474,7 @@ mod tests {
         // The one-shard engine: the panic surfaces on this thread, message
         // intact, whatever `FRACTOS_RUNTIME` says.
         let mut sim = Sim::new(9);
-        let fabric = Shared::named(
-            "fabric",
-            Fabric::new(Topology::paper_testbed(), NetParams::paper()),
-        );
+        let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let endpoint = Endpoint::cpu(NodeId(0));
         let target = sim.add_actor_on(
             0,

@@ -4,6 +4,9 @@ use fractos_cap::Cid;
 use fractos_core::prelude::*;
 use fractos_sim::SimTime;
 
+type StartFn = Box<dyn FnOnce(&mut Script, &Fos<Script>) + Send>;
+type RequestFn = Box<dyn FnMut(&mut Script, IncomingRequest, &Fos<Script>) + Send>;
+
 /// A service driven by a one-shot closure at start; collects results.
 pub struct Script {
     /// Syscall results collected by the script's continuations.
@@ -14,10 +17,8 @@ pub struct Script {
     pub stamps: Vec<SimTime>,
     /// Requests delivered to this Process.
     pub received: Vec<IncomingRequest>,
-    #[allow(clippy::type_complexity)]
-    start: Option<Box<dyn FnOnce(&mut Script, &Fos<Script>) + Send>>,
-    #[allow(clippy::type_complexity)]
-    on_req: Option<Box<dyn FnMut(&mut Script, IncomingRequest, &Fos<Script>) + Send>>,
+    start: Option<StartFn>,
+    on_req: Option<RequestFn>,
 }
 
 impl Script {

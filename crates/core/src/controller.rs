@@ -883,15 +883,12 @@ impl ControllerActor {
             }
         }
 
-        let state = Shared::named(
-            "state",
-            FanIn {
-                slots: vec![None; n],
-                outstanding: 0,
-                failed: None,
-                done: Some(done),
-            },
-        );
+        let state = Shared::new(FanIn {
+            slots: vec![None; n],
+            outstanding: 0,
+            failed: None,
+            done: Some(done),
+        });
 
         // First pass: resolve local delegations inline and launch remote
         // ones in parallel.

@@ -71,6 +71,7 @@ pub trait Service: Send + 'static {
 type Cont<S> = Box<dyn FnOnce(&mut S, SyscallResult, &Fos<S>) + Send>;
 type TimerCont<S> = Box<dyn FnOnce(&mut S, &Fos<S>) + Send>;
 type ChainCont<S> = Box<dyn FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send>;
+type JoinCont<S> = Box<dyn FnOnce(&mut S, Vec<SyscallResult>, &Fos<S>) + Send>;
 
 /// One link of a chain: the next syscall, built once every link before it
 /// has replied, from the capabilities they minted. A link that cannot be
@@ -104,7 +105,6 @@ enum Out {
 }
 
 struct FosInner<S> {
-    proc: ProcId,
     now: SimTime,
     next_token: u64,
     conts: HashMap<u64, Cont<S>>,
@@ -114,8 +114,6 @@ struct FosInner<S> {
     outstanding: u32,
     window: u32,
     backlog: VecDeque<(u64, Syscall)>,
-    mem: Shared<MemoryStore>,
-    fabric: Shared<fractos_net::Fabric>,
     /// Mirror of `Ctx::telemetry_enabled`, refreshed on every delivery.
     /// `Fos::telemetry_*` are complete no-ops while this is false, so a
     /// disabled run allocates nothing (zero-perturbation invariant).
@@ -134,23 +132,54 @@ struct FosInner<S> {
 
 /// Handle through which a [`Service`] uses FractOS.
 ///
-/// Cheap to clone; all clones refer to the same Process.
+/// Cheap to clone; all clones refer to the same Process. The substrate
+/// handles sit beside the locked per-Process state, not inside it, so
+/// every method takes at most one guard (see `fractos_sim::shared`).
 pub struct Fos<S> {
     inner: Shared<FosInner<S>>,
+    proc: ProcId,
+    mem: Shared<MemoryStore>,
+    fabric: Shared<fractos_net::Fabric>,
 }
 
 impl<S> Clone for Fos<S> {
     fn clone(&self) -> Self {
         Fos {
             inner: self.inner.clone(),
+            proc: self.proc,
+            mem: self.mem.clone(),
+            fabric: self.fabric.clone(),
         }
     }
 }
 
 impl<S: Service> Fos<S> {
+    fn new(proc: ProcId, mem: Shared<MemoryStore>, fabric: Shared<fractos_net::Fabric>) -> Self {
+        Fos {
+            inner: Shared::new(FosInner {
+                now: SimTime::ZERO,
+                next_token: 0,
+                conts: HashMap::new(),
+                timers: HashMap::new(),
+                out: Vec::new(),
+                outstanding: 0,
+                window: 256,
+                backlog: VecDeque::new(),
+                telemetry_on: false,
+                cur: TraceCtx::NONE,
+                root_armed: false,
+                sc_ctx: HashMap::new(),
+                timer_ctx: HashMap::new(),
+            }),
+            proc,
+            mem,
+            fabric,
+        }
+    }
+
     /// This Process's id.
     pub fn proc_id(&self) -> ProcId {
-        self.inner.borrow().proc
+        self.proc
     }
 
     /// Current virtual time (updated on every delivery to this Process).
@@ -162,7 +191,7 @@ impl<S: Service> Fos<S> {
     /// the application-level budgets (`fs_io_retries`, `fv_retries`,
     /// `stage_retries`); the syscall transport reads the rest itself.
     pub fn retry_policy(&self) -> fractos_net::RetryPolicy {
-        self.inner.borrow().fabric.borrow().params().retry
+        self.fabric.borrow().params().retry
     }
 
     /// Sets the congestion-control window: the maximum number of
@@ -212,17 +241,13 @@ impl<S: Service> Fos<S> {
         struct Join<S> {
             slots: Vec<Option<SyscallResult>>,
             left: usize,
-            #[allow(clippy::type_complexity)]
-            k: Option<Box<dyn FnOnce(&mut S, Vec<SyscallResult>, &Fos<S>) + Send>>,
+            k: Option<JoinCont<S>>,
         }
-        let join = Shared::named(
-            "state",
-            Join {
-                slots: vec![None; n],
-                left: n,
-                k: Some(Box::new(k)),
-            },
-        );
+        let join = Shared::new(Join {
+            slots: vec![None; n],
+            left: n,
+            k: Some(Box::new(k)),
+        });
         for (i, sc) in calls.into_iter().enumerate() {
             let join = join.clone();
             self.call(sc, move |s, res, fos| {
@@ -379,23 +404,13 @@ impl<S: Service> Fos<S> {
 
     /// Allocates a buffer in this Process's (simulated) memory.
     pub fn mem_alloc(&self, size: u64) -> u64 {
-        let inner = self.inner.borrow();
-        let proc = inner.proc;
-        let mem = inner.mem.clone();
-        drop(inner);
-        let addr = mem.borrow_mut().alloc(proc, size);
-        addr
+        self.mem.borrow_mut().alloc(self.proc, size)
     }
 
     /// Allocates a buffer physically placed at a device endpoint (adaptors
     /// managing device memory, e.g. GPU buffers).
     pub fn mem_alloc_at(&self, size: u64, location: Endpoint) -> u64 {
-        let inner = self.inner.borrow();
-        let proc = inner.proc;
-        let mem = inner.mem.clone();
-        drop(inner);
-        let addr = mem.borrow_mut().alloc_at(proc, size, location);
-        addr
+        self.mem.borrow_mut().alloc_at(self.proc, size, location)
     }
 
     /// `memory_stat`: resolve a Memory capability backed by this Process's
@@ -534,24 +549,17 @@ impl<S: Service> Fos<S> {
     /// Writes into this Process's own memory (ordinary local access, not a
     /// syscall).
     pub fn mem_write(&self, addr: u64, offset: u64, data: &[u8]) -> Result<(), FosError> {
-        let inner = self.inner.borrow();
-        let proc = inner.proc;
-        let mem = inner.mem.clone();
-        drop(inner);
-        let r = mem.borrow_mut().write(proc, addr, offset, data);
-        r
+        self.mem.borrow_mut().write(self.proc, addr, offset, data)
     }
 
     /// Reads from this Process's own memory. The bytes come back as a
     /// [`Payload`], so forwarding them into a reply or a derived Request
     /// costs a reference-count bump, not a copy.
     pub fn mem_read(&self, addr: u64, offset: u64, len: u64) -> Result<Payload, FosError> {
-        let inner = self.inner.borrow();
-        let proc = inner.proc;
-        let mem = inner.mem.clone();
-        drop(inner);
-        let r = mem.borrow().read(proc, addr, offset, len);
-        r.map(Payload::from)
+        self.mem
+            .borrow()
+            .read(self.proc, addr, offset, len)
+            .map(Payload::from)
     }
 
     /// Draws the fault-plan decision for the next operation of class `op`
@@ -565,11 +573,7 @@ impl<S: Service> Fos<S> {
         device: Endpoint,
         op: fractos_net::DeviceOp,
     ) -> fractos_net::DeviceFaultOutcome {
-        let inner = self.inner.borrow();
-        let fabric = inner.fabric.clone();
-        drop(inner);
-        let outcome = fabric.borrow_mut().device_fault(device, op);
-        outcome
+        self.fabric.borrow_mut().device_fault(device, op)
     }
 
     // ---- Table 1 convenience wrappers -------------------------------
@@ -699,10 +703,8 @@ impl<S: Service> Fos<S> {
 pub struct ProcessActor<S: Service> {
     service: S,
     fos: Fos<S>,
-    proc: ProcId,
     endpoint: Endpoint,
     dir: Shared<Directory>,
-    fabric: Shared<fractos_net::Fabric>,
     dead: bool,
     /// Outgoing wire sequence numbers on the syscall channel.
     seq_gen: SeqGen,
@@ -724,36 +726,11 @@ impl<S: Service> ProcessActor<S> {
         fabric: Shared<fractos_net::Fabric>,
         mem: Shared<MemoryStore>,
     ) -> Self {
-        let fos = Fos {
-            inner: Shared::named(
-                "inner",
-                FosInner {
-                    proc,
-                    now: SimTime::ZERO,
-                    next_token: 0,
-                    conts: HashMap::new(),
-                    timers: HashMap::new(),
-                    out: Vec::new(),
-                    outstanding: 0,
-                    window: 256,
-                    backlog: VecDeque::new(),
-                    mem,
-                    fabric: fabric.clone(),
-                    telemetry_on: false,
-                    cur: TraceCtx::NONE,
-                    root_armed: false,
-                    sc_ctx: HashMap::new(),
-                    timer_ctx: HashMap::new(),
-                },
-            ),
-        };
         ProcessActor {
             service,
-            fos,
-            proc,
+            fos: Fos::new(proc, mem, fabric),
             endpoint,
             dir,
-            fabric,
             dead: false,
             seq_gen: SeqGen::new(),
             seen: DedupFilter::new(),
@@ -879,7 +856,7 @@ impl<S: Service> ProcessActor<S> {
         // an unreachable Controller: the QP errors out locally.
         let entry = {
             let dir = self.dir.borrow();
-            dir.proc(self.proc)
+            dir.proc(self.fos.proc)
                 .and_then(|pe| dir.ctrl(pe.ctrl))
                 .map(|ce| (ce.actor, ce.endpoint, ce.alive))
         };
@@ -899,10 +876,10 @@ impl<S: Service> ProcessActor<S> {
             class: TrafficClass::Control,
             label: "proc->ctrl",
         };
-        if attempt == 0 && self.fabric.borrow().has_faults() {
+        if attempt == 0 && self.fos.fabric.borrow().has_faults() {
             // Last-resort request timeout: covers replies the Controller
             // could not get back to us despite its own retries.
-            let timeout = self.fabric.borrow().params().retry.syscall_timeout;
+            let timeout = self.fos.fabric.borrow().params().retry.syscall_timeout;
             ctx.schedule_self(timeout, ProcMsg::SyscallTimeout { token });
         }
         // Base span context of this syscall (set by `flush` when the call
@@ -918,9 +895,9 @@ impl<S: Service> ProcessActor<S> {
             .copied()
             .unwrap_or(TraceCtx::NONE);
         let zero = SimDuration::ZERO;
-        match reliable_send(&self.fabric, ctx, &hop, base, zero, zero, attempt) {
+        match reliable_send(&self.fos.fabric, ctx, &hop, base, zero, zero, attempt) {
             Sent::Delivered { tctx, delay, dup } => {
-                let proc = self.proc;
+                let proc = self.fos.proc;
                 let envelope = |sc| CtrlMsg::FromProc {
                     proc,
                     token,
@@ -951,9 +928,8 @@ impl<S: Service> ProcessActor<S> {
     }
 
     fn deliver_reply(&mut self, token: u64, result: SyscallResult) {
-        let fos = self.fos.clone();
-        let (cont, next) = {
-            let mut inner = fos.inner.borrow_mut();
+        let cont = {
+            let mut inner = self.fos.inner.borrow_mut();
             let sctx = inner.sc_ctx.remove(&token);
             // A token with no continuation was already resolved (e.g. a
             // real reply racing a timeout verdict): nothing to do, and the
@@ -969,23 +945,15 @@ impl<S: Service> ProcessActor<S> {
                 }
             }
             inner.outstanding = inner.outstanding.saturating_sub(1);
-            let next = if inner.outstanding < inner.window {
-                inner.backlog.pop_front()
-            } else {
-                None
-            };
-            if next.is_some() {
-                inner.outstanding += 1;
+            if inner.outstanding < inner.window {
+                if let Some((token, sc)) = inner.backlog.pop_front() {
+                    inner.outstanding += 1;
+                    inner.out.push(Out::Syscall { token, sc });
+                }
             }
-            (cont, next)
+            cont
         };
-        if let Some((tok, sc)) = next {
-            fos.inner
-                .borrow_mut()
-                .out
-                .push(Out::Syscall { token: tok, sc });
-        }
-        cont(&mut self.service, result, &fos);
+        cont(&mut self.service, result, &self.fos);
     }
 }
 
@@ -1009,10 +977,7 @@ impl<S: Service> Actor for ProcessActor<S> {
             inner.cur = TraceCtx::NONE;
         }
         match msg {
-            ProcMsg::Start => {
-                let fos = self.fos.clone();
-                self.service.on_start(&fos);
-            }
+            ProcMsg::Start => self.service.on_start(&self.fos),
             ProcMsg::FromCtrl { seq, tctx, msg } => {
                 if !self.seen.fresh(seq) {
                     // Duplicate transmit of an already-delivered message.
@@ -1025,7 +990,7 @@ impl<S: Service> Actor for ProcessActor<S> {
                     }
                     CtrlToProc::Deliver(req) => {
                         if ctx.trace_enabled() {
-                            ctx.trace(format!("{} deliver tag={:#x}", self.proc, req.tag));
+                            ctx.trace(format!("{} deliver tag={:#x}", self.fos.proc, req.tag));
                         }
                         if tctx.is_some() {
                             let t = ctx.span(
@@ -1037,13 +1002,9 @@ impl<S: Service> Actor for ProcessActor<S> {
                             );
                             self.fos.inner.borrow_mut().cur = t;
                         }
-                        let fos = self.fos.clone();
-                        self.service.on_request(req, &fos);
+                        self.service.on_request(req, &self.fos);
                     }
-                    CtrlToProc::Monitor(cb) => {
-                        let fos = self.fos.clone();
-                        self.service.on_monitor(cb, &fos);
-                    }
+                    CtrlToProc::Monitor(cb) => self.service.on_monitor(cb, &self.fos),
                 }
             }
             ProcMsg::Retransmit {
@@ -1081,27 +1042,25 @@ impl<S: Service> Actor for ProcessActor<S> {
                 self.deliver_reply(token, SyscallResult::Err(FosError::ControllerUnreachable));
             }
             ProcMsg::Timer { token } => {
-                let fos = self.fos.clone();
                 let cont = {
-                    let mut inner = fos.inner.borrow_mut();
+                    let mut inner = self.fos.inner.borrow_mut();
                     if let Some(t) = inner.timer_ctx.remove(&token) {
                         inner.cur = t;
                     }
                     inner.timers.remove(&token)
                 };
                 if let Some(k) = cont {
-                    k(&mut self.service, &fos);
+                    k(&mut self.service, &self.fos);
                 }
             }
             ProcMsg::Kill => {
                 self.dead = true;
-                self.dir.borrow_mut().kill_proc(self.proc);
-                let mem_proc = self.proc;
+                self.dir.borrow_mut().kill_proc(self.fos.proc);
                 // The node's NIC tears the QP down; the Controller notices
                 // after a short detection delay (§3.6).
                 let ctrl_actor = {
                     let dir = self.dir.borrow();
-                    dir.proc(self.proc)
+                    dir.proc(self.fos.proc)
                         .and_then(|pe| dir.ctrl(pe.ctrl))
                         .map(|c| c.actor)
                 };
@@ -1109,7 +1068,9 @@ impl<S: Service> Actor for ProcessActor<S> {
                     ctx.send_after(
                         CHANNEL_SEVER_DETECT,
                         ctrl,
-                        CtrlMsg::ProcChannelSevered { proc: mem_proc },
+                        CtrlMsg::ProcChannelSevered {
+                            proc: self.fos.proc,
+                        },
                     );
                 }
                 return;
@@ -1132,40 +1093,18 @@ impl Service for NullService {
 mod tests {
     use super::*;
 
-    fn test_fabric() -> Shared<fractos_net::Fabric> {
-        Shared::named(
-            "fabric",
-            fractos_net::Fabric::new(
-                fractos_net::Topology::paper_testbed(),
-                fractos_net::NetParams::paper(),
-            ),
-        )
+    fn test_fos(proc: ProcId) -> Fos<NullService> {
+        let fabric = fractos_net::Fabric::new(
+            fractos_net::Topology::paper_testbed(),
+            fractos_net::NetParams::paper(),
+        );
+        Fos::new(proc, Shared::new(MemoryStore::new()), Shared::new(fabric))
     }
 
     #[test]
     fn fos_queues_syscalls_beyond_window() {
-        let mem = Shared::named("mem", MemoryStore::new());
-        let inner = FosInner::<NullService> {
-            proc: ProcId(0),
-            now: SimTime::ZERO,
-            next_token: 0,
-            conts: HashMap::new(),
-            timers: HashMap::new(),
-            out: Vec::new(),
-            outstanding: 0,
-            window: 2,
-            backlog: VecDeque::new(),
-            mem,
-            fabric: test_fabric(),
-            telemetry_on: false,
-            cur: TraceCtx::NONE,
-            root_armed: false,
-            sc_ctx: HashMap::new(),
-            timer_ctx: HashMap::new(),
-        };
-        let fos = Fos {
-            inner: Shared::named("inner", inner),
-        };
+        let fos = test_fos(ProcId(0));
+        fos.set_window(2);
         for _ in 0..5 {
             fos.call(Syscall::Null, |_, _, _| {});
         }
@@ -1177,28 +1116,7 @@ mod tests {
 
     #[test]
     fn mem_helpers_roundtrip() {
-        let mem = Shared::named("mem", MemoryStore::new());
-        let inner = FosInner::<NullService> {
-            proc: ProcId(3),
-            now: SimTime::ZERO,
-            next_token: 0,
-            conts: HashMap::new(),
-            timers: HashMap::new(),
-            out: Vec::new(),
-            outstanding: 0,
-            window: 8,
-            backlog: VecDeque::new(),
-            mem,
-            fabric: test_fabric(),
-            telemetry_on: false,
-            cur: TraceCtx::NONE,
-            root_armed: false,
-            sc_ctx: HashMap::new(),
-            timer_ctx: HashMap::new(),
-        };
-        let fos = Fos {
-            inner: Shared::named("inner", inner),
-        };
+        let fos = test_fos(ProcId(3));
         let addr = fos.mem_alloc(16);
         fos.mem_write(addr, 2, b"xy").unwrap();
         assert_eq!(fos.mem_read(addr, 2, 2).unwrap(), b"xy");

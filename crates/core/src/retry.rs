@@ -248,7 +248,7 @@ mod tests {
         let mut topo = Topology::new();
         topo.add_node(NodeConfig::cpu_only("a"));
         topo.add_node(NodeConfig::cpu_only("b"));
-        let fabric = Shared::named("fabric", Fabric::new(topo, NetParams::paper()));
+        let fabric = Shared::new(Fabric::new(topo, NetParams::paper()));
         if let Some(plan) = plan {
             fabric.borrow_mut().install_fault_plan(plan, 7);
         }

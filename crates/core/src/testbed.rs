@@ -91,12 +91,12 @@ impl Testbed {
 
     /// Creates an empty testbed over an already-built runtime.
     pub fn with_runtime(topology: Topology, params: NetParams, sim: Box<dyn Runtime>) -> Self {
-        let fabric = Shared::named("fabric", Fabric::new(topology, params));
+        let fabric = Shared::new(Fabric::new(topology, params));
         Testbed {
             sim,
             fabric,
-            mem: Shared::named("mem", MemoryStore::new()),
-            dir: Shared::named("dir", Directory::new()),
+            mem: Shared::new(MemoryStore::new()),
+            dir: Shared::new(Directory::new()),
             ctrls: Vec::new(),
             procs: Vec::new(),
         }

@@ -238,7 +238,6 @@ fn resolve_request(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // recursive walker threading its state
 fn walk_request(
     table: &ObjectTable<ObjPayload>,
     cap: CapRef,

@@ -293,11 +293,8 @@ mod tests {
     /// Two stub Controllers on distinct nodes plus a watchdog on node 0.
     fn harness() -> Harness {
         let mut sim = Sim::new(7);
-        let dir = Shared::named("dir", Directory::new());
-        let fabric = Shared::named(
-            "fabric",
-            Fabric::new(Topology::paper_testbed(), NetParams::paper()),
-        );
+        let dir = Shared::new(Directory::new());
+        let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let mut ctrls = Vec::new();
         for node in [1usize, 2] {
             let endpoint = Endpoint::cpu(NodeId(node as u32));
@@ -306,7 +303,7 @@ mod tests {
                 endpoint,
                 ComputeDomain::HostCpu,
             );
-            let alive = Shared::named("state", true);
+            let alive = Shared::new(true);
             let actor = sim.add_actor_on(
                 node,
                 &format!("stub{node}"),

@@ -3,8 +3,8 @@
 //!
 //! The simulation's headline invariant is bit-identical replay, and its
 //! concurrency story rests on a small set of conventions that rustc does
-//! not check: a canonical lock acquisition order over [`Shared`] handles
-//! and allocation-free hot paths in the engine core. This crate checks
+//! not check: no thread holding two [`Shared`] guards at once, and
+//! allocation-free hot paths in the engine core. This crate checks
 //! them from source text, with no dependency on rustc internals or
 //! external crates (the build environment is offline). The wire codec
 //! needs no pass: each layout is declared once and `fractos_core::wire`
@@ -15,10 +15,10 @@
 //! * **hazards** — the original determinism lint: wall-clock reads,
 //!   `thread_local!`, ambient randomness, hash-order iteration and
 //!   `unwrap()`/`expect(` in product paths (see [`passes::hazards`]).
-//! * **lock-order** — builds an inter-procedural *may-hold-while-
-//!   acquiring* graph over `Shared<T>` borrow/lock call sites and denies
-//!   cycles and same-class nesting (see [`passes::lockorder`]). The
-//!   runtime complement is the `lockdep` feature of `fractos-sim`.
+//! * **lock-order** — denies every `Shared<T>` borrow/lock made while a
+//!   guard is held, directly or through a call (inter-procedural
+//!   may-acquire summaries; see [`passes::lockorder`]). The runtime
+//!   complement is `fractos-sim`'s witness, in every debug build.
 //! * **hot-path** — denies allocation/copy idioms inside functions
 //!   marked `// analyze: hot-path` (see [`passes::hotpath`]).
 //!

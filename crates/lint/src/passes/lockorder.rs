@@ -1,9 +1,10 @@
-//! Lock-order / deadlock analysis over `Shared<T>` acquisition sites.
+//! One-lock analysis over `Shared<T>` acquisition sites.
 //!
 //! The simulator's shared substrate state is guarded by `Shared<T>`
-//! (`Arc<Mutex<T>>` with `borrow`/`borrow_mut` vocabulary). A deadlock
-//! needs two threads acquiring two lock classes in opposite orders, so
-//! the pass builds a *may-hold-while-acquiring* graph and denies cycles:
+//! (`Arc<Mutex<T>>` with `borrow`/`borrow_mut` vocabulary), under one rule:
+//! no thread ever holds two guards, so a thread waiting on a lock holds
+//! none and no interleaving can deadlock. The pass reports every place a
+//! guard may be held while another lock is taken:
 //!
 //! 1. **Acquisitions.** Every `.borrow()`, `.borrow_mut()` and `.lock()`
 //!    call site is an acquisition of the lock *class* named by its
@@ -19,28 +20,28 @@
 //!    a `;` or `,` at nesting depth zero; a plain `if`/`while`
 //!    condition ends at its `{`; a `match`/`if let` scrutinee spans the
 //!    whole construct, mirroring Rust temporary-lifetime rules.
-//! 3. **Calls.** A call made while holding locks contributes edges from
-//!    each held class to everything the callee *may* acquire,
-//!    transitively (a name-keyed summary fixpoint over all product
-//!    functions; same-named functions are merged, a safe
-//!    over-approximation). Only calls whose callee is nameable are
-//!    resolved — `self.method(..)`, `Path::func(..)` and bare
-//!    `helper(..)` — and ubiquitous std method names (`new`, `push`,
-//!    `get`, ...) are excluded, so `Vec::new()` does not smear every
-//!    product constructor's summary into its caller. Method calls on
-//!    arbitrary expression receivers are left to the runtime witness.
-//! 4. **Verdicts.** Same-class nesting inside one function is reported
-//!    directly (with `Mutex` semantics it self-deadlocks); any cycle in
-//!    the class graph is reported once per strongly-connected component,
-//!    with a representative site for every edge on the cycle.
+//! 3. **Calls.** A call made while holding a guard is checked against
+//!    everything the callee *may* acquire, transitively (a name-keyed
+//!    summary fixpoint over all product functions; same-named functions
+//!    are merged, a safe over-approximation). Only calls whose callee
+//!    is nameable are resolved — `self.method(..)`, `Path::func(..)` and
+//!    bare `helper(..)` — and ubiquitous std method names (`new`,
+//!    `push`, `get`, ...) are excluded, so `Vec::new()` does not smear
+//!    every product constructor's summary into its caller. Method calls
+//!    on arbitrary expression receivers are left to the runtime witness.
+//! 4. **Verdicts.** Every held → acquired pair is a finding, whatever the
+//!    two classes: an acquisition while a guard is held, and a call made
+//!    while a guard is held to a callee that may acquire.
 //!
 //! Functions annotated `// analyze: lock-primitive` (the `Shared`
-//! internals and the lockdep witness, which manipulate raw mutexes *to
+//! internals and the witness, which manipulate raw mutexes *to
 //! implement* the discipline) are skipped entirely. `#[cfg(test)]` code
 //! is exempt. The runtime complement of this pass is `fractos-sim`'s
-//! `lockdep` feature, which witnesses actual acquisition orders.
+//! witness, compiled into every debug build, which panics when a thread
+//! holding a guard takes another.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
 
 use crate::{fn_spans, Finding, Rule, SourceFile};
 
@@ -115,14 +116,6 @@ enum Event {
     Acquire { pos: usize, class: String },
     /// A potential product-fn call observed at `pos`.
     Call { pos: usize, name: String },
-}
-
-/// One observed `held -> acquired` pair with its witness site.
-#[derive(Debug, Clone)]
-struct EdgeSite {
-    file: std::path::PathBuf,
-    line: usize,
-    note: String,
 }
 
 /// Lock classes held at a call site, each with the line it was taken on.
@@ -427,15 +420,13 @@ fn statement_release(b: &[u8], body_start: usize, pos: usize, body_end: usize) -
     body_end
 }
 
-/// Analyzes one fn body: records direct acquisitions, same-class nesting
-/// findings, held-call observations and direct edges.
-#[allow(clippy::too_many_arguments)]
+/// Analyzes one fn body: records direct acquisitions and held-call
+/// observations, and reports every acquisition made while a guard is held.
 fn analyze_body(
     file: &SourceFile,
     body_start: usize,
     body_end: usize,
     facts: &mut FnFacts,
-    edges: &mut BTreeMap<(String, String), EdgeSite>,
     findings: &mut Vec<Finding>,
 ) {
     let b = file.masked.as_bytes();
@@ -485,25 +476,13 @@ fn analyze_body(
                 Event::Acquire { pos, class } => {
                     let line = file.line_of(*pos);
                     for (held, _, held_line) in &holds {
-                        if held == class {
-                            findings.push(Finding {
-                                rule: Rule::LockOrder,
-                                file: file.path.clone(),
-                                line,
-                                text: format!(
-                                    "nested acquisition of lock class `{class}` (already held \
-                                     since line {held_line}); same-class nesting deadlocks"
-                                ),
-                            });
-                        } else {
-                            edges
-                                .entry((held.clone(), class.clone()))
-                                .or_insert_with(|| EdgeSite {
-                                    file: file.path.clone(),
-                                    line,
-                                    note: format!("`{held}` held since line {held_line}"),
-                                });
-                        }
+                        findings.push(nested(
+                            file.path.clone(),
+                            line,
+                            held,
+                            *held_line,
+                            format!("acquires `{class}`"),
+                        ));
                     }
                     facts.direct.insert(class.clone());
                     let release = if is_guard_binding(b, body_start, *pos, body_end) {
@@ -529,12 +508,24 @@ fn analyze_body(
     }
 }
 
+/// The finding for one `held -> acquired` pair.
+fn nested(file: PathBuf, line: usize, held: &str, held_line: usize, what: String) -> Finding {
+    Finding {
+        rule: Rule::LockOrder,
+        file,
+        line,
+        text: format!(
+            "{what} while `{held}` is held (since line {held_line}); \
+             no thread holds two Shared guards"
+        ),
+    }
+}
+
 pub fn run(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut edges: BTreeMap<(String, String), EdgeSite> = BTreeMap::new();
     // Name-keyed facts; same-named fns merge (safe over-approximation).
     let mut facts: BTreeMap<String, FnFacts> = BTreeMap::new();
-    let mut held_calls: Vec<(std::path::PathBuf, HeldSet, String, usize)> = Vec::new();
+    let mut held_calls: Vec<(PathBuf, HeldSet, String, usize)> = Vec::new();
 
     for file in files {
         for span in fn_spans(file) {
@@ -544,14 +535,7 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
                 continue;
             }
             let mut f = FnFacts::default();
-            analyze_body(
-                file,
-                span.body_start,
-                span.body_end,
-                &mut f,
-                &mut edges,
-                &mut findings,
-            );
+            analyze_body(file, span.body_start, span.body_end, &mut f, &mut findings);
             for (held, callee, line) in std::mem::take(&mut f.held_calls) {
                 held_calls.push((file.path.clone(), held, callee, line));
             }
@@ -588,137 +572,19 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
 
-    // Call-induced edges: held class -> everything the callee may acquire.
-    // Same-class re-entry through calls is left to the runtime lockdep
-    // witness: name-merged summaries make it too noisy to deny statically.
-    for (path, held, callee, line) in &held_calls {
+    // Calls made while holding a guard, to callees that may acquire.
+    for (path, held, callee, line) in held_calls {
         if STD_NOISE.contains(&callee.as_str()) {
             continue;
         }
-        let Some(may) = summaries.get(callee.as_str()) else {
+        let Some(may) = summaries.get(callee.as_str()).filter(|m| !m.is_empty()) else {
             continue;
         };
-        for (h, h_line) in held {
-            for acq in may {
-                if acq != h {
-                    edges
-                        .entry((h.clone(), acq.clone()))
-                        .or_insert_with(|| EdgeSite {
-                            file: path.clone(),
-                            line: *line,
-                            note: format!(
-                                "`{h}` held since line {h_line} across call to `{callee}` \
-                             (may acquire `{acq}`)"
-                            ),
-                        });
-                }
-            }
+        let classes: Vec<String> = may.iter().map(|c| format!("`{c}`")).collect();
+        let what = format!("call to `{callee}` may acquire {}", classes.join(", "));
+        for (h, h_line) in &held {
+            findings.push(nested(path.clone(), line, h, *h_line, what.clone()));
         }
-    }
-
-    findings.extend(cycle_findings(&edges));
-    findings
-}
-
-/// One finding per strongly-connected component of the class graph with
-/// more than one node (self-edges were already reported as same-class
-/// nesting). Deterministic: Tarjan over sorted adjacency.
-fn cycle_findings(edges: &BTreeMap<(String, String), EdgeSite>) -> Vec<Finding> {
-    let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (a, b) in edges.keys() {
-        adj.entry(a.as_str()).or_default().push(b.as_str());
-        adj.entry(b.as_str()).or_default();
-    }
-
-    // Iterative Tarjan SCC.
-    let nodes: Vec<&str> = adj.keys().copied().collect();
-    let index_of: BTreeMap<&str, usize> = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-    let n = nodes.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<&str>> = Vec::new();
-
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        // (node, child cursor)
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&(v, cursor)) = call.last() {
-            if cursor == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            let succs = &adj[nodes[v]];
-            if cursor < succs.len() {
-                call.last_mut().expect("non-empty").1 += 1;
-                let w = index_of[succs[cursor]];
-                if index[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(nodes[w]);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort();
-                    if comp.len() > 1 {
-                        sccs.push(comp);
-                    }
-                }
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-            }
-        }
-    }
-
-    sccs.sort();
-    let mut findings = Vec::new();
-    for comp in sccs {
-        let set: BTreeSet<&str> = comp.iter().copied().collect();
-        let mut sites = Vec::new();
-        for ((a, b), site) in edges {
-            if set.contains(a.as_str()) && set.contains(b.as_str()) {
-                sites.push(format!(
-                    "{} -> {} at {}:{} ({})",
-                    a,
-                    b,
-                    site.file.display(),
-                    site.line,
-                    site.note
-                ));
-            }
-        }
-        let first = edges
-            .iter()
-            .find(|((a, b), _)| set.contains(a.as_str()) && set.contains(b.as_str()))
-            .map(|(_, s)| s)
-            .expect("non-trivial SCC has at least one internal edge");
-        findings.push(Finding {
-            rule: Rule::LockOrder,
-            file: first.file.clone(),
-            line: first.line,
-            text: format!(
-                "lock-order cycle among classes {{{}}}: {}",
-                comp.join(", "),
-                sites.join("; ")
-            ),
-        });
     }
     findings
 }
@@ -735,36 +601,47 @@ mod tests {
         SourceFile::load(&path).expect("corpus file readable")
     }
 
+    fn texts(findings: &[Finding]) -> Vec<(usize, &str)> {
+        findings.iter().map(|f| (f.line, f.text.as_str())).collect()
+    }
+
     #[test]
-    fn corpus_abba_cycle_detected() {
-        let findings = run(&[corpus("bad_lock_cycle.rs")]);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.text.contains("lock-order cycle") && f.text.contains("alpha")),
-            "ABBA cycle must be reported: {findings:?}"
-        );
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.text.contains("nested acquisition of lock class `alpha`")),
-            "same-class nesting must be reported: {findings:?}"
+    fn corpus_direct_nesting_detected() {
+        let findings = run(&[corpus("bad_lock_nesting.rs")]);
+        let got = texts(&findings);
+        for (line, what) in [
+            (14, "acquires `beta` while `alpha` is held (since line 13)"),
+            (20, "acquires `beta` while `alpha` is held (since line 19)"),
+            (26, "acquires `alpha` while `alpha` is held (since line 25)"),
+            (
+                31,
+                "acquires `fabric` while `inner` is held (since line 31)",
+            ),
+        ] {
+            assert!(
+                got.iter().any(|&(l, t)| l == line && t.contains(what)),
+                "line {line}: {what}: {got:?}"
+            );
+        }
+        assert_eq!(findings.len(), 4, "{got:?}");
+    }
+
+    #[test]
+    fn corpus_nesting_through_call_detected() {
+        let findings = run(&[corpus("bad_lock_nesting_calls.rs")]);
+        let got = texts(&findings);
+        assert_eq!(
+            got,
+            [(
+                19,
+                "call to `helper_acquires_delta` may acquire `delta` while `gamma` is held \
+                 (since line 18); no thread holds two Shared guards"
+            )],
         );
     }
 
     #[test]
-    fn corpus_cycle_through_call_detected() {
-        let findings = run(&[corpus("bad_lock_cycle_calls.rs")]);
-        assert!(
-            findings.iter().any(|f| f.text.contains("lock-order cycle")
-                && f.text.contains("gamma")
-                && f.text.contains("delta")),
-            "call-graph cycle must be reported: {findings:?}"
-        );
-    }
-
-    #[test]
-    fn consistent_order_is_clean() {
+    fn consistent_order_is_reported() {
         let src = "
 struct S;
 impl S {
@@ -772,38 +649,33 @@ impl S {
         let _ga = self.alpha.borrow();
         let _gb = self.beta.borrow_mut();
     }
-    fn also_a_then_b(&self) {
-        let _ga = self.alpha.borrow_mut();
-        let _gb = self.beta.borrow();
-    }
     fn sequential_not_nested(&self) {
         {
             let mut g = self.alpha.borrow_mut();
             *g += 1;
         }
+        let _x = self.beta.borrow().field;
         let _g2 = self.alpha.borrow();
     }
 }
 ";
         let findings = run(&[SourceFile::from_source("x.rs", src)]);
-        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0]
+            .text
+            .contains("acquires `beta` while `alpha` is held"));
     }
 
     #[test]
     fn projection_temporaries_release_at_statement_end() {
-        // `let x = a.borrow().field;` drops the guard at the `;` — the
-        // later `beta` acquisition must not see `alpha` held (a false
-        // `alpha -> beta` edge here would invert with fn `b_then_a`).
+        // `let x = a.borrow().field;` drops the guard at the `;`, so the
+        // later `beta` acquisition must not see `alpha` held.
         let src = "
 impl S {
     fn projections(&self) {
         let x = self.alpha.borrow().field;
         let _y = x;
         let _gb = self.beta.borrow();
-    }
-    fn b_then_a(&self) {
-        let _gb = self.beta.borrow();
-        let _ga = self.alpha.borrow();
     }
 }
 ";
@@ -819,10 +691,6 @@ impl S {
     fn acquire(&self) {
         let _g = self.alpha.borrow();
         let _h = self.beta.borrow();
-    }
-    fn other(&self) {
-        let _h = self.beta.borrow();
-        let _g = self.alpha.borrow();
     }
 }
 ";
@@ -842,15 +710,13 @@ fn run_round(slot: &M) {
 fn helper(s: &mut S) {
     let _g = s.state.borrow_mut();
 }
-fn inverse(s: &S) {
-    let _g = s.state.borrow();
-    let _h = s.slot.borrow();
-}
 ";
         let findings = run(&[SourceFile::from_source("x.rs", src)]);
         assert!(
-            findings.iter().any(|f| f.text.contains("lock-order cycle")),
-            "slot->state (via call) + state->slot must cycle: {findings:?}"
+            findings.iter().any(|f| f
+                .text
+                .contains("call to `helper` may acquire `state` while `slot` is held")),
+            "{findings:?}"
         );
     }
 }

@@ -268,11 +268,6 @@ impl Fabric {
         self.faults.is_some()
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// The fabric's parameters.
     pub fn params(&self) -> &NetParams {
         &self.params

@@ -383,12 +383,6 @@ impl FaultPlan {
         self.corrupt_probs.insert(LinkKey::new(src, dst), p);
         self
     }
-
-    /// Flips one bit of each data-class payload between `a` and `b`
-    /// (both directions) with probability `p`.
-    pub fn corrupt_data_between(self, a: NodeId, b: NodeId, p: f64) -> Self {
-        self.corrupt_data(a, b, p).corrupt_data(b, a, p)
-    }
 }
 
 /// What [`Fabric::try_send`](crate::Fabric::try_send) did with a message.
@@ -469,10 +463,6 @@ impl FaultState {
             dev_idx: BTreeMap::new(),
             data_idx: BTreeMap::new(),
         }
-    }
-
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Decides whether the droppable message departing `now` on `link` is

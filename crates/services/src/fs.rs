@@ -100,7 +100,7 @@ pub enum FsMode {
     Dax,
 }
 
-/// Default extent size: one logical volume per extent.
+/// Extent size: one logical volume per extent.
 pub const EXTENT_SIZE: u64 = 1 << 20;
 
 struct Extent {
@@ -155,7 +155,6 @@ pub struct FsService {
     mode: FsMode,
     key: String,
     blk_key: String,
-    extent_size: u64,
     files: HashMap<u64, FsFile>,
     next_file: u64,
     create_vol_req: Option<Cid>,
@@ -181,7 +180,6 @@ impl FsService {
             mode,
             key: key.to_string(),
             blk_key: blk_key.to_string(),
-            extent_size: EXTENT_SIZE,
             files: HashMap::new(),
             next_file: 1,
             create_vol_req: None,
@@ -192,12 +190,6 @@ impl FsService {
             completed_ops: 0,
             retried_ops: 0,
         }
-    }
-
-    /// Overrides the extent (= logical volume) size.
-    pub fn with_extent_size(mut self, size: u64) -> Self {
-        self.extent_size = size;
-        self
     }
 
     /// The data-path mode.
@@ -237,19 +229,23 @@ impl FsService {
             k(self, Ok(i), fos);
             return;
         }
-        let size = self.extent_size;
-        let addr = fos.mem_alloc(size);
-        fos.memory_create(addr, size, Perms::RW, move |s: &mut Self, res, fos| {
-            let SyscallResult::NewCid(cid) = res else {
-                // Growing the pool failed (e.g. the Controller link is
-                // down): surface the failure instead of dropping the op.
-                k(s, Err(FosError::ControllerUnreachable), fos);
-                return;
-            };
-            s.staging.push(StagingBuf { cid, busy: true });
-            let i = s.staging.len() - 1;
-            k(s, Ok(i), fos);
-        });
+        let addr = fos.mem_alloc(EXTENT_SIZE);
+        fos.memory_create(
+            addr,
+            EXTENT_SIZE,
+            Perms::RW,
+            move |s: &mut Self, res, fos| {
+                let SyscallResult::NewCid(cid) = res else {
+                    // Growing the pool failed (e.g. the Controller link is
+                    // down): surface the failure instead of dropping the op.
+                    k(s, Err(FosError::ControllerUnreachable), fos);
+                    return;
+                };
+                s.staging.push(StagingBuf { cid, busy: true });
+                let i = s.staging.len() - 1;
+                k(s, Ok(i), fos);
+            },
+        );
     }
 
     // ---- file creation ------------------------------------------------
@@ -264,7 +260,7 @@ impl FsService {
             fos.reply_via(cont, vec![imm(fs_err::DEGRADED)], vec![]);
             return;
         };
-        let n = size.div_ceil(self.extent_size).max(1);
+        let n = size.div_ceil(EXTENT_SIZE).max(1);
         let op = self.op_token();
         self.creates.insert(
             op,
@@ -283,7 +279,7 @@ impl FsService {
     /// fails typed instead of hanging.
     fn request_extent(&mut self, fos: &Fos<Self>, create_vol: Cid, op: u64) {
         let ready = vec![Self::internal(FSI_EXTENT_READY, op)];
-        let size = vec![imm(self.extent_size)];
+        let size = vec![imm(EXTENT_SIZE)];
         fos.invoke_with_or(create_vol, size, vec![], ready, move |s, _err, fos| {
             s.fail_create(op, fos)
         });
@@ -345,7 +341,6 @@ impl FsService {
 
     /// Replies to a create/open with the mode-appropriate handles.
     fn reply_handles(&mut self, file_id: u64, writable: bool, cont: Cid, fos: &Fos<Self>) {
-        let extent_size = self.extent_size;
         match self.mode {
             FsMode::Mediated | FsMode::Compose => {
                 // Mint per-file FS read/write Requests with the file preset.
@@ -356,7 +351,7 @@ impl FsService {
                 }
                 fos.chain(handles, move |_s, res, fos| match res {
                     Ok(handles) => {
-                        fos.reply_via(cont, vec![imm(file_id), imm(extent_size)], handles)
+                        fos.reply_via(cont, vec![imm(file_id), imm(EXTENT_SIZE)], handles)
                     }
                     Err(_) => fos.reply_via(cont, vec![imm(fs_err::INTERNAL)], vec![]),
                 });
@@ -376,7 +371,7 @@ impl FsService {
                         caps.push(e.write_req);
                     }
                 }
-                fos.reply_via(cont, vec![imm(file_id), imm(extent_size)], caps);
+                fos.reply_via(cont, vec![imm(file_id), imm(EXTENT_SIZE)], caps);
             }
         }
     }
@@ -420,9 +415,9 @@ impl FsService {
     /// if the operation straddles extents.
     fn locate(&self, file: u64, offset: u64, size: u64) -> Option<(usize, u64)> {
         let f = self.files.get(&file)?;
-        let idx = (offset / self.extent_size) as usize;
-        let off = offset % self.extent_size;
-        if idx >= f.extents.len() || off + size > self.extent_size {
+        let idx = (offset / EXTENT_SIZE) as usize;
+        let off = offset % EXTENT_SIZE;
+        if idx >= f.extents.len() || off + size > EXTENT_SIZE {
             return None;
         }
         Some((idx, off))

@@ -106,12 +106,6 @@ impl Ctx<'_> {
             .push((self.now.saturating_add(delay), dst, Box::new(msg)));
     }
 
-    /// Sends a pre-boxed message to `dst` after `delay` (saturating, like
-    /// [`send_after`](Ctx::send_after)).
-    pub fn send_boxed_after(&mut self, delay: SimDuration, dst: ActorId, msg: Msg) {
-        self.outbox.push((self.now.saturating_add(delay), dst, msg));
-    }
-
     /// Sends `msg` to `dst` at the current instant (delivered after all
     /// already-queued same-time events).
     pub fn send_now(&mut self, dst: ActorId, msg: impl Any + Send) {

@@ -33,8 +33,8 @@
 //! ```
 
 pub mod engine;
-#[cfg(feature = "lockdep")]
-pub mod lockdep;
+#[cfg(debug_assertions)]
+mod lockdep;
 pub mod metrics;
 pub mod payload;
 pub mod queue;

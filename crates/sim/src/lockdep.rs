@@ -1,194 +1,85 @@
-//! Runtime lock-order witness for [`Shared`](crate::Shared) handles
-//! (mini-lockdep).
+//! Runtime witness of the one-lock rule for [`Shared`](crate::Shared)
+//! handles (see [`crate::shared`]): no thread ever holds two guards.
 //!
-//! The static lock-order pass in `fractos-analyze` proves the *may*-hold
-//! graph acyclic from source text; this module is its runtime complement:
-//! with the `lockdep` feature enabled, every acquisition of a *named*
-//! `Shared` handle is recorded against the set of named locks the thread
-//! already holds, growing a global class-order graph. Two violations
-//! panic immediately, at the acquisition site that completes them:
-//!
-//! - **re-entry** — acquiring a class the thread already holds. With
-//!   `std::sync::Mutex` this would deadlock silently; the witness checks
-//!   *before* blocking, so the suite fails with both call sites instead
-//!   of hanging.
-//! - **inversion** — acquiring `B` while holding `A` after some earlier
-//!   acquisition (any thread, any time in the process) took `A` while
-//!   holding `B`. This is the classic ABBA deadlock precursor; seeing
-//!   both orders at runtime means the deadlock is one unlucky
-//!   interleaving away.
-//!
-//! Classes are the `&'static str` names given at
-//! [`Shared::named`](crate::Shared::named); unnamed handles (ad-hoc
-//! leaf state that never nests) are not witnessed. The canonical
-//! acquisition order for the named substrate classes is documented in
-//! [`crate::shared`].
-//!
-//! The edge graph is cumulative across the whole process so inversions
-//! between tests in one binary are still caught; [`reset`] restores a
-//! clean slate for tests that intentionally exercise the witness.
-//!
-//! Everything here is feature-gated debug instrumentation: the default
-//! build compiles none of it and `Shared` guards carry no extra state.
+//! Every acquisition first checks that the calling thread holds no guard
+//! and panics with both sites if it does. The check runs *before* the
+//! `Mutex::lock` call, so a same-handle re-entry fails with a diagnostic
+//! instead of deadlocking silently. Compiled into every `debug_assertions`
+//! build — so every debug `cargo test` runs under it — and into no release
+//! build.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::panic::Location;
 use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::{self, ThreadId};
 
-/// One recorded acquisition edge: the first site pair that established it.
-#[derive(Debug, Clone, Copy)]
-struct EdgeSites {
-    /// Where the earlier (held) class was acquired.
-    held_at: &'static Location<'static>,
-    /// Where the later class was acquired while the earlier was held.
-    acquired_at: &'static Location<'static>,
+/// Where each thread that holds a guard acquired it.
+fn holders() -> &'static Mutex<HashMap<ThreadId, &'static Location<'static>>> {
+    static HOLDERS: OnceLock<Mutex<HashMap<ThreadId, &'static Location<'static>>>> =
+        OnceLock::new();
+    HOLDERS.get_or_init(Mutex::default)
 }
 
-#[derive(Default)]
-struct State {
-    /// Named locks currently held, per thread. Keyed by the formatted
-    /// `ThreadId` (the raw id is not `Ord`); entries are pushed on
-    /// acquire and removed on guard drop.
-    held: BTreeMap<String, Vec<(&'static str, &'static Location<'static>)>>,
-    /// Observed order edges `(held, acquired)` with their first witness
-    /// sites, cumulative across threads.
-    edges: BTreeMap<(&'static str, &'static str), EdgeSites>,
-}
-
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(State::default()))
-}
-
-fn thread_key() -> String {
-    format!("{:?}", std::thread::current().id())
-}
-
-/// Records that the current thread is about to acquire `class` at `site`.
-///
-/// Must be called *before* the underlying `Mutex::lock` so that a
-/// same-class re-entry panics with a diagnostic instead of deadlocking.
+/// Records that the current thread is about to acquire a guard at `site`.
 ///
 /// # Panics
 ///
-/// Panics on re-entrant acquisition of a held class or on an acquisition
-/// order inverting a previously witnessed edge.
+/// Panics if the thread already holds a guard.
 // analyze: lock-primitive
-pub fn on_acquire(class: &'static str, site: &'static Location<'static>) {
-    let mut st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    let key = thread_key();
-    let held = st.held.entry(key).or_default().clone();
-    for &(h, h_site) in &held {
-        if h == class {
-            panic!(
-                "lockdep: re-entrant acquisition of Shared lock class `{class}` at {site} \
-                 (already held since {h_site}); same-handle nesting deadlocks"
-            );
-        }
-    }
-    for &(h, h_site) in &held {
-        if let Some(rev) = st.edges.get(&(class, h)) {
-            panic!(
-                "lockdep: lock-order inversion: acquiring `{class}` at {site} while holding \
-                 `{h}` (acquired at {h_site}), but `{h}` was previously acquired at \
-                 {rev_acq} while holding `{class}` (acquired at {rev_held}); \
-                 see the canonical order in fractos_sim::shared",
-                rev_acq = rev.acquired_at,
-                rev_held = rev.held_at,
-            );
-        }
-        st.edges.entry((h, class)).or_insert(EdgeSites {
-            held_at: h_site,
-            acquired_at: site,
-        });
-    }
-    st.held.entry(thread_key()).or_default().push((class, site));
-}
-
-/// Records that the current thread released a guard of `class`.
-///
-/// Guards may drop in any order, so the *last* matching entry of the
-/// thread's held stack is removed, not necessarily the top.
-// analyze: lock-primitive
-pub fn on_release(class: &'static str) {
-    let mut st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    let key = thread_key();
-    if let Some(stack) = st.held.get_mut(&key) {
-        if let Some(i) = stack.iter().rposition(|&(c, _)| c == class) {
-            stack.remove(i);
-        }
-        if stack.is_empty() {
-            st.held.remove(&key);
-        }
+pub(crate) fn on_acquire(site: &'static Location<'static>) {
+    let mut holders = holders().lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(held) = holders.insert(thread::current().id(), site) {
+        panic!(
+            "acquiring a Shared guard at {site} while this thread holds the one taken at \
+             {held}; no thread holds two Shared guards"
+        );
     }
 }
 
-/// Clears all recorded held stacks and order edges (test isolation).
+/// Records that the current thread released its guard.
 // analyze: lock-primitive
-pub fn reset() {
-    let mut st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    st.held.clear();
-    st.edges.clear();
-}
-
-/// The witnessed order edges so far, sorted, as `(held, then-acquired)`
-/// class pairs. Test/debug API.
-// analyze: lock-primitive
-pub fn edges() -> Vec<(&'static str, &'static str)> {
-    let st = state().lock().unwrap_or_else(PoisonError::into_inner);
-    st.edges.keys().copied().collect()
+pub(crate) fn on_release() {
+    let mut holders = holders().lock().unwrap_or_else(PoisonError::into_inner);
+    holders.remove(&thread::current().id());
 }
 
 #[cfg(test)]
 mod tests {
     use crate::Shared;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// The lockdep state is process-global, so the scenarios run in one
-    /// test to avoid cross-test edge pollution in parallel runs.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("a second guard must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
-    fn witness_records_orders_and_panics_on_violations() {
-        super::reset();
+    fn a_second_guard_panics_and_sequential_guards_do_not() {
+        let a = Shared::new(1u32);
+        let b = Shared::new(2u32);
 
-        // Consistent nesting: a → b twice, no complaints.
-        let a = Shared::named("wa", 1u32);
-        let b = Shared::named("wb", 2u32);
+        // Acquire, release, acquire: one guard at a time is the rule.
         for _ in 0..2 {
-            let ga = a.borrow();
-            let gb = b.borrow();
-            assert_eq!(*ga + *gb, 3);
-        }
-        assert!(super::edges().contains(&("wa", "wb")));
-
-        // Unnamed handles are not witnessed: inverse nesting is fine.
-        let u = Shared::new(0u8);
-        {
-            let _gu = u.borrow_mut();
-            let _ga = a.borrow();
+            let x = *a.borrow();
+            *b.borrow_mut() += x;
         }
 
-        // Re-entry panics (before deadlocking on the inner lock()).
-        let err = std::panic::catch_unwind(|| {
-            let _g1 = a.borrow();
-            let _g2 = a.borrow();
-        })
-        .expect_err("re-entrant borrow must panic under lockdep");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("re-entrant"), "got: {msg}");
-        super::on_release("wa"); // catch_unwind skipped the guard's pop
-
-        // Inversion panics, naming both sites.
-        super::reset();
-        {
+        // Nesting in one consistent order is still a second guard.
+        let msg = panic_text(|| {
             let _ga = a.borrow();
             let _gb = b.borrow();
-        }
-        let err = std::panic::catch_unwind(|| {
-            let _gb = b.borrow();
-            let _ga = a.borrow();
-        })
-        .expect_err("inverted order must panic under lockdep");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("inversion"), "got: {msg}");
-        super::reset();
+        });
+        assert!(msg.contains("holds two Shared guards"), "got: {msg}");
+
+        // Re-entry panics instead of deadlocking on the inner lock.
+        let msg = panic_text(|| {
+            let _g1 = a.borrow_mut();
+            let _g2 = a.borrow_mut();
+        });
+        assert!(msg.contains("holds two Shared guards"), "got: {msg}");
+
+        // Unwinding dropped the first guard, so the thread holds none.
+        assert_eq!(*a.borrow(), 1);
+        assert_eq!(*b.borrow(), 4);
     }
 }

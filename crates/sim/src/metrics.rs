@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::time::SimDuration;
-
 /// The `q`-quantile (`0.0..=1.0`) of an ascending-sorted slice by
 /// nearest-rank, or 0 when empty.
 ///
@@ -107,11 +105,6 @@ impl StreamHist {
         }
         self.count += 1;
         self.sum += u128::from(v);
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
     }
 
     /// Number of recorded values.

@@ -19,7 +19,7 @@
 //! entries in strictly ascending `(time, seq)` order — byte-for-byte the
 //! same order a `BinaryHeap` reference model produces — so swapping the
 //! scheduler cannot perturb a single trace. A property test
-//! (`tests/queue_model.rs`, `proptests` feature) pins this against random
+//! (`tests/queue_model.rs`) pins this against random
 //! interleavings of pushes and pops.
 
 use std::cmp::Ordering;

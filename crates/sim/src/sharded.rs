@@ -208,11 +208,6 @@ impl ShardedSim {
         self.workers
     }
 
-    /// Number of shards (= simulated nodes).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn register(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId {
         assert!(
             node < self.shards.len(),

@@ -8,31 +8,21 @@
 //! path costs about as much as `RefCell` bookkeeping did, and the same
 //! actor code runs unmodified on the multi-threaded backend.
 //!
-//! # Lock discipline
+//! # One lock at a time
 //!
-//! Guards are held for single statements or short blocks, never across a
-//! send to another actor, and nested guards of the *same* handle deadlock
-//! (unlike `RefCell`, which allowed shared re-borrows) — callers copy what
-//! they need out of a guard before taking another.
+//! No thread ever holds two `Shared` guards. Guards are held for single
+//! statements or short blocks; code copies what it needs out of one guard
+//! and drops it before taking the next, and never holds one across a call
+//! that may lock or across a send to another actor. A thread waiting for
+//! a lock therefore holds none, so no interleaving can deadlock and lock
+//! classes need no order between them.
 //!
-//! # Canonical acquisition order
-//!
-//! When guards of *different* classes must nest, they nest in one global
-//! order, outermost first:
-//!
-//! 1. `inner` — a component's own state (`FosInner`, controller state
-//!    machines, join state);
-//! 2. `dir` — the cluster directory;
-//! 3. `mem` — the memory store;
-//! 4. `fabric` — the network model.
-//!
-//! Substrate handles (`dir`/`mem`/`fabric`) are leaves relative to each
-//! other: no code path holds one while taking another. The order is
-//! machine-checked twice over: statically by `fractos-analyze`'s
-//! lock-order pass (may-hold-while-acquiring graph must be acyclic) and
-//! dynamically by the [`lockdep`](crate::lockdep) witness (enable the
-//! `lockdep` feature; [`Shared::named`] handles report actual acquisition
-//! orders and any inversion panics with both sites).
+//! The rule is checked twice: statically by `fractos-analyze`'s lock-order
+//! pass, which reports every acquisition made while a guard is held,
+//! directly or through a call; and at run time by a witness compiled into
+//! every `debug_assertions` build, which panics with both sites when a
+//! thread holding a guard takes another — before blocking, so a re-entry
+//! fails loudly instead of deadlocking. Release builds carry no witness.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -41,80 +31,47 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// A cloneable, thread-safe, mutably borrowable handle to `T`.
 pub struct Shared<T> {
     inner: Arc<Mutex<T>>,
-    /// Lock class for the lockdep witness; `None` handles are unwitnessed.
-    /// Present unconditionally (one word) so enabling the feature cannot
-    /// change struct layouts mid-debug-session.
-    name: Option<&'static str>,
 }
 
 /// An acquired [`Shared`] lock.
 ///
-/// Dereferences to `T` exactly like the `MutexGuard` it wraps. Under the
-/// `lockdep` feature, dropping the guard also retires the acquisition from
-/// the witness's per-thread held stack.
-pub struct SharedGuard<'a, T> {
-    guard: MutexGuard<'a, T>,
-    #[cfg(feature = "lockdep")]
-    class: Option<&'static str>,
-}
+/// Dereferences to `T` exactly like the `MutexGuard` it wraps. In debug
+/// builds, dropping the guard also clears the witness's record that this
+/// thread holds one.
+pub struct SharedGuard<'a, T>(MutexGuard<'a, T>);
 
 impl<T> Deref for SharedGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.guard
+        &self.0
     }
 }
 
 impl<T> DerefMut for SharedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
+        &mut self.0
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for SharedGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.guard, f)
+        fmt::Debug::fmt(&*self.0, f)
     }
 }
 
-#[cfg(feature = "lockdep")]
+#[cfg(debug_assertions)]
 impl<T> Drop for SharedGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(class) = self.class {
-            crate::lockdep::on_release(class);
-        }
+        crate::lockdep::on_release();
     }
 }
 
 impl<T> Shared<T> {
     /// Wraps `value` in a fresh shared handle.
-    ///
-    /// The handle is anonymous: the lockdep witness skips it. Use
-    /// [`named`](Shared::named) for substrate state whose guards can nest
-    /// with other classes.
     pub fn new(value: T) -> Self {
         Shared {
             inner: Arc::new(Mutex::new(value)),
-            name: None,
         }
-    }
-
-    /// Wraps `value` in a shared handle carrying a lock-class name for
-    /// the [`lockdep`](crate::lockdep) witness.
-    ///
-    /// The name identifies the *class*, not the instance: all fabric
-    /// handles share `"fabric"`. See the canonical acquisition order in
-    /// the module docs.
-    pub fn named(name: &'static str, value: T) -> Self {
-        Shared {
-            inner: Arc::new(Mutex::new(value)),
-            name: Some(name),
-        }
-    }
-
-    /// The lock-class name, if this handle is witnessed.
-    pub fn name(&self) -> Option<&'static str> {
-        self.name
     }
 
     /// Locks the value for shared-style access.
@@ -128,6 +85,10 @@ impl<T> Shared<T> {
     /// cannot have left the value torn — the panic itself is the failure
     /// to report, and letting every other shard panic on "poisoned" would
     /// bury it in a cascade.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if this thread already holds a `Shared` guard.
     #[track_caller]
     pub fn borrow(&self) -> SharedGuard<'_, T> {
         self.acquire()
@@ -135,7 +96,8 @@ impl<T> Shared<T> {
 
     /// Locks the value for mutable access.
     ///
-    /// Recovers from poisoning exactly like [`borrow`](Shared::borrow).
+    /// Recovers from poisoning and panics exactly like
+    /// [`borrow`](Shared::borrow).
     #[track_caller]
     pub fn borrow_mut(&self) -> SharedGuard<'_, T> {
         self.acquire()
@@ -144,18 +106,11 @@ impl<T> Shared<T> {
     // analyze: lock-primitive
     #[track_caller]
     fn acquire(&self) -> SharedGuard<'_, T> {
-        // The witness runs *before* the lock call: a same-class re-entry
-        // then panics with both sites instead of deadlocking silently.
-        #[cfg(feature = "lockdep")]
-        let class = self.name.inspect(|n| {
-            crate::lockdep::on_acquire(n, std::panic::Location::caller());
-        });
-        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        SharedGuard {
-            guard,
-            #[cfg(feature = "lockdep")]
-            class,
-        }
+        // The witness runs *before* the lock call: a re-entry then panics
+        // with both sites instead of deadlocking silently.
+        #[cfg(debug_assertions)]
+        crate::lockdep::on_acquire(std::panic::Location::caller());
+        SharedGuard(self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Whether two handles refer to the same underlying value.
@@ -168,7 +123,6 @@ impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
         Shared {
             inner: Arc::clone(&self.inner),
-            name: self.name,
         }
     }
 }
@@ -200,14 +154,6 @@ mod tests {
         assert_eq!(*a.borrow(), 2);
         assert!(a.ptr_eq(&b));
         assert!(!a.ptr_eq(&Shared::new(2)));
-    }
-
-    #[test]
-    fn named_handles_expose_their_class() {
-        let s = Shared::named("fabric", 0u8);
-        assert_eq!(s.name(), Some("fabric"));
-        assert_eq!(s.clone().name(), Some("fabric"));
-        assert_eq!(Shared::new(0u8).name(), None);
     }
 
     #[test]
