@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use fractos_net::{Endpoint, Fabric, TrafficClass};
 use fractos_services::closed_loop::ClosedLoop;
-use fractos_services::matcher::{synth_face, MATCH_THRESHOLD};
+use fractos_services::matcher::{synth_faces_into, MATCH_THRESHOLD};
 use fractos_services::FvSample;
 use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration};
 
@@ -318,10 +318,8 @@ impl BaselineClient {
         };
         // Same scattered id windows as the FractOS client.
         let first_id = (token * 53 + 17) % (256 - self.batch).max(1);
-        let mut queries = Vec::with_capacity((self.batch * self.img) as usize);
-        for i in 0..self.batch {
-            queries.extend(synth_face(first_id + i, self.img as usize, token + 1));
-        }
+        let mut queries = vec![0; (self.batch * self.img) as usize];
+        synth_faces_into(first_id, self.img as usize, token + 1, &mut queries);
         let me = Peer {
             actor: ctx.self_id(),
             endpoint: self.endpoint,
@@ -383,10 +381,8 @@ pub fn deploy_baseline(
     );
     {
         let (dev, ns) = target_actor.device_mut();
-        let mut data = Vec::with_capacity((db_count * img) as usize);
-        for id in 0..db_count {
-            data.extend(synth_face(id, img as usize, 0));
-        }
+        let mut data = vec![0; (db_count * img) as usize];
+        synth_faces_into(0, img as usize, 0, &mut data);
         dev.write(ns, 0, &data).expect("db fits the namespace");
     }
     let target = sim.add_actor_on(0, "nvmeof-target", Box::new(target_actor));

@@ -201,9 +201,12 @@ impl Actor for RcudaServer {
                     .kernels
                     .get(&kernel)
                     .map_or(1, |k| k.items(input.1, &params));
-                let delay = self.device.execute(ctx.now(), items);
-                self.kernel_done_at = ctx.now() + delay;
-                self.pending_launch = Some((input.0, input.1, params, kernel, out_offset));
+                // A launch that would end past the virtual timeline is
+                // refused like an invalid launch configuration: nothing runs.
+                if let Some(delay) = self.device.execute(ctx.now(), items) {
+                    self.kernel_done_at = ctx.now() + delay;
+                    self.pending_launch = Some((input.0, input.1, params, kernel, out_offset));
+                }
                 // Launch returns immediately (asynchronous in CUDA).
                 let extra = self.charge(ctx.now(), DAEMON_CALL_OVERHEAD);
                 self.reply(ctx, reply, 0, extra, Vec::new());

@@ -482,13 +482,10 @@ impl Service for GpuBenchClient {
                 // halves both from the client here — the storage side is
                 // measured separately in Figs 10–12).
                 let local_addr = fos.mem_alloc(2 * batch * img);
-                let mut data = Vec::new();
-                for i in 0..batch {
-                    data.extend(fractos_services::synth_face(i, img as usize, 1));
-                }
-                for i in 0..batch {
-                    data.extend(fractos_services::synth_face(i, img as usize, 0));
-                }
+                let mut data = vec![0; (2 * batch * img) as usize];
+                let (queries, refs) = data.split_at_mut((batch * img) as usize);
+                fractos_services::matcher::synth_faces_into(0, img as usize, 1, queries);
+                fractos_services::matcher::synth_faces_into(0, img as usize, 0, refs);
                 fos.mem_write(local_addr, 0, &data).unwrap();
                 let size = 2 * batch * img;
                 fos.memory_create(local_addr, size, Perms::RW, move |s, res, fos| {

@@ -109,14 +109,18 @@ impl GpuDevice {
     /// Schedules a kernel of `items` work items submitted at `now`; returns
     /// the delay until completion. Execution is serialized on the device
     /// (single hardware queue — at high in-flight counts the GPU becomes
-    /// the bottleneck, as in Fig 9 right).
-    pub fn execute(&mut self, now: SimTime, items: u64) -> SimDuration {
-        let exec = self.params.launch_overhead + self.params.per_item * items;
-        let start = self.busy_until.max(now);
-        let done = start + exec;
+    /// the bottleneck, as in Fig 9 right). `None` when the kernel would end
+    /// past the virtual timeline; the device is then left as it was.
+    pub fn execute(&mut self, now: SimTime, items: u64) -> Option<SimDuration> {
+        let exec = self
+            .params
+            .per_item
+            .checked_mul(items)?
+            .checked_add(self.params.launch_overhead)?;
+        let done = self.busy_until.max(now).checked_add(exec)?;
         self.busy_until = done;
         self.kernels_executed += 1;
-        done.duration_since(now)
+        Some(done.duration_since(now))
     }
 }
 
@@ -334,7 +338,10 @@ impl GpuAdaptor {
                 let mut data = inline;
                 data.extend_from_slice(&buffer);
                 let items = kernel.items(data.len() as u64, &params);
-                let mut delay = s.device.execute(fos.now(), items);
+                let Some(mut delay) = s.device.execute(fos.now(), items) else {
+                    fos.reply_via(error, vec![DevError::TooLarge.imm()], vec![]);
+                    return;
+                };
                 if let DeviceFaultOutcome::Spike { factor } = fault {
                     delay = SimDuration::from_secs_f64(delay.as_secs_f64() * factor);
                 }
@@ -418,8 +425,8 @@ mod tests {
     fn device_serializes_kernels() {
         let mut dev = GpuDevice::new(GpuParams::default());
         let t0 = SimTime::ZERO;
-        let d1 = dev.execute(t0, 10);
-        let d2 = dev.execute(t0, 10);
+        let d1 = dev.execute(t0, 10).unwrap();
+        let d2 = dev.execute(t0, 10).unwrap();
         // 15 + 10*12 = 135 µs each; second queues behind the first.
         assert_eq!(d1.as_micros_f64(), 135.0);
         assert_eq!(d2.as_micros_f64(), 270.0);
@@ -431,7 +438,17 @@ mod tests {
         let mut dev = GpuDevice::new(GpuParams::default());
         dev.execute(SimTime::ZERO, 1);
         // Submitting long after completion pays no queueing.
-        let d = dev.execute(SimTime::from_nanos(1_000_000_000), 1);
+        let d = dev.execute(SimTime::from_nanos(1_000_000_000), 1).unwrap();
+        assert_eq!(d.as_micros_f64(), 27.0);
+    }
+
+    #[test]
+    fn device_refuses_a_kernel_past_the_timeline() {
+        let mut dev = GpuDevice::new(GpuParams::default());
+        assert_eq!(dev.execute(SimTime::ZERO, u64::MAX), None);
+        assert_eq!(dev.kernels_executed(), 0);
+        // The refused launch left the queue empty.
+        let d = dev.execute(SimTime::ZERO, 1).unwrap();
         assert_eq!(d.as_micros_f64(), 27.0);
     }
 

@@ -12,6 +12,7 @@
 //! volume — the `0xcafe` block-number example of §3.4.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use fractos_cap::{Cid, Perms};
 use fractos_core::integrity::ExtentSums;
@@ -85,9 +86,15 @@ impl KernelCache {
     /// Records a read of `[offset, offset+len)` on `vol`; returns `true`
     /// if it hits (device skipped). On a miss the range becomes resident,
     /// and a sequential streak makes the read-ahead window resident too.
+    /// A range whose end overflows a `u64` misses and leaves the cache as
+    /// it was.
     pub fn read(&mut self, vol: u64, offset: u64, len: u64) -> bool {
+        let Some(end) = offset.checked_add(len.max(1) - 1) else {
+            self.misses += 1;
+            return false;
+        };
         let first = Self::page(vol, offset);
-        let last = Self::page(vol, offset + len.max(1) - 1);
+        let last = Self::page(vol, end);
         let sequential = self.last_page.is_some_and(|p| p == first || p + 1 == first);
         self.last_page = Some(last);
         if (first..=last).all(|p| self.resident.contains(&p)) {
@@ -102,10 +109,14 @@ impl KernelCache {
         false
     }
 
-    /// Records a write: the range becomes resident (absorbed).
+    /// Records a write: the range becomes resident (absorbed). A range
+    /// whose end overflows a `u64` is ignored.
     pub fn write(&mut self, vol: u64, offset: u64, len: u64) {
+        let Some(end) = offset.checked_add(len.max(1) - 1) else {
+            return;
+        };
         let first = Self::page(vol, offset);
-        let last = Self::page(vol, offset + len.max(1) - 1);
+        let last = Self::page(vol, end);
         for p in first..=last {
             self.resident.insert(p);
         }
@@ -177,35 +188,22 @@ impl NvmeDevice {
     /// and never crosses the block interface.
     pub fn peek(&self, vol: u64, offset: u64, len: u64) -> Result<Vec<u8>, FosError> {
         let v = self.volumes.get(&vol).ok_or(FosError::OutOfBounds)?;
-        let start = offset as usize;
-        let end = start + len as usize;
-        if end > v.len() {
-            return Err(FosError::OutOfBounds);
-        }
-        Ok(v[start..end].to_vec())
+        Ok(v[extent(v.len(), offset, len)?].to_vec())
     }
 
     /// Reads bytes from a volume.
     pub fn read(&mut self, vol: u64, offset: u64, len: u64) -> Result<Vec<u8>, FosError> {
         let v = self.volumes.get(&vol).ok_or(FosError::OutOfBounds)?;
-        let start = offset as usize;
-        let end = start + len as usize;
-        if end > v.len() {
-            return Err(FosError::OutOfBounds);
-        }
+        let data = v[extent(v.len(), offset, len)?].to_vec();
         self.ops += 1;
-        Ok(v[start..end].to_vec())
+        Ok(data)
     }
 
     /// Writes bytes into a volume.
     pub fn write(&mut self, vol: u64, offset: u64, data: &[u8]) -> Result<(), FosError> {
         let v = self.volumes.get_mut(&vol).ok_or(FosError::OutOfBounds)?;
-        let start = offset as usize;
-        let end = start + data.len();
-        if end > v.len() {
-            return Err(FosError::OutOfBounds);
-        }
-        v[start..end].copy_from_slice(data);
+        let range = extent(v.len(), offset, data.len() as u64)?;
+        v[range].copy_from_slice(data);
         self.ops += 1;
         Ok(())
     }
@@ -221,6 +219,16 @@ impl NvmeDevice {
         let start = self.busy_until.max(now);
         self.busy_until = start + occupancy;
         start.duration_since(now) + occupancy + base
+    }
+}
+
+/// The indices of `[offset, offset + len)` in a volume of `size` bytes, or
+/// `OutOfBounds` when the range leaves the volume or its end overflows.
+fn extent(size: usize, offset: u64, len: u64) -> Result<Range<usize>, FosError> {
+    match offset.checked_add(len) {
+        // Both ends are at most `size`, so they fit a `usize`.
+        Some(end) if end <= size as u64 => Ok(offset as usize..end as usize),
+        _ => Err(FosError::OutOfBounds),
     }
 }
 
@@ -658,6 +666,24 @@ mod tests {
         assert!(dev.write(vol, 10, &[0; 10]).is_err());
         assert!(dev.read(vol, 0, 17).is_err());
         assert!(dev.read(99, 0, 1).is_err());
+    }
+
+    #[test]
+    fn ranges_ending_past_u64_are_out_of_bounds() {
+        let mut dev = NvmeDevice::new(NvmeParams::default());
+        let vol = dev.create_volume(16);
+        let offset = u64::MAX - 255;
+        assert_eq!(dev.read(vol, offset, 512), Err(FosError::OutOfBounds));
+        assert_eq!(dev.peek(vol, offset, 512), Err(FosError::OutOfBounds));
+        assert_eq!(
+            dev.write(vol, offset, &[0; 512]),
+            Err(FosError::OutOfBounds)
+        );
+        assert_eq!(dev.ops, 0);
+        let mut cache = KernelCache::new();
+        cache.write(vol, offset, 512);
+        assert!(!cache.read(vol, offset, 512));
+        assert!(!cache.read(vol, 0, 1), "nothing became resident");
     }
 
     #[test]

@@ -688,8 +688,37 @@ impl Service for MalformedBlk {
                         },
                     );
                 });
+                // (e) An extent whose end overflows a u64 → Bounds, for a
+                // read and for a write of real bytes.
+                let past_u64 = vec![imm(u64::MAX - 255), imm(512)];
+                let read_args = past_u64.clone();
+                io_pair(fos, 14, 94, move |_s, success, error, fos| {
+                    fos.request_derive(
+                        rreq,
+                        read_args,
+                        vec![error, success, error],
+                        |_s, res, fos| {
+                            fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+                        },
+                    );
+                });
+                let wreq = req.caps[1];
+                let addr = fos.mem_alloc(512);
+                fos.memory_create(addr, 512, Perms::RW, move |_s: &mut Self, res, fos| {
+                    let src = res.cid();
+                    io_pair(fos, 15, 95, move |_s, success, error, fos| {
+                        fos.request_derive(
+                            wreq,
+                            past_u64,
+                            vec![src, success, error],
+                            |_s, res, fos| {
+                                fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+                            },
+                        );
+                    });
+                });
             }
-            90..=92 => self
+            90..=92 | 94 | 95 => self
                 .errs
                 .push((phase, imm_at(&req.imms, 1).unwrap_or(u64::MAX))),
             13 | 93 => self.dropped_replied = true,
@@ -724,6 +753,8 @@ fn malformed_block_requests_reply_typed_codes() {
         assert_eq!(code(90), Some(DevError::BadRequest.code()));
         assert_eq!(code(91), Some(DevError::TooLarge.code()));
         assert_eq!(code(92), Some(DevError::Bounds.code()));
+        assert_eq!(code(94), Some(DevError::Bounds.code()), "read past u64");
+        assert_eq!(code(95), Some(DevError::Bounds.code()), "write past u64");
         assert!(
             !c.dropped_replied,
             "wrong-cap-count request must be dropped without a reply"
@@ -853,11 +884,13 @@ fn injected_nvme_faults_reply_typed_codes() {
 /// A minimal GPU client: init → alloc one buffer → load kernel 7 → invoke,
 /// recording success or the typed error code. `mode` selects the failure
 /// shape: 0 = well-formed, 1 = non-memory input capability, 2 = wrong
-/// capability count.
+/// capability count, 3 = launch parameters `[u64::MAX, 4096]`, then a
+/// well-formed launch once the error arrives.
 struct GpuFault {
     alloc_req: Option<Cid>,
     load_req: Option<Cid>,
     mem: Option<Cid>,
+    invoke: Option<Cid>,
     mode: u8,
     pub ok: bool,
     pub err_code: Option<u64>,
@@ -869,10 +902,36 @@ impl GpuFault {
             alloc_req: None,
             load_req: None,
             mem: None,
+            invoke: None,
             mode,
             ok: false,
             err_code: None,
         }
+    }
+
+    /// Invokes the loaded kernel once, shaped by `mode`, with fresh
+    /// continuations.
+    fn launch(&self, fos: &Fos<Self>) {
+        let (invoke, mem, mode) = (self.invoke.unwrap(), self.mem.unwrap(), self.mode);
+        reply_cont(fos, 5, move |_s, success, fos| {
+            reply_cont(fos, 99, move |_s, error, fos| {
+                let caps = match mode {
+                    // Non-memory input: the error continuation
+                    // itself stands in for a buffer.
+                    1 => vec![error, mem, success, error],
+                    // Wrong capability count: silently dropped.
+                    2 => vec![mem, success],
+                    _ => vec![mem, mem, success, error],
+                };
+                let params = match mode {
+                    3 => vec![imm(u64::MAX), imm(4096)],
+                    _ => vec![imm(1)],
+                };
+                fos.request_derive(invoke, params, caps, |_s, res, fos| {
+                    fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+                });
+            });
+        });
     }
 }
 
@@ -912,27 +971,17 @@ impl Service for GpuFault {
                 });
             }
             2 => {
-                let invoke = req.caps[0];
-                let mem = self.mem.unwrap();
-                let mode = self.mode;
-                reply_cont(fos, 5, move |_s, success, fos| {
-                    reply_cont(fos, 99, move |_s, error, fos| {
-                        let caps = match mode {
-                            // Non-memory input: the error continuation
-                            // itself stands in for a buffer.
-                            1 => vec![error, mem, success, error],
-                            // Wrong capability count: silently dropped.
-                            2 => vec![mem, success],
-                            _ => vec![mem, mem, success, error],
-                        };
-                        fos.request_derive(invoke, vec![imm(1)], caps, |_s, res, fos| {
-                            fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
-                        });
-                    });
-                });
+                self.invoke = Some(req.caps[0]);
+                self.launch(fos);
             }
             5 => self.ok = true,
-            99 => self.err_code = imm_at(&req.imms, 1),
+            99 => {
+                self.err_code = imm_at(&req.imms, 1);
+                if self.mode == 3 {
+                    self.mode = 0;
+                    self.launch(fos);
+                }
+            }
             other => panic!("unexpected reply phase {other}"),
         }
     }
@@ -994,6 +1043,14 @@ fn gpu_non_memory_input_replies_bad_buffer() {
     assert!(!ok);
     assert_eq!(err, Some(DevError::BadBuffer.code()));
     assert_eq!(invocations, 0);
+}
+
+#[test]
+fn gpu_launch_past_the_timeline_replies_too_large() {
+    let (ok, err, invocations, _) = run_gpu_fault(67, FaultPlan::new(), 3);
+    assert_eq!(err, Some(DevError::TooLarge.code()));
+    assert!(ok, "the adaptor survives and runs the next launch");
+    assert_eq!(invocations, 1);
 }
 
 #[test]

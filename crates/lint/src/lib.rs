@@ -485,18 +485,23 @@ pub fn fn_spans(file: &SourceFile) -> Vec<FnSpan> {
             let name = file.masked[name_start..j].to_string();
             // Find the body `{` or a `;` (no body), skipping the
             // signature. Parens/brackets in the signature can't contain
-            // braces (no default arguments in Rust).
+            // braces (no default arguments in Rust), but an array type's
+            // `[T; N]` holds a `;` that does not end the item.
             let mut k = j;
             let mut body_start = None;
+            let mut brackets = 0u32;
             while k < b.len() {
                 match b[k] {
                     b'{' => {
                         body_start = Some(k);
                         break;
                     }
-                    b';' => break,
-                    _ => k += 1,
+                    b'[' => brackets += 1,
+                    b']' => brackets = brackets.saturating_sub(1),
+                    b';' if brackets == 0 => break,
+                    _ => {}
                 }
+                k += 1;
             }
             if let Some(start) = body_start {
                 let mut depth = 0i32;
@@ -740,11 +745,11 @@ mod tests {
 
     #[test]
     fn fn_spans_find_bodies_and_skip_declarations() {
-        let src = "trait T {\n    fn decl(&self) -> u32;\n    fn with_default(&self) -> u32 { 1 }\n}\nfn top(x: fn(u32) -> u32) -> u32 {\n    fn nested() -> u32 { 2 }\n    x(nested())\n}\n";
+        let src = "trait T {\n    fn decl(&self) -> [u8; 2];\n    fn with_default(&self) -> u32 { 1 }\n}\nfn top(x: fn(u32) -> u32) -> u32 {\n    fn nested() -> u32 { 2 }\n    x(nested())\n}\nfn array(a: [u8; 2]) -> [u8; 2] { a }\n";
         let file = SourceFile::from_source("x.rs", src);
         let spans = fn_spans(&file);
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["with_default", "top", "nested"]);
+        assert_eq!(names, vec!["with_default", "top", "nested", "array"]);
         let top = spans.iter().find(|s| s.name == "top").unwrap();
         let nested = spans.iter().find(|s| s.name == "nested").unwrap();
         assert!(top.body_start < nested.body_start && nested.body_end < top.body_end);

@@ -12,7 +12,7 @@ use fractos_devices::{BlockAdaptor, GpuAdaptor, GpuParams, NvmeParams};
 
 use crate::faceverify::{FaceVerifyFrontend, FvConfig};
 use crate::fs::{FsMode, FsService};
-use crate::matcher::{synth_face, FaceVerifyKernel, FACE_VERIFY_KERNEL};
+use crate::matcher::{synth_faces_into, FaceVerifyKernel, FACE_VERIFY_KERNEL};
 
 /// Loads the reference-photo database through the storage stack and
 /// publishes the file's read Request under a key.
@@ -78,10 +78,8 @@ impl Service for DbLoader {
                 // Build the database image and write it in one shot.
                 let total = self.count * self.img_bytes;
                 let addr = fos.mem_alloc(total);
-                let mut data = Vec::with_capacity(total as usize);
-                for id in 0..self.count {
-                    data.extend(synth_face(id, self.img_bytes as usize, 0));
-                }
+                let mut data = vec![0; total as usize];
+                synth_faces_into(0, self.img_bytes as usize, 0, &mut data);
                 fos.mem_write(addr, 0, &data).expect("db upload");
                 let write_req = self.write_req.expect("set");
                 fos.memory_create(addr, total, Perms::RW, move |_s: &mut Self, res, fos| {

@@ -32,7 +32,7 @@ use fractos_devices::proto::{imm, imm_at, DevError};
 use fractos_sim::{SimDuration, SimTime};
 
 use crate::closed_loop::ClosedLoop;
-use crate::matcher::{synth_face, MATCH_THRESHOLD};
+use crate::matcher::{synth_faces_into, MATCH_THRESHOLD};
 
 /// Frontend: verify a batch. Imms: `[batch, first id]`.
 /// Caps: `[query Memory (batch × img bytes), reply Request]`.
@@ -612,10 +612,8 @@ impl FvClient {
         let first_id = (seq * 53 + 17) % (self.id_range.saturating_sub(batch).max(1));
 
         // Build the query images: noisy captures of the claimed ids.
-        let mut data = Vec::with_capacity((batch * img) as usize);
-        for i in 0..batch {
-            data.extend(synth_face(first_id + i, img as usize, seq + 1));
-        }
+        let mut data = vec![0; (batch * img) as usize];
+        synth_faces_into(first_id, img as usize, seq + 1, &mut data);
         fos.telemetry_count("app.fv.issued", 1);
         fos.telemetry_gauge("app.fv.inflight", self.run.outstanding());
 

@@ -21,23 +21,48 @@ const BLOCKS: usize = 8;
 pub const EMBED_DIM: usize = BINS + BLOCKS;
 
 /// Computes the embedding of one image (any byte length ≥ 1).
+///
+/// Counts in integers and converts each feature to `f32` once. Up to
+/// 8 × 65,793 bytes every bin count and block sum stays below 2²⁴, so the
+/// result is bit-identical to accumulating in `f32` byte by byte; beyond
+/// that bound the counts stay exact where `f32` accumulation would round.
+// analyze: hot-path
 pub fn embed(image: &[u8]) -> [f32; EMBED_DIM] {
     let mut out = [0f32; EMBED_DIM];
     if image.is_empty() {
         return out;
     }
-    // Intensity histogram, normalized.
-    for &b in image {
-        out[(b as usize) >> 4] += 1.0;
+    // Intensity histogram, normalized. Byte values go into four
+    // interleaved tables, so neighbouring bytes never wait on one counter;
+    // each run of 16 values folds into one bin.
+    let mut counts = [[0u32; 256]; 4];
+    let mut quads = image.chunks_exact(4);
+    for quad in &mut quads {
+        for (table, &b) in counts.iter_mut().zip(quad) {
+            table[usize::from(b)] += 1;
+        }
     }
-    for v in out.iter_mut().take(BINS) {
-        *v /= image.len() as f32;
+    for &b in quads.remainder() {
+        counts[0][usize::from(b)] += 1;
     }
-    // Coarse block means, normalized to [0, 1].
+    let len = image.len() as f32;
+    for (bin, v) in out.iter_mut().take(BINS).enumerate() {
+        let n: u64 = counts
+            .iter()
+            .flat_map(|table| &table[bin * 16..bin * 16 + 16])
+            .map(|&c| u64::from(c))
+            .sum();
+        *v = n as f32 / len;
+    }
+    // Coarse block means, normalized to [0, 1]. A 256-byte piece sums
+    // exactly in a `u16`; the pieces add up in a `u64`.
     let block = image.len().div_ceil(BLOCKS);
-    for (i, chunk) in image.chunks(block).take(BLOCKS).enumerate() {
-        let mean = chunk.iter().map(|&b| b as f32).sum::<f32>() / chunk.len() as f32;
-        out[BINS + i] = mean / 255.0;
+    for (v, chunk) in out[BINS..].iter_mut().zip(image.chunks(block)) {
+        let sum: u64 = chunk
+            .chunks(256)
+            .map(|piece| u64::from(piece.iter().map(|&b| u16::from(b)).sum::<u16>()))
+            .sum();
+        *v = sum as f32 / chunk.len() as f32 / 255.0;
     }
     out
 }
@@ -70,18 +95,21 @@ pub const FACE_VERIFY_KERNEL: u64 = 0xFACE;
 
 impl Kernel for FaceVerifyKernel {
     fn run(&self, input: &[u8], params: &[u64]) -> Vec<u8> {
-        let batch = params.first().copied().unwrap_or(1).max(1) as usize;
-        let img = params.get(1).copied().unwrap_or(0) as usize;
-        if img == 0 || input.len() < batch * img * 2 {
-            return vec![u8::MAX; batch];
+        let batch = params.first().copied().unwrap_or(1).max(1);
+        let img = params.get(1).copied().unwrap_or(0);
+        let need = batch.checked_mul(img).and_then(|half| half.checked_mul(2));
+        if img == 0 || need.is_none_or(|need| (input.len() as u64) < need) {
+            // Short or oversized launch: "no match" for each pair, but
+            // never more output bytes than input bytes.
+            return vec![u8::MAX; batch.min(input.len() as u64) as usize];
         }
-        let (queries, refs) = input.split_at(batch * img);
-        (0..batch)
-            .map(|i| {
-                let q = &queries[i * img..(i + 1) * img];
-                let r = &refs[i * img..(i + 1) * img];
-                distance(&embed(q), &embed(r))
-            })
+        // Both halves fit in `input`, so neither factor exceeds its length.
+        let img = img as usize;
+        let (queries, refs) = input.split_at(batch as usize * img);
+        queries
+            .chunks_exact(img)
+            .zip(refs.chunks_exact(img))
+            .map(|(q, r)| distance(&embed(q), &embed(r)))
             .collect()
     }
 
@@ -95,26 +123,57 @@ impl Kernel for FaceVerifyKernel {
 /// Same id ⇒ same image; a non-zero `noise_seed` adds mild per-capture
 /// noise that stays below the match threshold.
 pub fn synth_face(id: u64, img_bytes: usize, noise_seed: u64) -> Vec<u8> {
+    let mut image = vec![0; img_bytes];
+    synth_face_into(id, noise_seed, &mut image);
+    image
+}
+
+/// Writes the [`synth_face`] image of `id` into all of `out`.
+///
+/// The byte stream: a 64-bit LCG seeded from `id` steps once at the start
+/// of every 64-byte line, and the line repeats that state's eight
+/// little-endian bytes (a short last line takes a prefix of them). With a
+/// non-zero `noise_seed`, bytes 0, 97, 194, … then each add `0..=2`
+/// (wrapping), drawn as `% 3` of a second LCG that starts at `noise_seed`
+/// and steps once per noised byte.
+// analyze: hot-path
+pub fn synth_face_into(id: u64, noise_seed: u64, out: &mut [u8]) {
     let mut state = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let mut noise = noise_seed;
-    (0..img_bytes)
-        .map(|i| {
-            if i % 64 == 0 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-            }
-            let base = ((state >> (8 * (i % 8))) & 0xFF) as u8;
-            if noise_seed != 0 && i % 97 == 0 {
-                noise = noise
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                base.wrapping_add((noise % 3) as u8)
-            } else {
-                base
-            }
-        })
-        .collect()
+    for line in out.chunks_mut(64) {
+        state = lcg_step(state);
+        let word = state.to_le_bytes();
+        let mut words = line.chunks_exact_mut(8);
+        for w in &mut words {
+            w.copy_from_slice(&word);
+        }
+        let tail = words.into_remainder();
+        tail.copy_from_slice(&word[..tail.len()]);
+    }
+    if noise_seed != 0 {
+        let mut noise = noise_seed;
+        for b in out.iter_mut().step_by(97) {
+            noise = lcg_step(noise);
+            *b = b.wrapping_add((noise % 3) as u8);
+        }
+    }
+}
+
+/// Writes the images of ids `first_id`, `first_id + 1`, … side by side
+/// into `out`, `img_bytes` each: one batch buffer, no per-image `Vec`.
+pub fn synth_faces_into(first_id: u64, img_bytes: usize, noise_seed: u64, out: &mut [u8]) {
+    if img_bytes == 0 {
+        return;
+    }
+    for (id, image) in (first_id..).zip(out.chunks_exact_mut(img_bytes)) {
+        synth_face_into(id, noise_seed, image);
+    }
+}
+
+/// One step of the 64-bit LCG (Knuth's MMIX constants) behind the images.
+fn lcg_step(state: u64) -> u64 {
+    state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407)
 }
 
 #[cfg(test)]
@@ -168,6 +227,18 @@ mod tests {
     fn kernel_rejects_short_input() {
         let out = FaceVerifyKernel.run(&[0; 10], &[4, 1024]);
         assert_eq!(out, vec![u8::MAX; 4]);
+    }
+
+    #[test]
+    fn kernel_rejects_a_huge_batch_without_allocating_it() {
+        let out = FaceVerifyKernel.run(&[0; 10], &[1 << 40, 4096]);
+        assert_eq!(out, vec![u8::MAX; 10]);
+    }
+
+    #[test]
+    fn kernel_rejects_overflowing_launch_parameters() {
+        let out = FaceVerifyKernel.run(&[0; 10], &[u64::MAX, u64::MAX]);
+        assert_eq!(out, vec![u8::MAX; 10]);
     }
 
     #[test]
