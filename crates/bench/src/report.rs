@@ -68,11 +68,6 @@ pub fn us(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Formats a throughput in MB/s from bytes and seconds.
-pub fn mbps(bytes: u64, secs: f64) -> String {
-    format!("{:.1}", bytes as f64 / secs / 1e6)
-}
-
 /// Formats a ratio.
 pub fn ratio(a: f64, b: f64) -> String {
     format!("{:.2}x", a / b)
@@ -106,6 +101,5 @@ mod tests {
     fn formatters() {
         assert_eq!(us(1.234), "1.23");
         assert_eq!(ratio(3.0, 1.5), "2.00x");
-        assert_eq!(mbps(1_000_000, 1.0), "1.0");
     }
 }

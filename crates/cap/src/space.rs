@@ -5,6 +5,11 @@
 //! (§3.1: "the references behind the capabilities are protected by FractOS,
 //! and Processes access them via indices in their capability space").
 //! Insertion reuses the lowest free index, mirroring fd allocation.
+//!
+//! A slot holds the whole capability the index names: a bare [`CapRef`] by
+//! default, or whatever record its holder keeps per capability (the
+//! Controller's slots carry the reference together with the memory
+//! descriptor snapshot that one-sided RDMA needs).
 
 use std::collections::BinaryHeap;
 
@@ -15,10 +20,10 @@ use crate::ids::{CapRef, Cid};
 /// capability space "can be capped via quotas").
 pub const DEFAULT_QUOTA: usize = 1 << 20;
 
-/// A Process's table of capabilities.
+/// A Process's table of capabilities, one `T` per live slot.
 #[derive(Debug, Clone)]
-pub struct CapSpace {
-    slots: Vec<Option<CapRef>>,
+pub struct CapSpace<T = CapRef> {
+    slots: Vec<Option<T>>,
     // Min-heap of freed indices (stored negated in a max-heap).
     free: BinaryHeap<std::cmp::Reverse<u32>>,
     quota: usize,
@@ -26,11 +31,13 @@ pub struct CapSpace {
 }
 
 impl CapSpace {
-    /// Creates an empty space with the default quota.
+    /// Creates an empty space of bare references with the default quota.
     pub fn new() -> Self {
-        Self::with_quota(DEFAULT_QUOTA)
+        Self::default()
     }
+}
 
+impl<T> CapSpace<T> {
     /// Creates an empty space with a specific slot quota.
     pub fn with_quota(quota: usize) -> Self {
         CapSpace {
@@ -48,7 +55,7 @@ impl CapSpace {
     }
 
     /// Inserts a capability at the lowest free index.
-    pub fn insert(&mut self, cap: CapRef) -> Result<Cid> {
+    pub fn insert(&mut self, cap: T) -> Result<Cid> {
         if self.live >= self.quota {
             return Err(CapError::SpaceExhausted);
         }
@@ -65,16 +72,15 @@ impl CapSpace {
     }
 
     /// Looks up the capability at `cid`.
-    pub fn get(&self, cid: Cid) -> Result<CapRef> {
+    pub fn get(&self, cid: Cid) -> Result<&T> {
         self.slots
             .get(cid.0 as usize)
-            .copied()
-            .flatten()
+            .and_then(Option::as_ref)
             .ok_or(CapError::BadCid(cid))
     }
 
     /// Removes and returns the capability at `cid`, freeing the index.
-    pub fn remove(&mut self, cid: Cid) -> Result<CapRef> {
+    pub fn remove(&mut self, cid: Cid) -> Result<T> {
         let slot = self
             .slots
             .get_mut(cid.0 as usize)
@@ -96,17 +102,17 @@ impl CapSpace {
     }
 
     /// Iterates over `(cid, cap)` pairs of live slots.
-    pub fn iter(&self) -> impl Iterator<Item = (Cid, CapRef)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Cid, &T)> + '_ {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.map(|cap| (Cid(i as u32), cap)))
+            .filter_map(|(i, slot)| slot.as_ref().map(|cap| (Cid(i as u32), cap)))
     }
 }
 
-impl Default for CapSpace {
+impl<T> Default for CapSpace<T> {
     fn default() -> Self {
-        Self::new()
+        Self::with_quota(DEFAULT_QUOTA)
     }
 }
 

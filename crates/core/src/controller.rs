@@ -40,13 +40,15 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use fractos_cap::{
     CapRef, CapSpace, Cid, ControllerAddr, MonitorEvent, ObjectTable, RevokeOutcome, Watcher,
 };
-use fractos_net::{ComputeDomain, Endpoint, Fabric, NetParams, Payload, SendOutcome, TrafficClass};
+use fractos_net::{
+    ComputeDomain, Endpoint, Fabric, NetParams, Payload, SendOutcome, TrafficClass, RETRY,
+};
 use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TraceCtx};
 
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
 use crate::messages::{CtrlMsg, CtrlToProc, DeriveOp, MonitorKind, PeerOp, ProcMsg};
-use crate::retry::{reliable_send, DedupFilter, Hop, Sent, SeqGen};
+use crate::retry::{reliable_send, Channel, Hop, Sent};
 use crate::types::{
     Arg, CapArg, FosError, IncomingRequest, MemoryDesc, MonitorCb, ObjPayload, ProcId, RequestDesc,
     Syscall, SyscallResult,
@@ -104,20 +106,16 @@ pub struct ControllerActor {
     // Iterated maps are BTreeMaps so sweep order (revocation fan-out,
     // pending-op failure, KV GC) is deterministic across runs and
     // backends; keyed-only maps below stay hashed.
-    spaces: BTreeMap<ProcId, CapSpace>,
-    snaps: BTreeMap<(ProcId, Cid), MemoryDesc>,
+    /// Each slot holds the capability with its memory snapshot.
+    spaces: BTreeMap<ProcId, CapSpace<CapArg>>,
     dead_procs: HashSet<ProcId>,
     peers_dead: HashSet<ControllerAddr>,
     pending: BTreeMap<u64, Pending>,
     next_token: u64,
-    /// Outgoing wire sequence numbers, one stream per Process channel.
-    seq_proc: HashMap<ProcId, SeqGen>,
-    /// Outgoing wire sequence numbers, one stream per peer channel.
-    seq_peer: HashMap<ControllerAddr, SeqGen>,
-    /// Duplicate suppression for arriving syscalls, per Process.
-    seen_proc: HashMap<ProcId, DedupFilter>,
-    /// Duplicate suppression for arriving peer ops, per sender.
-    seen_peer: HashMap<ControllerAddr, DedupFilter>,
+    /// Wire sequence state of the channel to each Process.
+    proc_chans: HashMap<ProcId, Channel>,
+    /// Wire sequence state of the channel to each peer Controller.
+    peer_chans: HashMap<ControllerAddr, Channel>,
     kv: BTreeMap<String, CapArg>,
     busy_until: SimTime,
     /// Trace context of the event being handled (causal tracing; `NONE`
@@ -154,15 +152,12 @@ impl ControllerActor {
             registry,
             table: ObjectTable::new(addr),
             spaces: BTreeMap::new(),
-            snaps: BTreeMap::new(),
             dead_procs: HashSet::new(),
             peers_dead: HashSet::new(),
             pending: BTreeMap::new(),
             next_token: 0,
-            seq_proc: HashMap::new(),
-            seq_peer: HashMap::new(),
-            seen_proc: HashMap::new(),
-            seen_peer: HashMap::new(),
+            proc_chans: HashMap::new(),
+            peer_chans: HashMap::new(),
             kv: BTreeMap::new(),
             busy_until: SimTime::ZERO,
             cur: TraceCtx::NONE,
@@ -182,7 +177,7 @@ impl ControllerActor {
 
     /// Registers a Process as managed by this Controller (testbed wiring).
     pub fn adopt(&mut self, proc: ProcId) {
-        self.spaces.insert(proc, CapSpace::new());
+        self.spaces.insert(proc, CapSpace::default());
     }
 
     /// Caps the Process's capability space at `quota` live slots (§4: "a
@@ -227,7 +222,7 @@ impl ControllerActor {
     pub fn holds_cap_of(&self, proc: ProcId, owner: ControllerAddr) -> bool {
         self.spaces
             .get(&proc)
-            .is_some_and(|s| s.iter().any(|(_, cap)| cap.ctrl == owner))
+            .is_some_and(|s| s.iter().any(|(_, ca)| ca.cap.ctrl == owner))
     }
 
     /// Estimated memory footprint of this Controller in bytes, using the
@@ -368,7 +363,7 @@ impl ControllerActor {
     }
 
     fn send_proc(&mut self, ctx: &mut Ctx<'_>, proc: ProcId, msg: CtrlToProc, extra: SimDuration) {
-        let seq = self.seq_proc.entry(proc).or_default().next_seq();
+        let seq = self.proc_chans.entry(proc).or_default().take_seq();
         self.transmit_proc(ctx, proc, msg, seq, 0, extra);
     }
 
@@ -446,7 +441,7 @@ impl ControllerActor {
     }
 
     fn peer_send(&mut self, ctx: &mut Ctx<'_>, to: ControllerAddr, op: PeerOp, extra: SimDuration) {
-        let seq = self.seq_peer.entry(to).or_default().next_seq();
+        let seq = self.peer_chans.entry(to).or_default().take_seq();
         self.transmit_peer(ctx, to, op, seq, 0, extra);
     }
 
@@ -505,8 +500,7 @@ impl ControllerActor {
         // abandoned return path that retransmits on this side cannot see.
         if attempt == 0 && self.fabric.borrow().has_faults() {
             if let Some(token) = op.ack_token() {
-                let ack_timeout = self.fabric.borrow().params().retry.ack_timeout;
-                ctx.schedule_self(ack_timeout, CtrlMsg::AckTimeout { token });
+                ctx.schedule_self(RETRY.ack_timeout, CtrlMsg::AckTimeout { token });
             }
         }
         match reliable_send(&self.fabric, ctx, &hop, base, extra, ser, attempt) {
@@ -629,28 +623,17 @@ impl ControllerActor {
     // Capability-space helpers
     // ------------------------------------------------------------------
 
-    fn resolve_cid(
-        &self,
-        proc: ProcId,
-        cid: Cid,
-    ) -> Result<(CapRef, Option<MemoryDesc>), FosError> {
+    fn resolve_cid(&self, proc: ProcId, cid: Cid) -> Result<&CapArg, FosError> {
         let space = self
             .spaces
             .get(&proc)
             .ok_or(FosError::Cap(fractos_cap::CapError::BadCid(cid)))?;
-        let cap = space.get(cid)?;
-        Ok((cap, self.snaps.get(&(proc, cid)).cloned()))
+        Ok(space.get(cid)?)
     }
 
     fn install_cap(&mut self, proc: ProcId, ca: CapArg) -> Result<Cid, FosError> {
         let space = self.spaces.get_mut(&proc).ok_or(FosError::ProcessFailed)?;
-        let cid = space.insert(ca.cap)?;
-        if let Some(m) = ca.mem {
-            self.snaps.insert((proc, cid), m);
-        } else {
-            self.snaps.remove(&(proc, cid));
-        }
-        Ok(cid)
+        Ok(space.insert(ca)?)
     }
 
     /// Installs a capability minted for `proc` into its space and reports
@@ -787,15 +770,14 @@ impl ControllerActor {
     /// revoked list is one revocation subtree, so testing each held slot
     /// against the slice is cheaper than hashing every slot.
     fn scrub_where(&mut self, dead: impl Fn(&CapRef) -> bool) {
-        for (proc, space) in self.spaces.iter_mut() {
+        for space in self.spaces.values_mut() {
             let victims: Vec<Cid> = space
                 .iter()
-                .filter(|(_, cap)| dead(cap))
+                .filter(|(_, ca)| dead(&ca.cap))
                 .map(|(cid, _)| cid)
                 .collect();
             for cid in victims {
                 let _ = space.remove(cid);
-                self.snaps.remove(&(*proc, cid));
             }
         }
         self.kv.retain(|_, ca| !dead(&ca.cap));
@@ -1008,10 +990,7 @@ impl ControllerActor {
                 // Resolve capability arguments from the caller's space.
                 let caps = caps
                     .into_iter()
-                    .map(|cid| {
-                        let (cap, mem) = self.resolve_cid(proc, cid)?;
-                        Ok(CapArg { cap, mem })
-                    })
+                    .map(|cid| self.resolve_cid(proc, cid).cloned())
                     .collect::<Result<Vec<_>, FosError>>()?;
                 match base {
                     Some(base) => {
@@ -1040,7 +1019,7 @@ impl ControllerActor {
                 self.sc_derive(ctx, caller, cid, DeriveOp::Revtree, extra)?
             }
             Syscall::CapRevoke { cid } => {
-                let (obj, _) = self.resolve_cid(proc, cid)?;
+                let obj = self.resolve_cid(proc, cid)?.cap;
                 if obj.ctrl == self.addr {
                     Some(SyscallResult::Value(self.do_local_revoke(ctx, obj)?))
                 } else {
@@ -1066,8 +1045,8 @@ impl ControllerActor {
                 self.sc_monitor(ctx, caller, cid, MonitorKind::Receive, callback_id, extra)?
             }
             Syscall::MemoryStat { cid } => {
-                let (_, snap) = self.resolve_cid(proc, cid)?;
-                let desc = snap.ok_or(FosError::WrongObjectKind)?;
+                let snap = &self.resolve_cid(proc, cid)?.mem;
+                let desc = snap.as_ref().ok_or(FosError::WrongObjectKind)?;
                 // Only the backing Process may learn raw addresses.
                 if desc.proc != proc {
                     return Err(FosError::PermissionDenied);
@@ -1079,8 +1058,7 @@ impl ControllerActor {
                 })
             }
             Syscall::KvPut { key, cid } => {
-                let (cap, mem) = self.resolve_cid(proc, cid)?;
-                let cap = CapArg { cap, mem };
+                let cap = self.resolve_cid(proc, cid)?.clone();
                 if self.addr == self.registry {
                     self.kv.insert(key, cap);
                     Some(SyscallResult::Ok)
@@ -1150,7 +1128,7 @@ impl ControllerActor {
         extra: SimDuration,
     ) -> Result<Option<SyscallResult>, FosError> {
         let creator = caller.0;
-        let (obj, _) = self.resolve_cid(creator, cid)?;
+        let obj = self.resolve_cid(creator, cid)?.cap;
         if obj.ctrl == self.addr {
             self.derive_local(
                 ctx,
@@ -1262,9 +1240,10 @@ impl ControllerActor {
         dst: Cid,
         handled: SimDuration,
     ) -> Result<(SyscallResult, SimDuration), FosError> {
-        let (src_ref, src_snap) = self.resolve_cid(proc, src)?;
-        let (dst_ref, dst_snap) = self.resolve_cid(proc, dst)?;
-        let (Some(src_desc), Some(dst_desc)) = (src_snap, dst_snap) else {
+        let src_arg = self.resolve_cid(proc, src)?.clone();
+        let dst_arg = self.resolve_cid(proc, dst)?.clone();
+        let (src_ref, dst_ref) = (src_arg.cap, dst_arg.cap);
+        let (Some(src_desc), Some(dst_desc)) = (src_arg.mem, dst_arg.mem) else {
             return Err(FosError::WrongObjectKind);
         };
         let size = src_desc.size;
@@ -1515,7 +1494,7 @@ impl ControllerActor {
         cid: Cid,
         extra: SimDuration,
     ) -> Result<Option<SyscallResult>, FosError> {
-        let (req, _) = self.resolve_cid(caller.0, cid)?;
+        let req = self.resolve_cid(caller.0, cid)?.cap;
         // Submission-time verification (§3.3): the submitting Controller
         // statically checks what is provable from its own table before
         // dispatch. A remote root carries no local plan state — it is
@@ -1613,7 +1592,7 @@ impl ControllerActor {
         extra: SimDuration,
     ) -> Result<Option<SyscallResult>, FosError> {
         let watcher = caller.0;
-        let (obj, _) = self.resolve_cid(watcher, cid)?;
+        let obj = self.resolve_cid(watcher, cid)?.cap;
         if obj.ctrl == self.addr {
             self.do_local_monitor(obj, kind, watcher, callback_id)?;
             return Ok(Some(SyscallResult::Ok));
@@ -1800,7 +1779,6 @@ impl ControllerActor {
         self.retire(ctx, outcome);
         if self.spaces.remove(&proc).is_some() {
             self.dead_procs.insert(proc);
-            self.snaps.retain(|(p, _), _| *p != proc);
         }
     }
 
@@ -1823,7 +1801,6 @@ impl ControllerActor {
     fn lose_state(&mut self) {
         self.table.reboot();
         self.spaces.clear();
-        self.snaps.clear();
         self.kv.clear();
         self.pending.clear();
         self.dead_procs.clear();
@@ -1889,7 +1866,7 @@ impl Actor for ControllerActor {
                 seq,
                 tctx,
             } => {
-                if !self.seen_proc.entry(proc).or_default().fresh(seq) {
+                if !self.proc_chans.entry(proc).or_default().seen.fresh(seq) {
                     // Duplicate transmit of an already-processed syscall.
                     return;
                 }
@@ -1905,7 +1882,7 @@ impl Actor for ControllerActor {
                 seq,
                 tctx,
             } => {
-                if !self.seen_peer.entry(from).or_default().fresh(seq) {
+                if !self.peer_chans.entry(from).or_default().seen.fresh(seq) {
                     return;
                 }
                 self.cur = tctx;

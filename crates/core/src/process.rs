@@ -28,7 +28,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use fractos_cap::{CapError, Cid, Perms};
-use fractos_net::{Endpoint, Payload, TrafficClass};
+use fractos_net::{Endpoint, Payload, TrafficClass, RETRY};
 use fractos_sim::{
     Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TelemetryKind, TraceCtx,
 };
@@ -36,7 +36,7 @@ use fractos_sim::{
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
 use crate::messages::{syscall_msg_size, CtrlMsg, CtrlToProc, ProcMsg};
-use crate::retry::{reliable_send, DedupFilter, Hop, Sent, SeqGen};
+use crate::retry::{reliable_send, Channel, Hop, Sent};
 use crate::types::{FosError, IncomingRequest, MonitorCb, ProcId, Syscall, SyscallResult};
 
 /// Application logic of a FractOS Process (user service or device adaptor).
@@ -107,8 +107,14 @@ enum Out {
 struct FosInner<S> {
     now: SimTime,
     next_token: u64,
-    conts: HashMap<u64, Cont<S>>,
-    timers: HashMap<u64, TimerCont<S>>,
+    /// Pending syscalls: the continuation and the span context the call
+    /// was posted under, which parents its retransmits and timeouts and
+    /// chains the continuation when the reply carries no context (`NONE`
+    /// outside traces).
+    conts: HashMap<u64, (Cont<S>, TraceCtx)>,
+    /// Armed timers: the continuation and the context to restore when the
+    /// timer fires.
+    timers: HashMap<u64, (TimerCont<S>, TraceCtx)>,
     out: Vec<Out>,
     // Congestion control (§4): bounded outstanding syscalls; excess queues.
     outstanding: u32,
@@ -123,11 +129,6 @@ struct FosInner<S> {
     cur: TraceCtx,
     /// The next posted syscall roots a new trace (`Fos::trace_root`).
     root_armed: bool,
-    /// Per-pending-syscall span context (parents retransmits/timeouts and
-    /// chains continuations when a reply carries no context).
-    sc_ctx: HashMap<u64, TraceCtx>,
-    /// Context to restore when an armed timer fires.
-    timer_ctx: HashMap<u64, TraceCtx>,
 }
 
 /// Handle through which a [`Service`] uses FractOS.
@@ -168,8 +169,6 @@ impl<S: Service> Fos<S> {
                 telemetry_on: false,
                 cur: TraceCtx::NONE,
                 root_armed: false,
-                sc_ctx: HashMap::new(),
-                timer_ctx: HashMap::new(),
             }),
             proc,
             mem,
@@ -177,21 +176,9 @@ impl<S: Service> Fos<S> {
         }
     }
 
-    /// This Process's id.
-    pub fn proc_id(&self) -> ProcId {
-        self.proc
-    }
-
     /// Current virtual time (updated on every delivery to this Process).
     pub fn now(&self) -> SimTime {
         self.inner.borrow().now
-    }
-
-    /// The retry policy carried on the fabric parameters. Services use
-    /// the application-level budgets (`fs_io_retries`, `fv_retries`,
-    /// `stage_retries`); the syscall transport reads the rest itself.
-    pub fn retry_policy(&self) -> fractos_net::RetryPolicy {
-        self.fabric.borrow().params().retry
     }
 
     /// Sets the congestion-control window: the maximum number of
@@ -209,7 +196,7 @@ impl<S: Service> Fos<S> {
         let mut inner = self.inner.borrow_mut();
         let token = inner.next_token;
         inner.next_token += 1;
-        inner.conts.insert(token, Box::new(k));
+        inner.conts.insert(token, (Box::new(k), TraceCtx::NONE));
         if inner.outstanding < inner.window {
             inner.outstanding += 1;
             inner.out.push(Out::Syscall { token, sc });
@@ -351,7 +338,7 @@ impl<S: Service> Fos<S> {
         let mut inner = self.inner.borrow_mut();
         let token = inner.next_token;
         inner.next_token += 1;
-        inner.timers.insert(token, Box::new(k));
+        inner.timers.insert(token, (Box::new(k), TraceCtx::NONE));
         inner.out.push(Out::Timer { token, delay, dev });
     }
 
@@ -706,10 +693,8 @@ pub struct ProcessActor<S: Service> {
     endpoint: Endpoint,
     dir: Shared<Directory>,
     dead: bool,
-    /// Outgoing wire sequence numbers on the syscall channel.
-    seq_gen: SeqGen,
-    /// Duplicate suppression for messages from the Controller.
-    seen: DedupFilter,
+    /// Wire sequence state of the channel to the Controller.
+    chan: Channel,
 }
 
 /// Virtual time a Controller needs to notice a severed Process channel.
@@ -732,8 +717,7 @@ impl<S: Service> ProcessActor<S> {
             endpoint,
             dir,
             dead: false,
-            seq_gen: SeqGen::new(),
-            seen: DedupFilter::new(),
+            chan: Channel::default(),
         }
     }
 
@@ -793,7 +777,11 @@ impl<S: Service> ProcessActor<S> {
                                     ctx.now(),
                                     ctx.now(),
                                 );
-                                self.fos.inner.borrow_mut().sc_ctx.insert(token, t);
+                                if let Some(call) =
+                                    self.fos.inner.borrow_mut().conts.get_mut(&token)
+                                {
+                                    call.1 = t;
+                                }
                             }
                         }
                         self.post_syscall(ctx, token, sc);
@@ -828,8 +816,9 @@ impl<S: Service> ProcessActor<S> {
                                 ),
                                 _ => cur,
                             };
-                            if t.is_some() {
-                                self.fos.inner.borrow_mut().timer_ctx.insert(token, t);
+                            if let Some(timer) = self.fos.inner.borrow_mut().timers.get_mut(&token)
+                            {
+                                timer.1 = t;
                             }
                         }
                         ctx.schedule_self(delay, ProcMsg::Timer { token });
@@ -840,7 +829,7 @@ impl<S: Service> ProcessActor<S> {
     }
 
     fn post_syscall(&mut self, ctx: &mut Ctx<'_>, token: u64, sc: Syscall) {
-        let seq = self.seq_gen.next_seq();
+        let seq = self.chan.take_seq();
         self.transmit_syscall(ctx, token, sc, seq, 0);
     }
 
@@ -879,21 +868,13 @@ impl<S: Service> ProcessActor<S> {
         if attempt == 0 && self.fos.fabric.borrow().has_faults() {
             // Last-resort request timeout: covers replies the Controller
             // could not get back to us despite its own retries.
-            let timeout = self.fos.fabric.borrow().params().retry.syscall_timeout;
-            ctx.schedule_self(timeout, ProcMsg::SyscallTimeout { token });
+            ctx.schedule_self(RETRY.syscall_timeout, ProcMsg::SyscallTimeout { token });
         }
         // Base span context of this syscall (set by `flush` when the call
         // was posted inside an active trace); `NONE` outside traces. The
         // envelope carries the hop's propagation span so the Controller
         // parents its own work under the arriving hop.
-        let base = self
-            .fos
-            .inner
-            .borrow()
-            .sc_ctx
-            .get(&token)
-            .copied()
-            .unwrap_or(TraceCtx::NONE);
+        let base = self.call_ctx(token).unwrap_or(TraceCtx::NONE);
         let zero = SimDuration::ZERO;
         match reliable_send(&self.fos.fabric, ctx, &hop, base, zero, zero, attempt) {
             Sent::Delivered { tctx, delay, dup } => {
@@ -927,22 +908,24 @@ impl<S: Service> ProcessActor<S> {
         }
     }
 
+    /// The span context syscall `token` was posted under, while pending.
+    fn call_ctx(&self, token: u64) -> Option<TraceCtx> {
+        self.fos.inner.borrow().conts.get(&token).map(|call| call.1)
+    }
+
     fn deliver_reply(&mut self, token: u64, result: SyscallResult) {
         let cont = {
             let mut inner = self.fos.inner.borrow_mut();
-            let sctx = inner.sc_ctx.remove(&token);
             // A token with no continuation was already resolved (e.g. a
             // real reply racing a timeout verdict): nothing to do, and the
             // window accounting must not be decremented twice.
-            let Some(cont) = inner.conts.remove(&token) else {
+            let Some((cont, tctx)) = inner.conts.remove(&token) else {
                 return;
             };
             // Replies that arrive without a wire context (local error
             // verdicts, timeouts) still continue the issuing trace.
-            if inner.cur.is_none() {
-                if let Some(t) = sctx {
-                    inner.cur = t;
-                }
+            if inner.cur.is_none() && tctx.is_some() {
+                inner.cur = tctx;
             }
             inner.outstanding = inner.outstanding.saturating_sub(1);
             if inner.outstanding < inner.window {
@@ -979,7 +962,7 @@ impl<S: Service> Actor for ProcessActor<S> {
         match msg {
             ProcMsg::Start => self.service.on_start(&self.fos),
             ProcMsg::FromCtrl { seq, tctx, msg } => {
-                if !self.seen.fresh(seq) {
+                if !self.chan.seen.fresh(seq) {
                     // Duplicate transmit of an already-delivered message.
                     return;
                 }
@@ -1020,16 +1003,8 @@ impl<S: Service> Actor for ProcessActor<S> {
                 }
             }
             ProcMsg::SyscallTimeout { token } => {
-                if ctx.spans_enabled() && self.fos.inner.borrow().conts.contains_key(&token) {
-                    let base = self
-                        .fos
-                        .inner
-                        .borrow()
-                        .sc_ctx
-                        .get(&token)
-                        .copied()
-                        .unwrap_or(TraceCtx::NONE);
-                    if base.is_some() {
+                if ctx.spans_enabled() {
+                    if let Some(base) = self.call_ctx(token).filter(|t| t.is_some()) {
                         ctx.span(
                             SpanKind::Fault,
                             "syscall-timeout",
@@ -1042,14 +1017,11 @@ impl<S: Service> Actor for ProcessActor<S> {
                 self.deliver_reply(token, SyscallResult::Err(FosError::ControllerUnreachable));
             }
             ProcMsg::Timer { token } => {
-                let cont = {
-                    let mut inner = self.fos.inner.borrow_mut();
-                    if let Some(t) = inner.timer_ctx.remove(&token) {
-                        inner.cur = t;
+                let timer = self.fos.inner.borrow_mut().timers.remove(&token);
+                if let Some((k, t)) = timer {
+                    if t.is_some() {
+                        self.fos.inner.borrow_mut().cur = t;
                     }
-                    inner.timers.remove(&token)
-                };
-                if let Some(k) = cont {
                     k(&mut self.service, &self.fos);
                 }
             }
@@ -1120,6 +1092,6 @@ mod tests {
         let addr = fos.mem_alloc(16);
         fos.mem_write(addr, 2, b"xy").unwrap();
         assert_eq!(fos.mem_read(addr, 2, 2).unwrap(), b"xy");
-        assert_eq!(fos.proc_id(), ProcId(3));
+        assert_eq!(fos.proc, ProcId(3));
     }
 }

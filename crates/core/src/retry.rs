@@ -7,7 +7,9 @@
 //! unchanged), and lost messages are retransmitted with exponential backoff
 //! under a bounded retry budget. Receivers suppress duplicates with a
 //! per-channel [`DedupFilter`], which keeps retransmitted Controller
-//! operations idempotent.
+//! operations idempotent. Each end of a channel keeps both halves of its
+//! state in one `Channel` record: the next sequence number it sends and
+//! the filter over the sequences it receives.
 //!
 //! The three control channels (Controller → Process, Controller →
 //! Controller, Process → Controller) share one transmit step,
@@ -22,9 +24,8 @@
 //! dead; only the external watchdog does that.
 //!
 //! Timeouts and budgets (initial RTO, attempt caps, last-resort ack and
-//! syscall timeouts) live in the typed [`fractos_net::RetryPolicy`] carried
-//! on the fabric's `NetParams`, read by `reliable_send` and by the two
-//! places that arm a last-resort timeout.
+//! syscall timeouts) live in the constant [`fractos_net::RETRY`], read by
+//! `reliable_send` and by the two places that arm a last-resort timeout.
 //!
 //! Sequence assignment and duplicate filtering are always on (they are
 //! cheap and memory-bounded); retransmit and timeout timers are armed only
@@ -33,7 +34,7 @@
 
 use std::collections::BTreeSet;
 
-use fractos_net::{Endpoint, Fabric, TrafficClass};
+use fractos_net::{Endpoint, Fabric, TrafficClass, RETRY};
 use fractos_sim::{Ctx, Shared, SimDuration, SpanKind, TraceCtx};
 
 /// One control-channel hop: who sends what to whom.
@@ -93,20 +94,17 @@ pub(crate) fn reliable_send(
     // double-queue behind this operation's own link reservations.
     let depart = ready + ser;
     let lead = pre + ser;
-    let (faults, retry) = {
-        let fabric = fabric.borrow();
-        (fabric.has_faults(), fabric.params().retry)
-    };
+    let faults = fabric.borrow().has_faults();
     let transmit = |ctx: &mut Ctx<'_>| {
         fabric
             .borrow_mut()
             .try_send_parts(depart, ctx.rng(), hop.from, hop.to, hop.size, hop.class)
     };
     let Some((delay, prop)) = transmit(ctx) else {
-        if attempt + 1 >= retry.max_attempts {
+        if attempt + 1 >= RETRY.max_attempts {
             return Sent::Exhausted;
         }
-        let backoff = retry.rto(attempt);
+        let backoff = RETRY.rto(attempt);
         if base.is_some() {
             ctx.span(SpanKind::Fault, "drop", base, depart, depart);
             ctx.span(
@@ -130,7 +128,7 @@ pub(crate) fn reliable_send(
     } else {
         TraceCtx::NONE
     };
-    let dup = if attempt == 0 && faults && delay > retry.rto(0) {
+    let dup = if attempt == 0 && faults && delay > RETRY.rto(0) {
         transmit(ctx).map(|(d2, _)| lead + d2)
     } else {
         None
@@ -142,20 +140,21 @@ pub(crate) fn reliable_send(
     }
 }
 
-/// Monotonic per-channel sequence assigner.
+/// One end of a control channel: the sequence numbers it sends and the
+/// duplicate filter over the ones it receives.
 #[derive(Debug, Default, Clone)]
-pub struct SeqGen(u64);
+pub(crate) struct Channel {
+    /// Sequence number of the next message sent on this channel.
+    pub(crate) next_seq: u64,
+    /// Duplicate suppression for messages arriving on this channel.
+    pub(crate) seen: DedupFilter,
+}
 
-impl SeqGen {
-    /// A generator starting at sequence 0.
-    pub fn new() -> Self {
-        SeqGen(0)
-    }
-
-    /// Returns the next sequence number.
-    pub fn next_seq(&mut self) -> u64 {
-        let s = self.0;
-        self.0 += 1;
+impl Channel {
+    /// Assigns the next outgoing sequence number.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let s = self.next_seq;
+        self.next_seq += 1;
         s
     }
 }
@@ -202,7 +201,7 @@ impl DedupFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractos_net::{FaultPlan, NetParams, NodeConfig, NodeId, RetryPolicy, Topology};
+    use fractos_net::{FaultPlan, NetParams, NodeConfig, NodeId, Topology};
     use fractos_sim::{Actor, Msg, Runtime, RuntimeExt, Sim, SimTime, SpanRecord};
 
     const PRE: SimDuration = SimDuration::from_micros(2);
@@ -302,13 +301,12 @@ mod tests {
 
     #[test]
     fn drops_back_off_exponentially_then_exhaust_the_budget() {
-        let policy = RetryPolicy::default();
-        let attempts: Vec<u32> = (0..policy.max_attempts).collect();
-        let r = run(Some(drop_first(policy.max_attempts)), false, &attempts);
+        let attempts: Vec<u32> = (0..RETRY.max_attempts).collect();
+        let r = run(Some(drop_first(RETRY.max_attempts)), false, &attempts);
         let (last, retried) = r.got.split_last().expect("verdicts");
         for (attempt, sent) in retried.iter().enumerate() {
             let backoff = SimDuration::from_micros(30 << attempt);
-            assert_eq!(backoff, policy.rto(attempt as u32));
+            assert_eq!(backoff, RETRY.rto(attempt as u32));
             assert_eq!(
                 *sent,
                 Sent::Retry {
@@ -317,14 +315,14 @@ mod tests {
             );
         }
         assert_eq!(*last, Sent::Exhausted);
-        assert_eq!(r.steps, u64::from(policy.max_attempts), "no timer armed");
-        assert_eq!((r.msgs, r.drops), (0, u64::from(policy.max_attempts)));
+        assert_eq!(r.steps, u64::from(RETRY.max_attempts), "no timer armed");
+        assert_eq!((r.msgs, r.drops), (0, u64::from(RETRY.max_attempts)));
     }
 
     #[test]
     fn a_first_delivery_slower_than_one_rto_is_sent_twice() {
         let r = run(Some(crawl()), false, &[0, 1]);
-        let rto = RetryPolicy::default().rto(0);
+        let rto = RETRY.rto(0);
         let [Sent::Delivered { delay, dup, .. }, Sent::Delivered { dup: redup, .. }] = r.got[..]
         else {
             panic!("expected two deliveries, got {:?}", r.got);
@@ -372,7 +370,6 @@ mod tests {
 
     #[test]
     fn a_retried_drop_records_fault_and_backoff_under_the_base() {
-        let policy = RetryPolicy::default();
         let r = run(Some(drop_first(1)), true, &[1]);
         let [root, fault, backoff] = &r.spans[..] else {
             panic!("expected root + fault + retransmit, got {:?}", r.spans);
@@ -390,21 +387,22 @@ mod tests {
         assert_eq!((fault.start, fault.end), (depart, depart));
         assert_eq!(
             (backoff.start, backoff.end),
-            (depart, depart + policy.rto(1))
+            (depart, depart + RETRY.rto(1))
         );
 
         // The drop that exhausts the budget records nothing of its own.
-        let r = run(Some(drop_first(1)), true, &[policy.max_attempts - 1]);
+        let r = run(Some(drop_first(1)), true, &[RETRY.max_attempts - 1]);
         assert_eq!(r.got, [Sent::Exhausted]);
         assert_eq!(r.spans.len(), 1, "only the root: {:?}", r.spans);
     }
 
     #[test]
     fn seq_gen_is_monotonic() {
-        let mut g = SeqGen::new();
-        assert_eq!(g.next_seq(), 0);
-        assert_eq!(g.next_seq(), 1);
-        assert_eq!(g.next_seq(), 2);
+        let mut c = Channel::default();
+        assert_eq!(c.take_seq(), 0);
+        assert_eq!(c.take_seq(), 1);
+        assert_eq!(c.take_seq(), 2);
+        assert_eq!(c.next_seq, 3);
     }
 
     #[test]

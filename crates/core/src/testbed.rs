@@ -13,7 +13,6 @@ use fractos_net::{
 use fractos_sim::{
     build_runtime, runtime_from_env, ActorId, NodeOutage, RunOutcome, Runtime, RuntimeConfig,
     RuntimeExt, RuntimeKind, Shared, SimDuration, SimTime, TelemetryConfig, TelemetryEvent,
-    TelemetryKind, TELEMETRY_EXTERNAL,
 };
 
 use crate::controller::ControllerActor;
@@ -239,22 +238,11 @@ impl Testbed {
     }
 
     /// Drains every telemetry point recorded so far — engine stores plus
-    /// the fabric's per-link deltas (attributed to the external sentinel
+    /// the fabric's per-link deltas (recorded on the external sentinel
     /// actor) — in the canonical `(time, series, actor, ord)` order.
     pub fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
         let mut events = self.sim.take_telemetry();
-        let fab = self.fabric.borrow_mut().take_telemetry();
-        for (ord, e) in fab.into_iter().enumerate() {
-            // Fabric points are pure counter deltas: window derivation is
-            // order-independent, so the buffer position serves as ord.
-            events.push(TelemetryEvent {
-                time: e.time,
-                actor: TELEMETRY_EXTERNAL,
-                ord: ord as u64,
-                series: e.series(),
-                kind: TelemetryKind::Count(e.delta),
-            });
-        }
+        events.append(&mut self.fabric.borrow_mut().take_telemetry());
         fractos_sim::sort_canonical_telemetry(&mut events);
         events
     }

@@ -178,6 +178,13 @@ impl GpuAdaptor {
         &self.device
     }
 
+    /// Answers `cont` without capabilities: the setup step it asked for
+    /// failed or named an unknown context or kernel.
+    fn refuse(&mut self, cont: Cid, fos: &Fos<Self>) {
+        self.setup_failures += 1;
+        fos.reply_via(cont, vec![], vec![]);
+    }
+
     fn on_init(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
         let Some(&cont) = req.caps.first() else {
             return;
@@ -194,10 +201,7 @@ impl GpuAdaptor {
             let requests = vec![request(TAG_GPU_ALLOC), request(TAG_GPU_LOAD)];
             fos.chain(requests, move |s: &mut Self, res, fos| {
                 let Ok(&[alloc_req, load_req]) = res.as_deref() else {
-                    // The context cannot be offered: answer without it.
-                    s.setup_failures += 1;
-                    fos.reply_via(cont, vec![], vec![]);
-                    return;
+                    return s.refuse(cont, fos);
                 };
                 // Watch the alloc Request's delegations: when the client
                 // revokes (or dies), reap the context.
@@ -224,7 +228,7 @@ impl GpuAdaptor {
             return;
         };
         if !self.contexts.contains_key(&ctx_id) {
-            return;
+            return self.refuse(cont, fos);
         }
         let alloc_time = self.device.params.alloc_time;
         let gpu_ep = self.gpu_endpoint;
@@ -232,7 +236,7 @@ impl GpuAdaptor {
             let addr = fos.mem_alloc_at(size, gpu_ep);
             fos.memory_create(addr, size, Perms::RW, move |s: &mut Self, res, fos| {
                 let SyscallResult::NewCid(mem_cid) = res else {
-                    return;
+                    return s.refuse(cont, fos);
                 };
                 if let Some(ctx) = s.contexts.get_mut(&ctx_id) {
                     ctx.allocs.push((addr, size, mem_cid));
@@ -249,17 +253,14 @@ impl GpuAdaptor {
             return;
         };
         if !self.contexts.contains_key(&ctx_id) || !self.kernels.contains_key(&kernel_id) {
-            return;
+            return self.refuse(cont, fos);
         }
         let load_time = self.device.params.load_time;
         fos.sleep_dev(load_time, "gpu.load", move |_s: &mut Self, fos| {
             let imms = vec![imm(ctx_id), imm(kernel_id)];
             fos.request_create_new(TAG_GPU_INVOKE, imms, vec![], move |s, res, fos| {
                 let SyscallResult::NewCid(invoke_req) = res else {
-                    // The kernel cannot be offered: answer without it.
-                    s.setup_failures += 1;
-                    fos.reply_via(cont, vec![], vec![]);
-                    return;
+                    return s.refuse(cont, fos);
                 };
                 fos.reply_via(cont, vec![], vec![invoke_req]);
             });
@@ -330,10 +331,7 @@ impl GpuAdaptor {
                 // Launch: device executes serially; real bytes compute.
                 let buffer = match fos.mem_read(in_addr, in_off, in_size) {
                     Ok(d) => d,
-                    Err(_) => {
-                        fos.reply_via(error, vec![DevError::Bounds.imm()], vec![]);
-                        return;
-                    }
+                    Err(_) => return fos.reply_via(error, vec![DevError::Bounds.imm()], vec![]),
                 };
                 let mut data = inline;
                 data.extend_from_slice(&buffer);

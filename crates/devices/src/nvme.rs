@@ -315,9 +315,17 @@ impl BlockAdaptor {
         &mut self.device
     }
 
+    /// Staging buffers currently lent to an I/O (tests).
+    pub fn staging_busy(&self) -> usize {
+        self.staging.iter().filter(|s| s.busy).count()
+    }
+
+    /// Runs `k` with a free staging slot, registering another buffer when
+    /// the pool is exhausted; answers `error` if that registration fails.
     fn grab_staging(
         &mut self,
         fos: &Fos<Self>,
+        error: Cid,
         k: impl FnOnce(&mut Self, usize, &Fos<Self>) + Send + 'static,
     ) {
         if let Some(i) = self.staging.iter().position(|s| !s.busy) {
@@ -327,11 +335,10 @@ impl BlockAdaptor {
         }
         // Pool exhausted: register another buffer.
         let size = self.staging_size;
-        let ep = self.nvme_endpoint;
-        let addr = fos.mem_alloc_at(size, ep);
+        let addr = fos.mem_alloc_at(size, self.nvme_endpoint);
         fos.memory_create(addr, size, Perms::RW, move |s: &mut Self, res, fos| {
             let SyscallResult::NewCid(cid) = res else {
-                return;
+                return fos.reply_via(error, vec![DevError::Transfer.imm()], vec![]);
             };
             s.staging.push(Staging {
                 addr,
@@ -343,8 +350,10 @@ impl BlockAdaptor {
         });
     }
 
-    fn release_staging(&mut self, i: usize) {
-        self.staging[i].busy = false;
+    /// Returns staging slot `slot` to the pool and answers `error` with `e`.
+    fn fail_io(&mut self, slot: usize, error: Cid, e: DevError, fos: &Fos<Self>) {
+        self.staging[slot].busy = false;
+        fos.reply_via(error, vec![e.imm()], vec![]);
     }
 
     fn on_create_vol(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
@@ -430,24 +439,18 @@ impl BlockAdaptor {
             });
             return;
         }
-        self.grab_staging(fos, move |s: &mut Self, slot, fos| {
+        self.grab_staging(fos, error, move |_s: &mut Self, slot, fos| {
             fos.sleep_dev(delay, "nvme.read", move |s: &mut Self, fos| {
                 let data = match s.device.read(vol, offset, size) {
                     Ok(d) => d,
-                    Err(_) => {
-                        s.release_staging(slot);
-                        fos.reply_via(error, vec![DevError::Bounds.imm()], vec![]);
-                        return;
-                    }
+                    Err(_) => return s.fail_io(slot, error, DevError::Bounds, fos),
                 };
                 // Consumption-boundary check: if this exact extent was
                 // stamped at write commit, verify its envelope before
                 // handing the bytes to the client (catches torn writes
                 // that persisted past the write-time read-back).
                 if s.sums.verify(vol, offset, &data) == Some(false) {
-                    s.release_staging(slot);
-                    fos.reply_via(error, vec![DevError::Integrity.imm()], vec![]);
-                    return;
+                    return s.fail_io(slot, error, DevError::Integrity, fos);
                 }
                 let st = &s.staging[slot];
                 let (st_addr, st_cid) = (st.addr, st.cid);
@@ -461,12 +464,12 @@ impl BlockAdaptor {
                         size,
                         drop_perms: Perms::NONE,
                     },
-                    move |_s: &mut Self, res, fos| {
+                    move |s: &mut Self, res, fos| {
                         let SyscallResult::NewCid(view) = res else {
-                            return;
+                            return s.fail_io(slot, error, DevError::Transfer, fos);
                         };
                         fos.memory_copy(view, dst, move |s: &mut Self, res, fos| {
-                            s.release_staging(slot);
+                            s.staging[slot].busy = false;
                             // Drop the transient view.
                             fos.call_ignore(Syscall::CapRevoke { cid: view });
                             match res {
@@ -483,7 +486,6 @@ impl BlockAdaptor {
                     },
                 );
             });
-            let _ = s;
         });
     }
 
@@ -503,7 +505,7 @@ impl BlockAdaptor {
             fos.reply_via(error, vec![DevError::TooLarge.imm()], vec![]);
             return;
         }
-        self.grab_staging(fos, move |s: &mut Self, slot, fos| {
+        self.grab_staging(fos, error, move |s: &mut Self, slot, fos| {
             let st = &s.staging[slot];
             let (st_addr, st_cid) = (st.addr, st.cid);
             // Pull the client's data into the staging buffer (third-party
@@ -515,24 +517,18 @@ impl BlockAdaptor {
                     size,
                     drop_perms: Perms::NONE,
                 },
-                move |_s: &mut Self, res, fos| {
+                move |s: &mut Self, res, fos| {
                     let SyscallResult::NewCid(view) = res else {
-                        return;
+                        return s.fail_io(slot, error, DevError::Transfer, fos);
                     };
                     fos.memory_copy(src, view, move |s: &mut Self, res, fos| {
                         fos.call_ignore(Syscall::CapRevoke { cid: view });
                         match res {
                             SyscallResult::Ok => {}
                             SyscallResult::Err(FosError::IntegrityViolation) => {
-                                s.release_staging(slot);
-                                fos.reply_via(error, vec![DevError::Integrity.imm()], vec![]);
-                                return;
+                                return s.fail_io(slot, error, DevError::Integrity, fos)
                             }
-                            _ => {
-                                s.release_staging(slot);
-                                fos.reply_via(error, vec![DevError::Transfer.imm()], vec![]);
-                                return;
-                            }
+                            _ => return s.fail_io(slot, error, DevError::Transfer, fos),
                         }
                         let data = fos.mem_read(st_addr, 0, size).expect("staging read");
                         // One fault-plan draw per media write (replay
@@ -552,7 +548,7 @@ impl BlockAdaptor {
                             delay = SimDuration::from_secs_f64(delay.as_secs_f64() * factor);
                         }
                         fos.sleep_dev(delay, "nvme.write", move |s: &mut Self, fos| {
-                            s.release_staging(slot);
+                            s.staging[slot].busy = false;
                             if matches!(fault, DeviceFaultOutcome::Fail) {
                                 fos.reply_via(error, vec![DevError::Media.imm()], vec![]);
                                 return;

@@ -534,8 +534,11 @@ fn gpu_context_teardown_rpc() {
             });
         }
         fn on_request(&mut self, req: IncomingRequest, _fos: &Fos<Self>) {
-            // Init reply: keep the per-context alloc handle.
-            self.alloc_req = Some(req.caps[0]);
+            // Init reply: keep the per-context alloc handle. The alloc
+            // against the torn-down context is answered without one.
+            if let Some(&alloc) = req.caps.first() {
+                self.alloc_req = Some(alloc);
+            }
         }
     }
 
@@ -564,8 +567,7 @@ fn gpu_context_teardown_rpc() {
     tb.poke(gpu_proc);
     tb.run();
 
-    // Allocating against the torn-down context now does nothing (the
-    // adaptor drops requests for unknown contexts).
+    // Allocating against the torn-down context allocates nothing.
     let alloc = tb.with_service::<Client, _>(client, |c| c.alloc_req.unwrap());
     let fos = tb.fos_of::<Client>(client);
     fos.request_create_new(
@@ -1059,4 +1061,173 @@ fn gpu_wrong_cap_count_is_silently_dropped() {
     assert!(!ok, "no success reply for a dropped request");
     assert_eq!(err, None, "no error reply either: the request is dropped");
     assert_eq!(invocations, 0);
+}
+
+/// A block client holding one derived read Request (`[dst, success,
+/// error]` bound), invoked by the harness once the adaptor's capability
+/// space is nearly full; counts the replies on each continuation.
+struct SqueezedBlk {
+    read: Option<Cid>,
+    pub ok: u32,
+    pub errs: Vec<Option<u64>>,
+}
+
+impl Service for SqueezedBlk {
+    fn on_start(&mut self, fos: &Fos<Self>) {
+        fos.kv_get("blk.create_vol", |_s, res, fos| {
+            let create = res.cid();
+            reply_cont(fos, 0, move |_s, cont, fos| {
+                fos.request_derive(create, vec![imm(65536)], vec![cont], |_s, res, fos| {
+                    fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+                });
+            });
+        });
+    }
+
+    fn on_request(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
+        match imm_at(&req.imms, 0).unwrap() {
+            0 => {
+                let rreq = req.caps[0];
+                let addr = fos.mem_alloc(IO);
+                fos.memory_create(addr, IO, Perms::RW, move |_s: &mut Self, res, fos| {
+                    let dst = res.cid();
+                    io_pair(fos, 1, 99, move |_s, success, error, fos| {
+                        let caps = vec![dst, success, error];
+                        fos.request_derive(rreq, vec![imm(0), imm(IO)], caps, |s, res, _| {
+                            s.read = Some(res.cid());
+                        });
+                    });
+                });
+            }
+            1 => self.ok += 1,
+            99 => self.errs.push(imm_at(&req.imms, 1)),
+            other => panic!("unexpected reply phase {other}"),
+        }
+    }
+}
+
+/// A read whose three capabilities fill the adaptor's capability space
+/// fails at the staging-view diminish, the first mint of its path: the
+/// error continuation still fires (bare, since the space has no room for a
+/// derived reply either) and the staging slot returns to the pool.
+#[test]
+fn block_read_with_a_full_capspace_answers_its_error_continuation() {
+    let mut tb = Testbed::paper(47);
+    let ctrls = tb.controllers_per_node(false);
+    let blk = BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk");
+    let blk_proc = tb.add_process("blk-adaptor", cpu(0), ctrls[0], blk);
+    tb.start_process(blk_proc);
+    tb.run();
+    let squeezed = SqueezedBlk {
+        read: None,
+        ok: 0,
+        errs: Vec::new(),
+    };
+    let client = tb.add_process("client", cpu(2), ctrls[2], squeezed);
+    tb.start_process(client);
+    tb.run();
+
+    let held = tb.with_controller(ctrls[0], |c| c.capspace_len(blk_proc));
+    tb.set_capspace_quota(blk_proc, held + 3);
+    let read = tb.with_service::<SqueezedBlk, _>(client, |c| c.read.expect("read derived"));
+    let fos = tb.fos_of::<SqueezedBlk>(client);
+    fos.request_invoke(read, |_, res, _| assert!(res.is_ok()));
+    tb.poke(client);
+    tb.run();
+
+    tb.with_service::<SqueezedBlk, _>(client, |c| {
+        assert_eq!(c.ok, 0, "the read cannot have succeeded");
+        assert_eq!(c.errs.len(), 1, "the error continuation must fire once");
+        let transfer = Some(DevError::Transfer.code());
+        assert!(
+            c.errs[0].is_none() || c.errs[0] == transfer,
+            "error carried {:?}",
+            c.errs[0]
+        );
+    });
+    tb.with_service::<BlockAdaptor, _>(blk_proc, |a| {
+        assert_eq!(a.staging_busy(), 0, "the staging slot leaked");
+        assert_eq!(a.completed, 0);
+    });
+}
+
+/// Alloc and load Requests of a torn-down context answer their
+/// continuations without capabilities instead of leaving them pending.
+#[test]
+fn gpu_requests_naming_an_unknown_context_are_answered() {
+    use fractos_devices::proto::TAG_GPU_FINI;
+
+    /// Init reply (phase 0) keeps the alloc and load handles; the phase-1
+    /// and phase-2 replies record how many capabilities they carried.
+    struct Client {
+        handles: Option<(Cid, Cid)>,
+        pub answered: Vec<(u64, usize)>,
+    }
+    impl Service for Client {
+        fn on_start(&mut self, fos: &Fos<Self>) {
+            fos.kv_get("gpu.init", |_s, res, fos| {
+                let init = res.cid();
+                reply_cont(fos, 0, move |_s, cont, fos| {
+                    fos.request_derive(init, vec![], vec![cont], |_s, res, fos| {
+                        fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+                    });
+                });
+            });
+        }
+        fn on_request(&mut self, req: IncomingRequest, _fos: &Fos<Self>) {
+            match imm_at(&req.imms, 0).unwrap() {
+                0 => self.handles = Some((req.caps[0], req.caps[1])),
+                phase => self.answered.push((phase, req.caps.len())),
+            }
+        }
+    }
+
+    let mut tb = Testbed::paper(53);
+    let ctrls = tb.controllers_per_node(false);
+    let gpu_adaptor =
+        GpuAdaptor::new(GpuParams::default(), gpu(1), "gpu").with_kernel(7, XorKernel(1));
+    let gpu_proc = tb.add_process("gpu-adaptor", cpu(1), ctrls[1], gpu_adaptor);
+    tb.start_process(gpu_proc);
+    tb.run();
+    let client = tb.add_process(
+        "client",
+        cpu(0),
+        ctrls[0],
+        Client {
+            handles: None,
+            answered: Vec::new(),
+        },
+    );
+    tb.start_process(client);
+    tb.run();
+
+    // Tear the context down through the adaptor's own FINI Request.
+    let fos = tb.fos_of::<GpuAdaptor>(gpu_proc);
+    fos.request_create_new(TAG_GPU_FINI, vec![imm(1)], vec![], |_s, res, fos| {
+        fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+    });
+    tb.poke(gpu_proc);
+    tb.run();
+
+    let (alloc, load) = tb.with_service::<Client, _>(client, |c| c.handles.expect("init"));
+    let fos = tb.fos_of::<Client>(client);
+    for (phase, req, arg) in [(1, alloc, 4096), (2, load, 7)] {
+        reply_cont(&fos, phase, move |_s, cont, fos| {
+            fos.request_derive(req, vec![imm(arg)], vec![cont], |_s, res, fos| {
+                fos.request_invoke(res.cid(), |_, res, _| assert!(res.is_ok()));
+            });
+        });
+    }
+    tb.poke(client);
+    tb.run();
+
+    tb.with_service::<Client, _>(client, |c| {
+        let mut answered = c.answered.clone();
+        answered.sort_unstable();
+        assert_eq!(answered, [(1, 0), (2, 0)], "both answered, empty-handed");
+    });
+    tb.with_service::<GpuAdaptor, _>(gpu_proc, |a| {
+        assert_eq!(a.setup_failures, 2);
+        assert_eq!(a.invocations, 0);
+    });
 }

@@ -4,16 +4,18 @@
 //! through. It computes the one-way delivery latency of a message between two
 //! [`Endpoint`]s, models bandwidth contention on the traversed links
 //! (store-and-forward occupancy with per-link `busy_until` times), applies
-//! optional jitter, and records traffic statistics. RDMA verbs
-//! ([`Fabric::rdma_read`], [`Fabric::rdma_write`]) are composed from sends.
+//! optional jitter, and records traffic statistics. The RDMA write verb
+//! ([`Fabric::rdma_write`]) is composed from sends.
 
 use std::collections::HashMap;
 
-use fractos_sim::{SimDuration, SimRng, SimTime};
+use fractos_sim::{
+    SimDuration, SimRng, SimTime, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
+};
 
 use crate::fault::{DeviceFaultOutcome, DeviceOp, FaultPlan, FaultState, LinkKey, SendOutcome};
 use crate::params::NetParams;
-use crate::stats::{Medium, TrafficClass, TrafficStats};
+use crate::stats::{TrafficClass, TrafficStats};
 use crate::topology::{Endpoint, Location, NodeId, Topology};
 
 /// A directed, bandwidth-limited link in the cluster.
@@ -128,56 +130,6 @@ impl LinkSchedule {
     }
 }
 
-/// What a [`FabricTelemetryEvent`] counts on its link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricTelemetryKind {
-    /// One message delivered (control or data).
-    Msgs,
-    /// Payload bytes delivered (the delta is the byte count).
-    Bytes,
-    /// One message dropped by the armed fault plan.
-    Drops,
-    /// One delivery slowed by an active degradation window.
-    Degraded,
-}
-
-impl FabricTelemetryKind {
-    /// The series-name suffix for this kind (`link.<src>-<dst>.<suffix>`).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            FabricTelemetryKind::Msgs => "msgs",
-            FabricTelemetryKind::Bytes => "bytes",
-            FabricTelemetryKind::Drops => "drops",
-            FabricTelemetryKind::Degraded => "degraded",
-        }
-    }
-}
-
-/// One timestamped counter delta recorded by the fabric when telemetry is
-/// enabled. Deltas are pure counts: any window bucketing over them is
-/// order-independent, so it does not matter in which order concurrent
-/// senders (e.g. shards of the sharded backend) reach the shared fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabricTelemetryEvent {
-    /// Virtual departure time of the message that caused the delta.
-    pub time: SimTime,
-    /// Source node of the link.
-    pub src: NodeId,
-    /// Destination node of the link.
-    pub dst: NodeId,
-    /// Which per-link counter the delta belongs to.
-    pub kind: FabricTelemetryKind,
-    /// The counter increment (1 for msgs/drops/degraded, bytes for bytes).
-    pub delta: u64,
-}
-
-impl FabricTelemetryEvent {
-    /// The canonical telemetry series name, e.g. `link.0-1.bytes`.
-    pub fn series(&self) -> String {
-        format!("link.{}-{}.{}", self.src.0, self.dst.0, self.kind.suffix())
-    }
-}
-
 /// The simulated data-center fabric.
 #[derive(Debug)]
 pub struct Fabric {
@@ -186,9 +138,11 @@ pub struct Fabric {
     schedules: HashMap<Edge, LinkSchedule>,
     stats: TrafficStats,
     faults: Option<FaultState>,
-    /// `Some` only when telemetry is enabled; `None` costs nothing on the
-    /// send path (zero-perturbation invariant — see `fractos_sim::telemetry`).
-    telemetry: Option<Vec<FabricTelemetryEvent>>,
+    /// Per-link counter deltas (`link.<src>-<dst>.<msgs|bytes|drops|
+    /// degraded>`), recorded on the external sentinel actor. `Some` only
+    /// when telemetry is enabled; `None` costs nothing on the send path
+    /// (zero-perturbation invariant — see `fractos_sim::telemetry`).
+    telemetry: Option<TelemetryStore>,
 }
 
 impl Fabric {
@@ -209,7 +163,7 @@ impl Fabric {
     /// send path is byte-identical with telemetry disabled.
     pub fn enable_telemetry(&mut self) {
         if self.telemetry.is_none() {
-            self.telemetry = Some(Vec::new());
+            self.telemetry = Some(TelemetryStore::new());
         }
     }
 
@@ -220,29 +174,29 @@ impl Fabric {
 
     /// Drains the buffered telemetry deltas (telemetry stays enabled).
     /// Returns an empty vector when telemetry was never enabled.
-    pub fn take_telemetry(&mut self) -> Vec<FabricTelemetryEvent> {
-        match &mut self.telemetry {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
+    pub fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
+        self.telemetry
+            .as_mut()
+            .map_or_else(Vec::new, TelemetryStore::take)
     }
 
+    /// Counts `delta` on the `suffix` series of link `src → dst`.
     fn telemetry_record(
         &mut self,
         time: SimTime,
         src: NodeId,
         dst: NodeId,
-        kind: FabricTelemetryKind,
+        suffix: &str,
         delta: u64,
     ) {
-        if let Some(buf) = &mut self.telemetry {
-            buf.push(FabricTelemetryEvent {
+        if let Some(store) = &mut self.telemetry {
+            let series = format!("link.{}-{}.{suffix}", src.0, dst.0);
+            store.record(
+                TELEMETRY_EXTERNAL,
                 time,
-                src,
-                dst,
-                kind,
-                delta,
-            });
+                series,
+                TelemetryKind::Count(delta),
+            );
         }
     }
 
@@ -389,7 +343,7 @@ impl Fabric {
         let bytes = payload
             .checked_add(WIRE_HEADER_BYTES)
             .expect("message size overflows with the wire header");
-        let (base, edges, medium) = self.route(src, dst);
+        let (base, edges) = self.route(src, dst);
         debug_assert!(
             src.node == dst.node || base >= self.params.conservative_lookahead(),
             "inter-node base latency {base} under the conservative lookahead bound"
@@ -435,15 +389,14 @@ impl Fabric {
             if f > 1.0 {
                 delay = delay * f;
                 self.stats.record_degraded(src.node, dst.node);
-                self.telemetry_record(now, src.node, dst.node, FabricTelemetryKind::Degraded, 1);
+                self.telemetry_record(now, src.node, dst.node, "degraded", 1);
             }
         }
 
-        self.stats
-            .record(src.node, dst.node, class, medium, payload);
+        self.stats.record(src.node, dst.node, class, payload);
         if self.telemetry.is_some() {
-            self.telemetry_record(now, src.node, dst.node, FabricTelemetryKind::Msgs, 1);
-            self.telemetry_record(now, src.node, dst.node, FabricTelemetryKind::Bytes, payload);
+            self.telemetry_record(now, src.node, dst.node, "msgs", 1);
+            self.telemetry_record(now, src.node, dst.node, "bytes", payload);
         }
         (delay, base.min(delay))
     }
@@ -502,26 +455,10 @@ impl Fabric {
                 .validate(dst)
                 .unwrap_or_else(|e| panic!("fabric send to invalid endpoint: {e}"));
             self.stats.record_drop(src.node, dst.node);
-            self.telemetry_record(now, src.node, dst.node, FabricTelemetryKind::Drops, 1);
+            self.telemetry_record(now, src.node, dst.node, "drops", 1);
             return None;
         }
         Some(self.send_parts(now, rng, src, dst, payload, class))
-    }
-
-    /// Latency of a one-sided RDMA read: `reader` pulls `size` bytes from
-    /// `target` memory. One small request on the control plane, one bulk
-    /// response on the data plane.
-    pub fn rdma_read(
-        &mut self,
-        now: SimTime,
-        rng: &mut SimRng,
-        reader: Endpoint,
-        target: Endpoint,
-        size: u64,
-    ) -> SimDuration {
-        let req = self.send(now, rng, reader, target, 32, TrafficClass::Control);
-        let resp = self.send(now + req, rng, target, reader, size, TrafficClass::Data);
-        req + resp
     }
 
     /// Latency of a one-sided RDMA write of `size` bytes from `writer` into
@@ -546,7 +483,7 @@ impl Fabric {
     }
 
     // analyze: hot-path
-    fn route(&self, src: Endpoint, dst: Endpoint) -> (SimDuration, EdgePath, Medium) {
+    fn route(&self, src: Endpoint, dst: Endpoint) -> (SimDuration, EdgePath) {
         let p = &self.params;
         let mut base = SimDuration::ZERO;
         let mut edges = EdgePath::new();
@@ -558,20 +495,14 @@ impl Fabric {
             edges.push(Edge::PcieOut(src.node, src.loc));
         }
 
-        let medium = if src.node == dst.node {
+        if src.node == dst.node {
             base += p.local_oneway;
             edges.push(Edge::Loopback(src.node));
-            if src.loc.behind_pcie() || dst.loc.behind_pcie() {
-                Medium::Pcie
-            } else {
-                Medium::Loopback
-            }
         } else {
             base += p.remote_oneway;
             edges.push(Edge::NetUp(src.node));
             edges.push(Edge::NetDown(dst.node));
-            Medium::Network
-        };
+        }
 
         // Destination side.
         if dst.loc.behind_pcie() {
@@ -579,7 +510,7 @@ impl Fabric {
             edges.push(Edge::PcieIn(dst.node, dst.loc));
         }
 
-        (base, edges, medium)
+        (base, edges)
     }
 
     fn edge_bandwidth(&self, edge: Edge) -> f64 {
@@ -624,13 +555,12 @@ mod tests {
         f.send(t, &mut r, src, dst, 100, TrafficClass::Data);
         let events = f.take_telemetry();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, FabricTelemetryKind::Msgs);
-        assert_eq!(events[0].delta, 1);
+        assert_eq!(events[0].kind, TelemetryKind::Count(1));
         assert_eq!(events[0].time, t);
-        assert_eq!(events[0].series(), "link.0-1.msgs");
-        assert_eq!(events[1].kind, FabricTelemetryKind::Bytes);
-        assert_eq!(events[1].delta, 100);
-        assert_eq!(events[1].series(), "link.0-1.bytes");
+        assert_eq!(events[0].actor, TELEMETRY_EXTERNAL);
+        assert_eq!(events[0].series, "link.0-1.msgs");
+        assert_eq!(events[1].kind, TelemetryKind::Count(100));
+        assert_eq!(events[1].series, "link.0-1.bytes");
 
         // Draining leaves telemetry enabled.
         assert!(f.telemetry_enabled());
@@ -654,8 +584,8 @@ mod tests {
         assert!(matches!(out, SendOutcome::Dropped));
         let events = f.take_telemetry();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, FabricTelemetryKind::Drops);
-        assert_eq!(events[0].series(), "link.0-1.drops");
+        assert_eq!(events[0].kind, TelemetryKind::Count(1));
+        assert_eq!(events[0].series, "link.0-1.drops");
     }
 
     #[test]
@@ -695,14 +625,26 @@ mod tests {
     fn one_byte_rdma_read_is_about_3_3us() {
         let mut f = fabric();
         let mut r = rng();
-        let d = f.rdma_read(
+        let (reader, target) = (Endpoint::cpu(N0), Endpoint::cpu(N1));
+        // A small request on the control plane, the byte back on the data
+        // plane.
+        let req = f.send(
             SimTime::ZERO,
             &mut r,
-            Endpoint::cpu(N0),
-            Endpoint::cpu(N1),
-            1,
+            reader,
+            target,
+            32,
+            TrafficClass::Control,
         );
-        let us = d.as_micros_f64();
+        let resp = f.send(
+            SimTime::ZERO + req,
+            &mut r,
+            target,
+            reader,
+            1,
+            TrafficClass::Data,
+        );
+        let us = (req + resp).as_micros_f64();
         assert!((us - 3.3).abs() < 0.2, "1B RDMA read {us:.3} µs");
     }
 
@@ -807,9 +749,12 @@ mod tests {
             128,
             TrafficClass::Data,
         );
+        // Only the cross-node message rode the network; the loopback and
+        // PCIe messages are flows within node 0.
         assert_eq!(f.stats().network_msgs(), 1);
-        assert_eq!(f.stats().medium_total(Medium::Loopback).msgs, 1);
-        assert_eq!(f.stats().medium_total(Medium::Pcie).msgs, 1);
+        assert_eq!(f.stats().flow(N0, N1, TrafficClass::Data).msgs, 1);
+        assert_eq!(f.stats().flow(N0, N0, TrafficClass::Control).msgs, 1);
+        assert_eq!(f.stats().flow(N0, N0, TrafficClass::Data).msgs, 1);
     }
 
     #[test]

@@ -42,14 +42,13 @@ pub mod params;
 pub mod stats;
 pub mod topology;
 
-pub use fabric::{Fabric, FabricTelemetryEvent, FabricTelemetryKind, WIRE_HEADER_BYTES};
+pub use fabric::{Fabric, WIRE_HEADER_BYTES};
 pub use fault::{
     DeviceFaultOutcome, DeviceFaults, DeviceOp, FaultPlan, LinkKey, NodeCrash, SendOutcome,
 };
 pub use fractos_sim::Payload;
-pub use params::{ComputeDomain, NetParams, RetryPolicy};
+pub use params::{ComputeDomain, NetParams, RetryPolicy, RETRY};
 pub use stats::{
-    DeviceFaultCounter, FaultCounter, FlowCounter, Medium, TrafficClass, TrafficStats,
-    VerifyCounter,
+    DeviceFaultCounter, FaultCounter, FlowCounter, TrafficClass, TrafficStats, VerifyCounter,
 };
 pub use topology::{Endpoint, Location, NodeConfig, NodeId, Topology, TopologyError};

@@ -35,11 +35,11 @@ pub enum ComputeDomain {
 
 /// Retry budgets for the control plane and the services built on it.
 ///
-/// One typed policy, carried on [`NetParams`], replaces the retry
-/// constants that used to be scattered across the Controller/Process
-/// retransmit layer and the individual services. The defaults reproduce
-/// those historical values exactly, so traces under the default
-/// parameters are byte-identical to the pre-consolidation build.
+/// One typed policy, the constant [`RETRY`], replaces the retry constants
+/// that used to be scattered across the Controller/Process retransmit
+/// layer and the individual services. Its values are those historical
+/// constants exactly, so traces are byte-identical to the
+/// pre-consolidation build.
 ///
 /// Exhausting a budget never *declares* a peer dead — it only translates
 /// into the §3.6 failure verdicts (`ControllerUnreachable`, severed
@@ -73,19 +73,16 @@ impl RetryPolicy {
     }
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            rto_base: SimDuration::from_micros(30),
-            max_attempts: 5,
-            ack_timeout: SimDuration::from_millis(1),
-            syscall_timeout: SimDuration::from_millis(5),
-            fs_io_retries: 4,
-            fv_retries: 4,
-            stage_retries: 3,
-        }
-    }
-}
+/// The retry policy of every channel and service.
+pub const RETRY: RetryPolicy = RetryPolicy {
+    rto_base: SimDuration::from_micros(30),
+    max_attempts: 5,
+    ack_timeout: SimDuration::from_millis(1),
+    syscall_timeout: SimDuration::from_millis(5),
+    fs_io_retries: 4,
+    fv_retries: 4,
+    stage_retries: 3,
+};
 
 /// Calibrated model parameters. Construct via [`NetParams::paper`] for the
 /// paper's testbed (Table 2) or tweak fields for sensitivity studies.
@@ -171,9 +168,6 @@ pub struct NetParams {
     /// simulated time). Off, an in-flight bit flip lands silently — used
     /// by tests to prove the envelope is what catches corruption.
     pub end_to_end_integrity: bool,
-    /// Retransmission and retry budgets for the control plane and the
-    /// services built on it (see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
 }
 
 impl NetParams {
@@ -206,7 +200,6 @@ impl NetParams {
             interrupt_wakeup: SimDuration::from_micros(4),
             poll_window: SimDuration::from_micros(20),
             end_to_end_integrity: true,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -285,13 +278,8 @@ impl NetParams {
         }
     }
 
-    /// CPU time to move `bytes` through the bounce buffers (two memcpys).
-    pub fn bounce_memcpy(&self, domain: ComputeDomain, bytes: u64) -> SimDuration {
-        Self::bounce_memcpy_at(self.bounce_memcpy_bw(domain), bytes)
-    }
-
-    /// [`bounce_memcpy`](NetParams::bounce_memcpy) priced at an already
-    /// snapshotted bandwidth.
+    /// CPU time to move `bytes` through the bounce buffers (two memcpys)
+    /// at an already snapshotted bandwidth.
     pub fn bounce_memcpy_at(bw: f64, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(2.0 * bytes as f64 / bw)
     }
@@ -309,7 +297,7 @@ mod tests {
 
     #[test]
     fn rto_doubles_and_saturates() {
-        let r = RetryPolicy::default();
+        let r = RETRY;
         assert_eq!(r.rto(0), r.rto_base);
         assert_eq!(r.rto(1), SimDuration::from_micros(60));
         assert_eq!(r.rto(3), SimDuration::from_micros(240));
@@ -317,11 +305,11 @@ mod tests {
         assert!(r.rto(200) > r.rto(4));
     }
 
-    /// The default policy must reproduce the historical constants exactly,
-    /// or traces under the default parameters would diverge.
+    /// The policy must reproduce the historical constants exactly, or
+    /// traces would diverge.
     #[test]
     fn retry_defaults_match_historical_constants() {
-        let r = NetParams::paper().retry;
+        let r = RETRY;
         assert_eq!(r.rto_base, SimDuration::from_micros(30));
         assert_eq!(r.max_attempts, 5);
         assert_eq!(r.ack_timeout, SimDuration::from_millis(1));

@@ -3,9 +3,9 @@
 //! The headline FractOS claims are about *traffic*: 3× fewer bytes on the
 //! network, 1.6× fewer messages, 8 vs 5 control messages for the inference
 //! pipeline (Fig 2, §6.5). The fabric therefore counts every message it
-//! carries, per `(source node, destination node, class)`, and separately for
-//! the shared network vs intra-node buses. Benches snapshot and diff these
-//! counters around measurement phases.
+//! carries once, per `(source node, destination node, class)`. The shared
+//! network carries exactly the cross-node flows, so the network totals are
+//! folds over the flows whose source and destination nodes differ.
 
 use std::collections::BTreeMap;
 
@@ -20,17 +20,6 @@ pub enum TrafficClass {
     /// Bulk data-plane transfers: memory copies, RDMA payloads, file
     /// contents.
     Data,
-}
-
-/// Which transport carried a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Medium {
-    /// The shared, switched data-center network (cross-node).
-    Network,
-    /// NIC loopback within one node.
-    Loopback,
-    /// A PCIe crossing within one node.
-    Pcie,
 }
 
 /// Message/byte counters for one `(src, dst, class)` flow.
@@ -85,7 +74,6 @@ pub struct VerifyCounter {
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     flows: BTreeMap<(NodeId, NodeId, TrafficClass), FlowCounter>,
-    by_medium: BTreeMap<(Medium, TrafficClass), FlowCounter>,
     faults: BTreeMap<(NodeId, NodeId), FaultCounter>,
     device_faults: BTreeMap<Endpoint, DeviceFaultCounter>,
     verify: VerifyCounter,
@@ -98,20 +86,10 @@ impl TrafficStats {
     }
 
     /// Records one message.
-    pub fn record(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        class: TrafficClass,
-        medium: Medium,
-        bytes: u64,
-    ) {
+    pub fn record(&mut self, src: NodeId, dst: NodeId, class: TrafficClass, bytes: u64) {
         let flow = self.flows.entry((src, dst, class)).or_default();
         flow.msgs += 1;
         flow.bytes += bytes;
-        let med = self.by_medium.entry((medium, class)).or_default();
-        med.msgs += 1;
-        med.bytes += bytes;
     }
 
     /// Records one message dropped by the fault plan on `src → dst`.
@@ -168,19 +146,6 @@ impl TrafficStats {
         self.device_faults.iter()
     }
 
-    /// Total injected device faults (all classes, all devices).
-    pub fn total_device_faults(&self) -> u64 {
-        self.device_faults
-            .values()
-            .map(|c| c.failed + c.torn + c.corrupted + c.spiked)
-            .sum()
-    }
-
-    /// Total data-class payloads corrupted in flight.
-    pub fn total_corrupted(&self) -> u64 {
-        self.faults.values().map(|c| c.corrupted).sum()
-    }
-
     /// Injected-fault counters for one directed link.
     pub fn link_faults(&self, src: NodeId, dst: NodeId) -> FaultCounter {
         self.faults.get(&(src, dst)).copied().unwrap_or_default()
@@ -196,11 +161,6 @@ impl TrafficStats {
         self.faults.values().map(|c| c.dropped).sum()
     }
 
-    /// Total deliveries slowed by degradation windows.
-    pub fn total_degraded(&self) -> u64 {
-        self.faults.values().map(|c| c.degraded).sum()
-    }
-
     /// Counter for one `(src, dst, class)` flow.
     pub fn flow(&self, src: NodeId, dst: NodeId, class: TrafficClass) -> FlowCounter {
         self.flows
@@ -209,47 +169,42 @@ impl TrafficStats {
             .unwrap_or_default()
     }
 
+    /// Messages and bytes of `class` (both classes when `None`) carried
+    /// by the shared network, i.e. on cross-node flows.
+    fn network(&self, class: Option<TrafficClass>) -> FlowCounter {
+        let mut total = FlowCounter::default();
+        for (&(src, dst, c), f) in &self.flows {
+            if src != dst && class.is_none_or(|want| want == c) {
+                total.msgs += f.msgs;
+                total.bytes += f.bytes;
+            }
+        }
+        total
+    }
+
     /// Total messages carried by the shared network (both classes).
     pub fn network_msgs(&self) -> u64 {
-        self.medium_total(Medium::Network).msgs
+        self.network(None).msgs
     }
 
     /// Total bytes carried by the shared network (both classes).
     pub fn network_bytes(&self) -> u64 {
-        self.medium_total(Medium::Network).bytes
+        self.network(None).bytes
     }
 
     /// Network control-plane messages.
     pub fn network_control_msgs(&self) -> u64 {
-        self.by_medium
-            .get(&(Medium::Network, TrafficClass::Control))
-            .map_or(0, |c| c.msgs)
+        self.network(Some(TrafficClass::Control)).msgs
     }
 
     /// Network data-plane messages ("data transfers" in Fig 2).
     pub fn network_data_msgs(&self) -> u64 {
-        self.by_medium
-            .get(&(Medium::Network, TrafficClass::Data))
-            .map_or(0, |c| c.msgs)
+        self.network(Some(TrafficClass::Data)).msgs
     }
 
     /// Network data-plane bytes.
     pub fn network_data_bytes(&self) -> u64 {
-        self.by_medium
-            .get(&(Medium::Network, TrafficClass::Data))
-            .map_or(0, |c| c.bytes)
-    }
-
-    /// Aggregate counter for one medium over both classes.
-    pub fn medium_total(&self, medium: Medium) -> FlowCounter {
-        let mut total = FlowCounter::default();
-        for class in [TrafficClass::Control, TrafficClass::Data] {
-            if let Some(c) = self.by_medium.get(&(medium, class)) {
-                total.msgs += c.msgs;
-                total.bytes += c.bytes;
-            }
-        }
-        total
+        self.network(Some(TrafficClass::Data)).bytes
     }
 
     /// Iterates over all per-flow counters.
@@ -257,66 +212,9 @@ impl TrafficStats {
         self.flows.iter()
     }
 
-    /// Returns the counters accumulated since `baseline` was captured.
-    ///
-    /// `baseline` must be an earlier snapshot of the same stats object.
-    pub fn since(&self, baseline: &TrafficStats) -> TrafficStats {
-        let mut diff = TrafficStats::new();
-        for (key, cur) in &self.flows {
-            let base = baseline.flows.get(key).copied().unwrap_or_default();
-            let d = FlowCounter {
-                msgs: cur.msgs - base.msgs,
-                bytes: cur.bytes - base.bytes,
-            };
-            if d != FlowCounter::default() {
-                diff.flows.insert(*key, d);
-            }
-        }
-        for (key, cur) in &self.by_medium {
-            let base = baseline.by_medium.get(key).copied().unwrap_or_default();
-            let d = FlowCounter {
-                msgs: cur.msgs - base.msgs,
-                bytes: cur.bytes - base.bytes,
-            };
-            if d != FlowCounter::default() {
-                diff.by_medium.insert(*key, d);
-            }
-        }
-        for (key, cur) in &self.faults {
-            let base = baseline.faults.get(key).copied().unwrap_or_default();
-            let d = FaultCounter {
-                dropped: cur.dropped - base.dropped,
-                degraded: cur.degraded - base.degraded,
-                corrupted: cur.corrupted - base.corrupted,
-            };
-            if d != FaultCounter::default() {
-                diff.faults.insert(*key, d);
-            }
-        }
-        for (key, cur) in &self.device_faults {
-            let base = baseline.device_faults.get(key).copied().unwrap_or_default();
-            let d = DeviceFaultCounter {
-                failed: cur.failed - base.failed,
-                torn: cur.torn - base.torn,
-                corrupted: cur.corrupted - base.corrupted,
-                spiked: cur.spiked - base.spiked,
-            };
-            if d != DeviceFaultCounter::default() {
-                diff.device_faults.insert(*key, d);
-            }
-        }
-        diff.verify = VerifyCounter {
-            submission_checks: self.verify.submission_checks - baseline.verify.submission_checks,
-            admission_checks: self.verify.admission_checks - baseline.verify.admission_checks,
-            rejects: self.verify.rejects - baseline.verify.rejects,
-        };
-        diff
-    }
-
     /// Clears all counters.
     pub fn reset(&mut self) {
         self.flows.clear();
-        self.by_medium.clear();
         self.faults.clear();
         self.device_faults.clear();
         self.verify = VerifyCounter::default();
@@ -333,37 +231,26 @@ mod tests {
     #[test]
     fn records_per_flow_and_medium() {
         let mut s = TrafficStats::new();
-        s.record(N0, N1, TrafficClass::Control, Medium::Network, 64);
-        s.record(N0, N1, TrafficClass::Data, Medium::Network, 4096);
-        s.record(N0, N0, TrafficClass::Control, Medium::Loopback, 64);
+        s.record(N0, N1, TrafficClass::Control, 64);
+        s.record(N0, N1, TrafficClass::Data, 4096);
+        s.record(N1, N0, TrafficClass::Data, 100);
+        // Same-node traffic crosses a loopback or PCIe, not the network.
+        s.record(N0, N0, TrafficClass::Control, 64);
 
         assert_eq!(s.flow(N0, N1, TrafficClass::Control).msgs, 1);
         assert_eq!(s.flow(N0, N1, TrafficClass::Data).bytes, 4096);
-        assert_eq!(s.network_msgs(), 2);
-        assert_eq!(s.network_bytes(), 4160);
+        assert_eq!(s.flow(N0, N0, TrafficClass::Control).msgs, 1);
+        assert_eq!(s.network_msgs(), 3);
+        assert_eq!(s.network_bytes(), 4260);
         assert_eq!(s.network_control_msgs(), 1);
-        assert_eq!(s.network_data_msgs(), 1);
-        assert_eq!(s.medium_total(Medium::Loopback).msgs, 1);
-    }
-
-    #[test]
-    fn since_diffs_counters() {
-        let mut s = TrafficStats::new();
-        s.record(N0, N1, TrafficClass::Data, Medium::Network, 100);
-        let snapshot = s.clone();
-        s.record(N0, N1, TrafficClass::Data, Medium::Network, 50);
-        s.record(N1, N0, TrafficClass::Control, Medium::Network, 8);
-
-        let d = s.since(&snapshot);
-        assert_eq!(d.flow(N0, N1, TrafficClass::Data).msgs, 1);
-        assert_eq!(d.flow(N0, N1, TrafficClass::Data).bytes, 50);
-        assert_eq!(d.network_msgs(), 2);
+        assert_eq!(s.network_data_msgs(), 2);
+        assert_eq!(s.network_data_bytes(), 4196);
     }
 
     #[test]
     fn reset_clears() {
         let mut s = TrafficStats::new();
-        s.record(N0, N1, TrafficClass::Data, Medium::Network, 100);
+        s.record(N0, N1, TrafficClass::Data, 100);
         s.reset();
         assert_eq!(s.network_msgs(), 0);
     }
@@ -378,21 +265,17 @@ mod tests {
     fn fault_counters_diff_and_reset() {
         let mut s = TrafficStats::new();
         s.record_drop(N0, N1);
-        let snapshot = s.clone();
         s.record_drop(N0, N1);
         s.record_degraded(N1, N0);
 
         assert_eq!(s.link_faults(N0, N1).dropped, 2);
+        assert_eq!(s.link_faults(N1, N0).degraded, 1);
         assert_eq!(s.total_dropped(), 2);
-        assert_eq!(s.total_degraded(), 1);
-
-        let d = s.since(&snapshot);
-        assert_eq!(d.link_faults(N0, N1).dropped, 1);
-        assert_eq!(d.link_faults(N1, N0).degraded, 1);
-        assert_eq!(d.fault_links().count(), 2);
+        assert_eq!(s.fault_links().count(), 2);
 
         s.reset();
-        assert_eq!(s.total_dropped() + s.total_degraded(), 0);
+        assert_eq!(s.total_dropped(), 0);
+        assert_eq!(s.fault_links().count(), 0);
         assert_eq!(s.link_faults(N0, N1), FaultCounter::default());
     }
 
@@ -401,18 +284,12 @@ mod tests {
         let mut s = TrafficStats::new();
         s.record_verify_submission();
         s.record_verify_admission();
-        let snapshot = s.clone();
         s.record_verify_submission();
         s.record_verify_reject();
 
         assert_eq!(s.verify_counter().submission_checks, 2);
         assert_eq!(s.verify_counter().admission_checks, 1);
         assert_eq!(s.verify_counter().rejects, 1);
-
-        let d = s.since(&snapshot);
-        assert_eq!(d.verify_counter().submission_checks, 1);
-        assert_eq!(d.verify_counter().admission_checks, 0);
-        assert_eq!(d.verify_counter().rejects, 1);
 
         s.reset();
         assert_eq!(s.verify_counter(), VerifyCounter::default());
@@ -425,24 +302,18 @@ mod tests {
         let mut s = TrafficStats::new();
         s.record_device_fault(dev, |c| c.failed += 1);
         s.record_corrupted(N0, N1);
-        let snapshot = s.clone();
         s.record_device_fault(dev, |c| c.torn += 1);
         s.record_device_fault(gpu, |c| c.corrupted += 1);
         s.record_device_fault(gpu, |c| c.spiked += 1);
 
         assert_eq!(s.device_faults_at(dev).failed, 1);
+        assert_eq!(s.device_faults_at(dev).torn, 1);
         assert_eq!(s.device_faults_at(gpu).corrupted, 1);
-        assert_eq!(s.total_device_faults(), 4);
-        assert_eq!(s.total_corrupted(), 1);
+        assert_eq!(s.device_faults_at(gpu).spiked, 1);
+        assert_eq!(s.device_fault_devices().count(), 2);
         assert_eq!(s.link_faults(N0, N1).corrupted, 1);
 
-        let d = s.since(&snapshot);
-        assert_eq!(d.device_faults_at(dev).failed, 0);
-        assert_eq!(d.device_faults_at(dev).torn, 1);
-        assert_eq!(d.device_fault_devices().count(), 2);
-        assert_eq!(d.total_corrupted(), 0);
-
         s.reset();
-        assert_eq!(s.total_device_faults(), 0);
+        assert_eq!(s.device_fault_devices().count(), 0);
     }
 }

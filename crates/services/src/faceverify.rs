@@ -480,17 +480,16 @@ impl FaceVerifyFrontend {
         let recoverable = code
             .and_then(DevError::from_code)
             .is_some_and(|e| e.is_recoverable());
-        let retry = fos.retry_policy();
         let Some(inflight) = self.inflight[slot].as_mut() else {
             return;
         };
-        if !recoverable || inflight.attempts >= retry.fv_retries {
+        if !recoverable || inflight.attempts >= fractos_net::RETRY.fv_retries {
             self.fail_slot(slot, fos);
             return;
         }
         inflight.attempts += 1;
         let (first_id, query_mem) = (inflight.first_id, inflight.query_mem);
-        let backoff = retry.rto(inflight.attempts - 1);
+        let backoff = fractos_net::RETRY.rto(inflight.attempts - 1);
         self.retried += 1;
         fos.sleep(backoff, move |s: &mut Self, fos| {
             // The slot stays busy and its cache intact across the retry.

@@ -553,16 +553,15 @@ impl FsService {
         let recoverable = code
             .and_then(DevError::from_code)
             .is_some_and(|e| e.is_recoverable());
-        let retry = fos.retry_policy();
         let Some(p) = self.ops.get_mut(&op) else {
             return;
         };
-        if !recoverable || p.attempts >= retry.fs_io_retries {
+        if !recoverable || p.attempts >= fractos_net::RETRY.fs_io_retries {
             self.finish_op(op, false, fos);
             return;
         }
         p.attempts += 1;
-        let backoff = retry.rto(p.attempts - 1);
+        let backoff = fractos_net::RETRY.rto(p.attempts - 1);
         let (io, view) = (p.io, p.staging_view);
         self.retried_ops += 1;
         fos.sleep(backoff, move |_s: &mut Self, fos| {

@@ -74,10 +74,9 @@ impl PipelineStage {
     /// (§3.6: faults become error continuations, not hangs).
     fn copy_and_forward(attempt: u32, view: Cid, dst: Cid, next: Cid, fos: &Fos<Self>) {
         fos.memory_copy(view, dst, move |s: &mut Self, res, fos| {
-            let retry = fos.retry_policy();
-            if res != SyscallResult::Ok && attempt < retry.stage_retries {
+            if res != SyscallResult::Ok && attempt < fractos_net::RETRY.stage_retries {
                 s.retries += 1;
-                let backoff = retry.rto(attempt);
+                let backoff = fractos_net::RETRY.rto(attempt);
                 fos.sleep(backoff, move |_s: &mut Self, fos| {
                     Self::copy_and_forward(attempt + 1, view, dst, next, fos);
                 });

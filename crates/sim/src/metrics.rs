@@ -272,12 +272,11 @@ impl Metrics {
     }
 
     /// Iterates over all counter names matching a prefix.
-    pub fn counters_with_prefix<'a>(
+    fn counters_with_prefix<'a>(
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters()
-            .filter(move |(name, _)| name.starts_with(prefix))
+        self.counters().filter(move |(n, _)| n.starts_with(prefix))
     }
 
     /// Sum of all counters whose name starts with `prefix`.

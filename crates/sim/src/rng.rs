@@ -63,14 +63,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Fills `buf` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
     /// Forks an independent child generator, advancing this one.
     ///
     /// Useful for giving a subsystem its own stream while keeping the whole
@@ -135,14 +127,6 @@ mod tests {
             seen[rng.gen_range(4) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut rng = SimRng::new(5);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

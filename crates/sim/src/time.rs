@@ -107,12 +107,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional microseconds, rounding to the
-    /// nearest nanosecond. Negative or non-finite inputs clamp to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1_000_000.0)
-    }
-
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Negative or non-finite inputs clamp to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
@@ -316,7 +310,7 @@ mod tests {
 
     #[test]
     fn fractional_micros() {
-        let d = SimDuration::from_micros_f64(2.42);
+        let d = SimDuration::from_secs_f64(2.42e-6);
         assert_eq!(d.as_nanos(), 2_420);
         assert!((d.as_micros_f64() - 2.42).abs() < 1e-9);
     }
