@@ -4,7 +4,7 @@
 //! `clone()` or fresh `Vec` in the event loop dominates it. Functions on
 //! the per-event path carry an `// analyze: hot-path` marker above their
 //! signature (the engine step, the sharded window runner, fabric
-//! routing/sends, the timing-wheel operations), and this pass denies
+//! routing/sends, the event queue's push and pops), and this pass denies
 //! allocation and copy idioms inside their bodies:
 //!
 //! `.clone()`, `.to_vec()`, `.to_owned()`, `.to_string()`, `Vec::new()`,

@@ -229,8 +229,7 @@ pub struct RuntimeConfig {
     pub lookahead: SimDuration,
     /// Worker-thread override for the sharded backend; `None` means
     /// `min(available cores, shards)`, clamped to at least 2 so parallelism
-    /// is exercised even on single-core hosts. Also settable via
-    /// `FRACTOS_WORKERS`.
+    /// is exercised even on single-core hosts.
     pub workers: Option<usize>,
 }
 

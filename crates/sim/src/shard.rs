@@ -27,10 +27,10 @@ type Queued = (u32, ActorId, Msg);
 
 /// Self-profiling series sampled at every period boundary, as suffixes of
 /// the shard's profile prefix.
-const PROFILE_SERIES: [&str; 4] = ["queue.depth", "wheel.occupied", "wheel.far", "events"];
-/// Sampled scheduler peaks kept as counters for the post-run profile
+const PROFILE_SERIES: [&str; 2] = ["queue.depth", "events"];
+/// Sampled queue-depth peak, kept as a counter for the post-run profile
 /// table.
-const PROFILE_PEAKS: [&str; 3] = ["wheel.occupied_peak", "wheel.far_peak", "queue.depth_peak"];
+const PROFILE_PEAK: &str = "queue.depth_peak";
 
 /// Engine self-profiling state; exists exactly while telemetry is on.
 struct Profile {
@@ -42,9 +42,9 @@ struct Profile {
     steps_mark: u64,
     /// `{prefix}.{suffix}` for [`PROFILE_SERIES`], built when telemetry is
     /// switched on so a boundary tick formats nothing.
-    series: [String; 4],
-    /// `{prefix}.{suffix}` for [`PROFILE_PEAKS`].
-    peaks: [String; 3],
+    series: [String; 2],
+    /// `{prefix}.{PROFILE_PEAK}`.
+    peak: String,
 }
 
 /// One registered actor.
@@ -243,9 +243,8 @@ impl Shard {
     }
 
     /// Engine self-profiling: when an event crosses a sampling-period
-    /// boundary, record scheduler gauges (queue depth, timing-wheel
-    /// bucket occupancy, overflow-heap size) and the events-per-window
-    /// delta under this shard's backend-specific `runtime.` namespace.
+    /// boundary, record the queue depth and the events-per-window delta
+    /// under this shard's backend-specific `runtime.` namespace.
     /// Exporters exclude that namespace from cross-backend artifacts.
     fn telemetry_boundary(&mut self, time: SimTime) {
         // The profile is only ever set together with the store.
@@ -259,24 +258,15 @@ impl Shard {
         profile.window = Some(w);
         let at = SimTime::from_nanos(w.saturating_mul(profile.period.as_nanos()));
         let depth = self.queue.len() as u64;
-        let occupied = self.queue.wheel_occupied_buckets() as u64;
-        let far = self.queue.far_len() as u64;
         let events = self.steps - profile.steps_mark;
         profile.steps_mark = self.steps;
-        let kinds = [
-            TelemetryKind::Gauge(depth),
-            TelemetryKind::Gauge(occupied),
-            TelemetryKind::Gauge(far),
-            TelemetryKind::Count(events),
-        ];
+        let kinds = [TelemetryKind::Gauge(depth), TelemetryKind::Count(events)];
         for (series, kind) in profile.series.iter().zip(kinds) {
             store.record(TELEMETRY_EXTERNAL, at, series.clone(), kind);
         }
-        for (name, v) in profile.peaks.iter().zip([occupied, far, depth]) {
-            let prev = self.metrics.counter(name);
-            if v > prev {
-                self.metrics.add(name, v - prev);
-            }
+        let prev = self.metrics.counter(&profile.peak);
+        if depth > prev {
+            self.metrics.add(&profile.peak, depth - prev);
         }
     }
 }
@@ -346,7 +336,7 @@ pub(crate) fn enable_telemetry(
                     window: None,
                     steps_mark: 0,
                     series: PROFILE_SERIES.map(|suffix| format!("{prefix}.{suffix}")),
-                    peaks: PROFILE_PEAKS.map(|suffix| format!("{prefix}.{suffix}")),
+                    peak: format!("{prefix}.{PROFILE_PEAK}"),
                 }
             })
             .period = period;

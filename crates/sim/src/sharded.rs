@@ -428,17 +428,12 @@ impl ShardedSim {
     }
 }
 
-/// Picks the worker count: explicit config wins, then `FRACTOS_WORKERS`,
-/// then `min(available cores, shards)` — floored at two threads whenever
-/// there is more than one shard, so parallel code paths are exercised even
-/// on single-core hosts (threads then interleave on one core).
+/// Picks the worker count: explicit config wins, then
+/// `min(available cores, shards)` — floored at two threads whenever there
+/// is more than one shard, so parallel code paths are exercised even on
+/// single-core hosts (threads then interleave on one core).
 fn resolve_workers(config: &RuntimeConfig, shards: usize) -> usize {
-    let configured = config.workers.or_else(|| {
-        std::env::var("FRACTOS_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    });
-    let workers = configured.unwrap_or_else(|| {
+    let workers = config.workers.unwrap_or_else(|| {
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);

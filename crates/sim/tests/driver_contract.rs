@@ -191,9 +191,9 @@ mod rows {
     }
 
     /// Engine self-profiling: with telemetry on, every shard reports its
-    /// scheduler gauges under its own prefix — `runtime.single` on `Sim`,
-    /// `runtime.shard{i}` on `ShardedSim` — and nothing else lives under
-    /// `runtime.`.
+    /// queue depth and event count under its own prefix — `runtime.single`
+    /// on `Sim`, `runtime.shard{i}` on `ShardedSim` — and nothing else
+    /// lives under `runtime.`.
     pub fn self_profiling_series_carry_the_driver_prefix(rt: &mut dyn Runtime, nodes: usize) {
         rt.enable_telemetry(us(4));
         let (a, _) = pair(rt, nodes);
@@ -205,9 +205,7 @@ mod rows {
         };
         let expected: Vec<String> = prefixes
             .iter()
-            .flat_map(|p| {
-                ["events", "queue.depth", "wheel.far", "wheel.occupied"].map(|s| format!("{p}.{s}"))
-            })
+            .flat_map(|p| ["events", "queue.depth"].map(|s| format!("{p}.{s}")))
             .collect();
         let events = rt.take_telemetry();
         let mut seen: Vec<&str> = events.iter().map(|e| e.series.as_str()).collect();
