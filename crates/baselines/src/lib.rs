@@ -22,20 +22,6 @@
 //! The raw baselines deliberately do *not* use FractOS: they are plain
 //! simulation actors on the same fabric, paying their own protocol costs.
 
-use fractos_core::Testbed;
-use fractos_net::{NetParams, Topology};
-use fractos_sim::{runtime_from_env, Runtime};
-
-/// Builds a paper-testbed-shaped runtime on the backend selected by the
-/// `FRACTOS_RUNTIME` environment variable (single-threaded when unset).
-///
-/// The configuration is [`Testbed::runtime_config`]'s, so the sharded
-/// backend is safe for any workload on [`Topology::paper_testbed`].
-pub fn paper_runtime(seed: u64) -> Box<dyn Runtime> {
-    let config = Testbed::runtime_config(&Topology::paper_testbed(), &NetParams::paper(), seed);
-    runtime_from_env(&config)
-}
-
 pub mod faceverify;
 pub mod local;
 pub mod pipeline;

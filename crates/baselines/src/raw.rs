@@ -147,13 +147,12 @@ impl Actor for PingPongClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper_runtime;
     use fractos_net::{NetParams, NodeId, Topology};
-    use fractos_sim::RuntimeExt;
+    use fractos_sim::{Runtime, RuntimeExt, Sim};
 
     #[test]
     fn raw_loopback_matches_table3() {
-        let mut sim = paper_runtime(1);
+        let mut sim = Sim::new(1);
         let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::cpu(NodeId(0));
         let server = sim.add_actor_on(
@@ -185,7 +184,7 @@ mod tests {
 
     #[test]
     fn raw_loopback_snic_matches_table3() {
-        let mut sim = paper_runtime(1);
+        let mut sim = Sim::new(1);
         let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::snic(NodeId(0));
         let server = sim.add_actor_on(

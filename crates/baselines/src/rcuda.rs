@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fractos_devices::{GpuDevice, GpuParams, Kernel};
+use fractos_net::params::PCIE_BANDWIDTH;
 use fractos_net::{Endpoint, Fabric, TrafficClass};
 use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime};
 
@@ -184,9 +185,7 @@ impl Actor for RcudaServer {
                 self.dev_mem[offset as usize..end].copy_from_slice(&data[..end - offset as usize]);
                 // H2D also crosses the daemon's PCIe to the device; the
                 // fabric already charged the network, add the PCIe copy.
-                let pcie = SimDuration::from_secs_f64(
-                    data.len() as f64 / self.fabric.borrow().params().pcie_bandwidth,
-                );
+                let pcie = SimDuration::from_secs_f64(data.len() as f64 / PCIE_BANDWIDTH);
                 let extra = self.charge(ctx.now(), DAEMON_CALL_OVERHEAD + pcie);
                 self.reply(ctx, reply, 0, extra, Vec::new());
             }
@@ -220,9 +219,7 @@ impl Actor for RcudaServer {
             DriverCall::MemcpyD2H { offset, len, reply } => {
                 let end = (offset + len).min(self.dev_mem.len() as u64);
                 let data = self.dev_mem[offset as usize..end as usize].to_vec();
-                let pcie = SimDuration::from_secs_f64(
-                    len as f64 / self.fabric.borrow().params().pcie_bandwidth,
-                );
+                let pcie = SimDuration::from_secs_f64(len as f64 / PCIE_BANDWIDTH);
                 let extra = self.charge(ctx.now(), DAEMON_CALL_OVERHEAD + pcie);
                 self.reply(ctx, reply, len, extra, data);
             }
@@ -338,10 +335,9 @@ pub const KERNEL_CALLS: u64 = 4 + INTERPOSITION_CALLS;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper_runtime;
     use fractos_devices::XorKernel;
     use fractos_net::{NetParams, NodeId, Topology};
-    use fractos_sim::RuntimeExt;
+    use fractos_sim::{Runtime, RuntimeExt, Sim};
 
     /// A driver that runs the canonical verify sequence and checks data.
     struct Driver {
@@ -402,7 +398,7 @@ mod tests {
 
     #[test]
     fn rcuda_sequence_computes_and_takes_four_round_trips() {
-        let mut sim = paper_runtime(5);
+        let mut sim = Sim::new(5);
         let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::cpu(NodeId(1));
         let server = sim.add_actor_on(

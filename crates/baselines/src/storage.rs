@@ -472,7 +472,7 @@ mod tests {
     #[should_panic(expected = "write fits the namespace")]
     fn target_refuses_to_acknowledge_an_out_of_range_write() {
         // The one-shard engine: the panic surfaces on this thread, message
-        // intact, whatever `FRACTOS_RUNTIME` says.
+        // intact.
         let mut sim = Sim::new(9);
         let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let endpoint = Endpoint::cpu(NodeId(0));

@@ -2,7 +2,6 @@
 //! FractOS-vs-baseline comparisons the paper reports (§6.5).
 
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, Start};
-use fractos_baselines::paper_runtime;
 use fractos_baselines::pipeline::{CentralDriver, DataPath};
 use fractos_baselines::Peer;
 use fractos_core::prelude::*;
@@ -11,16 +10,16 @@ use fractos_services::deploy::deploy_faceverify;
 use fractos_services::faceverify::FvClient;
 use fractos_services::pipeline::{ChainDriver, PipelineStage};
 use fractos_services::FvConfig;
-use fractos_sim::{Runtime, RuntimeExt, Shared, SimDuration};
+use fractos_sim::{Runtime, RuntimeExt, Shared, Sim, SimDuration};
 
 const IMG: u64 = 4096;
 
 /// Runs the baseline app and returns (mean latency µs, network bytes,
 /// network msgs, all matched).
 fn run_baseline(batch: u64, requests: u64, in_flight: u64) -> (f64, u64, u64, bool) {
-    let mut sim = paper_runtime(61);
+    let mut sim = Sim::new(61);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
-    let dep = deploy_baseline(sim.as_mut(), &fabric, IMG, 256);
+    let dep = deploy_baseline(&mut sim, &fabric, IMG, 256);
     let client_ep = fractos_net::Endpoint::cpu(NodeId(2));
     let client = sim.add_actor_on(
         2,
@@ -184,9 +183,9 @@ fn star_vs_faststar_vs_chain_ordering() {
 
 #[test]
 fn baseline_throughput_improves_with_in_flight() {
-    let mut sim = paper_runtime(62);
+    let mut sim = Sim::new(62);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
-    let dep = deploy_baseline(sim.as_mut(), &fabric, IMG, 256);
+    let dep = deploy_baseline(&mut sim, &fabric, IMG, 256);
     let client_ep = fractos_net::Endpoint::cpu(NodeId(2));
     let mk = |sim: &mut dyn Runtime, in_flight| {
         sim.add_actor_on(
@@ -203,13 +202,13 @@ fn baseline_throughput_improves_with_in_flight() {
             )),
         )
     };
-    let seq = mk(sim.as_mut(), 1);
+    let seq = mk(&mut sim, 1);
     sim.post(SimDuration::ZERO, seq, Start);
     let t0 = sim.now();
     sim.run();
     let span_seq = sim.now().duration_since(t0);
 
-    let pipe = mk(sim.as_mut(), 4);
+    let pipe = mk(&mut sim, 4);
     sim.post(SimDuration::ZERO, pipe, Start);
     let t1 = sim.now();
     sim.run();

@@ -13,14 +13,12 @@ use fractos_baselines::{local_block_read_latency, local_block_write_latency};
 use fractos_bench::apps::{storage_disagg_baseline, storage_fractos};
 use fractos_bench::report::{us, Table};
 use fractos_devices::NvmeParams;
-use fractos_net::NetParams;
 use fractos_services::fs::FsMode;
 
 const COUNT: u64 = 24;
 
 fn main() {
     let nvme = NvmeParams::default();
-    let net = NetParams::paper();
     for write in [false, true] {
         let which = if write { "writes" } else { "reads" };
         let mut t = Table::new(
@@ -32,9 +30,9 @@ fn main() {
             let (dax, _) = storage_fractos(FsMode::Dax, io, COUNT, 1, write, false, false);
             let (base, _) = storage_disagg_baseline(io, COUNT, 1, write, false);
             let local = if write {
-                local_block_write_latency(&nvme, &net, io)
+                local_block_write_latency(&nvme, io)
             } else {
-                local_block_read_latency(&nvme, &net, io)
+                local_block_read_latency(&nvme, io)
             }
             .as_micros_f64();
             t.row(&[

@@ -11,14 +11,12 @@ use fractos_baselines::local_gpu_latency;
 use fractos_bench::apps::{gpu_service_fractos, gpu_service_rcuda};
 use fractos_bench::report::{us, Table};
 use fractos_devices::GpuParams;
-use fractos_net::NetParams;
 
 const IMG: u64 = 4096;
 const REQS: u64 = 12;
 
 fn main() {
     let gpu = GpuParams::default();
-    let net = NetParams::paper();
 
     let mut t = Table::new(
         "Fig 9 (left): kernel-execution latency vs batch size (usec)",
@@ -28,7 +26,7 @@ fn main() {
         let (fos_cpu, _) = gpu_service_fractos(IMG, batch, REQS, 1, false);
         let (fos_snic, _) = gpu_service_fractos(IMG, batch, REQS, 1, true);
         let (rcuda, _) = gpu_service_rcuda(IMG, batch, REQS, 1);
-        let local = local_gpu_latency(&gpu, &net, batch, IMG).as_micros_f64();
+        let local = local_gpu_latency(&gpu, batch, IMG).as_micros_f64();
         t.row(&[
             batch.to_string(),
             us(fos_cpu),

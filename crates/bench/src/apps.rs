@@ -2,7 +2,6 @@
 //! the headline claims).
 
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, BaselineFrontend, Start};
-use fractos_baselines::paper_runtime;
 use fractos_baselines::pipeline::{CentralDriver, DataPath};
 use fractos_baselines::raw::Peer;
 use fractos_cap::{Cid, Perms};
@@ -17,7 +16,7 @@ use fractos_services::faceverify::{FvClient, FvSample};
 use fractos_services::fs::{FsMode, FsService};
 use fractos_services::pipeline::{ChainDriver, PipelineStage};
 use fractos_services::{FvConfig, FACE_VERIFY_KERNEL};
-use fractos_sim::{Actor, ActorId, Ctx, Msg, Shared, SimDuration, SpanRecord, TelemetryEvent};
+use fractos_sim::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, SpanRecord, TelemetryEvent};
 
 /// Result of one application run.
 #[derive(Debug, Clone, Copy)]
@@ -277,9 +276,9 @@ pub fn baseline_faceverify_opts(
     in_flight: u64,
     store_results: bool,
 ) -> AppResult {
-    let mut sim = paper_runtime(61);
+    let mut sim = Sim::new(61);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
-    let dep = deploy_baseline(sim.as_mut(), &fabric, img, 256);
+    let dep = deploy_baseline(&mut sim, &fabric, img, 256);
     if store_results {
         sim.with_actor::<BaselineFrontend, _>(dep.frontend, |f| f.store_results = true);
     }
@@ -612,7 +611,7 @@ pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) ->
         }
     }
 
-    let mut sim = paper_runtime(32);
+    let mut sim = Sim::new(32);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
     let server_ep = fractos_net::Endpoint::cpu(NodeId(1));
     let server = sim.add_actor_on(

@@ -5,7 +5,7 @@ use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_core::CtrlPlacement;
 use fractos_net::{Endpoint, Fabric, NetParams, Topology};
-use fractos_sim::{Shared, SimRng, SimTime};
+use fractos_sim::{Shared, Sim, SimRng, SimTime};
 
 use crate::scripts::{mean_gap_us, Script};
 
@@ -16,7 +16,7 @@ pub const ITERS: u64 = 32;
 pub fn raw_loopback_rtt(server_on_snic: bool) -> f64 {
     use fractos_baselines::raw::{Peer, PingPongClient, PingPongServer, Start};
 
-    let mut sim = fractos_baselines::paper_runtime(1);
+    let mut sim = Sim::new(1);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
     let server_ep = if server_on_snic {
         Endpoint::snic(NodeId(0))

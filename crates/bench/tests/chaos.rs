@@ -4,8 +4,8 @@
 //! are hashed from the plan seed and per-link message indices, never drawn
 //! from the caller's RNG, so the same seed and plan reproduce the same
 //! drops, the same retransmissions and the same end state — on both
-//! runtime backends. CI runs this suite across a seed × backend matrix
-//! (`FRACTOS_CHAOS_SEED` × `FRACTOS_RUNTIME`).
+//! runtime backends, which every test that runs a plan covers in-process.
+//! CI runs this suite across a seed matrix (`FRACTOS_CHAOS_SEED`).
 //!
 //! The plan used for the completion tests is *recoverable*: probabilistic
 //! drops and transient degradation, but no unhealed partition, so the
@@ -24,6 +24,8 @@ use fractos_sim::{RuntimeKind, SimTime};
 const IMG: u64 = 4096;
 const BATCH: u64 = 8;
 const REQUESTS: u64 = 10;
+
+const BACKENDS: [RuntimeKind; 2] = [RuntimeKind::SingleThreaded, RuntimeKind::Sharded];
 
 type Flows = Vec<((NodeId, NodeId, TrafficClass), FlowCounter)>;
 type Faults = Vec<((NodeId, NodeId), FaultCounter)>;
@@ -112,22 +114,32 @@ fn run_faulty(kind: RuntimeKind, seed: u64, plan: Option<FaultPlan>) -> (Flows, 
     (out.flows, out.faults, out.verdicts)
 }
 
-/// Under the recoverable plan, every request completes and verifies on the
-/// backend selected by `FRACTOS_RUNTIME`, and the plan demonstrably fired.
+/// Under the recoverable plan, every request completes and verifies on
+/// both backends, and the plan demonstrably fired.
 #[test]
 fn chaos_fig2_completes_under_faults() {
     let seed = chaos_seed();
-    let (flows, faults, verdicts) =
-        run_faulty(RuntimeKind::from_env(), seed, Some(recoverable_plan()));
-    assert!(!flows.is_empty(), "workload produced no traffic");
-    assert!(
-        verdicts.iter().all(|&m| m),
-        "a request failed verification under seed {seed}"
-    );
-    let dropped: u64 = faults.iter().map(|(_, c)| c.dropped).sum();
-    let degraded: u64 = faults.iter().map(|(_, c)| c.degraded).sum();
-    assert!(dropped > 0, "plan armed but nothing was dropped");
-    assert!(degraded > 0, "plan armed but nothing was degraded");
+    for kind in BACKENDS {
+        let (flows, faults, verdicts) = run_faulty(kind, seed, Some(recoverable_plan()));
+        assert!(
+            !flows.is_empty(),
+            "workload produced no traffic on {kind:?}"
+        );
+        assert!(
+            verdicts.iter().all(|&m| m),
+            "a request failed verification under seed {seed} on {kind:?}"
+        );
+        let dropped: u64 = faults.iter().map(|(_, c)| c.dropped).sum();
+        let degraded: u64 = faults.iter().map(|(_, c)| c.degraded).sum();
+        assert!(
+            dropped > 0,
+            "plan armed but nothing was dropped on {kind:?}"
+        );
+        assert!(
+            degraded > 0,
+            "plan armed but nothing was degraded on {kind:?}"
+        );
+    }
 }
 
 /// Acceptance gate: an armed-but-empty plan is bit-identical to no plan —
@@ -231,41 +243,43 @@ fn recoverable_device_plan() -> FaultPlan {
 }
 
 /// Under the recoverable device plan, every Fig 2 request completes with
-/// a verified payload on the backend selected by `FRACTOS_RUNTIME`, and
-/// the injected device faults demonstrably fired and were recovered.
+/// a verified payload on both backends, and the injected device faults
+/// demonstrably fired and were recovered.
 #[test]
 fn chaos_fig2_completes_under_device_faults() {
     let seed = chaos_seed();
-    let out = run_fv(
-        RuntimeKind::from_env(),
-        seed,
-        Some(recoverable_device_plan()),
-        NetParams::paper(),
-    );
-    assert!(
-        out.verdicts.iter().all(|&m| m),
-        "a request failed verification under device faults, seed {seed}"
-    );
-    let total: u64 = out
-        .dev_faults
-        .iter()
-        .map(|(_, c)| c.failed + c.torn + c.corrupted + c.spiked)
-        .sum();
-    assert!(
-        total > 0,
-        "device plan armed but nothing fired (seed {seed})"
-    );
-    let gpu_errors: u64 = out
-        .dev_faults
-        .iter()
-        .filter(|(e, _)| *e == gpu(1))
-        .map(|(_, c)| c.failed + c.corrupted)
-        .sum();
-    if gpu_errors > 0 {
-        assert!(
-            out.fv_retried > 0,
-            "GPU faults fired but the frontend never retried (seed {seed})"
+    for kind in BACKENDS {
+        let out = run_fv(
+            kind,
+            seed,
+            Some(recoverable_device_plan()),
+            NetParams::paper(),
         );
+        assert!(
+            out.verdicts.iter().all(|&m| m),
+            "a request failed verification under device faults, seed {seed} on {kind:?}"
+        );
+        let total: u64 = out
+            .dev_faults
+            .iter()
+            .map(|(_, c)| c.failed + c.torn + c.corrupted + c.spiked)
+            .sum();
+        assert!(
+            total > 0,
+            "device plan armed but nothing fired (seed {seed}, {kind:?})"
+        );
+        let gpu_errors: u64 = out
+            .dev_faults
+            .iter()
+            .filter(|(e, _)| *e == gpu(1))
+            .map(|(_, c)| c.failed + c.corrupted)
+            .sum();
+        if gpu_errors > 0 {
+            assert!(
+                out.fv_retried > 0,
+                "GPU faults fired but the frontend never retried (seed {seed}, {kind:?})"
+            );
+        }
     }
 }
 

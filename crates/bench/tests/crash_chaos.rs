@@ -7,8 +7,9 @@
 //! of the typed [`FaultPlan`], the engine drops deliveries to a down node
 //! as a pure function of (delivery time, receiver node), and all recovery
 //! milestones carry simulator timestamps — so the whole timeline is
-//! byte-identical run to run and across backends. CI sweeps this suite
-//! over the seed × backend matrix (`FRACTOS_CHAOS_SEED` × `FRACTOS_RUNTIME`).
+//! byte-identical run to run and across backends; every crash test runs on
+//! both backends in-process. CI sweeps this suite over a seed matrix
+//! (`FRACTOS_CHAOS_SEED`).
 
 use fractos_core::prelude::*;
 use fractos_core::WatchdogActor;
@@ -27,6 +28,8 @@ const DEADLINE_US: u64 = 10_000;
 /// post-crash success): detection is 3 missed 200 µs pings, so recovery
 /// must land well inside 2 ms.
 const MTTR_BOUND_US: u64 = 2_000;
+
+const BACKENDS: [RuntimeKind; 2] = [RuntimeKind::SingleThreaded, RuntimeKind::Sharded];
 
 type Flows = Vec<((NodeId, NodeId, TrafficClass), FlowCounter)>;
 type Faults = Vec<((NodeId, NodeId), FaultCounter)>;
@@ -179,92 +182,94 @@ fn crash_restart_plan() -> FaultPlan {
 #[test]
 fn crash_stop_recovers_to_survivor() {
     let seed = chaos_seed();
-    let mut scene = build_scene(RuntimeKind::from_env(), seed, Some(crash_stop_plan()));
-    scene.tb.run_until(us(DEADLINE_US));
-    let ctrls = scene.ctrls.clone();
-    let client = scene.client;
-    let workers = scene.workers.clone();
-    let out = collect(&mut scene);
+    for kind in BACKENDS {
+        let mut scene = build_scene(kind, seed, Some(crash_stop_plan()));
+        scene.tb.run_until(us(DEADLINE_US));
+        let ctrls = scene.ctrls.clone();
+        let client = scene.client;
+        let workers = scene.workers.clone();
+        let out = collect(&mut scene);
 
-    // Every request resolved; most completed (only the in-flight one may
-    // end in a typed verdict after exhausting failover attempts).
-    assert_eq!(out.outcomes.len() as u64, ITERS, "requests lost");
-    assert!(
-        out.completed as u64 >= ITERS - 1,
-        "too few completions: {} of {ITERS} (seed {seed})",
-        out.completed
-    );
-
-    // The recovery pipeline demonstrably ran end to end.
-    assert!(!out.failures.is_empty(), "client never observed the crash");
-    assert_eq!(
-        out.declared.iter().map(|(a, _, _)| *a).collect::<Vec<_>>(),
-        vec![ctrls[1]],
-        "watchdog did not declare the crashed Controller dead"
-    );
-    assert!(
-        out.revocations.iter().any(|(a, _)| *a == ctrls[1]),
-        "client's Controller never revoked the dead peer's capabilities"
-    );
-    assert_eq!(out.rehomes.len(), 1, "expected exactly one re-home");
-    let (rehome_t, from, to) = out.rehomes[0];
-    assert_eq!((from, to), (0, 1), "re-home must move primary -> survivor");
-    assert_eq!(out.recoveries.len(), 1, "expected one recovery");
-
-    // Crash-stop: the node never comes back, so no watchdog recovery.
-    assert!(out.wd_recovered.is_empty(), "crash-stop node 'recovered'");
-    assert!(
-        out.outage_drops > 0,
-        "no deliveries were dropped by the outage"
-    );
-
-    // Milestone ordering: crash <= first miss <= declared <= revoked (at
-    // the client's Controller) and failure <= re-home <= re-dispatch <=
-    // recovered.
-    let crash = us(CRASH_AT_US);
-    let (_, first_miss, declared_t) = out.declared[0];
-    let revoke_t = out
-        .revocations
-        .iter()
-        .find(|(a, _)| *a == ctrls[1])
-        .map(|(_, t)| *t)
-        .expect("checked above");
-    assert!(crash <= first_miss && first_miss <= declared_t && declared_t <= revoke_t);
-    let first_failure = out.failures[0].0;
-    let recovered_t = out.recoveries[0];
-    assert!(first_failure <= rehome_t && rehome_t <= recovered_t);
-    assert!(
-        out.redispatches.iter().all(|t| *t >= first_failure),
-        "re-dispatch before the failure it answers"
-    );
-
-    // Bounded unavailability.
-    let window = recovered_t.duration_since(crash);
-    assert!(
-        window <= SimDuration::from_micros(MTTR_BOUND_US),
-        "unavailability window {window:?} exceeds {MTTR_BOUND_US} us (seed {seed})"
-    );
-
-    // No capability leaks through the dead epoch: the client's space holds
-    // nothing minted by the dead Controller, and the registry no longer
-    // advertises the dead instance.
-    scene.tb.with_controller(ctrls[0], |c| {
+        // Every request resolved; most completed (only the in-flight one may
+        // end in a typed verdict after exhausting failover attempts).
+        assert_eq!(out.outcomes.len() as u64, ITERS, "requests lost");
         assert!(
-            !c.holds_cap_of(client, ctrls[1]),
-            "client still holds a dead Controller's capability"
+            out.completed as u64 >= ITERS - 1,
+            "too few completions: {} of {ITERS} (seed {seed}, {kind:?})",
+            out.completed
+        );
+
+        // The recovery pipeline demonstrably ran end to end.
+        assert!(!out.failures.is_empty(), "client never observed the crash");
+        assert_eq!(
+            out.declared.iter().map(|(a, _, _)| *a).collect::<Vec<_>>(),
+            vec![ctrls[1]],
+            "watchdog did not declare the crashed Controller dead"
         );
         assert!(
-            !c.kv_keys().iter().any(|k| k.starts_with("echo.0.")),
-            "registry still advertises the dead instance"
+            out.revocations.iter().any(|(a, _)| *a == ctrls[1]),
+            "client's Controller never revoked the dead peer's capabilities"
         );
-    });
+        assert_eq!(out.rehomes.len(), 1, "expected exactly one re-home");
+        let (rehome_t, from, to) = out.rehomes[0];
+        assert_eq!((from, to), (0, 1), "re-home must move primary -> survivor");
+        assert_eq!(out.recoveries.len(), 1, "expected one recovery");
 
-    // The dead instance's Process is gone for good; the survivor routes.
-    let dir = scene.tb.dir.borrow();
-    assert!(dir.is_declared_dead(ctrls[1]), "death verdict not standing");
-    assert!(dir.death_epoch(ctrls[1]) > 0, "death epoch not bumped");
-    let route = dir.service_route("echo").expect("survivor must route");
-    assert_eq!(route.proc, workers[1], "routing did not re-home");
+        // Crash-stop: the node never comes back, so no watchdog recovery.
+        assert!(out.wd_recovered.is_empty(), "crash-stop node 'recovered'");
+        assert!(
+            out.outage_drops > 0,
+            "no deliveries were dropped by the outage"
+        );
+
+        // Milestone ordering: crash <= first miss <= declared <= revoked (at
+        // the client's Controller) and failure <= re-home <= re-dispatch <=
+        // recovered.
+        let crash = us(CRASH_AT_US);
+        let (_, first_miss, declared_t) = out.declared[0];
+        let revoke_t = out
+            .revocations
+            .iter()
+            .find(|(a, _)| *a == ctrls[1])
+            .map(|(_, t)| *t)
+            .expect("checked above");
+        assert!(crash <= first_miss && first_miss <= declared_t && declared_t <= revoke_t);
+        let first_failure = out.failures[0].0;
+        let recovered_t = out.recoveries[0];
+        assert!(first_failure <= rehome_t && rehome_t <= recovered_t);
+        assert!(
+            out.redispatches.iter().all(|t| *t >= first_failure),
+            "re-dispatch before the failure it answers"
+        );
+
+        // Bounded unavailability.
+        let window = recovered_t.duration_since(crash);
+        assert!(
+            window <= SimDuration::from_micros(MTTR_BOUND_US),
+            "unavailability window {window:?} exceeds {MTTR_BOUND_US} us (seed {seed}, {kind:?})"
+        );
+
+        // No capability leaks through the dead epoch: the client's space holds
+        // nothing minted by the dead Controller, and the registry no longer
+        // advertises the dead instance.
+        scene.tb.with_controller(ctrls[0], |c| {
+            assert!(
+                !c.holds_cap_of(client, ctrls[1]),
+                "client still holds a dead Controller's capability"
+            );
+            assert!(
+                !c.kv_keys().iter().any(|k| k.starts_with("echo.0.")),
+                "registry still advertises the dead instance"
+            );
+        });
+
+        // The dead instance's Process is gone for good; the survivor routes.
+        let dir = scene.tb.dir.borrow();
+        assert!(dir.is_declared_dead(ctrls[1]), "death verdict not standing");
+        assert!(dir.death_epoch(ctrls[1]) > 0, "death epoch not bumped");
+        let route = dir.service_route("echo").expect("survivor must route");
+        assert_eq!(route.proc, workers[1], "routing did not re-home");
+    }
 }
 
 /// Crash-restart: the node reboots with a fresh epoch. The watchdog's
@@ -274,92 +279,96 @@ fn crash_stop_recovers_to_survivor() {
 #[test]
 fn crash_restart_revives_controller_with_fresh_epoch() {
     let seed = chaos_seed();
-    let mut scene = build_scene(RuntimeKind::from_env(), seed, Some(crash_restart_plan()));
-    let epoch_before = scene
-        .tb
-        .with_controller(scene.ctrls[1], |c| c.table().epoch());
-    scene.tb.run_until(us(DEADLINE_US));
-    let ctrls = scene.ctrls.clone();
-    let workers = scene.workers.clone();
-    let out = collect(&mut scene);
+    for kind in BACKENDS {
+        let mut scene = build_scene(kind, seed, Some(crash_restart_plan()));
+        let epoch_before = scene
+            .tb
+            .with_controller(scene.ctrls[1], |c| c.table().epoch());
+        scene.tb.run_until(us(DEADLINE_US));
+        let ctrls = scene.ctrls.clone();
+        let workers = scene.workers.clone();
+        let out = collect(&mut scene);
 
-    // Declared dead during the outage, then observed again after reboot.
-    assert_eq!(
-        out.declared.iter().map(|(a, _, _)| *a).collect::<Vec<_>>(),
-        vec![ctrls[1]]
-    );
-    assert_eq!(
-        out.wd_recovered.iter().map(|(a, _)| *a).collect::<Vec<_>>(),
-        vec![ctrls[1]],
-        "rebooted Controller not observed by recovery probes"
-    );
-    let recovered_at = out.wd_recovered[0].1;
-    assert!(
-        recovered_at >= us(RESTART_AT_US),
-        "recovery observed before the restart"
-    );
-
-    // Fresh epoch: every pre-crash capability is stale (§3.6).
-    let epoch_after = scene.tb.with_controller(ctrls[1], |c| c.table().epoch());
-    assert!(
-        epoch_after > epoch_before,
-        "reboot did not advance the epoch"
-    );
-
-    // Verdict withdrawn, but the dead Process stays dead: routing still
-    // prefers the survivor.
-    {
-        let dir = scene.tb.dir.borrow();
-        assert!(!dir.is_declared_dead(ctrls[1]), "verdict not withdrawn");
-        let route = dir.service_route("echo").expect("route");
-        assert_eq!(route.proc, workers[1], "dead Process revived by restart");
-        assert!(
-            dir.proc(workers[0]).is_some_and(|p| !p.alive),
-            "crashed Process marked alive after restart"
+        // Declared dead during the outage, then observed again after reboot.
+        assert_eq!(
+            out.declared.iter().map(|(a, _, _)| *a).collect::<Vec<_>>(),
+            vec![ctrls[1]]
         );
-    }
+        assert_eq!(
+            out.wd_recovered.iter().map(|(a, _)| *a).collect::<Vec<_>>(),
+            vec![ctrls[1]],
+            "rebooted Controller not observed by recovery probes"
+        );
+        let recovered_at = out.wd_recovered[0].1;
+        assert!(
+            recovered_at >= us(RESTART_AT_US),
+            "recovery observed before the restart"
+        );
 
-    // The revived Controller serves new Processes again.
-    struct Probe {
-        ok: bool,
-    }
-    impl Service for Probe {
-        fn on_start(&mut self, fos: &Fos<Self>) {
-            fos.request_create_new(0x9999, vec![], vec![], |s: &mut Self, res, _| {
-                s.ok = res.is_ok();
-            });
+        // Fresh epoch: every pre-crash capability is stale (§3.6).
+        let epoch_after = scene.tb.with_controller(ctrls[1], |c| c.table().epoch());
+        assert!(
+            epoch_after > epoch_before,
+            "reboot did not advance the epoch"
+        );
+
+        // Verdict withdrawn, but the dead Process stays dead: routing still
+        // prefers the survivor.
+        {
+            let dir = scene.tb.dir.borrow();
+            assert!(!dir.is_declared_dead(ctrls[1]), "verdict not withdrawn");
+            let route = dir.service_route("echo").expect("route");
+            assert_eq!(route.proc, workers[1], "dead Process revived by restart");
+            assert!(
+                dir.proc(workers[0]).is_some_and(|p| !p.alive),
+                "crashed Process marked alive after restart"
+            );
         }
-        fn on_request(&mut self, _req: IncomingRequest, _fos: &Fos<Self>) {}
+
+        // The revived Controller serves new Processes again.
+        struct Probe {
+            ok: bool,
+        }
+        impl Service for Probe {
+            fn on_start(&mut self, fos: &Fos<Self>) {
+                fos.request_create_new(0x9999, vec![], vec![], |s: &mut Self, res, _| {
+                    s.ok = res.is_ok();
+                });
+            }
+            fn on_request(&mut self, _req: IncomingRequest, _fos: &Fos<Self>) {}
+        }
+        let probe = scene
+            .tb
+            .add_process("probe", cpu(1), ctrls[1], Probe { ok: false });
+        scene.tb.start_process(probe);
+        scene.tb.run_until(us(DEADLINE_US + 2_000));
+        scene
+            .tb
+            .with_service::<Probe, _>(probe, |p| assert!(p.ok, "post-reboot syscall failed"));
     }
-    let probe = scene
-        .tb
-        .add_process("probe", cpu(1), ctrls[1], Probe { ok: false });
-    scene.tb.start_process(probe);
-    scene.tb.run_until(us(DEADLINE_US + 2_000));
-    scene
-        .tb
-        .with_service::<Probe, _>(probe, |p| assert!(p.ok, "post-reboot syscall failed"));
 }
 
 /// Determinism gate: the same `(seed, plan)` replays the whole recovery
-/// timeline byte-identically — twice on the selected backend, and across
-/// the single-threaded and sharded engines.
+/// timeline byte-identically — twice on each backend, and across the
+/// single-threaded and sharded engines — for crash-stop and crash-restart.
 #[test]
 fn crash_recovery_replays_bit_identically() {
     let seed = chaos_seed();
-    let a = run_crash(RuntimeKind::from_env(), seed, Some(crash_stop_plan()));
-    let b = run_crash(RuntimeKind::from_env(), seed, Some(crash_stop_plan()));
-    assert_eq!(a, b, "same (seed, plan, backend) diverged");
-    let single = run_crash(RuntimeKind::SingleThreaded, seed, Some(crash_stop_plan()));
-    let sharded = run_crash(RuntimeKind::Sharded, seed, Some(crash_stop_plan()));
-    assert_eq!(
-        single, sharded,
-        "recovery timeline diverged across backends"
-    );
-
-    let ra = run_crash(RuntimeKind::from_env(), seed, Some(crash_restart_plan()));
-    let rb = run_crash(RuntimeKind::from_env(), seed, Some(crash_restart_plan()));
-    assert_eq!(ra, rb, "crash-restart replay diverged");
+    for (name, plan) in [
+        ("crash-stop", crash_stop_plan as fn() -> FaultPlan),
+        ("crash-restart", crash_restart_plan),
+    ] {
+        let [single, sharded] = BACKENDS.map(|kind| {
+            let a = run_crash(kind, seed, Some(plan()));
+            let b = run_crash(kind, seed, Some(plan()));
+            assert_eq!(a, b, "{name} replay diverged on {kind:?}");
+            a
+        });
+        assert_eq!(
+            single, sharded,
+            "{name} recovery timeline diverged across backends"
+        );
+    }
 }
 
 /// Acceptance gate: an armed-but-empty plan is bit-identical to no plan —

@@ -40,9 +40,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use fractos_cap::{
     CapRef, CapSpace, Cid, ControllerAddr, MonitorEvent, ObjectTable, RevokeOutcome, Watcher,
 };
-use fractos_net::{
-    ComputeDomain, Endpoint, Fabric, NetParams, Payload, SendOutcome, TrafficClass, RETRY,
-};
+use fractos_net::params::{INTERRUPT_WAKEUP, LOCAL_ONEWAY, POLL_WINDOW};
+use fractos_net::{ComputeDomain, Endpoint, Fabric, Payload, SendOutcome, TrafficClass, RETRY};
 use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TraceCtx};
 
 use crate::directory::Directory;
@@ -258,25 +257,15 @@ impl ControllerActor {
     /// polling window pays the wake-up latency first.
     // analyze: hot-path
     fn charge(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
-        // Snapshot the three scalars we need instead of cloning the whole
-        // params block: this runs on every message a Controller handles.
-        let (interrupts, poll_window, wakeup) = {
-            let fabric = self.fabric.borrow();
-            let p = fabric.params();
-            (p.controller_interrupts, p.poll_window, p.interrupt_wakeup)
-        };
+        let interrupts = self.fabric.borrow().params().controller_interrupts;
         let mut start = self.busy_until.max(now);
-        if interrupts && now > self.busy_until && now.duration_since(self.busy_until) > poll_window
+        if interrupts && now > self.busy_until && now.duration_since(self.busy_until) > POLL_WINDOW
         {
-            start += wakeup;
+            start += INTERRUPT_WAKEUP;
         }
         let done = start + cost;
         self.busy_until = done;
         done.duration_since(now)
-    }
-
-    fn handling(&self) -> SimDuration {
-        self.fabric.borrow().params().fractos_handling(self.domain)
     }
 
     /// Controller time to handle one syscall, request plus reply (Table 3:
@@ -285,12 +274,10 @@ impl ControllerActor {
     /// half of the Fig 6 request-handling cost.
     // analyze: hot-path
     fn syscall_cost(&self, sc: &Syscall) -> SimDuration {
-        let fabric = self.fabric.borrow();
-        let params = fabric.params();
         match sc {
-            Syscall::MemoryCopy { .. } => params.fractos_handling(self.domain),
-            Syscall::RequestInvoke { .. } => params.request_handling(self.domain) / 2,
-            _ => params.fractos_handling(self.domain) * 2,
+            Syscall::MemoryCopy { .. } => self.domain.fractos_handling(),
+            Syscall::RequestInvoke { .. } => self.domain.request_handling() / 2,
+            _ => self.domain.fractos_handling() * 2,
         }
     }
 
@@ -300,16 +287,14 @@ impl ControllerActor {
     /// half of the Fig 6 request-handling cost instead of `h`.
     // analyze: hot-path
     fn peer_cost(&self, op: &PeerOp, ser: SimDuration) -> SimDuration {
-        let fabric = self.fabric.borrow();
-        let params = fabric.params();
         match op {
-            PeerOp::Invoke { .. } => params.request_handling(self.domain) / 2 + ser,
+            PeerOp::Invoke { .. } => self.domain.request_handling() / 2 + ser,
             PeerOp::Derive { .. }
             | PeerOp::DeriveAck { .. }
             | PeerOp::Delegate { .. }
             | PeerOp::DelegateAck { .. }
             | PeerOp::KvPut { .. }
-            | PeerOp::KvGetAck { .. } => params.fractos_handling(self.domain) + ser,
+            | PeerOp::KvGetAck { .. } => self.domain.fractos_handling() + ser,
             PeerOp::InvokeAck { .. }
             | PeerOp::Revoke { .. }
             | PeerOp::RevokeAck { .. }
@@ -319,7 +304,7 @@ impl ControllerActor {
             | PeerOp::Cleanup { .. }
             | PeerOp::FailProcess { .. }
             | PeerOp::KvPutAck { .. }
-            | PeerOp::KvGet { .. } => params.fractos_handling(self.domain),
+            | PeerOp::KvGet { .. } => self.domain.fractos_handling(),
         }
     }
 
@@ -327,11 +312,9 @@ impl ControllerActor {
         if !crossing {
             return SimDuration::ZERO;
         }
-        let fabric = self.fabric.borrow();
-        let params = fabric.params();
         match op {
-            PeerOp::Invoke { .. } => params.request_serialize(self.domain) / 2,
-            _ => params.cap_serialize(self.domain) / 2 * op.cap_count(),
+            PeerOp::Invoke { .. } => self.domain.request_serialize() / 2,
+            _ => self.domain.cap_serialize() / 2 * op.cap_count(),
         }
     }
 
@@ -802,7 +785,7 @@ impl ControllerActor {
             let proc = ProcId(watcher.process.0 as u32);
             let managed_here = self.spaces.contains_key(&proc);
             if managed_here {
-                let h = self.handling();
+                let h = self.domain.fractos_handling();
                 let extra = self.charge(ctx.now(), h);
                 self.send_proc(ctx, proc, CtrlToProc::Monitor(cb), extra);
             } else {
@@ -1296,20 +1279,16 @@ impl ControllerActor {
         };
         self.mem.borrow_mut().rdma_write_window(dst_ref, 0, &data)?;
 
-        // Latency model. Snapshot the scalar knobs up front: `charge` and
-        // the per-chunk `send`s below need the fabric lock themselves, so
-        // a params borrow cannot stay alive across the loop — and cloning
-        // the whole block per syscall is what this path used to pay.
-        let (third_party_rdma, local_oneway, proc_cost, db_threshold, db_chunk, bounce_bw, e2e) = {
+        // Latency model. Snapshot the knobs up front: `charge` and the
+        // per-chunk `send`s below need the fabric lock themselves, so a
+        // params borrow cannot stay alive across the loop.
+        let (third_party_rdma, db_threshold, db_chunk, e2e) = {
             let fabric = self.fabric.borrow();
             let p = fabric.params();
             (
                 p.third_party_rdma,
-                p.local_oneway,
-                p.memcopy_proc(self.domain),
                 p.double_buffer_threshold,
                 p.double_buffer_chunk,
-                p.bounce_memcpy_bw(self.domain),
                 p.end_to_end_integrity,
             )
         };
@@ -1321,7 +1300,7 @@ impl ControllerActor {
                 let mut fabric = self.fabric.borrow_mut();
                 fabric.rdma_write(start, ctx.rng(), src_desc.location, dst_desc.location, size)
             };
-            let done = start + copy + local_oneway;
+            let done = start + copy + LOCAL_ONEWAY;
             done.duration_since(ctx.now())
         } else {
             // Bounce buffers in the Controller with double buffering above
@@ -1367,7 +1346,7 @@ impl ControllerActor {
                 let read_landed = t0 + req + resp;
                 // Chunk processing on the Controller cores: request
                 // bookkeeping plus two memcpys through the bounce buffers.
-                let chunk_cpu = proc_cost + NetParams::bounce_memcpy_at(bounce_bw, n);
+                let chunk_cpu = self.domain.memcopy_proc() + self.domain.bounce_memcpy_at(n);
                 let processed = read_landed + self.charge(read_landed, chunk_cpu);
                 // One-sided write: bulk data queued on the path to the
                 // destination.

@@ -11,8 +11,8 @@ use fractos_net::{
     ComputeDomain, Endpoint, Fabric, FaultPlan, Location, NetParams, NodeId, Topology, TrafficStats,
 };
 use fractos_sim::{
-    build_runtime, runtime_from_env, ActorId, NodeOutage, RunOutcome, Runtime, RuntimeConfig,
-    RuntimeExt, RuntimeKind, Shared, SimDuration, SimTime, TelemetryConfig, TelemetryEvent,
+    build_runtime, ActorId, NodeOutage, RunOutcome, Runtime, RuntimeConfig, RuntimeExt,
+    RuntimeKind, Shared, Sim, SimDuration, SimTime, TelemetryConfig, TelemetryEvent,
 };
 
 use crate::controller::ControllerActor;
@@ -49,8 +49,8 @@ impl CtrlPlacement {
 
 /// A running FractOS cluster in a simulator.
 pub struct Testbed {
-    /// The simulation runtime (single-threaded by default; select with
-    /// `FRACTOS_RUNTIME`); drive it with [`Testbed::run`] or directly.
+    /// The simulation runtime (single-threaded unless built with
+    /// [`Testbed::new_on`]); drive it with [`Testbed::run`] or directly.
     pub sim: Box<dyn Runtime>,
     /// The shared fabric (latency model + traffic accounting).
     pub fabric: Shared<Fabric>,
@@ -67,11 +67,10 @@ pub struct Testbed {
 pub const WATCHDOG_DETECT: SimDuration = SimDuration::from_micros(500);
 
 impl Testbed {
-    /// Creates an empty testbed over `topology` on the runtime backend
-    /// selected by `FRACTOS_RUNTIME` (single-threaded when unset).
+    /// Creates an empty testbed over `topology` on the single-threaded
+    /// engine.
     pub fn new(topology: Topology, params: NetParams, seed: u64) -> Self {
-        let config = Self::runtime_config(&topology, &params, seed);
-        Self::with_runtime(topology, params, runtime_from_env(&config))
+        Self::with_runtime(topology, params, Box::new(Sim::new(seed)))
     }
 
     /// Creates an empty testbed on an explicitly chosen backend (the

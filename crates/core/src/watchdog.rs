@@ -3,7 +3,7 @@
 //! The paper delegates node/Controller failure detection to "an external
 //! monitoring service such as Zookeeper". This actor implements that role
 //! inside the simulation: it pings every Controller on a fixed period over
-//! the fabric, and after `missed_limit` consecutive unanswered pings it
+//! the fabric, and after [`MISSED_LIMIT`] consecutive unanswered pings it
 //! declares the Controller failed and notifies all surviving peers, which
 //! then run the §3.6 failure translation (fail the dead Controller's
 //! Processes, fail pending operations, treat its capabilities as revoked).
@@ -17,7 +17,7 @@ use fractos_sim::{Actor, ActorId, Ctx, Msg, Shared, SimDuration, SimTime, SpanKi
 use crate::directory::Directory;
 use crate::messages::CtrlMsg;
 
-/// Default ping period.
+/// Ping period.
 pub const PING_PERIOD: SimDuration = SimDuration::from_micros(200);
 
 /// Consecutive missed pings before a Controller is declared dead.
@@ -42,8 +42,6 @@ pub struct WatchdogActor {
     endpoint: Endpoint,
     dir: Shared<Directory>,
     fabric: Shared<Fabric>,
-    period: SimDuration,
-    missed_limit: u32,
     seq: u64,
     /// Outstanding ping sequence per Controller.
     outstanding: BTreeMap<ControllerAddr, u64>,
@@ -65,14 +63,12 @@ pub struct WatchdogActor {
 }
 
 impl WatchdogActor {
-    /// Creates a watchdog at `endpoint` with default timing.
+    /// Creates a watchdog at `endpoint`.
     pub fn new(endpoint: Endpoint, dir: Shared<Directory>, fabric: Shared<Fabric>) -> Self {
         WatchdogActor {
             endpoint,
             dir,
             fabric,
-            period: PING_PERIOD,
-            missed_limit: MISSED_LIMIT,
             seq: 0,
             outstanding: BTreeMap::new(),
             misses: BTreeMap::new(),
@@ -103,7 +99,7 @@ impl WatchdogActor {
                 let m = self.misses.entry(addr).or_insert(0);
                 *m += 1;
                 self.first_miss_at.entry(addr).or_insert(ctx.now());
-                if *m >= self.missed_limit {
+                if *m >= MISSED_LIMIT {
                     self.declare_dead(ctx, addr);
                     continue;
                 }
@@ -135,7 +131,7 @@ impl WatchdogActor {
                 );
             }
         }
-        ctx.schedule_self(self.period, WatchdogMsg::Tick);
+        ctx.schedule_self(PING_PERIOD, WatchdogMsg::Tick);
     }
 
     fn declare_dead(&mut self, ctx: &mut Ctx<'_>, dead: ControllerAddr) {

@@ -250,7 +250,6 @@ pub struct BlockAdaptor {
     nvme_endpoint: Endpoint,
     key: String,
     staging: Vec<Staging>,
-    staging_size: u64,
     kernel_cache: Option<KernelCache>,
     /// Integrity envelopes over committed extents, keyed by volume id:
     /// stamped with the *intended* payload at write commit, verified by
@@ -269,7 +268,7 @@ pub struct BlockAdaptor {
     pub setup_failures: u64,
 }
 
-/// Default size of each staging buffer (covers the paper's largest I/O,
+/// Size of each staging buffer (covers the paper's largest I/O,
 /// 1024 KiB in Fig 11).
 pub const STAGING_BUF_SIZE: u64 = 1 << 20;
 
@@ -285,7 +284,6 @@ impl BlockAdaptor {
             nvme_endpoint,
             key: key.to_string(),
             staging: Vec::new(),
-            staging_size: STAGING_BUF_SIZE,
             kernel_cache: None,
             sums: ExtentSums::new(),
             completed: 0,
@@ -334,7 +332,7 @@ impl BlockAdaptor {
             return;
         }
         // Pool exhausted: register another buffer.
-        let size = self.staging_size;
+        let size = STAGING_BUF_SIZE;
         let addr = fos.mem_alloc_at(size, self.nvme_endpoint);
         fos.memory_create(addr, size, Perms::RW, move |s: &mut Self, res, fos| {
             let SyscallResult::NewCid(cid) = res else {
@@ -405,7 +403,7 @@ impl BlockAdaptor {
             fos.reply_via(error, vec![DevError::BadRequest.imm()], vec![]);
             return;
         };
-        if size > self.staging_size {
+        if size > STAGING_BUF_SIZE {
             fos.reply_via(error, vec![DevError::TooLarge.imm()], vec![]);
             return;
         }
@@ -501,7 +499,7 @@ impl BlockAdaptor {
             fos.reply_via(error, vec![DevError::BadRequest.imm()], vec![]);
             return;
         };
-        if size > self.staging_size {
+        if size > STAGING_BUF_SIZE {
             fos.reply_via(error, vec![DevError::TooLarge.imm()], vec![]);
             return;
         }
@@ -609,7 +607,7 @@ impl Service for BlockAdaptor {
 
     fn on_start(&mut self, fos: &Fos<Self>) {
         // Pre-register the staging pool (the prototype's bounce buffers).
-        let size = self.staging_size;
+        let size = STAGING_BUF_SIZE;
         let ep = self.nvme_endpoint;
         for _ in 0..STAGING_POOL {
             let addr = fos.mem_alloc_at(size, ep);

@@ -14,7 +14,10 @@ use fractos_sim::{
 };
 
 use crate::fault::{DeviceFaultOutcome, DeviceOp, FaultPlan, FaultState, LinkKey, SendOutcome};
-use crate::params::NetParams;
+use crate::params::{
+    NetParams, LOCAL_BANDWIDTH, LOCAL_ONEWAY, NET_BANDWIDTH, PCIE_BANDWIDTH, PCIE_HOP,
+    REMOTE_ONEWAY,
+};
 use crate::stats::{TrafficClass, TrafficStats};
 use crate::topology::{Endpoint, Location, NodeId, Topology};
 
@@ -343,7 +346,7 @@ impl Fabric {
         let bytes = payload
             .checked_add(WIRE_HEADER_BYTES)
             .expect("message size overflows with the wire header");
-        let (base, edges) = self.route(src, dst);
+        let (base, edges) = Self::route(src, dst);
         debug_assert!(
             src.node == dst.node || base >= self.params.conservative_lookahead(),
             "inter-node base latency {base} under the conservative lookahead bound"
@@ -358,8 +361,14 @@ impl Fabric {
         let mut head = now + base;
         let mut finish = head;
         for edge in edges.iter() {
-            let bw = self.edge_bandwidth(edge);
-            let occupancy = SimDuration::from_secs_f64(bytes as f64 / bw);
+            // One division per arm: the compiler hoists all three out of
+            // the loop, as `bytes` does not change across edges.
+            let secs = match edge {
+                Edge::Loopback(_) => bytes as f64 / LOCAL_BANDWIDTH,
+                Edge::NetUp(_) | Edge::NetDown(_) => bytes as f64 / NET_BANDWIDTH,
+                Edge::PcieIn(..) | Edge::PcieOut(..) => bytes as f64 / PCIE_BANDWIDTH,
+            };
+            let occupancy = SimDuration::from_secs_f64(secs);
             if bytes <= MTU_BYPASS {
                 finish = finish.max(head + occupancy);
                 continue;
@@ -479,46 +488,37 @@ impl Fabric {
     /// Base propagation latency between two endpoints, ignoring bandwidth
     /// and queueing. Useful for analytical checks in tests and benches.
     pub fn base_latency(&self, src: Endpoint, dst: Endpoint) -> SimDuration {
-        self.route(src, dst).0
+        Self::route(src, dst).0
     }
 
     // analyze: hot-path
-    fn route(&self, src: Endpoint, dst: Endpoint) -> (SimDuration, EdgePath) {
-        let p = &self.params;
+    fn route(src: Endpoint, dst: Endpoint) -> (SimDuration, EdgePath) {
         let mut base = SimDuration::ZERO;
         let mut edges = EdgePath::new();
 
         // Source side: components behind PCIe first cross into the NIC
         // domain.
         if src.loc.behind_pcie() {
-            base += p.pcie_hop;
+            base += PCIE_HOP;
             edges.push(Edge::PcieOut(src.node, src.loc));
         }
 
         if src.node == dst.node {
-            base += p.local_oneway;
+            base += LOCAL_ONEWAY;
             edges.push(Edge::Loopback(src.node));
         } else {
-            base += p.remote_oneway;
+            base += REMOTE_ONEWAY;
             edges.push(Edge::NetUp(src.node));
             edges.push(Edge::NetDown(dst.node));
         }
 
         // Destination side.
         if dst.loc.behind_pcie() {
-            base += p.pcie_hop;
+            base += PCIE_HOP;
             edges.push(Edge::PcieIn(dst.node, dst.loc));
         }
 
         (base, edges)
-    }
-
-    fn edge_bandwidth(&self, edge: Edge) -> f64 {
-        match edge {
-            Edge::Loopback(_) => self.params.local_bandwidth,
-            Edge::NetUp(_) | Edge::NetDown(_) => self.params.net_bandwidth,
-            Edge::PcieIn(..) | Edge::PcieOut(..) => self.params.pcie_bandwidth,
-        }
     }
 }
 
@@ -980,8 +980,7 @@ mod tests {
     #[test]
     fn device_to_device_cross_node_pays_two_pcie_hops() {
         let f = fabric();
-        let p = f.params();
         let lat = f.base_latency(Endpoint::nvme(N0), Endpoint::gpu(N1));
-        assert_eq!(lat, p.remote_oneway + p.pcie_hop * 2);
+        assert_eq!(lat, REMOTE_ONEWAY + PCIE_HOP * 2);
     }
 }

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use fractos_sim::rng::splitmix64;
 use fractos_sim::{SimDuration, SimTime};
 
 use crate::topology::{Endpoint, Location, NodeId};
@@ -407,14 +408,6 @@ impl SendOutcome {
     pub fn is_dropped(&self) -> bool {
         matches!(self, SendOutcome::Dropped)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Maps a hash to the unit interval with 53 bits of precision.

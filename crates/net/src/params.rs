@@ -84,66 +84,130 @@ pub const RETRY: RetryPolicy = RetryPolicy {
     stage_retries: 3,
 };
 
-/// Calibrated model parameters. Construct via [`NetParams::paper`] for the
-/// paper's testbed (Table 2) or tweak fields for sensitivity studies.
+/// One-way small-message latency through the local NIC loopback path
+/// (Process ↔ Controller on the same node still traverse an RoCE QP,
+/// §4 "Processes are decoupled from their Controller via an RoCE queue
+/// pair"). Calibrated: 2 × 1.21 µs = 2.42 µs raw loopback RTT.
+pub const LOCAL_ONEWAY: SimDuration = SimDuration::from_nanos(1_210);
+/// One-way small-message latency across the switched fabric between two
+/// nodes. Calibrated: 2 × 1.65 µs = 3.3 µs 1-byte RDMA round trip.
+pub const REMOTE_ONEWAY: SimDuration = SimDuration::from_nanos(1_650);
+/// Extra latency for each traversal into/out of an endpoint that sits
+/// behind an additional PCIe crossing (sNIC ARM complex, GPU, NVMe).
+/// Calibrated: raw loopback to sNIC = 2.42 + 2 × 0.63 = 3.68 µs.
+pub const PCIE_HOP: SimDuration = SimDuration::from_nanos(630);
+/// Network line rate in bytes/second (10 Gbps fabric, Table 2).
+pub const NET_BANDWIDTH: f64 = 1.25e9;
+/// PCIe bandwidth in bytes/second (Gen3 x8-ish for the K80 testbed).
+pub const PCIE_BANDWIDTH: f64 = 8.0e9;
+/// Loopback (intra-node NIC) bandwidth in bytes/second.
+pub const LOCAL_BANDWIDTH: f64 = 3.0e9;
+/// FractOS per-message software handling on a host CPU (null syscall
+/// adds 2 × 0.29 µs over raw loopback: 3.00 µs total).
+pub const FRACTOS_HANDLING_CPU: SimDuration = SimDuration::from_nanos(290);
+/// Multiplier for FractOS software costs when the code runs on the sNIC
+/// ARM cores. Calibrated so the null op costs 4.50 µs on the sNIC:
+/// (4.50 − 3.68) / (3.00 − 2.42) ≈ 1.41 for the null path; heavier
+/// operations (serialization, atomics-rich capability lookups) use the
+/// dedicated constants below, which embed larger factors from Figs 6–7.
+pub const SNIC_HANDLING_FACTOR: f64 = 1.41;
+/// Request-handling software cost, both directions combined, on a CPU
+/// (Fig 6: +1.41 µs over null-op path).
+pub const REQUEST_HANDLING_CPU: SimDuration = SimDuration::from_nanos(1_410);
+/// Request-handling software cost on the sNIC (Fig 6: +5.11 µs).
+pub const REQUEST_HANDLING_SNIC: SimDuration = SimDuration::from_nanos(5_110);
+/// Request (de)serialization cost when crossing the network, CPU
+/// deployment (Fig 6: +4.41 µs).
+pub const REQUEST_SERIALIZE_CPU: SimDuration = SimDuration::from_nanos(4_410);
+/// Request (de)serialization cost when crossing the network, sNIC
+/// deployment (Fig 6: +12.21 µs).
+pub const REQUEST_SERIALIZE_SNIC: SimDuration = SimDuration::from_nanos(12_210);
+/// Capability (de)serialization per delegated capability, CPU (Fig 7).
+pub const CAP_SERIALIZE_CPU: SimDuration = SimDuration::from_nanos(2_400);
+/// Capability (de)serialization per delegated capability, sNIC (Fig 7).
+pub const CAP_SERIALIZE_SNIC: SimDuration = SimDuration::from_nanos(3_800);
+/// Controller-side processing per RDMA bounce operation during
+/// `memory_copy` (Fig 5: 1-byte copy = 12.7 µs on CPU; see
+/// `fractos-core::controller` for the full decomposition).
+pub const MEMCOPY_PROC_CPU: SimDuration = SimDuration::from_nanos(2_800);
+/// Same on the sNIC (Fig 5: 24.5 µs for 1 byte).
+pub const MEMCOPY_PROC_SNIC: SimDuration = SimDuration::from_nanos(11_000);
+/// Memcpy bandwidth of the bounce-buffer path on a host CPU, in
+/// bytes/second. Each bounced chunk is copied into and out of the
+/// Controller's RoCE buffers, costing CPU time that bounds mediated
+/// throughput below line rate (Fig 11: the FS and the baseline yield
+/// ~20% less than DAX, which skips one bounce traversal).
+pub const BOUNCE_MEMCPY_CPU: f64 = 4.5e9;
+/// Same on the sNIC ARM cores.
+pub const BOUNCE_MEMCPY_SNIC: f64 = 3.0e9;
+/// Interrupt wake-up latency (IRQ delivery + scheduler) of a Controller
+/// running with [`NetParams::controller_interrupts`].
+pub const INTERRUPT_WAKEUP: SimDuration = SimDuration::from_micros(4);
+/// Idle time after which a Controller running with
+/// [`NetParams::controller_interrupts`] stops polling and sleeps.
+pub const POLL_WINDOW: SimDuration = SimDuration::from_micros(20);
+
+impl ComputeDomain {
+    /// FractOS per-message handling cost in this domain.
+    pub fn fractos_handling(self) -> SimDuration {
+        match self {
+            ComputeDomain::HostCpu => FRACTOS_HANDLING_CPU,
+            ComputeDomain::SmartNic => FRACTOS_HANDLING_CPU * SNIC_HANDLING_FACTOR,
+        }
+    }
+
+    /// Request-handling cost (both ways combined) in this domain.
+    pub fn request_handling(self) -> SimDuration {
+        match self {
+            ComputeDomain::HostCpu => REQUEST_HANDLING_CPU,
+            ComputeDomain::SmartNic => REQUEST_HANDLING_SNIC,
+        }
+    }
+
+    /// Request network-(de)serialization cost in this domain.
+    pub fn request_serialize(self) -> SimDuration {
+        match self {
+            ComputeDomain::HostCpu => REQUEST_SERIALIZE_CPU,
+            ComputeDomain::SmartNic => REQUEST_SERIALIZE_SNIC,
+        }
+    }
+
+    /// Per-capability (de)serialization cost in this domain.
+    pub fn cap_serialize(self) -> SimDuration {
+        match self {
+            ComputeDomain::HostCpu => CAP_SERIALIZE_CPU,
+            ComputeDomain::SmartNic => CAP_SERIALIZE_SNIC,
+        }
+    }
+
+    /// Controller processing per bounce-RDMA op in this domain.
+    pub fn memcopy_proc(self) -> SimDuration {
+        match self {
+            ComputeDomain::HostCpu => MEMCOPY_PROC_CPU,
+            ComputeDomain::SmartNic => MEMCOPY_PROC_SNIC,
+        }
+    }
+
+    /// Bounce-buffer memcpy bandwidth in this domain, bytes/second.
+    pub fn bounce_memcpy_bw(self) -> f64 {
+        match self {
+            ComputeDomain::HostCpu => BOUNCE_MEMCPY_CPU,
+            ComputeDomain::SmartNic => BOUNCE_MEMCPY_SNIC,
+        }
+    }
+
+    /// CPU time to move `bytes` through the bounce buffers (two memcpys)
+    /// at this domain's [`bounce_memcpy_bw`](ComputeDomain::bounce_memcpy_bw).
+    pub fn bounce_memcpy_at(self, bytes: u64) -> SimDuration {
+        SimDuration::from_secs_f64(2.0 * bytes as f64 / self.bounce_memcpy_bw())
+    }
+}
+
+/// The model knobs some experiment varies; everything else is one of the
+/// calibration constants above. Construct via [`NetParams::paper`] for the
+/// paper's testbed (Table 2).
 #[derive(Debug, Clone)]
 pub struct NetParams {
-    /// One-way small-message latency through the local NIC loopback path
-    /// (Process ↔ Controller on the same node still traverse an RoCE QP,
-    /// §4 "Processes are decoupled from their Controller via an RoCE queue
-    /// pair"). Calibrated: 2 × 1.21 µs = 2.42 µs raw loopback RTT.
-    pub local_oneway: SimDuration,
-    /// One-way small-message latency across the switched fabric between two
-    /// nodes. Calibrated: 2 × 1.65 µs = 3.3 µs 1-byte RDMA round trip.
-    pub remote_oneway: SimDuration,
-    /// Extra latency for each traversal into/out of an endpoint that sits
-    /// behind an additional PCIe crossing (sNIC ARM complex, GPU, NVMe).
-    /// Calibrated: raw loopback to sNIC = 2.42 + 2 × 0.63 = 3.68 µs.
-    pub pcie_hop: SimDuration,
-    /// Network line rate in bytes/second (10 Gbps fabric, Table 2).
-    pub net_bandwidth: f64,
-    /// PCIe bandwidth in bytes/second (Gen3 x8-ish for the K80 testbed).
-    pub pcie_bandwidth: f64,
-    /// Loopback (intra-node NIC) bandwidth in bytes/second.
-    pub local_bandwidth: f64,
-    /// FractOS per-message software handling on a host CPU (null syscall
-    /// adds 2 × 0.29 µs over raw loopback: 3.00 µs total).
-    pub fractos_handling_cpu: SimDuration,
-    /// Multiplier for FractOS software costs when the code runs on the sNIC
-    /// ARM cores. Calibrated so the null op costs 4.50 µs on the sNIC:
-    /// (4.50 − 3.68) / (3.00 − 2.42) ≈ 1.41 for the null path; heavier
-    /// operations (serialization, atomics-rich capability lookups) use the
-    /// dedicated constants below, which embed larger factors from Figs 6–7.
-    pub snic_handling_factor: f64,
-    /// Request-handling software cost, both directions combined, on a CPU
-    /// (Fig 6: +1.41 µs over null-op path).
-    pub request_handling_cpu: SimDuration,
-    /// Request-handling software cost on the sNIC (Fig 6: +5.11 µs).
-    pub request_handling_snic: SimDuration,
-    /// Request (de)serialization cost when crossing the network, CPU
-    /// deployment (Fig 6: +4.41 µs).
-    pub request_serialize_cpu: SimDuration,
-    /// Request (de)serialization cost when crossing the network, sNIC
-    /// deployment (Fig 6: +12.21 µs).
-    pub request_serialize_snic: SimDuration,
-    /// Capability (de)serialization per delegated capability, CPU (Fig 7).
-    pub cap_serialize_cpu: SimDuration,
-    /// Capability (de)serialization per delegated capability, sNIC (Fig 7).
-    pub cap_serialize_snic: SimDuration,
-    /// Controller-side processing per RDMA bounce operation during
-    /// `memory_copy` (Fig 5: 1-byte copy = 12.7 µs on CPU; see
-    /// `fractos-core::controller` for the full decomposition).
-    pub memcopy_proc_cpu: SimDuration,
-    /// Same on the sNIC (Fig 5: 24.5 µs for 1 byte).
-    pub memcopy_proc_snic: SimDuration,
-    /// Memcpy bandwidth of the bounce-buffer path on a host CPU, in
-    /// bytes/second. Each bounced chunk is copied into and out of the
-    /// Controller's RoCE buffers, costing CPU time that bounds mediated
-    /// throughput below line rate (Fig 11: the FS and the baseline yield
-    /// ~20% less than DAX, which skips one bounce traversal).
-    pub bounce_memcpy_cpu: f64,
-    /// Same on the sNIC ARM cores.
-    pub bounce_memcpy_snic: f64,
     /// Chunk size threshold above which `memory_copy` double-buffers
     /// (prototype uses 16 KiB, §6.1).
     pub double_buffer_threshold: u64,
@@ -155,14 +219,11 @@ pub struct NetParams {
     /// When true, Controllers use third-party RDMA offload ("HW copies" in
     /// Fig 5) instead of bounce buffers for `memory_copy`.
     pub third_party_rdma: bool,
-    /// When true, Controllers sleep when idle and pay a wake-up cost on the
-    /// next message (§4 lists "a dynamic poll/interrupt model" as the next
-    /// step beyond the prototype's 2 polling cores).
+    /// When true, Controllers sleep when idle for [`POLL_WINDOW`] and pay
+    /// [`INTERRUPT_WAKEUP`] on the next message (§4 lists "a dynamic
+    /// poll/interrupt model" as the next step beyond the prototype's 2
+    /// polling cores).
     pub controller_interrupts: bool,
-    /// Interrupt wake-up latency (IRQ delivery + scheduler).
-    pub interrupt_wakeup: SimDuration,
-    /// Idle time after which a Controller stops polling and sleeps.
-    pub poll_window: SimDuration,
     /// When true, Controllers verify integrity envelopes at `memory_copy`
     /// completion (models the NIC/device inline CRC check, so it adds no
     /// simulated time). Off, an in-flight bit flip lands silently — used
@@ -174,31 +235,11 @@ impl NetParams {
     /// Parameters calibrated to the paper's testbed (Table 2).
     pub fn paper() -> Self {
         NetParams {
-            local_oneway: SimDuration::from_nanos(1_210),
-            remote_oneway: SimDuration::from_nanos(1_650),
-            pcie_hop: SimDuration::from_nanos(630),
-            net_bandwidth: 1.25e9,  // 10 Gbps
-            pcie_bandwidth: 8.0e9,  // ~PCIe 3.0 x8
-            local_bandwidth: 3.0e9, // NIC loopback
-            fractos_handling_cpu: SimDuration::from_nanos(290),
-            snic_handling_factor: 1.41,
-            request_handling_cpu: SimDuration::from_nanos(1_410),
-            request_handling_snic: SimDuration::from_nanos(5_110),
-            request_serialize_cpu: SimDuration::from_nanos(4_410),
-            request_serialize_snic: SimDuration::from_nanos(12_210),
-            cap_serialize_cpu: SimDuration::from_nanos(2_400),
-            cap_serialize_snic: SimDuration::from_nanos(3_800),
-            memcopy_proc_cpu: SimDuration::from_nanos(2_800),
-            memcopy_proc_snic: SimDuration::from_nanos(11_000),
-            bounce_memcpy_cpu: 4.5e9,
-            bounce_memcpy_snic: 3.0e9,
             double_buffer_threshold: 16 * 1024,
             double_buffer_chunk: 16 * 1024,
             jitter_frac: 0.0,
             third_party_rdma: false,
             controller_interrupts: false,
-            interrupt_wakeup: SimDuration::from_micros(4),
-            poll_window: SimDuration::from_micros(20),
             end_to_end_integrity: true,
         }
     }
@@ -221,67 +262,10 @@ impl NetParams {
     /// backend: a cross-node message sent at `t` can never take effect
     /// before `t + conservative_lookahead()`.
     pub fn conservative_lookahead(&self) -> SimDuration {
-        let floor = self.remote_oneway * (1.0 - self.jitter_frac.clamp(0.0, 1.0));
+        let floor = REMOTE_ONEWAY * (1.0 - self.jitter_frac.clamp(0.0, 1.0));
         floor
             .saturating_sub(SimDuration::from_nanos(1))
             .max(SimDuration::from_nanos(1))
-    }
-
-    /// FractOS per-message handling cost in the given compute domain.
-    pub fn fractos_handling(&self, domain: ComputeDomain) -> SimDuration {
-        match domain {
-            ComputeDomain::HostCpu => self.fractos_handling_cpu,
-            ComputeDomain::SmartNic => self.fractos_handling_cpu * self.snic_handling_factor,
-        }
-    }
-
-    /// Request-handling cost (both ways combined) in the given domain.
-    pub fn request_handling(&self, domain: ComputeDomain) -> SimDuration {
-        match domain {
-            ComputeDomain::HostCpu => self.request_handling_cpu,
-            ComputeDomain::SmartNic => self.request_handling_snic,
-        }
-    }
-
-    /// Request network-(de)serialization cost in the given domain.
-    pub fn request_serialize(&self, domain: ComputeDomain) -> SimDuration {
-        match domain {
-            ComputeDomain::HostCpu => self.request_serialize_cpu,
-            ComputeDomain::SmartNic => self.request_serialize_snic,
-        }
-    }
-
-    /// Per-capability (de)serialization cost in the given domain.
-    pub fn cap_serialize(&self, domain: ComputeDomain) -> SimDuration {
-        match domain {
-            ComputeDomain::HostCpu => self.cap_serialize_cpu,
-            ComputeDomain::SmartNic => self.cap_serialize_snic,
-        }
-    }
-
-    /// Controller processing per bounce-RDMA op in the given domain.
-    pub fn memcopy_proc(&self, domain: ComputeDomain) -> SimDuration {
-        match domain {
-            ComputeDomain::HostCpu => self.memcopy_proc_cpu,
-            ComputeDomain::SmartNic => self.memcopy_proc_snic,
-        }
-    }
-
-    /// Bounce-buffer memcpy bandwidth in the given domain, bytes/second.
-    /// Snapshot this scalar when a long computation cannot keep borrowing
-    /// the fabric's params, then price chunks with
-    /// [`bounce_memcpy_at`](NetParams::bounce_memcpy_at).
-    pub fn bounce_memcpy_bw(&self, domain: ComputeDomain) -> f64 {
-        match domain {
-            ComputeDomain::HostCpu => self.bounce_memcpy_cpu,
-            ComputeDomain::SmartNic => self.bounce_memcpy_snic,
-        }
-    }
-
-    /// CPU time to move `bytes` through the bounce buffers (two memcpys)
-    /// at an already snapshotted bandwidth.
-    pub fn bounce_memcpy_at(bw: f64, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(2.0 * bytes as f64 / bw)
     }
 }
 
@@ -320,33 +304,28 @@ mod tests {
     /// Raw loopback RTT @ CPU = 2 × local one-way = 2.42 µs (Table 3).
     #[test]
     fn anchors_raw_loopback_cpu() {
-        let p = NetParams::paper();
-        let rtt = p.local_oneway * 2;
+        let rtt = LOCAL_ONEWAY * 2;
         assert_eq!(rtt.as_nanos(), 2_420);
     }
 
     /// Raw loopback RTT @ sNIC = 2 × (local + PCIe hop) = 3.68 µs (Table 3).
     #[test]
     fn anchors_raw_loopback_snic() {
-        let p = NetParams::paper();
-        let rtt = (p.local_oneway + p.pcie_hop) * 2;
+        let rtt = (LOCAL_ONEWAY + PCIE_HOP) * 2;
         assert_eq!(rtt.as_nanos(), 3_680);
     }
 
     /// FractOS null op @ CPU = loopback + 2 × handling = 3.00 µs (Table 3).
     #[test]
     fn anchors_null_op_cpu() {
-        let p = NetParams::paper();
-        let rtt = p.local_oneway * 2 + p.fractos_handling(ComputeDomain::HostCpu) * 2;
+        let rtt = LOCAL_ONEWAY * 2 + ComputeDomain::HostCpu.fractos_handling() * 2;
         assert_eq!(rtt.as_nanos(), 3_000);
     }
 
     /// FractOS null op @ sNIC ≈ 4.50 µs (Table 3).
     #[test]
     fn anchors_null_op_snic() {
-        let p = NetParams::paper();
-        let rtt =
-            (p.local_oneway + p.pcie_hop) * 2 + p.fractos_handling(ComputeDomain::SmartNic) * 2;
+        let rtt = (LOCAL_ONEWAY + PCIE_HOP) * 2 + ComputeDomain::SmartNic.fractos_handling() * 2;
         let us = rtt.as_micros_f64();
         assert!((us - 4.50).abs() < 0.1, "null op @ sNIC was {us:.3} µs");
     }
@@ -354,31 +333,18 @@ mod tests {
     /// 1-byte cross-node RDMA round trip = 3.3 µs (Fig 5 discussion).
     #[test]
     fn anchors_one_byte_rdma() {
-        let p = NetParams::paper();
-        let rtt = p.remote_oneway * 2;
+        let rtt = REMOTE_ONEWAY * 2;
         assert_eq!(rtt.as_nanos(), 3_300);
     }
 
     #[test]
     fn snic_costs_exceed_cpu_costs() {
-        let p = NetParams::paper();
+        let (h, s) = (ComputeDomain::HostCpu, ComputeDomain::SmartNic);
         for (cpu, snic) in [
-            (
-                p.request_handling(ComputeDomain::HostCpu),
-                p.request_handling(ComputeDomain::SmartNic),
-            ),
-            (
-                p.request_serialize(ComputeDomain::HostCpu),
-                p.request_serialize(ComputeDomain::SmartNic),
-            ),
-            (
-                p.cap_serialize(ComputeDomain::HostCpu),
-                p.cap_serialize(ComputeDomain::SmartNic),
-            ),
-            (
-                p.memcopy_proc(ComputeDomain::HostCpu),
-                p.memcopy_proc(ComputeDomain::SmartNic),
-            ),
+            (h.request_handling(), s.request_handling()),
+            (h.request_serialize(), s.request_serialize()),
+            (h.cap_serialize(), s.cap_serialize()),
+            (h.memcopy_proc(), s.memcopy_proc()),
         ] {
             assert!(snic > cpu);
         }
@@ -386,11 +352,10 @@ mod tests {
 
     #[test]
     fn line_rate_is_10_gbps() {
-        let p = NetParams::paper();
-        assert_eq!(p.net_bandwidth, 1.25e9);
+        assert_eq!(NET_BANDWIDTH, 1.25e9);
         // 256 KiB at line rate ≈ 210 µs — the regime where Fig 5 reaches
         // full throughput.
-        let t = SimDuration::from_secs_f64(256.0 * 1024.0 / p.net_bandwidth);
+        let t = SimDuration::from_secs_f64(256.0 * 1024.0 / NET_BANDWIDTH);
         assert!(t.as_micros_f64() > 200.0 && t.as_micros_f64() < 215.0);
     }
 }

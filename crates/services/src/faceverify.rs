@@ -51,6 +51,9 @@ const TAG_FV_BOOT: u64 = 0x0403;
 /// Client: reply continuation.
 pub const TAG_FV_REPLY: u64 = 0x0404;
 
+/// Number of pooled GPU buffers (concurrent requests in flight).
+const POOL: usize = 4;
+
 /// Configuration of the face-verification frontend.
 #[derive(Debug, Clone)]
 pub struct FvConfig {
@@ -58,8 +61,6 @@ pub struct FvConfig {
     pub img_bytes: u64,
     /// Largest batch a pooled buffer must fit.
     pub max_batch: u64,
-    /// Number of pooled GPU buffers (concurrent requests in flight).
-    pub pool: usize,
     /// Registry key of the GPU adaptor (`"{gpu}.init"`).
     pub gpu_key: String,
     /// Registry key this frontend publishes its verify Request under.
@@ -82,7 +83,6 @@ impl Default for FvConfig {
         FvConfig {
             img_bytes: 4096,
             max_batch: 64,
-            pool: 4,
             gpu_key: "gpu".into(),
             verify_key: "fv.verify".into(),
             db_read_key: "fv.db_read".into(),
@@ -157,7 +157,6 @@ pub struct FaceVerifyFrontend {
 impl FaceVerifyFrontend {
     /// Creates the frontend.
     pub fn new(cfg: FvConfig) -> Self {
-        let pool = cfg.pool;
         FaceVerifyFrontend {
             cfg,
             alloc_req: None,
@@ -167,7 +166,7 @@ impl FaceVerifyFrontend {
             out_write_req: None,
             slots: Vec::new(),
             boot_allocs: 0,
-            inflight: (0..pool).map(|_| None).collect(),
+            inflight: (0..POOL).map(|_| None).collect(),
             backlog: VecDeque::new(),
             ready: false,
             served: 0,
@@ -198,7 +197,7 @@ impl FaceVerifyFrontend {
                 });
             }
             // Phase 1+2k: allocate input buffer for slot k; 2+2k: output.
-            p if p >= 1 && p < 1 + 2 * self.cfg.pool as u64 => {
+            p if p >= 1 && p < 1 + 2 * POOL as u64 => {
                 let alloc = self.alloc_req.expect("init done");
                 let size = if (p - 1) % 2 == 0 {
                     self.in_buf_size()
@@ -208,7 +207,7 @@ impl FaceVerifyFrontend {
                 fos.invoke_with(alloc, vec![imm(size)], vec![], vec![cont]);
             }
             // Final phase: load the kernel.
-            p if p == 1 + 2 * self.cfg.pool as u64 => {
+            p if p == 1 + 2 * POOL as u64 => {
                 let load = self.load_req.expect("init done");
                 let kernel = imm(crate::matcher::FACE_VERIFY_KERNEL);
                 fos.invoke_with(load, vec![kernel], vec![], vec![cont]);
@@ -230,7 +229,7 @@ impl FaceVerifyFrontend {
                 self.load_req = Some(load);
                 self.boot(1, fos);
             }
-            p if p >= 1 && p < 1 + 2 * self.cfg.pool as u64 => {
+            p if p >= 1 && p < 1 + 2 * POOL as u64 => {
                 let mem = req.caps[0];
                 if (p - 1) % 2 == 0 {
                     self.slots.push(GpuSlot {
@@ -245,7 +244,7 @@ impl FaceVerifyFrontend {
                 }
                 self.boot(p + 1, fos);
             }
-            p if p == 1 + 2 * self.cfg.pool as u64 => {
+            p if p == 1 + 2 * POOL as u64 => {
                 let Some(&invoke) = req.caps.first() else {
                     return;
                 };

@@ -36,7 +36,7 @@ pub const TAG_REPLICA_WORK: u64 = 0x0700;
 /// Client reply tag. Imms (baked at creation): `[attempt id]`.
 pub const TAG_REPLICA_REPLY: u64 = 0x0701;
 
-/// Default client-side reply deadline. Generous against the retransmit
+/// Client-side reply deadline per attempt. Generous against the retransmit
 /// budget (`RetryPolicy::syscall_timeout` = 5 ms) so the typed §3.6 verdict normally
 /// arrives first and the timer is only the backstop for replies lost
 /// after the invoke was acknowledged.
@@ -175,8 +175,6 @@ pub struct FailoverClient {
     tries: u32,
     issued_at: SimTime,
     remaining: u64,
-    /// Reply deadline per attempt.
-    pub reply_timeout: SimDuration,
     /// Whether a failure has been observed with no success since.
     in_outage: bool,
     /// Completed request latencies (issue of the *first* attempt to reply).
@@ -209,7 +207,6 @@ impl FailoverClient {
             tries: 0,
             issued_at: SimTime::ZERO,
             remaining: iterations,
-            reply_timeout: REPLY_TIMEOUT,
             in_outage: false,
             latencies: Vec::new(),
             outcomes: Vec::new(),
@@ -263,7 +260,7 @@ impl FailoverClient {
         });
         // Backstop for replies lost after the invoke was acknowledged
         // (e.g. the worker's node died mid-service).
-        fos.sleep(self.reply_timeout, move |s: &mut Self, fos| {
+        fos.sleep(REPLY_TIMEOUT, move |s: &mut Self, fos| {
             s.attempt_failed(attempt, fos);
         });
     }

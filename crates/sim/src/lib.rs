@@ -52,9 +52,7 @@ pub use metrics::{quantile_sorted, Metrics, StreamHist};
 pub use payload::Payload;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use runtime::{
-    build_runtime, runtime_from_env, Runtime, RuntimeConfig, RuntimeExt, RuntimeKind,
-};
+pub use runtime::{build_runtime, Runtime, RuntimeConfig, RuntimeExt, RuntimeKind};
 pub use sharded::ShardedSim;
 pub use shared::{Shared, SharedGuard};
 pub use span::{SpanKind, SpanRecord, SpanStore, TraceCtx};

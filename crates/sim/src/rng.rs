@@ -8,6 +8,20 @@
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
+/// SplitMix64's state increment (the golden-ratio constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 mixer: one step of the generator from state `x`,
+/// usable as a standalone hash for deterministic id derivation and fault
+/// decisions. [`SimRng::next_u64`] outputs `splitmix64(state)`.
+#[must_use]
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic SplitMix64 pseudo-random number generator.
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -22,11 +36,9 @@ impl SimRng {
 
     /// Returns the next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        out
     }
 
     /// Returns a uniformly distributed value in `[0, bound)`.

@@ -22,8 +22,8 @@
 //! What the drivers add, and the equivalence suites still have to check, is
 //! the barrier merge order, the horizons and the per-shard RNG fork.
 //!
-//! Backend selection is an environment decision, not a code decision: see
-//! [`RuntimeKind::from_env`] and [`build_runtime`].
+//! A caller that wants the parallel engine names it: see [`RuntimeKind`]
+//! and [`build_runtime`]. Everything else builds [`Sim`].
 
 use std::any::Any;
 
@@ -200,20 +200,6 @@ pub enum RuntimeKind {
     Sharded,
 }
 
-impl RuntimeKind {
-    /// Reads the backend selection from `FRACTOS_RUNTIME`.
-    ///
-    /// `"sharded"` (or `"parallel"`) selects the sharded engine; anything
-    /// else — including the variable being unset — selects the
-    /// single-threaded engine, keeping bit-exact determinism the default.
-    pub fn from_env() -> Self {
-        match std::env::var("FRACTOS_RUNTIME").as_deref() {
-            Ok("sharded") | Ok("parallel") => RuntimeKind::Sharded,
-            _ => RuntimeKind::SingleThreaded,
-        }
-    }
-}
-
 /// Everything a backend needs to know about the simulated cluster shape.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -253,12 +239,6 @@ pub fn build_runtime(kind: RuntimeKind, config: &RuntimeConfig) -> Box<dyn Runti
     }
 }
 
-/// Builds the backend selected by `FRACTOS_RUNTIME` (single-threaded when
-/// unset).
-pub fn runtime_from_env(config: &RuntimeConfig) -> Box<dyn Runtime> {
-    build_runtime(RuntimeKind::from_env(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,19 +261,5 @@ mod tests {
         assert_eq!(rt.with_actor::<Counter, _>(id, |c| c.0), 2);
         assert_eq!(rt.backend_name(), "single");
         assert_eq!(rt.steps(), 2);
-    }
-
-    #[test]
-    fn kind_from_env_defaults_single() {
-        // Not set in the test environment unless the sharded CI job sets it;
-        // accept either but verify parsing is total.
-        let _ = RuntimeKind::from_env();
-        assert_eq!(
-            match "sharded" {
-                "sharded" | "parallel" => RuntimeKind::Sharded,
-                _ => RuntimeKind::SingleThreaded,
-            },
-            RuntimeKind::Sharded
-        );
     }
 }

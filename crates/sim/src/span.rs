@@ -29,17 +29,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::engine::ActorId;
+use crate::rng::splitmix64;
 use crate::time::SimTime;
-
-/// SplitMix64 finalizer: the same mixer as [`crate::SimRng`], usable as a
-/// standalone hash for deterministic id derivation.
-#[must_use]
-pub const fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A trace context carried on wire messages and continuations: the trace id
 /// plus the id of the span that causally precedes whatever happens next.

@@ -181,12 +181,13 @@ impl TelemetryConfig {
                     None => (v, "us"),
                 };
                 let n: u64 = digits.parse().ok()?;
-                let period = match unit {
-                    "ns" => SimDuration::from_nanos(n),
-                    "us" => SimDuration::from_micros(n),
-                    "ms" => SimDuration::from_millis(n),
+                let ns_per_unit = match unit {
+                    "ns" => 1,
+                    "us" => 1_000,
+                    "ms" => 1_000_000,
                     _ => return None,
                 };
+                let period = SimDuration::from_nanos(n.checked_mul(ns_per_unit)?);
                 if period == SimDuration::ZERO {
                     None
                 } else {
@@ -307,5 +308,8 @@ mod tests {
         assert_eq!(TelemetryConfig::parse(Some("0ns")), None);
         assert_eq!(TelemetryConfig::parse(Some("5s")), None);
         assert_eq!(TelemetryConfig::parse(Some("nonsense")), None);
+        // A period past `u64` nanoseconds is rejected, not a panic.
+        assert_eq!(TelemetryConfig::parse(Some("18446744073709552")), None);
+        assert_eq!(TelemetryConfig::parse(Some("18446744073709552ms")), None);
     }
 }

@@ -10,14 +10,13 @@
 //! Run with: `cargo run --release --example inference_pipeline`
 
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, Start};
-use fractos_baselines::paper_runtime;
 use fractos_core::msgmodel;
 use fractos_core::prelude::*;
 use fractos_net::{Fabric, NetParams, NodeId, Topology};
 use fractos_services::deploy::deploy_faceverify;
 use fractos_services::faceverify::FvClient;
 use fractos_services::FvConfig;
-use fractos_sim::{Shared, SimDuration};
+use fractos_sim::{Shared, Sim, SimDuration};
 
 const IMG: u64 = 4096;
 const BATCH: u64 = 8;
@@ -49,9 +48,9 @@ fn main() {
     let fos_traffic = tb.traffic();
 
     // ---- Baseline: centralized star (red path in Fig 2) ----------------
-    let mut sim = paper_runtime(7);
+    let mut sim = Sim::new(7);
     let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
-    let dep = deploy_baseline(sim.as_mut(), &fabric, IMG, 256);
+    let dep = deploy_baseline(&mut sim, &fabric, IMG, 256);
     let bc = sim.add_actor_on(
         2,
         "client",

@@ -129,9 +129,9 @@ fn main() {
     // per window, gauges keep the last level, samples fold into streaming
     // histograms with exact-bucket tail quantiles. Only the workload-level
     // series are shown here: the `runtime.*` self-profile describes the
-    // engine that happened to execute the run (shard layout, queue
-    // depths), so it is backend-specific by design and this output must
-    // stay byte-identical across `FRACTOS_RUNTIME` settings.
+    // engine that executed the run (shard layout, queue depths), so it is
+    // backend-specific by design; the workload series are what both
+    // engines must agree on.
     let events = tb.take_telemetry();
     let report = TelemetryReport::derive(&events, period);
 
