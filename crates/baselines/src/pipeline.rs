@@ -115,7 +115,7 @@ impl CentralDriver {
         &self,
         i: usize,
         fos: &Fos<Self>,
-        then: impl FnOnce(&mut Self, &Fos<Self>) + Send + 'static,
+        then: impl FnOnce(&mut Self, &Fos<Self>) + 'static,
     ) {
         let client_buf = self.client_buf.expect("allocated");
         fos.call(

@@ -20,7 +20,7 @@ pub struct Peer {
 /// Sends `msg` from `src` to `peer` with fabric-modelled latency and
 /// traffic accounting, plus `extra` processing delay.
 #[allow(clippy::too_many_arguments)] // a transport primitive, not an API to shrink
-pub fn raw_send<M: Send + 'static>(
+pub fn raw_send<M: 'static>(
     ctx: &mut Ctx<'_>,
     fabric: &Shared<Fabric>,
     src: Endpoint,

@@ -4,8 +4,8 @@ use fractos_cap::Cid;
 use fractos_core::prelude::*;
 use fractos_sim::SimTime;
 
-type StartFn = Box<dyn FnOnce(&mut Script, &Fos<Script>) + Send>;
-type RequestFn = Box<dyn FnMut(&mut Script, IncomingRequest, &Fos<Script>) + Send>;
+type StartFn = Box<dyn FnOnce(&mut Script, &Fos<Script>)>;
+type RequestFn = Box<dyn FnMut(&mut Script, IncomingRequest, &Fos<Script>)>;
 
 /// A service driven by a one-shot closure at start; collects results.
 pub struct Script {
@@ -23,7 +23,7 @@ pub struct Script {
 
 impl Script {
     /// A script that runs `f` once at start.
-    pub fn new(f: impl FnOnce(&mut Script, &Fos<Script>) + Send + 'static) -> Self {
+    pub fn new(f: impl FnOnce(&mut Script, &Fos<Script>) + 'static) -> Self {
         Script {
             results: Vec::new(),
             cids: Vec::new(),
@@ -37,7 +37,7 @@ impl Script {
     /// Adds a request handler (otherwise requests are just recorded).
     pub fn with_handler(
         mut self,
-        h: impl FnMut(&mut Script, IncomingRequest, &Fos<Script>) + Send + 'static,
+        h: impl FnMut(&mut Script, IncomingRequest, &Fos<Script>) + 'static,
     ) -> Self {
         self.on_req = Some(Box::new(h));
         self

@@ -6,19 +6,17 @@
 //! message/byte counter and every end-to-end payload (match verdicts) must
 //! agree bit-for-bit on the Fig 2 workloads — both the FractOS deployment
 //! and the centralized baseline. A separate test pins the single-threaded
-//! backend's full event trace across repeated runs, and a 4-node workload
-//! checks the sharded backend really fans out over more than one OS thread.
+//! backend's full event trace across repeated runs.
 
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, Start};
-use fractos_baselines::raw::{Peer, PingPongClient, PingPongServer, Start as PingStart};
 use fractos_core::prelude::*;
 use fractos_net::stats::{FlowCounter, TrafficClass};
-use fractos_net::{Fabric, NetParams, NodeConfig, NodeId, Topology};
+use fractos_net::{Fabric, NetParams, NodeId, Topology};
 use fractos_obs::TelemetryReport;
 use fractos_services::deploy::deploy_faceverify;
 use fractos_services::faceverify::FvClient;
 use fractos_services::FvConfig;
-use fractos_sim::{build_runtime, Runtime, RuntimeKind, ShardedSim, Shared, SimDuration};
+use fractos_sim::{build_runtime, RuntimeKind, Shared, SimDuration};
 
 const IMG: u64 = 4096;
 const BATCH: u64 = 8;
@@ -282,59 +280,4 @@ fn fig2_trace_order_matches_across_backends() {
     let rendered: Vec<String> = single.iter().map(|e| e.to_string()).collect();
     let rendered_sharded: Vec<String> = sharded.iter().map(|e| e.to_string()).collect();
     assert_eq!(rendered, rendered_sharded);
-}
-
-/// A 4-node workload must spread across more than one OS thread on the
-/// sharded backend.
-#[test]
-fn sharded_backend_uses_multiple_os_threads_on_four_nodes() {
-    let mut topology = Topology::new();
-    for name in ["n0", "n1", "n2", "n3"] {
-        topology.add_node(NodeConfig::cpu_only(name));
-    }
-    let params = NetParams::paper();
-    let config = Testbed::runtime_config(&topology, &params, 9);
-    let mut sim = ShardedSim::new(&config);
-    assert!(sim.workers() >= 2, "expected at least two workers");
-    let fabric = Shared::new(Fabric::new(topology, params));
-
-    // A ring of cross-node ping-pong pairs (client on node i, server on
-    // node i+1), so every shard has deliveries in every lookahead window
-    // and both workers get work each round.
-    let mut clients = Vec::new();
-    for a in 0u32..4 {
-        let b = (a + 1) % 4;
-        let server_ep = fractos_net::Endpoint::cpu(NodeId(b));
-        let server = sim.add_actor_on(
-            b as usize,
-            &format!("server{a}to{b}"),
-            Box::new(PingPongServer::new(server_ep, fabric.clone())),
-        );
-        let client = sim.add_actor_on(
-            a as usize,
-            &format!("client{a}"),
-            Box::new(PingPongClient::new(
-                fractos_net::Endpoint::cpu(NodeId(a)),
-                Peer {
-                    actor: server,
-                    endpoint: server_ep,
-                },
-                200,
-                fabric.clone(),
-            )),
-        );
-        clients.push(client);
-    }
-    for &client in &clients {
-        sim.post(SimDuration::ZERO, client, PingStart);
-    }
-    sim.run();
-    for &client in &clients {
-        sim.with_actor::<PingPongClient, _>(client, |c| assert_eq!(c.latencies.len(), 200));
-    }
-    let peak = sim.metrics().counter("runtime.sharded.active_workers.peak");
-    assert!(
-        peak > 1,
-        "sharded backend never ran more than one OS thread concurrently"
-    );
 }

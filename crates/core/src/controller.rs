@@ -75,8 +75,7 @@ impl AckVal {
     }
 }
 
-type PendingCont =
-    Box<dyn FnOnce(&mut ControllerActor, Result<AckVal, FosError>, &mut Ctx<'_>) + Send>;
+type PendingCont = Box<dyn FnOnce(&mut ControllerActor, Result<AckVal, FosError>, &mut Ctx<'_>)>;
 
 /// Turns the owner's ack of a forwarded syscall into the reply for the
 /// issuing Process.
@@ -84,7 +83,7 @@ type AckMap = fn(&mut ControllerActor, ProcId, Result<AckVal, FosError>) -> Sysc
 
 /// Continuation of a multi-capability delegation fan-in.
 type DelegateDone =
-    Box<dyn FnOnce(&mut ControllerActor, Result<Vec<CapArg>, FosError>, &mut Ctx<'_>) + Send>;
+    Box<dyn FnOnce(&mut ControllerActor, Result<Vec<CapArg>, FosError>, &mut Ctx<'_>)>;
 
 struct Pending {
     target: ControllerAddr,
@@ -1150,9 +1149,7 @@ impl ControllerActor {
         op: DeriveOp,
         creator: ProcId,
         extra: SimDuration,
-        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>, SimDuration)
-            + Send
-            + 'static,
+        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>, SimDuration) + 'static,
     ) {
         match op {
             DeriveOp::Diminish {
@@ -1428,7 +1425,7 @@ impl ControllerActor {
         creator: ProcId,
         imms: Vec<Payload>,
         cap_args: Vec<CapArg>,
-        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>) + Send + 'static,
+        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>) + 'static,
     ) {
         if let Err(e) = self.table.check(base) {
             done(self, Err(e.into()), ctx);
@@ -1623,9 +1620,7 @@ impl ControllerActor {
         key: &str,
         to: ProcId,
         extra: SimDuration,
-        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>, SimDuration)
-            + Send
-            + 'static,
+        done: impl FnOnce(&mut Self, Result<CapArg, FosError>, &mut Ctx<'_>, SimDuration) + 'static,
     ) {
         let Some(ca) = self.kv.get(key).cloned() else {
             return done(self, Err(FosError::NoSuchKey), ctx, extra);

@@ -42,10 +42,8 @@ use crate::types::{FosError, IncomingRequest, MonitorCb, ProcId, Syscall, Syscal
 /// Application logic of a FractOS Process (user service or device adaptor).
 ///
 /// All methods run inside the simulation; they must not block. Asynchrony is
-/// expressed by issuing syscalls with continuations through [`Fos`]. The
-/// `Send` bound lets runtime backends host the enclosing Process actor on a
-/// worker thread.
-pub trait Service: Send + 'static {
+/// expressed by issuing syscalls with continuations through [`Fos`].
+pub trait Service: 'static {
     /// Called once when the Process starts.
     fn on_start(&mut self, fos: &Fos<Self>)
     where
@@ -68,15 +66,15 @@ pub trait Service: Send + 'static {
     }
 }
 
-type Cont<S> = Box<dyn FnOnce(&mut S, SyscallResult, &Fos<S>) + Send>;
-type TimerCont<S> = Box<dyn FnOnce(&mut S, &Fos<S>) + Send>;
-type ChainCont<S> = Box<dyn FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send>;
-type JoinCont<S> = Box<dyn FnOnce(&mut S, Vec<SyscallResult>, &Fos<S>) + Send>;
+type Cont<S> = Box<dyn FnOnce(&mut S, SyscallResult, &Fos<S>)>;
+type TimerCont<S> = Box<dyn FnOnce(&mut S, &Fos<S>)>;
+type ChainCont<S> = Box<dyn FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>)>;
+type JoinCont<S> = Box<dyn FnOnce(&mut S, Vec<SyscallResult>, &Fos<S>)>;
 
 /// One link of a chain: the next syscall, built once every link before it
 /// has replied, from the capabilities they minted. A link that cannot be
 /// built ends the chain with its error.
-type Link = Box<dyn FnOnce(&[Cid]) -> Result<Syscall, FosError> + Send>;
+type Link = Box<dyn FnOnce(&[Cid]) -> Result<Syscall, FosError>>;
 
 fn fixed(sc: Syscall) -> Link {
     Box::new(move |_| Ok(sc))
@@ -188,11 +186,7 @@ impl<S: Service> Fos<S> {
     }
 
     /// Issues an asynchronous syscall; `k` runs when the reply arrives.
-    pub fn call(
-        &self,
-        sc: Syscall,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
-    ) {
+    pub fn call(&self, sc: Syscall, k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static) {
         let mut inner = self.inner.borrow_mut();
         let token = inner.next_token;
         inner.next_token += 1;
@@ -216,7 +210,7 @@ impl<S: Service> Fos<S> {
     pub fn call_all(
         &self,
         calls: Vec<Syscall>,
-        k: impl FnOnce(&mut S, Vec<SyscallResult>, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, Vec<SyscallResult>, &Fos<S>) + 'static,
     ) {
         let n = calls.len();
         if n == 0 {
@@ -274,7 +268,7 @@ impl<S: Service> Fos<S> {
     pub fn chain(
         &self,
         calls: Vec<Syscall>,
-        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + 'static,
     ) {
         self.run_links(calls.into_iter().map(fixed).collect(), Box::new(k));
     }
@@ -312,7 +306,7 @@ impl<S: Service> Fos<S> {
 
     /// Arms a local timer; `k` runs after `delay` of virtual time. Used by
     /// device adaptors to model device service times.
-    pub fn sleep(&self, delay: SimDuration, k: impl FnOnce(&mut S, &Fos<S>) + Send + 'static) {
+    pub fn sleep(&self, delay: SimDuration, k: impl FnOnce(&mut S, &Fos<S>) + 'static) {
         self.arm_timer(delay, None, k);
     }
 
@@ -324,7 +318,7 @@ impl<S: Service> Fos<S> {
         &self,
         delay: SimDuration,
         label: &'static str,
-        k: impl FnOnce(&mut S, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, &Fos<S>) + 'static,
     ) {
         self.arm_timer(delay, Some(label), k);
     }
@@ -333,7 +327,7 @@ impl<S: Service> Fos<S> {
         &self,
         delay: SimDuration,
         dev: Option<&'static str>,
-        k: impl FnOnce(&mut S, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, &Fos<S>) + 'static,
     ) {
         let mut inner = self.inner.borrow_mut();
         let token = inner.next_token;
@@ -402,11 +396,7 @@ impl<S: Service> Fos<S> {
 
     /// `memory_stat`: resolve a Memory capability backed by this Process's
     /// own memory to `(addr, off, size)`.
-    pub fn memory_stat(
-        &self,
-        cid: Cid,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
-    ) {
+    pub fn memory_stat(&self, cid: Cid, k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static) {
         self.call(Syscall::MemoryStat { cid }, k);
     }
 
@@ -458,7 +448,7 @@ impl<S: Service> Fos<S> {
         imms: Vec<Payload>,
         caps: Vec<Cid>,
         conts: Vec<(u64, Vec<Payload>)>,
-        on_err: impl FnOnce(&mut S, FosError, &Fos<S>) + Send + 'static,
+        on_err: impl FnOnce(&mut S, FosError, &Fos<S>) + 'static,
     ) {
         let mut links = Self::derive_links(target, imms, caps, conts);
         // The derived Request is the last capability the chain minted.
@@ -485,7 +475,7 @@ impl<S: Service> Fos<S> {
         imms: Vec<Payload>,
         caps: Vec<Cid>,
         conts: Vec<(u64, Vec<Payload>)>,
-        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + 'static,
     ) {
         self.run_links(Self::derive_links(target, imms, caps, conts), Box::new(k));
     }
@@ -522,7 +512,7 @@ impl<S: Service> Fos<S> {
         key: &str,
         tag: u64,
         imms: Vec<Payload>,
-        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, Result<Vec<Cid>, FosError>, &Fos<S>) + 'static,
     ) {
         let key = key.to_string();
         let put: Link = Box::new(move |minted| {
@@ -572,7 +562,7 @@ impl<S: Service> Fos<S> {
         addr: u64,
         size: u64,
         perms: Perms,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static,
     ) {
         self.call(Syscall::MemoryCreate { addr, size, perms }, k);
     }
@@ -583,7 +573,7 @@ impl<S: Service> Fos<S> {
         &self,
         size: u64,
         perms: Perms,
-        k: impl FnOnce(&mut S, u64, Result<Cid, FosError>, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, u64, Result<Cid, FosError>, &Fos<S>) + 'static,
     ) {
         let addr = self.mem_alloc(size);
         self.memory_create(addr, size, perms, move |s, res, fos| {
@@ -602,7 +592,7 @@ impl<S: Service> Fos<S> {
         &self,
         src: Cid,
         dst: Cid,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static,
     ) {
         self.call(Syscall::MemoryCopy { src, dst }, k);
     }
@@ -613,7 +603,7 @@ impl<S: Service> Fos<S> {
         tag: u64,
         imms: Vec<Payload>,
         caps: Vec<Cid>,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static,
     ) {
         self.call(
             Syscall::RequestCreate {
@@ -632,7 +622,7 @@ impl<S: Service> Fos<S> {
         base: Cid,
         imms: Vec<Payload>,
         caps: Vec<Cid>,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static,
     ) {
         self.call(
             Syscall::RequestCreate {
@@ -649,7 +639,7 @@ impl<S: Service> Fos<S> {
     pub fn request_invoke(
         &self,
         cid: Cid,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static,
     ) {
         self.call(Syscall::RequestInvoke { cid }, k);
     }
@@ -659,7 +649,7 @@ impl<S: Service> Fos<S> {
         &self,
         key: &str,
         cid: Cid,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
+        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static,
     ) {
         self.call(
             Syscall::KvPut {
@@ -671,11 +661,7 @@ impl<S: Service> Fos<S> {
     }
 
     /// Look up a capability from the bootstrap registry.
-    pub fn kv_get(
-        &self,
-        key: &str,
-        k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + Send + 'static,
-    ) {
+    pub fn kv_get(&self, key: &str, k: impl FnOnce(&mut S, SyscallResult, &Fos<S>) + 'static) {
         self.call(
             Syscall::KvGet {
                 key: key.to_string(),

@@ -49,11 +49,11 @@ struct Script {
     results: Vec<SyscallResult>,
     cids: Vec<Cid>,
     #[allow(clippy::type_complexity)]
-    script: Option<Box<dyn FnOnce(&mut Script, &Fos<Script>) + Send>>,
+    script: Option<Box<dyn FnOnce(&mut Script, &Fos<Script>)>>,
 }
 
 impl Script {
-    fn new(f: impl FnOnce(&mut Script, &Fos<Script>) + Send + 'static) -> Self {
+    fn new(f: impl FnOnce(&mut Script, &Fos<Script>) + 'static) -> Self {
         Script {
             results: Vec::new(),
             cids: Vec::new(),

@@ -53,9 +53,8 @@ impl Default for GpuParams {
 }
 
 /// A GPU kernel: a pure function over bytes plus a work-item count used by
-/// the timing model. `Send + Sync` so adaptors holding kernels can live on
-/// runtime worker threads.
-pub trait Kernel: Send + Sync + 'static {
+/// the timing model.
+pub trait Kernel: 'static {
     /// Executes the kernel over `input` with integer `params`.
     fn run(&self, input: &[u8], params: &[u64]) -> Vec<u8>;
 

@@ -324,7 +324,7 @@ impl BlockAdaptor {
         &mut self,
         fos: &Fos<Self>,
         error: Cid,
-        k: impl FnOnce(&mut Self, usize, &Fos<Self>) + Send + 'static,
+        k: impl FnOnce(&mut Self, usize, &Fos<Self>) + 'static,
     ) {
         if let Some(i) = self.staging.iter().position(|s| !s.busy) {
             self.staging[i].busy = true;

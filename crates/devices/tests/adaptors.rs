@@ -46,7 +46,7 @@ impl GpuClient {
     fn with_cont(
         fos: &Fos<Self>,
         phase: u64,
-        f: impl FnOnce(&mut Self, Cid, &Fos<Self>) + Send + 'static,
+        f: impl FnOnce(&mut Self, Cid, &Fos<Self>) + 'static,
     ) {
         fos.request_create_new(TAG_REPLY, vec![imm(phase)], vec![], move |s, res, fos| {
             f(s, res.cid(), fos);
@@ -597,7 +597,7 @@ fn gpu_context_teardown_rpc() {
 fn reply_cont<S: Service>(
     fos: &Fos<S>,
     phase: u64,
-    f: impl FnOnce(&mut S, Cid, &Fos<S>) + Send + 'static,
+    f: impl FnOnce(&mut S, Cid, &Fos<S>) + 'static,
 ) {
     fos.request_create_new(TAG_REPLY, vec![imm(phase)], vec![], move |s, res, fos| {
         f(s, res.cid(), fos);
@@ -609,7 +609,7 @@ fn io_pair<S: Service>(
     fos: &Fos<S>,
     ok: u64,
     err: u64,
-    f: impl FnOnce(&mut S, Cid, Cid, &Fos<S>) + Send + 'static,
+    f: impl FnOnce(&mut S, Cid, Cid, &Fos<S>) + 'static,
 ) {
     fos.request_create_new(TAG_REPLY, vec![imm(ok)], vec![], move |_s, res, fos| {
         let success = res.cid();

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! `fractos-analyze` — the full static-analysis suite.
 //!
-//! Runs all three passes (hazards, lock-order, hot-path) over
+//! Runs both passes (hazards, hot-path) over
 //! the product crates, applies `crates/lint/allowlist.txt`, and — when
 //! the full pass set runs — reports *stale* allowlist entries (entries
 //! that suppressed nothing) as failures, so the exception list cannot
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
                     }
                 }
                 None => {
-                    eprintln!("--pass needs one of: hazards, lock-order, hot-path");
+                    eprintln!("--pass needs one of: hazards, hot-path");
                     return ExitCode::from(2);
                 }
             },

@@ -1,24 +1,20 @@
 #![forbid(unsafe_code)]
 //! Static analysis for the FractOS source tree (`fractos-analyze`).
 //!
-//! The simulation's headline invariant is bit-identical replay, and its
-//! concurrency story rests on a small set of conventions that rustc does
-//! not check: no thread holding two [`Shared`] guards at once, and
-//! allocation-free hot paths in the engine core. This crate checks
-//! them from source text, with no dependency on rustc internals or
+//! The simulation's headline invariant is bit-identical replay, and it
+//! rests on a small set of conventions that rustc does not check: no
+//! ambient nondeterminism, and allocation-free hot paths in the engine
+//! core. This crate checks them from source text, with no dependency on rustc internals or
 //! external crates (the build environment is offline). The wire codec
 //! needs no pass: each layout is declared once and `fractos_core::wire`
 //! generates both directions from it, so drift does not compile.
 //!
-//! Three passes:
+//! Two passes:
 //!
 //! * **hazards** — the original determinism lint: wall-clock reads,
-//!   `thread_local!`, ambient randomness, hash-order iteration and
+//!   `thread_local!` (state that outlives one `Sim` and diverges between
+//!   runs in one process), ambient randomness, hash-order iteration and
 //!   `unwrap()`/`expect(` in product paths (see [`passes::hazards`]).
-//! * **lock-order** — denies every `Shared<T>` borrow/lock made while a
-//!   guard is held, directly or through a call (inter-procedural
-//!   may-acquire summaries; see [`passes::lockorder`]). The runtime
-//!   complement is `fractos-sim`'s witness, in every debug build.
 //! * **hot-path** — denies allocation/copy idioms inside functions
 //!   marked `// analyze: hot-path` (see [`passes::hotpath`]).
 //!
@@ -31,8 +27,6 @@
 //!
 //! One binary drives this library: `fractos-analyze` (all passes plus
 //! allowlist hygiene; `--pass` narrows the run).
-//!
-//! [`Shared`]: ../fractos_sim/shared/index.html
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -63,7 +57,6 @@ pub enum Rule {
     AmbientRand,
     HashIter,
     Unwrap,
-    LockOrder,
     HotPath,
 }
 
@@ -75,7 +68,6 @@ impl Rule {
             Rule::AmbientRand => "ambient-rand",
             Rule::HashIter => "hash-iter",
             Rule::Unwrap => "unwrap",
-            Rule::LockOrder => "lock-order",
             Rule::HotPath => "hot-path",
         }
     }
@@ -87,7 +79,6 @@ impl Rule {
             "ambient-rand" => Some(Rule::AmbientRand),
             "hash-iter" => Some(Rule::HashIter),
             "unwrap" => Some(Rule::Unwrap),
-            "lock-order" => Some(Rule::LockOrder),
             "hot-path" => Some(Rule::HotPath),
             _ => None,
         }
@@ -578,17 +569,15 @@ pub fn load_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     Hazards,
-    LockOrder,
     HotPath,
 }
 
 impl Pass {
-    pub const ALL: &[Pass] = &[Pass::Hazards, Pass::LockOrder, Pass::HotPath];
+    pub const ALL: &[Pass] = &[Pass::Hazards, Pass::HotPath];
 
     pub fn as_str(self) -> &'static str {
         match self {
             Pass::Hazards => "hazards",
-            Pass::LockOrder => "lock-order",
             Pass::HotPath => "hot-path",
         }
     }
@@ -596,7 +585,6 @@ impl Pass {
     pub fn parse(s: &str) -> Option<Pass> {
         match s {
             "hazards" => Some(Pass::Hazards),
-            "lock-order" => Some(Pass::LockOrder),
             "hot-path" => Some(Pass::HotPath),
             _ => None,
         }
@@ -605,7 +593,6 @@ impl Pass {
     pub fn run(self, files: &[SourceFile]) -> Vec<Finding> {
         match self {
             Pass::Hazards => passes::hazards::run(files),
-            Pass::LockOrder => passes::lockorder::run(files),
             Pass::HotPath => passes::hotpath::run(files),
         }
     }
@@ -712,7 +699,7 @@ mod tests {
         assert!(parse_allowlist("unwrap|net/src/fabric.rs|checked_add|").is_err());
         assert!(parse_allowlist("nosuch|a.rs|*|why").is_err());
         assert!(parse_allowlist("# comment\n\n").unwrap().is_empty());
-        let new_rules = "lock-order|sim/src/x.rs|*|why\nhot-path|b.rs|*|why";
+        let new_rules = "thread-local|sim/src/x.rs|*|why\nhot-path|b.rs|*|why";
         assert_eq!(parse_allowlist(new_rules).unwrap().len(), 2);
     }
 
@@ -776,7 +763,7 @@ mod tests {
 
     #[test]
     fn analysis_runs_clean_over_this_repository() {
-        // The repo-level guarantee CI enforces: all three passes, zero
+        // The repo-level guarantee CI enforces: every pass, zero
         // unallowlisted findings, zero stale allowlist entries.
         let root = workspace_root();
         let analysis = analyze(&root, Pass::ALL, true).expect("analysis runs");

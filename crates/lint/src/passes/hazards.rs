@@ -4,8 +4,8 @@
 //!
 //! * `wallclock` — `Instant::now` / `SystemTime` read the host clock; all
 //!   simulation time must flow from the virtual clock.
-//! * `thread-local` — `thread_local!` state diverges across the sharded
-//!   backend's workers.
+//! * `thread-local` — `thread_local!` state outlives one `Sim` and
+//!   diverges between runs in one process.
 //! * `ambient-rand` — `thread_rng` / `rand::random` / `from_entropy` /
 //!   `OsRng` seed from the environment; randomness must come from the
 //!   seeded deterministic RNG.

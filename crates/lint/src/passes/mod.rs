@@ -9,4 +9,3 @@
 
 pub mod hazards;
 pub mod hotpath;
-pub mod lockorder;

@@ -136,7 +136,7 @@ mod tests {
     fn capture_filters_runtime_namespace_and_sorts_means() {
         let mut m = Metrics::new();
         m.add("net.msgs", 3);
-        m.add("runtime.sharded.active_workers.peak", 4);
+        m.add("runtime.sharded.rounds", 4);
         // Insertion order differs from sorted order; the mean must not
         // depend on it.
         let snap = MetricsSnapshot::capture(&m)

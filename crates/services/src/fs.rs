@@ -222,7 +222,7 @@ impl FsService {
     fn grab_staging(
         &mut self,
         fos: &Fos<Self>,
-        k: impl FnOnce(&mut Self, Result<usize, FosError>, &Fos<Self>) + Send + 'static,
+        k: impl FnOnce(&mut Self, Result<usize, FosError>, &Fos<Self>) + 'static,
     ) {
         if let Some(i) = self.staging.iter().position(|s| !s.busy) {
             self.staging[i].busy = true;

@@ -47,7 +47,7 @@ impl FsChaosClient {
         fos: &Fos<Self>,
         ok: u64,
         err: u64,
-        f: impl FnOnce(&mut Self, Cid, Cid, &Fos<Self>) + Send + 'static,
+        f: impl FnOnce(&mut Self, Cid, Cid, &Fos<Self>) + 'static,
     ) {
         fos.request_create_new(TAG_T, vec![imm(ok)], vec![], move |_s, res, fos| {
             let success = res.cid();

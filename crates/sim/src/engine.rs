@@ -52,17 +52,13 @@ impl fmt::Display for ActorId {
 }
 
 /// A dynamically typed simulation message.
-///
-/// `Send` so the sharded backend can move cross-node messages between
-/// worker threads; plain-data payloads satisfy it automatically.
-pub type Msg = Box<dyn Any + Send>;
+pub type Msg = Box<dyn Any>;
 
 /// An entity that handles timestamped messages.
 ///
 /// The `Any` supertrait allows harnesses to inspect concrete actor state
 /// after a run via [`RuntimeExt::with_actor`](crate::RuntimeExt::with_actor).
-/// `Send` lets runtime backends host actors on worker threads.
-pub trait Actor: Any + Send {
+pub trait Actor: Any {
     /// Handles one message delivered at `ctx.now()`.
     fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>);
 }
@@ -101,19 +97,19 @@ impl Ctx<'_> {
     /// timeline pins at the far-future instant (the message never fires)
     /// instead of panicking, matching the checked conventions of the rest
     /// of the stack.
-    pub fn send_after(&mut self, delay: SimDuration, dst: ActorId, msg: impl Any + Send) {
+    pub fn send_after(&mut self, delay: SimDuration, dst: ActorId, msg: impl Any) {
         self.outbox
             .push((self.now.saturating_add(delay), dst, Box::new(msg)));
     }
 
     /// Sends `msg` to `dst` at the current instant (delivered after all
     /// already-queued same-time events).
-    pub fn send_now(&mut self, dst: ActorId, msg: impl Any + Send) {
+    pub fn send_now(&mut self, dst: ActorId, msg: impl Any) {
         self.send_after(SimDuration::ZERO, dst, msg);
     }
 
     /// Schedules a message back to the current actor after `delay`.
-    pub fn schedule_self(&mut self, delay: SimDuration, msg: impl Any + Send) {
+    pub fn schedule_self(&mut self, delay: SimDuration, msg: impl Any) {
         let id = self.self_id;
         self.send_after(delay, id, msg);
     }

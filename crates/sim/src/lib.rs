@@ -11,7 +11,8 @@
 //!
 //! There is one event loop (the crate-private `Shard`) and two drivers of
 //! it, both behind the [`Runtime`] trait: [`Sim`] runs one shard on the
-//! calling thread, [`ShardedSim`] one shard per simulated node in parallel.
+//! calling thread, [`ShardedSim`] one shard per simulated node, synchronized
+//! in conservative rounds that also run on the calling thread.
 //!
 //! # Examples
 //!
@@ -33,8 +34,6 @@
 //! ```
 
 pub mod engine;
-#[cfg(debug_assertions)]
-mod lockdep;
 pub mod metrics;
 pub mod payload;
 pub mod queue;
@@ -54,7 +53,7 @@ pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use runtime::{build_runtime, Runtime, RuntimeConfig, RuntimeExt, RuntimeKind};
 pub use sharded::ShardedSim;
-pub use shared::{Shared, SharedGuard};
+pub use shared::Shared;
 pub use span::{SpanKind, SpanRecord, SpanStore, TraceCtx};
 pub use telemetry::{
     sort_canonical_telemetry, TelemetryConfig, TelemetryEvent, TelemetryKind, TelemetryStore,

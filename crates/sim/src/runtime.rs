@@ -11,8 +11,9 @@
 //!   queue, FIFO at equal timestamps, bit-exact determinism: the same seed
 //!   always yields the identical event trace. This is the default.
 //! * [`ShardedSim`](crate::sharded::ShardedSim) — one shard per simulated
-//!   node, run in parallel and synchronized by one conservative lookahead
-//!   (Chandy–Misra–Bryant style; see its module docs). Deterministic for a
+//!   node, run round by round on the calling thread and synchronized by one
+//!   conservative lookahead (Chandy–Misra–Bryant style; see its module
+//!   docs). Deterministic for a
 //!   fixed seed and shard layout; per-link traffic counters and application
 //!   payloads match `Sim`, while exact event interleavings (and thus
 //!   latency samples) may differ.
@@ -22,7 +23,7 @@
 //! What the drivers add, and the equivalence suites still have to check, is
 //! the barrier merge order, the horizons and the per-shard RNG fork.
 //!
-//! A caller that wants the parallel engine names it: see [`RuntimeKind`]
+//! A caller that wants the sharded engine names it: see [`RuntimeKind`]
 //! and [`build_runtime`]. Everything else builds [`Sim`].
 
 use std::any::Any;
@@ -44,8 +45,8 @@ pub trait Runtime {
 
     /// Registers an actor placed on a specific simulated node.
     ///
-    /// Placement is the unit of parallelism: the sharded backend runs each
-    /// node's actors on one shard, so only cross-node messages pay barrier
+    /// Placement picks the shard: the sharded backend runs each node's
+    /// actors on one shard, so only cross-node messages pay barrier
     /// synchronization. On every backend it scopes node-outage windows
     /// (see [`set_node_outages`](Runtime::set_node_outages)); on the
     /// one-shard backend that is all it does.
@@ -58,7 +59,7 @@ pub trait Runtime {
     /// Runs until the event queue drains or an actor stops the simulation.
     fn run(&mut self) -> RunOutcome;
 
-    /// Runs for at most `max_steps` events (the parallel backend may
+    /// Runs for at most `max_steps` events (the sharded backend may
     /// overshoot by up to one synchronization window; see its docs). A
     /// stop requested by the last budgeted event is still
     /// [`RunOutcome::Stopped`].
@@ -165,7 +166,7 @@ pub trait Runtime {
 /// Generic conveniences over any [`Runtime`] (including `dyn Runtime`).
 pub trait RuntimeExt: Runtime {
     /// Enqueues a message to `dst` at `now + delay` from outside any actor.
-    fn post(&mut self, delay: SimDuration, dst: ActorId, msg: impl Any + Send) {
+    fn post(&mut self, delay: SimDuration, dst: ActorId, msg: impl Any) {
         self.post_boxed(delay, dst, Box::new(msg));
     }
 
@@ -195,7 +196,7 @@ impl<R: Runtime + ?Sized> RuntimeExt for R {}
 pub enum RuntimeKind {
     /// One shard on the calling thread ([`Sim`]): bit-exact determinism.
     SingleThreaded,
-    /// One shard per node in parallel
+    /// One shard per node, in conservative rounds
     /// ([`ShardedSim`](crate::sharded::ShardedSim)): conservative lookahead.
     Sharded,
 }
@@ -205,7 +206,7 @@ pub enum RuntimeKind {
 pub struct RuntimeConfig {
     /// RNG seed (equal seeds ⇒ equal behavior per backend).
     pub seed: u64,
-    /// Number of simulated nodes (= shards on the parallel backend).
+    /// Number of simulated nodes (= shards on the sharded backend).
     pub nodes: usize,
     /// Conservative synchronization bound for the sharded backend: a
     /// strict lower bound on the delay of every cross-node message, and
@@ -213,9 +214,10 @@ pub struct RuntimeConfig {
     /// latency (including its jitter floor; see `Testbed::runtime_config`
     /// in `fractos-core`); ignored by the single-threaded backend.
     pub lookahead: SimDuration,
-    /// Worker-thread override for the sharded backend; `None` means
-    /// `min(available cores, shards)`, clamped to at least 2 so parallelism
-    /// is exercised even on single-core hosts.
+    /// Read by nothing: both engines run on the calling thread. The field
+    /// stays only because the wall-clock benchmark (`perf/`) still assigns
+    /// it; it is deleted together with that benchmark's `*_sharded`
+    /// workloads in the next change to the benchmark.
     pub workers: Option<usize>,
 }
 

@@ -82,9 +82,7 @@ pub(crate) struct Shard {
     pub(crate) outages: Vec<NodeOutage>,
     /// Sends `route` called remote, buffered until the driver's barrier as
     /// `(sent_at, arrival, dst, msg)`; the send instant lets the barrier
-    /// check each message against the lookahead on the main thread
-    /// (so a violation panics with a diagnostic instead of a bare
-    /// "scoped thread panicked").
+    /// check each message against the lookahead.
     pub(crate) cross: Vec<(SimTime, SimTime, ActorId, Msg)>,
     /// Reusable send buffer for [`run_window`](Shard::run_window): drained
     /// back to empty after every event so the per-event cost is a pointer

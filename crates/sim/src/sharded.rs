@@ -1,9 +1,12 @@
-//! The N-shard driver: the parallel sharded simulation engine.
+//! The N-shard driver: the sharded simulation engine.
 //!
 //! Events are delivered by the crate's one loop (`Shard::run_window` in
 //! `shard.rs`), which [`Sim`](crate::Sim) drives with a single shard. This
-//! module owns only what is genuinely parallel — actor placement, the
-//! horizons, the worker fan-out and the barrier.
+//! module owns only what sharding adds — actor placement, the horizons and
+//! the barrier. Every round runs its shards one after another, in index
+//! order, on the calling thread: the engine is single-threaded like
+//! [`Sim`](crate::Sim), and shared substrate state re-entered during a
+//! round panics through [`Shared`](crate::Shared)'s `RefCell` check.
 //!
 //! One shard per simulated node, synchronized conservatively in the
 //! Chandy–Misra–Bryant style by one lookahead `L`
@@ -17,7 +20,7 @@
 //!    gets `min(t₂, t₁ + L) + L`. A deadline caps every horizon; a lone
 //!    shard has no peer to wait for and is bounded by the deadline only.
 //! 2. Shards process their events with `time < H_i` in `(time, seq)`
-//!    order, in parallel on worker threads; intra-shard sends enqueue
+//!    order, shard by shard in index order; intra-shard sends enqueue
 //!    locally, cross-shard sends are buffered.
 //! 3. At the barrier, buffered messages are exchanged in shard order, each
 //!    shard's in production order (deterministic), and the next round
@@ -44,10 +47,12 @@
 //! the bound on every cross-shard message at the barrier, so a violating
 //! workload fails loudly instead of simulating nonsense.
 //!
-//! Determinism: for a fixed seed, shard layout, and worker count the engine
-//! is deterministic — each shard owns a forked RNG stream and processes its
+//! Determinism: for a fixed seed and shard layout the engine is
+//! deterministic — each shard owns a forked RNG stream and processes its
 //! events in a total order, and the barrier exchange is ordered by shard
-//! index. Horizons decide how far a shard runs, never the order inside it.
+//! index. Horizons decide how far a shard runs, never the order inside it,
+//! and a round runs its shards in index order, so substrate state they
+//! share sees its updates in one fixed order.
 //! Event *interleavings across shards* differ from the single-threaded
 //! engine, so order-sensitive observables (latency samples, link-schedule
 //! reservations) may differ between backends; order-free observables
@@ -80,10 +85,6 @@ fn route(locs: &[Loc], me: usize) -> impl Fn(ActorId) -> Option<u32> + '_ {
         (loc.shard as usize == me).then_some(loc.local)
     }
 }
-
-/// The schedule explorer's choice of one round's shard order (see
-/// [`ShardedSim::run_scheduled`]).
-type Pick<'a> = &'a mut dyn FnMut(u64, &[usize]) -> Vec<usize>;
 
 /// One round's exclusive horizons (`None` is unbounded): shard `first`,
 /// which holds the earliest pending event, runs to `own`, every other shard
@@ -150,7 +151,7 @@ fn horizons(
     })
 }
 
-/// The parallel sharded simulation engine.
+/// The sharded simulation engine.
 ///
 /// See the [module docs](self) for the synchronization scheme. Constructed
 /// through [`RuntimeConfig`] (usually via
@@ -163,7 +164,6 @@ pub struct ShardedSim {
     names: Vec<String>,
     /// Lower bound on the delay of any cross-shard message.
     la: SimDuration,
-    workers: usize,
     /// Accumulated metrics: per-shard registries merged after every run,
     /// plus anything the harness records between runs.
     metrics: Metrics,
@@ -190,22 +190,15 @@ impl ShardedSim {
         let shards = (0..config.nodes)
             .map(|_| Shard::new(config.seed, root.fork()))
             .collect::<Vec<_>>();
-        let workers = resolve_workers(config, shards.len());
         ShardedSim {
             shards,
             locs: Vec::new(),
             names: Vec::new(),
             la: config.lookahead,
-            workers,
             metrics: Metrics::new(),
             now: SimTime::ZERO,
             steps: 0,
         }
-    }
-
-    /// Number of worker threads a run will use.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     fn register(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId {
@@ -224,44 +217,15 @@ impl ShardedSim {
         id
     }
 
-    /// Runs the workload to completion with every round's shard order
-    /// chosen by `pick` — it receives the round index and the *active*
-    /// shards (those whose next event lies inside their horizon, the only
-    /// ones that will process events) and returns a permutation of that
-    /// slice. Returns the outcome and the per-round log of active shard
-    /// sets, which is identical across schedules when the barrier is
-    /// correct (the schedule explorer,
-    /// `crates/sim/tests/schedule_explorer.rs`, asserts it and uses the
-    /// sizes to bound its enumeration).
-    ///
-    /// Single-threaded by construction: each round executes its shards
-    /// back-to-back in the picked order, which is exactly the
-    /// interleaving freedom the worker pool has at runtime (cross-shard
-    /// messages only move at the barrier either way).
-    pub fn run_scheduled(
-        &mut self,
-        pick: &mut dyn FnMut(u64, &[usize]) -> Vec<usize>,
-    ) -> (RunOutcome, Vec<Vec<usize>>) {
-        self.run_rounds(u64::MAX, None, Some(pick))
-    }
-
     /// Drives synchronization rounds until drained, stopped, out of
-    /// budget, or past the deadline; under `pick`, each round is
-    /// sequentialized in the chosen order and its active set logged.
-    fn run_rounds(
-        &mut self,
-        max_steps: u64,
-        deadline: Option<SimTime>,
-        mut pick: Option<Pick<'_>>,
-    ) -> (RunOutcome, Vec<Vec<usize>>) {
+    /// budget, or past the deadline.
+    fn run_rounds(&mut self, max_steps: u64, deadline: Option<SimTime>) -> RunOutcome {
         for s in &mut self.shards {
             s.stop = false;
             s.processed = 0;
         }
-        let n = self.shards.len();
         let profile = self.telemetry_period().is_some();
         let start_steps = self.steps;
-        let mut log = Vec::new();
         let outcome = loop {
             let nexts = self.shards.iter().map(Shard::next_event_time);
             let Some(horizons) = horizons(nexts, self.la, deadline) else {
@@ -283,30 +247,8 @@ impl ShardedSim {
                 self.metrics.incr("runtime.sharded.rounds");
             }
 
-            match pick.as_deref_mut() {
-                Some(pick) => {
-                    let round = log.len() as u64;
-                    let active: Vec<usize> = (0..n)
-                        .filter(|&i| {
-                            self.shards[i]
-                                .next_event_time()
-                                .is_some_and(|t| horizons.of(i).is_none_or(|h| t < h))
-                        })
-                        .collect();
-                    let order = pick(round, &active);
-                    let mut sorted = order.clone();
-                    sorted.sort_unstable();
-                    assert_eq!(
-                        sorted, active,
-                        "round {round}: schedule must be a permutation of the active shards"
-                    );
-                    // The idle shards' windows are empty by construction.
-                    let idle = (0..n).filter(|i| !active.contains(i));
-                    self.run_in_order(order.into_iter().chain(idle), horizons, budget);
-                    log.push(active);
-                }
-                None if self.workers <= 1 || n <= 1 => self.run_in_order(0..n, horizons, budget),
-                None => self.run_on_workers(horizons, budget),
+            for (i, shard) in self.shards.iter_mut().enumerate() {
+                shard.run_window(horizons.of(i), budget, route(&self.locs, i));
             }
             self.exchange(profile);
             if self.shards.iter().any(|s| s.stop) {
@@ -318,7 +260,7 @@ impl ShardedSim {
             merged.merge_from(&std::mem::take(&mut s.metrics));
         }
         self.metrics.merge_from(&merged);
-        (outcome, log)
+        outcome
     }
 
     /// The barrier: folds each shard's round into the engine clock and
@@ -373,73 +315,6 @@ impl ShardedSim {
             self.metrics.add("runtime.sharded.cross_msgs", crossed);
         }
     }
-
-    /// Runs one window on each of `order`'s shards, back to back on the
-    /// calling thread.
-    fn run_in_order(
-        &mut self,
-        order: impl Iterator<Item = usize>,
-        horizons: Horizons,
-        budget: u64,
-    ) {
-        for i in order {
-            self.shards[i].run_window(horizons.of(i), budget, route(&self.locs, i));
-        }
-    }
-
-    /// Runs one window across all shards on the worker pool: worker `w`
-    /// owns shards `w, w + workers, …` outright, so no shard is shared and
-    /// nothing is locked. A worker's panic is re-raised here with its own
-    /// payload.
-    fn run_on_workers(&mut self, horizons: Horizons, budget: u64) {
-        let locs = &self.locs;
-        let workers = self.workers.min(self.shards.len());
-        let mut parts: Vec<Vec<(usize, &mut Shard)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            parts[i % workers].push((i, shard));
-        }
-        let active = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|part| {
-                    scope.spawn(move || {
-                        let mut did_work = false;
-                        for (i, shard) in part {
-                            shard.run_window(horizons.of(i), budget, route(locs, i));
-                            did_work |= shard.processed > 0;
-                        }
-                        did_work
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .filter(|&did_work| did_work)
-                .count() as u64
-        });
-        // Track peak concurrency so tests (and users) can verify the
-        // backend actually fans out over OS threads.
-        let peak = self.metrics.counter("runtime.sharded.active_workers.peak");
-        if active > peak {
-            self.metrics
-                .add("runtime.sharded.active_workers.peak", active - peak);
-        }
-    }
-}
-
-/// Picks the worker count: explicit config wins, then
-/// `min(available cores, shards)` — floored at two threads whenever there
-/// is more than one shard, so parallel code paths are exercised even on
-/// single-core hosts (threads then interleave on one core).
-fn resolve_workers(config: &RuntimeConfig, shards: usize) -> usize {
-    let workers = config.workers.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        cores.min(shards).max(if shards > 1 { 2 } else { 1 })
-    });
-    workers.clamp(1, shards.max(1))
 }
 
 impl Runtime for ShardedSim {
@@ -461,15 +336,15 @@ impl Runtime for ShardedSim {
     }
 
     fn run(&mut self) -> RunOutcome {
-        self.run_rounds(u64::MAX, None, None).0
+        self.run_rounds(u64::MAX, None)
     }
 
     fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome {
-        self.run_rounds(max_steps, None, None).0
+        self.run_rounds(max_steps, None)
     }
 
     fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.run_rounds(u64::MAX, Some(deadline), None).0
+        self.run_rounds(u64::MAX, Some(deadline))
     }
 
     fn now(&self) -> SimTime {
@@ -550,7 +425,6 @@ impl std::fmt::Debug for ShardedSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSim")
             .field("shards", &self.shards.len())
-            .field("workers", &self.workers)
             .field("now", &self.now)
             .field("actors", &self.locs.len())
             .field("pending", &self.pending())
@@ -566,12 +440,6 @@ mod tests {
     use crate::runtime::RuntimeExt;
 
     const LOOKAHEAD: SimDuration = SimDuration::from_micros(2);
-
-    fn config(seed: u64, nodes: usize) -> RuntimeConfig {
-        let mut c = RuntimeConfig::new(seed, nodes, LOOKAHEAD);
-        c.workers = Some(2);
-        c
-    }
 
     /// Sends `remaining` pings to a peer with at-least-lookahead delay.
     struct Pinger {
@@ -599,7 +467,7 @@ mod tests {
     #[test]
     fn same_seed_same_behavior() {
         let run = || {
-            let mut rt = ShardedSim::new(&config(99, 3));
+            let mut rt = ShardedSim::new(&RuntimeConfig::new(99, 3, LOOKAHEAD));
             let ids: Vec<_> = (0..3).map(|n| rt.add_actor_on(n, "p", pinger())).collect();
             for (i, id) in ids.iter().enumerate() {
                 let peer = ids[(i + 1) % ids.len()];
@@ -628,7 +496,7 @@ mod tests {
                 ctx.send_now(peer, 0u32);
             }
         }
-        let mut rt = ShardedSim::new(&config(5, 2));
+        let mut rt = ShardedSim::new(&RuntimeConfig::new(5, 2, LOOKAHEAD));
         let sink = rt.add_actor_on(1, "sink", pinger());
         let rogue = rt.add_actor_on(0, "rogue", Box::new(Rogue { peer: sink }));
         rt.post(SimDuration::ZERO, rogue, 0u32);
@@ -643,30 +511,13 @@ mod tests {
                 ctx.metrics().incr("hits");
             }
         }
-        let mut rt = ShardedSim::new(&config(5, 2));
+        let mut rt = ShardedSim::new(&RuntimeConfig::new(5, 2, LOOKAHEAD));
         let a = rt.add_actor_on(0, "a", Box::new(Counting));
         let b = rt.add_actor_on(1, "b", Box::new(Counting));
         rt.post(SimDuration::ZERO, a, 0u32);
         rt.post(SimDuration::ZERO, b, 0u32);
         rt.run();
         assert_eq!(rt.metrics().counter("hits"), 2);
-    }
-
-    /// A worker's index is not a bit position: with more workers than a
-    /// `u64` has bits, the one worker that ran an event still counts once.
-    #[test]
-    fn sixty_five_workers_count_the_one_that_worked() {
-        let mut c = RuntimeConfig::new(1, 65, LOOKAHEAD);
-        c.workers = Some(65);
-        let mut rt = ShardedSim::new(&c);
-        let last = rt.add_actor_on(64, "p", pinger());
-        rt.post(SimDuration::ZERO, last, 0u32);
-        assert_eq!(rt.run(), RunOutcome::Drained);
-        assert_eq!(rt.steps(), 1);
-        assert_eq!(
-            rt.metrics().counter("runtime.sharded.active_workers.peak"),
-            1
-        );
     }
 
     /// The reference model: the channel-clock closure over the uniform

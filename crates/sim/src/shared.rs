@@ -1,137 +1,80 @@
-//! Thread-safe shared state for simulation components.
+//! Shared state for simulation components.
 //!
 //! Actors share substrate state — the fabric model, the cluster directory,
-//! the memory store — through [`Shared`] handles. The wrapper is a thin
-//! `Arc<Mutex<T>>` with the `borrow`/`borrow_mut` vocabulary of `RefCell`,
-//! which the codebase used before the parallel sharded backend existed:
-//! the single-threaded engine never contends, so the uncontended-lock fast
-//! path costs about as much as `RefCell` bookkeeping did, and the same
-//! actor code runs unmodified on the multi-threaded backend.
+//! the memory store — through [`Shared`] handles. The simulator runs on one
+//! thread (both engines execute every event on the caller's thread), so the
+//! wrapper is a thin `Rc<RefCell<T>>`.
 //!
-//! # One lock at a time
+//! # One guard per handle
 //!
-//! No thread ever holds two `Shared` guards. Guards are held for single
-//! statements or short blocks; code copies what it needs out of one guard
-//! and drops it before taking the next, and never holds one across a call
-//! that may lock or across a send to another actor. A thread waiting for
-//! a lock therefore holds none, so no interleaving can deadlock and lock
-//! classes need no order between them.
-//!
-//! The rule is checked twice: statically by `fractos-analyze`'s lock-order
-//! pass, which reports every acquisition made while a guard is held,
-//! directly or through a call; and at run time by a witness compiled into
-//! every `debug_assertions` build, which panics with both sites when a
-//! thread holding a guard takes another — before blocking, so a re-entry
-//! fails loudly instead of deadlocking. Release builds carry no witness.
+//! [`borrow`](Shared::borrow) and [`borrow_mut`](Shared::borrow_mut) both
+//! hand out an exclusive `RefMut`: the two names only say what the caller
+//! means to do with it. Guards are held for single statements or short
+//! blocks; code copies what it needs out of one guard and drops it before
+//! calling into code that may take the same handle again. A re-entry — a
+//! second guard on a handle whose first guard is still live — panics at the
+//! second site through `RefCell`'s own check, in every build profile.
+//! Guards on two different handles may nest.
 
+use std::cell::{RefCell, RefMut};
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::rc::Rc;
 
-/// A cloneable, thread-safe, mutably borrowable handle to `T`.
+/// A cloneable, mutably borrowable handle to `T`.
 pub struct Shared<T> {
-    inner: Arc<Mutex<T>>,
-}
-
-/// An acquired [`Shared`] lock.
-///
-/// Dereferences to `T` exactly like the `MutexGuard` it wraps. In debug
-/// builds, dropping the guard also clears the witness's record that this
-/// thread holds one.
-pub struct SharedGuard<'a, T>(MutexGuard<'a, T>);
-
-impl<T> Deref for SharedGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T> DerefMut for SharedGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for SharedGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
-    }
-}
-
-#[cfg(debug_assertions)]
-impl<T> Drop for SharedGuard<'_, T> {
-    fn drop(&mut self) {
-        crate::lockdep::on_release();
-    }
+    inner: Rc<RefCell<T>>,
 }
 
 impl<T> Shared<T> {
     /// Wraps `value` in a fresh shared handle.
     pub fn new(value: T) -> Self {
         Shared {
-            inner: Arc::new(Mutex::new(value)),
+            inner: Rc::new(RefCell::new(value)),
         }
     }
 
-    /// Locks the value for shared-style access.
+    /// Borrows the value for shared-style access.
     ///
-    /// The name mirrors `RefCell::borrow` for call-site compatibility; the
-    /// guard is exclusive either way.
-    ///
-    /// Poisoning is recovered, not propagated: shared simulation state is
-    /// deterministic and mutated only under single-statement guards (see
-    /// the module docs), so a worker that panicked while holding the lock
-    /// cannot have left the value torn — the panic itself is the failure
-    /// to report, and letting every other shard panic on "poisoned" would
-    /// bury it in a cascade.
+    /// The name mirrors `RefCell::borrow` for the call sites that only
+    /// read; the guard is exclusive either way.
     ///
     /// # Panics
     ///
-    /// In debug builds, if this thread already holds a `Shared` guard.
+    /// If a guard on this handle is live.
     #[track_caller]
-    pub fn borrow(&self) -> SharedGuard<'_, T> {
-        self.acquire()
+    pub fn borrow(&self) -> RefMut<'_, T> {
+        self.inner.borrow_mut()
     }
 
-    /// Locks the value for mutable access.
+    /// Borrows the value for mutable access.
     ///
-    /// Recovers from poisoning and panics exactly like
-    /// [`borrow`](Shared::borrow).
+    /// # Panics
+    ///
+    /// If a guard on this handle is live.
     #[track_caller]
-    pub fn borrow_mut(&self) -> SharedGuard<'_, T> {
-        self.acquire()
-    }
-
-    // analyze: lock-primitive
-    #[track_caller]
-    fn acquire(&self) -> SharedGuard<'_, T> {
-        // The witness runs *before* the lock call: a re-entry then panics
-        // with both sites instead of deadlocking silently.
-        #[cfg(debug_assertions)]
-        crate::lockdep::on_acquire(std::panic::Location::caller());
-        SharedGuard(self.inner.lock().unwrap_or_else(PoisonError::into_inner))
+    pub fn borrow_mut(&self) -> RefMut<'_, T> {
+        self.inner.borrow_mut()
     }
 
     /// Whether two handles refer to the same underlying value.
     pub fn ptr_eq(&self, other: &Shared<T>) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Rc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
 impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
         Shared {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Shared<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_lock() {
+        match self.inner.try_borrow() {
             Ok(guard) => f.debug_tuple("Shared").field(&&*guard).finish(),
-            Err(_) => f.write_str("Shared(<locked>)"),
+            Err(_) => f.write_str("Shared(<borrowed>)"),
         }
     }
 }
@@ -145,6 +88,7 @@ impl<T: Default> Default for Shared<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn clones_alias_one_value() {
@@ -157,21 +101,34 @@ mod tests {
     }
 
     #[test]
-    fn crosses_threads() {
-        let s = Shared::new(0u64);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let s = s.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        *s.borrow_mut() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn a_second_guard_on_one_handle_panics_and_two_handles_nest() {
+        let a = Shared::new(1u32);
+        let b = Shared::new(2u32);
+
+        // Every pairing of the two names is a re-entry, and so is a second
+        // guard taken through a clone of the handle.
+        let alias = a.clone();
+        let reentries: [&dyn Fn(); 5] = [
+            &|| drop((a.borrow(), a.borrow())),
+            &|| drop((a.borrow(), a.borrow_mut())),
+            &|| drop((a.borrow_mut(), a.borrow())),
+            &|| drop((a.borrow_mut(), a.borrow_mut())),
+            &|| drop((a.borrow_mut(), alias.borrow_mut())),
+        ];
+        for reenter in reentries {
+            assert!(catch_unwind(AssertUnwindSafe(reenter)).is_err());
         }
-        assert_eq!(*s.borrow(), 4000);
+
+        // Unwinding released the first guard.
+        *a.borrow_mut() += 1;
+
+        // Guards on two different handles may be live at once.
+        {
+            let mut ga = a.borrow_mut();
+            let mut gb = b.borrow_mut();
+            *gb += *ga;
+            *ga = 0;
+        }
+        assert_eq!((*a.borrow(), *b.borrow()), (0, 4));
     }
 }

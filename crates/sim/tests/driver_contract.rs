@@ -17,18 +17,16 @@ const LOOKAHEAD: SimDuration = SimDuration::from_micros(2);
 
 /// Every driver under contract, with the number of nodes a workload may
 /// place actors on (`Sim` accepts any node; two keeps the placements of
-/// the two-node sharded drivers).
+/// the two-node sharded driver).
 fn drivers(seed: u64) -> Vec<(&'static str, usize, Box<dyn Runtime>)> {
-    let sharded = |nodes, workers| {
-        let mut config = RuntimeConfig::new(seed, nodes, LOOKAHEAD);
-        config.workers = Some(workers);
+    let sharded = |nodes| {
+        let config = RuntimeConfig::new(seed, nodes, LOOKAHEAD);
         Box::new(ShardedSim::new(&config)) as Box<dyn Runtime>
     };
     vec![
         ("Sim", 2, Box::new(Sim::new(seed))),
-        ("ShardedSim 1 node", 1, sharded(1, 1)),
-        ("ShardedSim 2 nodes, 1 worker", 2, sharded(2, 1)),
-        ("ShardedSim 2 nodes, 2 workers", 2, sharded(2, 2)),
+        ("ShardedSim 1 node", 1, sharded(1)),
+        ("ShardedSim 2 nodes", 2, sharded(2)),
     ]
 }
 
