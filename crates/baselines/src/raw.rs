@@ -19,7 +19,10 @@ pub struct Peer {
 
 /// Sends `msg` from `src` to `peer` with fabric-modelled latency and
 /// traffic accounting, plus `extra` processing delay.
-#[allow(clippy::too_many_arguments)] // a transport primitive, not an API to shrink
+// The arguments are `Fabric::send`'s plus the delivery's (`extra`, `msg`);
+// every caller varies them independently, so a bundling struct would only
+// rename them.
+#[allow(clippy::too_many_arguments)]
 pub fn raw_send<M: 'static>(
     ctx: &mut Ctx<'_>,
     fabric: &Shared<Fabric>,

@@ -57,6 +57,13 @@ pub struct CapRef {
     pub object: ObjectId,
 }
 
+/// A bare reference is its own capability-space slot.
+impl AsRef<CapRef> for CapRef {
+    fn as_ref(&self) -> &CapRef {
+        self
+    }
+}
+
 impl fmt::Display for CapRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}@e{}/{}", self.ctrl, self.epoch.0, self.object)

@@ -16,7 +16,8 @@
 //! * [`ids`] — capability references `(controller, epoch, object)` and
 //!   per-Process `cid` indices;
 //! * [`perms`] — monotone Memory permissions;
-//! * [`space`] — fd-style per-Process capability spaces;
+//! * [`space`] — fd-style per-Process capability spaces, with a holder
+//!   index for revocation cleanup;
 //! * [`table`] — the per-Controller object table with revocation trees,
 //!   reboot epochs, monitor callbacks and failure translation.
 //!

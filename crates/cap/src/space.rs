@@ -10,17 +10,31 @@
 //! default, or whatever record its holder keeps per capability (the
 //! Controller's slots carry the reference together with the memory
 //! descriptor snapshot that one-sided RDMA needs).
+//!
+//! Revocation cleanup removes slots by the reference they hold, not by
+//! index: [`CapSpace::remove_refs`] drops every slot whose reference lies
+//! in a range (one revoked object, or everything one owner minted). It
+//! answers from a holder index, an ordered set of (reference, cid)
+//! entries, so a scrub costs O(log held + removed) instead of a pass over
+//! every slot. A space builds the index at its first scrub and keeps it
+//! current from then on, so a space that is never scrubbed never pays for
+//! it. That is measured, not assumed: kept from the first insert instead,
+//! the index raised the peak RSS of `perf/`'s `mesh64` workload, which
+//! never revokes, from 112.3 to 122.9 MiB and read 0.85–1.05× its ops/s
+//! (3 alternating runs on a 2-core host).
 
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::ops::RangeInclusive;
 
 use crate::error::{CapError, Result};
-use crate::ids::{CapRef, Cid};
+use crate::ids::{CapRef, Cid, ControllerAddr, Epoch, ObjectId};
 
 /// Maximum number of capability slots per Process (quota, §4 mentions the
 /// capability space "can be capped via quotas").
 pub const DEFAULT_QUOTA: usize = 1 << 20;
 
-/// A Process's table of capabilities, one `T` per live slot.
+/// A Process's table of capabilities, one `T` per live slot. A slot's
+/// reference is read through `AsRef<CapRef>`.
 #[derive(Debug, Clone)]
 pub struct CapSpace<T = CapRef> {
     slots: Vec<Option<T>>,
@@ -28,6 +42,31 @@ pub struct CapSpace<T = CapRef> {
     free: BinaryHeap<std::cmp::Reverse<u32>>,
     quota: usize,
     live: usize,
+    // Holder index: one entry per live slot once the first `remove_refs`
+    // built it; `insert` and `remove` keep it current.
+    index: Option<BTreeSet<Held>>,
+}
+
+/// A holder-index entry: a slot's reference, then its cid. Flat rather
+/// than `(CapRef, Cid)`, which pads to 32 bytes where this packs into 24;
+/// the derived order is the same, (owner, epoch, object, cid).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Held {
+    ctrl: ControllerAddr,
+    epoch: Epoch,
+    object: ObjectId,
+    cid: Cid,
+}
+
+impl Held {
+    fn new(r: CapRef, cid: Cid) -> Self {
+        Held {
+            ctrl: r.ctrl,
+            epoch: r.epoch,
+            object: r.object,
+            cid,
+        }
+    }
 }
 
 impl CapSpace {
@@ -37,7 +76,7 @@ impl CapSpace {
     }
 }
 
-impl<T> CapSpace<T> {
+impl<T: AsRef<CapRef>> CapSpace<T> {
     /// Creates an empty space with a specific slot quota.
     pub fn with_quota(quota: usize) -> Self {
         CapSpace {
@@ -45,6 +84,7 @@ impl<T> CapSpace<T> {
             free: BinaryHeap::new(),
             quota,
             live: 0,
+            index: None,
         }
     }
 
@@ -55,10 +95,12 @@ impl<T> CapSpace<T> {
     }
 
     /// Inserts a capability at the lowest free index.
+    // analyze: hot-path
     pub fn insert(&mut self, cap: T) -> Result<Cid> {
         if self.live >= self.quota {
             return Err(CapError::SpaceExhausted);
         }
+        let held = *cap.as_ref();
         let cid = if let Some(std::cmp::Reverse(idx)) = self.free.pop() {
             self.slots[idx as usize] = Some(cap);
             Cid(idx)
@@ -67,11 +109,15 @@ impl<T> CapSpace<T> {
             self.slots.push(Some(cap));
             Cid(idx)
         };
+        if let Some(index) = &mut self.index {
+            index.insert(Held::new(held, cid));
+        }
         self.live += 1;
         Ok(cid)
     }
 
     /// Looks up the capability at `cid`.
+    // analyze: hot-path
     pub fn get(&self, cid: Cid) -> Result<&T> {
         self.slots
             .get(cid.0 as usize)
@@ -80,15 +126,42 @@ impl<T> CapSpace<T> {
     }
 
     /// Removes and returns the capability at `cid`, freeing the index.
+    // analyze: hot-path
     pub fn remove(&mut self, cid: Cid) -> Result<T> {
         let slot = self
             .slots
             .get_mut(cid.0 as usize)
             .ok_or(CapError::BadCid(cid))?;
         let cap = slot.take().ok_or(CapError::BadCid(cid))?;
+        if let Some(index) = &mut self.index {
+            index.remove(&Held::new(*cap.as_ref(), cid));
+        }
         self.free.push(std::cmp::Reverse(cid.0));
         self.live -= 1;
         Ok(cap)
+    }
+
+    /// Removes every capability whose reference lies in `refs` and returns
+    /// how many were removed. The first call builds the holder index from
+    /// the live slots; later calls and every `insert`/`remove` reuse it.
+    pub fn remove_refs(&mut self, refs: RangeInclusive<CapRef>) -> usize {
+        let slots = &self.slots;
+        let index = self.index.get_or_insert_with(|| {
+            slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| {
+                    slot.as_ref()
+                        .map(|cap| Held::new(*cap.as_ref(), Cid(i as u32)))
+                })
+                .collect()
+        });
+        let bounds = Held::new(*refs.start(), Cid(0))..=Held::new(*refs.end(), Cid(u32::MAX));
+        let victims: Vec<Cid> = index.range(bounds).map(|held| held.cid).collect();
+        for &cid in &victims {
+            let _ = self.remove(cid);
+        }
+        victims.len()
     }
 
     /// Number of live capabilities.
@@ -110,7 +183,7 @@ impl<T> CapSpace<T> {
     }
 }
 
-impl<T> Default for CapSpace<T> {
+impl<T: AsRef<CapRef>> Default for CapSpace<T> {
     fn default() -> Self {
         Self::with_quota(DEFAULT_QUOTA)
     }

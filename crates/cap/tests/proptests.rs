@@ -25,18 +25,48 @@ fn capref(n: u64) -> CapRef {
     }
 }
 
+/// A reference from a small universe (three owners, two epochs, a dozen
+/// objects), so one reference often sits in several slots.
+fn held_ref() -> impl Strategy<Value = CapRef> {
+    (0u32..3, 0u64..2, 0u64..12).prop_map(|(ctrl, epoch, object)| CapRef {
+        ctrl: ControllerAddr(ctrl),
+        epoch: fractos_cap::Epoch(epoch),
+        object: ObjectId(object),
+    })
+}
+
+/// Every reference `ctrl` can mint, as the inclusive range `CapRef`'s
+/// (owner, epoch, object) order makes it.
+fn owner_range(ctrl: u32) -> (CapRef, CapRef) {
+    let at = |x: u64| CapRef {
+        ctrl: ControllerAddr(ctrl),
+        epoch: fractos_cap::Epoch(x),
+        object: ObjectId(x),
+    };
+    (at(0), at(u64::MAX))
+}
+
 /// Operations on a capability space, mirrored against a simple model.
 #[derive(Debug, Clone)]
 enum SpaceOp {
-    Insert(u64),
+    Insert(CapRef),
     Remove(u32),
+    /// Remove every slot whose reference lies in `lo..=hi`.
+    RemoveRefs(CapRef, CapRef),
 }
 
 fn space_ops() -> impl Strategy<Value = Vec<SpaceOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u64..1000).prop_map(SpaceOp::Insert),
+            held_ref().prop_map(SpaceOp::Insert),
+            held_ref().prop_map(SpaceOp::Insert),
             (0u32..64).prop_map(SpaceOp::Remove),
+            held_ref().prop_map(|r| SpaceOp::RemoveRefs(r, r)),
+            (0u32..3).prop_map(|ctrl| {
+                let (lo, hi) = owner_range(ctrl);
+                SpaceOp::RemoveRefs(lo, hi)
+            }),
+            (held_ref(), held_ref()).prop_map(|(a, b)| SpaceOp::RemoveRefs(a.min(b), a.max(b))),
         ],
         0..200,
     )
@@ -44,35 +74,53 @@ fn space_ops() -> impl Strategy<Value = Vec<SpaceOp>> {
 
 proptest! {
     /// The capability space always allocates the lowest free index and
-    /// agrees with a naive model.
+    /// agrees with a naive model, before and after its holder index
+    /// exists: a range removal drops exactly the slots a filter over the
+    /// model finds.
     #[test]
     fn capspace_matches_fd_model(ops in space_ops()) {
         let mut space = CapSpace::new();
-        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut model: BTreeMap<u32, CapRef> = BTreeMap::new();
+        let lowest_free = |model: &BTreeMap<u32, CapRef>| {
+            (0u32..).find(|i| !model.contains_key(i)).unwrap()
+        };
 
         for op in ops {
             match op {
-                SpaceOp::Insert(v) => {
-                    let cid = space.insert(capref(v)).unwrap();
-                    // Lowest free index in the model.
-                    let expect = (0u32..).find(|i| !model.contains_key(i)).unwrap();
-                    prop_assert_eq!(cid.0, expect);
-                    model.insert(cid.0, v);
+                SpaceOp::Insert(r) => {
+                    let cid = space.insert(r).unwrap();
+                    prop_assert_eq!(cid.0, lowest_free(&model));
+                    model.insert(cid.0, r);
                 }
                 SpaceOp::Remove(idx) => {
                     let got = space.remove(fractos_cap::Cid(idx));
                     match model.remove(&idx) {
-                        Some(v) => prop_assert_eq!(got.unwrap().object.0, v),
+                        Some(r) => prop_assert_eq!(got.unwrap(), r),
                         None => prop_assert!(got.is_err()),
                     }
                 }
+                SpaceOp::RemoveRefs(lo, hi) => {
+                    let before: BTreeSet<u32> = space.iter().map(|(cid, _)| cid.0).collect();
+                    let removed = space.remove_refs(lo..=hi);
+                    let after: BTreeSet<u32> = space.iter().map(|(cid, _)| cid.0).collect();
+                    let expect: Vec<u32> = model
+                        .iter()
+                        .filter(|(_, r)| (lo..=hi).contains(*r))
+                        .map(|(&cid, _)| cid)
+                        .collect();
+                    model.retain(|_, r| !(lo..=hi).contains(r));
+                    prop_assert_eq!(removed, expect.len());
+                    prop_assert_eq!(before.difference(&after).copied().collect::<Vec<_>>(), expect);
+                }
             }
             prop_assert_eq!(space.len(), model.len());
+            let live: BTreeMap<u32, CapRef> =
+                space.iter().map(|(cid, cap)| (cid.0, *cap)).collect();
+            prop_assert_eq!(&live, &model);
         }
-        // Final contents agree.
-        let live: BTreeMap<u32, u64> =
-            space.iter().map(|(cid, cap)| (cid.0, cap.object.0)).collect();
-        prop_assert_eq!(live, model);
+        // The next insert still takes the lowest free index.
+        let next = space.insert(capref(0)).unwrap();
+        prop_assert_eq!(next.0, lowest_free(&model));
     }
 
     /// Revoking any node invalidates exactly its subtree.

@@ -36,9 +36,11 @@
 //!   lossy send and knows the §3.6 retransmit policy.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::RangeInclusive;
 
 use fractos_cap::{
-    CapRef, CapSpace, Cid, ControllerAddr, MonitorEvent, ObjectTable, RevokeOutcome, Watcher,
+    CapRef, CapSpace, Cid, ControllerAddr, Epoch, MonitorEvent, ObjectId, ObjectTable,
+    RevokeOutcome, Watcher,
 };
 use fractos_net::params::{INTERRUPT_WAKEUP, LOCAL_ONEWAY, POLL_WINDOW};
 use fractos_net::{ComputeDomain, Endpoint, Fabric, Payload, SendOutcome, TrafficClass, RETRY};
@@ -719,7 +721,9 @@ impl ControllerActor {
             }
         }
         // Local cleanup of the owner's own bookkeeping.
-        self.scrub_where(|c| refs.contains(c));
+        for &r in &refs {
+            self.scrub(r..=r);
+        }
         Ok(visited)
     }
 
@@ -747,22 +751,14 @@ impl ControllerActor {
         refs
     }
 
-    /// Drops every capability matching `dead` from the capability spaces of
-    /// the Processes managed here and from the bootstrap registry. A
-    /// revoked list is one revocation subtree, so testing each held slot
-    /// against the slice is cheaper than hashing every slot.
-    fn scrub_where(&mut self, dead: impl Fn(&CapRef) -> bool) {
+    /// Drops every capability whose reference lies in `refs` from the
+    /// capability spaces of the Processes managed here (through each
+    /// space's holder index) and from the bootstrap registry.
+    fn scrub(&mut self, refs: RangeInclusive<CapRef>) {
         for space in self.spaces.values_mut() {
-            let victims: Vec<Cid> = space
-                .iter()
-                .filter(|(_, ca)| dead(&ca.cap))
-                .map(|(cid, _)| cid)
-                .collect();
-            for cid in victims {
-                let _ = space.remove(cid);
-            }
+            space.remove_refs(refs.clone());
         }
-        self.kv.retain(|_, ca| !dead(&ca.cap));
+        self.kv.retain(|_, ca| !refs.contains(&ca.cap));
     }
 
     fn dispatch_monitor_events(&mut self, ctx: &mut Ctx<'_>, events: &[MonitorEvent]) {
@@ -1736,7 +1732,11 @@ impl ControllerActor {
             PeerOp::MonitorEvent { proc, cb } => {
                 self.send_proc(ctx, proc, CtrlToProc::Monitor(cb), extra)
             }
-            PeerOp::Cleanup { objs } => self.scrub_where(|c| objs.contains(c)),
+            PeerOp::Cleanup { objs } => {
+                for r in objs {
+                    self.scrub(r..=r);
+                }
+            }
             PeerOp::FailProcess { proc } => self.fail_process_local(ctx, proc),
         }
     }
@@ -1797,7 +1797,18 @@ impl ControllerActor {
         // managed here (later use yields a typed BadCid verdict, never a
         // silent hang on the dead owner) and from the bootstrap registry,
         // so lookups can never hand out a dead instance's capability.
-        self.scrub_where(|cap| cap.ctrl == peer);
+        // `CapRef` orders by (owner, epoch, object): one range is the owner.
+        let first = CapRef {
+            ctrl: peer,
+            epoch: Epoch(0),
+            object: ObjectId(0),
+        };
+        let last = CapRef {
+            ctrl: peer,
+            epoch: Epoch(u64::MAX),
+            object: ObjectId(u64::MAX),
+        };
+        self.scrub(first..=last);
         self.peer_revocations.push((peer, ctx.now()));
         if ctx.spans_enabled() {
             ctx.span(

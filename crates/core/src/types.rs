@@ -71,6 +71,13 @@ pub struct CapArg {
     pub mem: Option<MemoryDesc>,
 }
 
+/// A Controller's capability-space slot is indexed by its reference.
+impl AsRef<CapRef> for CapArg {
+    fn as_ref(&self) -> &CapRef {
+        &self.cap
+    }
+}
+
 /// Descriptor of a Request object (§3.3–§3.4).
 ///
 /// Initialized arguments are immutable; derivation may only *append*

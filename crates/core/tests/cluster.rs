@@ -404,7 +404,9 @@ fn revocation_is_immediate_for_data_plane() {
 
 /// The cleanup broadcast at a peer Controller drops every slot holding a
 /// revoked reference, and only those: in the client's capability space and
-/// in the registry.
+/// in the registry. The first scrub builds the space's holder index; slots
+/// filled after it are found by a later revoke, and a peer failure then
+/// drops everything the peer minted.
 #[test]
 fn cleanup_broadcast_scrubs_every_slot_of_the_revoked_ref() {
     let (mut tb, ctrls) = two_ctrl_testbed();
@@ -416,12 +418,17 @@ fn cleanup_broadcast_scrubs_every_slot_of_the_revoked_ref() {
         ctrls[1],
         Script::new(|_, fos| {
             fos.memory_create_new(64, Perms::RW, |_s, _a, root, fos| {
-                let revtree = Syscall::CapCreateRevtree { cid: root.unwrap() };
-                fos.call(revtree, |s: &mut Script, res, fos| {
-                    let node = res.cid();
-                    s.cids.push(node);
-                    fos.kv_put("node", node, |_, res, _| assert!(res.is_ok()));
-                });
+                let root = root.unwrap();
+                let revtree = Syscall::CapCreateRevtree { cid: root };
+                fos.chain(
+                    vec![revtree.clone(), revtree],
+                    |s: &mut Script, res, fos| {
+                        let [node, second] = <[Cid; 2]>::try_from(res.unwrap()).unwrap();
+                        s.cids.extend([node, second]);
+                        fos.kv_put("node", node, |_, res, _| assert!(res.is_ok()));
+                        fos.kv_put("second", second, |_, res, _| assert!(res.is_ok()));
+                    },
+                );
             });
             fos.memory_create_new(64, Perms::RW, |_s, _a, other, fos| {
                 fos.kv_put("other", other.unwrap(), |_, res, _| assert!(res.is_ok()));
@@ -452,21 +459,26 @@ fn cleanup_broadcast_scrubs_every_slot_of_the_revoked_ref() {
     let len = |tb: &mut Testbed| {
         tb.with_controller(ctrls[0], |c: &mut ControllerActor| c.capspace_len(client))
     };
+    let keys =
+        |tb: &mut Testbed| tb.with_controller(ctrls[0], |c: &mut ControllerActor| c.kv_keys());
+    let revoke = |tb: &mut Testbed, at: usize| {
+        let cid = tb.with_service::<Script, _>(owner, |s| s.cids[at]);
+        let fos = tb.fos_of::<Script>(owner);
+        fos.call(Syscall::CapRevoke { cid }, |s, res, _| s.results.push(res));
+        tb.poke(owner);
+        tb.run();
+    };
     let held = len(&mut tb);
 
-    let node = tb.with_service::<Script, _>(owner, |s| s.cids[0]);
-    let fos = tb.fos_of::<Script>(owner);
-    fos.call(Syscall::CapRevoke { cid: node }, |s, res, _| {
-        s.results.push(res)
-    });
-    tb.poke(owner);
-    tb.run();
+    revoke(&mut tb, 0);
     tb.with_service::<Script, _>(owner, |s| {
         assert_eq!(s.results, vec![SyscallResult::Value(1)]);
     });
     assert_eq!(len(&mut tb), held - 2, "both node slots, nothing else");
-    let keys = tb.with_controller(ctrls[0], |c: &mut ControllerActor| c.kv_keys());
-    assert_eq!(keys, vec!["other".to_string()]);
+    assert_eq!(
+        keys(&mut tb),
+        vec!["other".to_string(), "second".to_string()]
+    );
 
     let [buf, node1, node2, other] =
         tb.with_service::<Script, _>(client, |s| <[Cid; 4]>::try_from(s.cids.clone()).unwrap());
@@ -475,12 +487,19 @@ fn cleanup_broadcast_scrubs_every_slot_of_the_revoked_ref() {
         s.results.push(res);
         fos.memory_copy(other, buf, move |s: &mut Script, res, fos| {
             s.results.push(res);
-            fos.kv_get("other", |s: &mut Script, res, _| s.results.push(res));
+            fos.kv_get("other", move |s: &mut Script, res, fos| {
+                s.results.push(res);
+                fos.chain(
+                    vec![get("second"), get("second")],
+                    |s: &mut Script, res, _| s.cids.extend(res.unwrap()),
+                );
+            });
         });
     });
     tb.poke(client);
     tb.run();
-    tb.with_service::<Script, _>(client, |s| {
+    // Look-ups after the index exists reuse the freed cids, lowest first.
+    let [second1, second2] = tb.with_service::<Script, _>(client, |s| {
         assert_eq!(
             s.results,
             vec![
@@ -489,7 +508,50 @@ fn cleanup_broadcast_scrubs_every_slot_of_the_revoked_ref() {
                 SyscallResult::NewCid(node1.min(node2)),
             ]
         );
+        <[Cid; 2]>::try_from(&s.cids[4..]).unwrap()
     });
+    assert_eq!(second1, node1.max(node2), "the other freed cid");
+    assert_eq!(
+        second2,
+        Cid(u32::try_from(held).unwrap()),
+        "then a fresh one"
+    );
+    assert_eq!(len(&mut tb), held + 1);
+
+    // The second revoke removes exactly the two reused slots that hold it.
+    revoke(&mut tb, 1);
+    tb.with_service::<Script, _>(owner, |s| {
+        assert_eq!(s.results[1], SyscallResult::Value(1));
+    });
+    assert_eq!(len(&mut tb), held - 1, "both second slots, nothing else");
+    assert_eq!(keys(&mut tb), vec!["other".to_string()]);
+    let fos = tb.fos_of::<Script>(client);
+    fos.memory_copy(second2, buf, move |s: &mut Script, res, fos| {
+        s.results.push(res);
+        fos.memory_copy(node1.min(node2), buf, |s: &mut Script, res, _| {
+            s.results.push(res)
+        });
+    });
+    tb.poke(client);
+    tb.run();
+    tb.with_service::<Script, _>(client, |s| {
+        assert_eq!(
+            s.results[3..],
+            [
+                SyscallResult::Err(FosError::Cap(CapError::BadCid(second2))),
+                SyscallResult::Ok,
+            ]
+        );
+    });
+
+    // The owner's failure drops every slot it minted, and only those.
+    assert!(tb.with_controller(ctrls[0], |c: &mut ControllerActor| c
+        .holds_cap_of(client, ctrls[1])));
+    tb.kill_controller(ctrls[1]);
+    tb.run();
+    assert!(!tb.with_controller(ctrls[0], |c: &mut ControllerActor| c
+        .holds_cap_of(client, ctrls[1])));
+    assert_eq!(len(&mut tb), held - 3, "both other slots, nothing else");
 }
 
 #[test]

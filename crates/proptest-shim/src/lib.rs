@@ -218,26 +218,25 @@ impl Strategy for Any<bool> {
 }
 
 macro_rules! tuple_strategy {
-    ($(($($name:ident),+))*) => {$(
+    ($(($($name:ident $part:ident),+))*) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
-                let ($($name,)+) = self;
-                ($($name.generate(rng),)+)
+                let ($($part,)+) = self;
+                ($($part.generate(rng),)+)
             }
         }
     )*};
 }
 
 tuple_strategy! {
-    (A, B)
-    (A, B, C)
-    (A, B, C, D)
-    (A, B, C, D, E)
-    (A, B, C, D, E, F)
-    (A, B, C, D, E, F, G)
-    (A, B, C, D, E, F, G, H)
+    (A a, B b)
+    (A a, B b, C c)
+    (A a, B b, C c, D d)
+    (A a, B b, C c, D d, E e)
+    (A a, B b, C c, D d, E e, F f)
+    (A a, B b, C c, D d, E e, F f, G g)
+    (A a, B b, C c, D d, E e, F f, G g, H h)
 }
 
 /// String strategy from a `[chars]{m,n}` pattern (the regex subset the
@@ -475,6 +474,9 @@ macro_rules! __proptest_fns {
                 runner.run(stringify!($name), |__rng| {
                     $(let $arg = $crate::Strategy::generate(&($strat), __rng);)+
                     $body
+                    // A body whose every path returns (`return Err(..)`,
+                    // a trailing `panic!`) leaves this line dead; the lint
+                    // would then fire in the caller's test file.
                     #[allow(unreachable_code)]
                     Ok(())
                 });
@@ -582,7 +584,6 @@ mod tests {
     #[should_panic(expected = "failed at case")]
     fn failures_panic_with_case_number() {
         proptest! {
-            #[allow(dead_code)]
             fn always_fails(v in 0u64..10) {
                 prop_assert!(v > 100, "v was {v}");
             }
