@@ -9,6 +9,7 @@
 //! all data staged through the client's host memory.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use fractos_devices::{GpuDevice, GpuParams, Kernel};
@@ -154,15 +155,25 @@ impl RcudaServer {
         );
     }
 
-    /// Applies a finished launch's computation to device memory.
+    /// The part of `[offset, offset + len)` that lies in device memory:
+    /// cut at its end, and empty when `offset` is at or past it.
+    fn extent(&self, offset: u64, len: u64) -> Range<usize> {
+        let size = self.dev_mem.len();
+        let start = usize::try_from(offset).map_or(size, |o| o.min(size));
+        let end = usize::try_from(len).map_or(size, |l| start.saturating_add(l).min(size));
+        start..end
+    }
+
+    /// Applies a finished launch's computation to device memory. The
+    /// input extent was checked at launch; output past the end of device
+    /// memory is dropped.
     fn retire_launch(&mut self) {
         if let Some((in_off, in_len, params, kernel, out_off)) = self.pending_launch.take() {
             if let Some(k) = self.kernels.get(&kernel) {
-                let input = &self.dev_mem[in_off as usize..(in_off + in_len) as usize];
-                let out = k.run(input, &params);
-                let end = (out_off as usize + out.len()).min(self.dev_mem.len());
-                let n = end - out_off as usize;
-                self.dev_mem[out_off as usize..end].copy_from_slice(&out[..n]);
+                let out = k.run(&self.dev_mem[self.extent(in_off, in_len)], &params);
+                let dst = self.extent(out_off, out.len() as u64);
+                let n = dst.len();
+                self.dev_mem[dst].copy_from_slice(&out[..n]);
             }
         }
     }
@@ -181,8 +192,9 @@ impl Actor for RcudaServer {
                 data,
                 reply,
             } => {
-                let end = (offset as usize + data.len()).min(self.dev_mem.len());
-                self.dev_mem[offset as usize..end].copy_from_slice(&data[..end - offset as usize]);
+                let dst = self.extent(offset, data.len() as u64);
+                let n = dst.len();
+                self.dev_mem[dst].copy_from_slice(&data[..n]);
                 // H2D also crosses the daemon's PCIe to the device; the
                 // fabric already charged the network, add the PCIe copy.
                 let pcie = SimDuration::from_secs_f64(data.len() as f64 / PCIE_BANDWIDTH);
@@ -200,9 +212,14 @@ impl Actor for RcudaServer {
                     .kernels
                     .get(&kernel)
                     .map_or(1, |k| k.items(input.1, &params));
-                // A launch that would end past the virtual timeline is
-                // refused like an invalid launch configuration: nothing runs.
-                if let Some(delay) = self.device.execute(ctx.now(), items) {
+                // A launch whose input lies outside device memory, or that
+                // would end past the virtual timeline, is refused like an
+                // invalid launch configuration: nothing runs.
+                let input_fits = self.extent(input.0, input.1).len() as u64 == input.1;
+                if let Some(delay) = input_fits
+                    .then(|| self.device.execute(ctx.now(), items))
+                    .flatten()
+                {
                     self.kernel_done_at = ctx.now() + delay;
                     self.pending_launch = Some((input.0, input.1, params, kernel, out_offset));
                 }
@@ -217,8 +234,7 @@ impl Actor for RcudaServer {
                 self.reply(ctx, reply, 0, extra, Vec::new());
             }
             DriverCall::MemcpyD2H { offset, len, reply } => {
-                let end = (offset + len).min(self.dev_mem.len() as u64);
-                let data = self.dev_mem[offset as usize..end as usize].to_vec();
+                let data = self.dev_mem[self.extent(offset, len)].to_vec();
                 let pcie = SimDuration::from_secs_f64(len as f64 / PCIE_BANDWIDTH);
                 let extra = self.charge(ctx.now(), DAEMON_CALL_OVERHEAD + pcie);
                 self.reply(ctx, reply, len, extra, data);
@@ -334,10 +350,12 @@ pub const KERNEL_CALLS: u64 = 4 + INTERPOSITION_CALLS;
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use fractos_devices::XorKernel;
     use fractos_net::{NetParams, NodeId, Topology};
-    use fractos_sim::{Runtime, RuntimeExt, Sim};
+    use fractos_sim::{ActorId, Runtime, RuntimeExt, Sim};
 
     /// A driver that runs the canonical verify sequence and checks data.
     struct Driver {
@@ -396,9 +414,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rcuda_sequence_computes_and_takes_four_round_trips() {
-        let mut sim = Sim::new(5);
+    /// A driver call waiting for its reply routing.
+    type Call = Box<dyn FnOnce((Peer, u64)) -> DriverCall>;
+
+    /// Issues its calls one after another, each once the previous one
+    /// replied, and keeps every reply's data.
+    struct Script {
+        client: RcudaClient,
+        calls: VecDeque<Call>,
+        replies: Vec<Vec<u8>>,
+    }
+
+    impl Actor for Script {
+        fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+            if let Ok(reply) = msg.downcast::<DriverReply>() {
+                self.replies.push(reply.data);
+            }
+            if let Some(build) = self.calls.pop_front() {
+                self.client.call(ctx, build);
+            }
+        }
+    }
+
+    /// Two actors on the paper testbed: a 1 KiB daemon with the XOR kernel
+    /// as kernel 1 on node 1, and `client` on node 2 bound to it.
+    fn daemon_and<A: Actor + 'static>(
+        sim: &mut Sim,
+        client: impl FnOnce(RcudaClient) -> A,
+    ) -> (Shared<Fabric>, ActorId, ActorId) {
         let fabric = Shared::new(Fabric::new(Topology::paper_testbed(), NetParams::paper()));
         let server_ep = Endpoint::cpu(NodeId(1));
         let server = sim.add_actor_on(
@@ -409,24 +452,81 @@ mod tests {
                     .with_kernel(1, XorKernel(0xFF)),
             ),
         );
-        let client_ep = Endpoint::cpu(NodeId(2));
-        let driver = sim.add_actor_on(
-            2,
-            "driver",
-            Box::new(Driver {
-                client: RcudaClient::new(
-                    client_ep,
-                    Peer {
-                        actor: server,
-                        endpoint: server_ep,
-                    },
-                    fabric.clone(),
-                ),
-                tokens: HashMap::new(),
-                result: Vec::new(),
-                done: false,
-            }),
-        );
+        let peer = Peer {
+            actor: server,
+            endpoint: server_ep,
+        };
+        let rc = RcudaClient::new(Endpoint::cpu(NodeId(2)), peer, fabric.clone());
+        let driver = sim.add_actor_on(2, "driver", Box::new(client(rc)));
+        (fabric, server, driver)
+    }
+
+    #[test]
+    fn out_of_range_driver_calls_reply_and_touch_nothing() {
+        let launch = |input: (u64, u64), out_offset: u64| {
+            move |reply| DriverCall::Launch {
+                kernel: 1,
+                params: vec![1],
+                input,
+                out_offset,
+                reply,
+            }
+        };
+        let h2d = |offset: u64| {
+            move |reply| DriverCall::MemcpyH2D {
+                offset,
+                data: vec![0xAB; 32],
+                reply,
+            }
+        };
+        let d2h = |offset: u64, len: u64| move |reply| DriverCall::MemcpyD2H { offset, len, reply };
+        let sync = |reply| DriverCall::Synchronize { reply };
+        let calls: Vec<Call> = vec![
+            Box::new(h2d(1024)),
+            Box::new(h2d(4096)),
+            Box::new(h2d(u64::MAX)),
+            Box::new(d2h(1024, 32)),
+            Box::new(d2h(u64::MAX - 1, 16)),
+            // Input past the end, straddling it, and overflowing `u64`:
+            // refused, so the XOR kernel never writes its 0xFF bytes.
+            Box::new(launch((4096, 16), 0)),
+            Box::new(sync),
+            Box::new(launch((1000, 100), 0)),
+            Box::new(sync),
+            Box::new(launch((u64::MAX, 16), 0)),
+            Box::new(sync),
+            // Input in range, output past the end: runs, writes nothing.
+            Box::new(launch((0, 32), 4096)),
+            Box::new(sync),
+        ];
+        let n = calls.len();
+        let mut sim = Sim::new(5);
+        let (_, server, driver) = daemon_and(&mut sim, |client| Script {
+            client,
+            calls: calls.into(),
+            replies: Vec::new(),
+        });
+        sim.post(SimDuration::ZERO, driver, Go);
+        sim.run();
+        sim.with_actor::<Script, _>(driver, |d| {
+            assert_eq!(d.replies.len(), n);
+            assert!(d.replies.iter().all(Vec::is_empty));
+        });
+        sim.with_actor::<RcudaServer, _>(server, |s| {
+            assert_eq!(s.calls, n as u64);
+            assert!(s.dev_mem.iter().all(|&b| b == 0));
+        });
+    }
+
+    #[test]
+    fn rcuda_sequence_computes_and_takes_four_round_trips() {
+        let mut sim = Sim::new(5);
+        let (fabric, server, driver) = daemon_and(&mut sim, |client| Driver {
+            client,
+            tokens: HashMap::new(),
+            result: Vec::new(),
+            done: false,
+        });
         sim.post(SimDuration::ZERO, driver, Go);
         sim.run();
         sim.with_actor::<Driver, _>(driver, |d| {

@@ -148,26 +148,21 @@ fn main() {
     println!("\n  wrote {}", bench_json.display());
 
     // Continuous-telemetry exports (only when `FRACTOS_TELEMETRY` armed the
-    // plane for the run). Everything written here excludes the backend's
-    // `runtime.` self-profiling namespace, so the files are byte-identical
-    // across backends; the terminal table includes it for a live view of
-    // the engine.
+    // plane for the run). The stream holds only actor and fabric points,
+    // so the files are byte-identical across backends.
     if let Some(period) = run.telemetry_period {
         let report = TelemetryReport::derive(&run.telemetry, period);
-        println!(
-            "\nLive telemetry (period {} ns, incl. engine self-profile):",
-            period.as_nanos()
-        );
-        print!("{}", report.summary_table(true));
+        println!("\nLive telemetry (period {} ns):", period.as_nanos());
+        print!("{}", report.summary_table());
         let tele_json = out_path("BENCH_telemetry.json");
-        std::fs::write(&tele_json, format!("{}\n", report.to_json(false)))
+        std::fs::write(&tele_json, format!("{}\n", report.to_json()))
             .expect("write BENCH_telemetry.json");
         println!("  wrote {}", tele_json.display());
         let tele_jsonl = out_path("BENCH_telemetry.jsonl");
-        std::fs::write(&tele_jsonl, report.jsonl(false)).expect("write BENCH_telemetry.jsonl");
+        std::fs::write(&tele_jsonl, report.jsonl()).expect("write BENCH_telemetry.jsonl");
         println!("  wrote {}", tele_jsonl.display());
         let tele_prom = out_path("BENCH_telemetry.prom");
-        std::fs::write(&tele_prom, report.prometheus(false)).expect("write BENCH_telemetry.prom");
+        std::fs::write(&tele_prom, report.prometheus()).expect("write BENCH_telemetry.prom");
         println!("  wrote {}", tele_prom.display());
     }
 

@@ -215,7 +215,6 @@ fn faceverify_run(run: FvRun, tweak: impl FnOnce(&mut NetParams)) -> TracedRun {
         img_bytes: run.img,
         max_batch: run.batch.max(64),
         store_results: run.store_results,
-        ..FvConfig::default()
     };
     deploy_faceverify(&mut tb, &ctrls, cfg, 256);
     tb.reset_traffic();

@@ -98,9 +98,9 @@ fn faulted_fig2_accounting_matches_the_golden_digest() {
             t.network_data_msgs(),
             t.network_data_bytes(),
         ],
-        report.to_json(false),
-        report.jsonl(false),
-        report.prometheus(false),
+        report.to_json(),
+        report.jsonl(),
+        report.prometheus(),
     );
     assert_eq!(
         fractos_core::fnv1a(text.as_bytes()),

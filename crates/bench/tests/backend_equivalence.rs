@@ -186,9 +186,9 @@ fn fig2_telemetry_exports_match_across_backends_without_perturbing_traffic() {
         let report = TelemetryReport::derive(&tb.take_telemetry(), period);
         (
             flows,
-            report.to_json(false).to_string(),
-            report.jsonl(false),
-            report.prometheus(false),
+            report.to_json().to_string(),
+            report.jsonl(),
+            report.prometheus(),
         )
     };
     let (flows_off, ..) = run(RuntimeKind::SingleThreaded, false);
@@ -211,7 +211,7 @@ fn fig2_telemetry_exports_match_across_backends_without_perturbing_traffic() {
     );
     assert!(
         !json_single.contains("runtime."),
-        "backend self-profiling leaked into a byte-compared export"
+        "an engine-namespaced series reached the telemetry stream"
     );
     assert_eq!(json_single, json_sharded, "telemetry JSON diverged");
     assert_eq!(jsonl_single, jsonl_sharded, "telemetry JSONL diverged");

@@ -208,9 +208,9 @@ fn chaos_telemetry_exports_replay_byte_identically() {
         });
         let report = fractos_obs::TelemetryReport::derive(&tb.take_telemetry(), period);
         (
-            report.to_json(false).to_string(),
-            report.jsonl(false),
-            report.prometheus(false),
+            report.to_json().to_string(),
+            report.jsonl(),
+            report.prometheus(),
         )
     };
     let (json_a, jsonl_a, prom_a) = run(RuntimeKind::SingleThreaded);

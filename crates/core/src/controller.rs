@@ -131,6 +131,9 @@ pub struct ControllerActor {
     /// Last pending-op depth published to the telemetry plane; gauges are
     /// emitted only on change so an idle Controller stays silent.
     tele_pending_last: Option<usize>,
+    /// `ctrl.{addr}.pending_ops`, built at the first event with telemetry
+    /// on, so telemetry-off runs never format it.
+    tele_pending_series: Option<String>,
 }
 
 impl ControllerActor {
@@ -167,6 +170,7 @@ impl ControllerActor {
             dead: false,
             peer_revocations: Vec::new(),
             tele_pending_last: None,
+            tele_pending_series: None,
         }
     }
 
@@ -1958,8 +1962,11 @@ impl Actor for ControllerActor {
             let depth = self.pending.len();
             if self.tele_pending_last != Some(depth) {
                 self.tele_pending_last = Some(depth);
-                let series = format!("ctrl.{}.pending_ops", self.addr);
-                ctx.telemetry_gauge(&series, depth as u64);
+                let addr = self.addr;
+                let series = self
+                    .tele_pending_series
+                    .get_or_insert_with(|| format!("ctrl.{addr}.pending_ops"));
+                ctx.telemetry_gauge(series, depth as u64);
             }
         }
     }

@@ -214,10 +214,10 @@ impl Testbed {
         self.fabric.borrow_mut().reset_stats();
     }
 
-    /// Enables the continuous telemetry plane on both the runtime (engine
-    /// self-profiling + actor-sourced points) and the fabric (per-link
-    /// traffic deltas). Off by default; enabling never perturbs the
-    /// simulated execution — see `fractos_sim::telemetry`.
+    /// Enables the continuous telemetry plane on both the runtime (the
+    /// points actors record) and the fabric (per-link traffic deltas). Off
+    /// by default; enabling never perturbs the simulated execution — see
+    /// `fractos_sim::telemetry`.
     pub fn enable_telemetry(&mut self, period: SimDuration) {
         self.sim.enable_telemetry(period);
         self.fabric.borrow_mut().enable_telemetry();
@@ -236,9 +236,10 @@ impl Testbed {
         self.sim.telemetry_period()
     }
 
-    /// Drains every telemetry point recorded so far — engine stores plus
-    /// the fabric's per-link deltas (recorded on the external sentinel
-    /// actor) — in the canonical `(time, series, actor, ord)` order.
+    /// Drains every telemetry point recorded so far — the actors' points
+    /// plus the fabric's per-link deltas (recorded on the external
+    /// sentinel actor) — in the canonical `(time, series, actor, ord)`
+    /// order. The engine itself records none.
     pub fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
         let mut events = self.sim.take_telemetry();
         events.append(&mut self.fabric.borrow_mut().take_telemetry());

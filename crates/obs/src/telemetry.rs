@@ -13,12 +13,9 @@
 //!
 //! Derivation is a pure function of the events: counter deltas and
 //! samples fold order-independently per window, gauges keep the last
-//! value in canonical `(time, series, actor, ord)` order. Series under
-//! the `runtime.` prefix describe the engine itself (queue depths,
-//! barrier rounds) and legitimately differ between backends; exports
-//! exclude them unless explicitly asked, so everything written to
-//! byte-compared artifacts is identical across backends, repeat runs and
-//! chaos plans.
+//! value in canonical `(time, series, actor, ord)` order. Every point
+//! comes from an actor or the fabric, never from the engine, so every
+//! export is identical across backends, repeat runs and chaos plans.
 
 use std::collections::BTreeMap;
 
@@ -160,18 +157,13 @@ impl TelemetryReport {
         TelemetryReport { period_ns, series }
     }
 
-    fn visible(&self, include_runtime: bool) -> impl Iterator<Item = (&String, &Series)> {
-        self.series
-            .iter()
-            .filter(move |(name, _)| include_runtime || !name.starts_with("runtime."))
-    }
-
     /// The `BENCH_telemetry.json` document: period, then every series with
     /// its windows. All values are integers (nanoseconds / raw counts), so
     /// the bytes are identical across backends and repeat runs.
-    pub fn to_json(&self, include_runtime: bool) -> Json {
+    pub fn to_json(&self) -> Json {
         let series = self
-            .visible(include_runtime)
+            .series
+            .iter()
             .map(|(name, s)| {
                 let windows = s.windows.iter().map(|(t, w)| window_json(*t, w)).collect();
                 (
@@ -194,25 +186,25 @@ impl TelemetryReport {
     /// sample series as `fractos_sample` summaries with exact-bucket
     /// p50/p95/p99/p99.9. Deterministic: series iterate name-ordered and
     /// every value is an integer.
-    pub fn prometheus(&self, include_runtime: bool) -> String {
+    pub fn prometheus(&self) -> String {
         let mut out = String::new();
         out.push_str("# HELP fractos_counter_total Counter total over the run.\n");
         out.push_str("# TYPE fractos_counter_total counter\n");
-        for (name, s) in self.visible(include_runtime) {
+        for (name, s) in &self.series {
             if let WindowValue::Count(c) = s.total() {
                 out.push_str(&format!("fractos_counter_total{{series=\"{name}\"}} {c}\n"));
             }
         }
         out.push_str("# HELP fractos_gauge Final gauge level.\n");
         out.push_str("# TYPE fractos_gauge gauge\n");
-        for (name, s) in self.visible(include_runtime) {
+        for (name, s) in &self.series {
             if let WindowValue::Gauge(g) = s.total() {
                 out.push_str(&format!("fractos_gauge{{series=\"{name}\"}} {g}\n"));
             }
         }
         out.push_str("# HELP fractos_sample Streaming-histogram summary of sampled values.\n");
         out.push_str("# TYPE fractos_sample summary\n");
-        for (name, s) in self.visible(include_runtime) {
+        for (name, s) in &self.series {
             if let WindowValue::Hist(h) = s.total() {
                 for (q, v) in [
                     ("0.5", h.p50()),
@@ -240,9 +232,9 @@ impl TelemetryReport {
     /// Structured JSONL: one object per `(series, window)` row, keys in
     /// sorted order, all values integers. Rows iterate name- then
     /// time-ordered.
-    pub fn jsonl(&self, include_runtime: bool) -> String {
+    pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, s) in self.visible(include_runtime) {
+        for (name, s) in &self.series {
             for (t, w) in &s.windows {
                 let mut fields: Vec<(&str, Json)> = vec![
                     ("kind", Json::Str(s.kind.name().to_string())),
@@ -276,13 +268,13 @@ impl TelemetryReport {
 
     /// A compact fixed-width terminal table of the run totals (the Fig 2
     /// bench prints it when telemetry is enabled).
-    pub fn summary_table(&self, include_runtime: bool) -> String {
+    pub fn summary_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<28} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
             "series", "kind", "total", "p50", "p99", "max"
         ));
-        for (name, s) in self.visible(include_runtime) {
+        for (name, s) in &self.series {
             match s.total() {
                 WindowValue::Count(c) => out.push_str(&format!(
                     "{:<28} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
@@ -376,12 +368,6 @@ mod tests {
             "lat".into(),
             TelemetryKind::Sample(200),
         );
-        s.record(
-            a,
-            SimTime::from_nanos(70),
-            "runtime.q".into(),
-            TelemetryKind::Gauge(9),
-        );
         let mut events = s.take();
         fractos_sim::sort_canonical_telemetry(&mut events);
         events
@@ -416,24 +402,18 @@ mod tests {
     }
 
     #[test]
-    fn exports_exclude_runtime_namespace_by_default() {
+    fn prometheus_exposes_run_totals() {
         let r = TelemetryReport::derive(&events(), SimDuration::from_nanos(100));
-        let json = r.to_json(false).to_string();
-        assert!(!json.contains("runtime.q"));
-        assert!(r.to_json(true).to_string().contains("runtime.q"));
-        let prom = r.prometheus(false);
-        assert!(!prom.contains("runtime.q"));
+        let prom = r.prometheus();
         assert!(prom.contains("fractos_counter_total{series=\"c\"} 10"));
         assert!(prom.contains("fractos_gauge{series=\"g\"} 4"));
         assert!(prom.contains("fractos_sample_count{series=\"lat\"} 2"));
-        let jsonl = r.jsonl(false);
-        assert!(!jsonl.contains("runtime.q"));
     }
 
     #[test]
     fn jsonl_rows_are_sorted_key_integer_valued() {
         let r = TelemetryReport::derive(&events(), SimDuration::from_nanos(100));
-        let jsonl = r.jsonl(false);
+        let jsonl = r.jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(
             lines[0],
@@ -465,15 +445,14 @@ mod tests {
         fractos_sim::sort_canonical_telemetry(&mut rev);
         let a = TelemetryReport::derive(&fwd, SimDuration::from_nanos(100));
         let b = TelemetryReport::derive(&rev, SimDuration::from_nanos(100));
-        assert_eq!(a.to_json(true).to_string(), b.to_json(true).to_string());
+        assert_eq!(a.to_json().to_string(), b.to_json().to_string());
     }
 
     #[test]
     fn summary_table_lists_each_series() {
         let r = TelemetryReport::derive(&events(), SimDuration::from_nanos(100));
-        let table = r.summary_table(false);
+        let table = r.summary_table();
         assert!(table.contains("series"));
         assert!(table.contains("lat"));
-        assert!(!table.contains("runtime.q"));
     }
 }

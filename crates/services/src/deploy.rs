@@ -10,7 +10,7 @@ use fractos_core::types::Syscall;
 use fractos_devices::proto::{imm, imm_at};
 use fractos_devices::{BlockAdaptor, GpuAdaptor, GpuParams, NvmeParams};
 
-use crate::faceverify::{FaceVerifyFrontend, FvConfig};
+use crate::faceverify::{FaceVerifyFrontend, FvConfig, DB_READ_KEY, GPU_KEY, OUT_WRITE_KEY};
 use crate::fs::{FsMode, FsService};
 use crate::matcher::{synth_faces_into, FaceVerifyKernel, FACE_VERIFY_KERNEL};
 
@@ -197,7 +197,7 @@ pub fn deploy_faceverify(
         "db-loader",
         cpu(2),
         ctrls[2],
-        DbLoader::new(db_count, img, &cfg.db_read_key.clone(), "fs"),
+        DbLoader::new(db_count, img, DB_READ_KEY, "fs"),
     );
     tb.start_process(loader);
     tb.run();
@@ -207,7 +207,7 @@ pub fn deploy_faceverify(
         "gpu-adaptor",
         cpu(1),
         ctrls[1],
-        GpuAdaptor::new(GpuParams::default(), gpu(1), &cfg.gpu_key.clone())
+        GpuAdaptor::new(GpuParams::default(), gpu(1), GPU_KEY)
             .with_kernel(FACE_VERIFY_KERNEL, FaceVerifyKernel),
     );
     tb.start_process(gpu_proc);
@@ -239,7 +239,7 @@ pub fn deploy_faceverify(
             ctrls[2],
             OutFileCreator {
                 size: 1 << 20,
-                publish_key: cfg.out_write_key.clone(),
+                publish_key: OUT_WRITE_KEY.into(),
                 fs_key: "ofs".into(),
                 ready: false,
             },

@@ -54,6 +54,22 @@ pub const TAG_FV_REPLY: u64 = 0x0404;
 /// Number of pooled GPU buffers (concurrent requests in flight).
 const POOL: usize = 4;
 
+/// Registry key prefix of the GPU adaptor the frontend binds
+/// (`"{GPU_KEY}.init"`).
+pub(crate) const GPU_KEY: &str = "gpu";
+
+/// Registry key the frontend publishes its verify Request under, and the
+/// client looks it up by.
+const VERIFY_KEY: &str = "fv.verify";
+
+/// Registry key of the database read Request (published by the harness
+/// after creating the DB file through the FS).
+pub(crate) const DB_READ_KEY: &str = "fv.db_read";
+
+/// Registry key of the output file's write Request (published when
+/// `store_results` is set).
+pub(crate) const OUT_WRITE_KEY: &str = "fv.out_write";
+
 /// Configuration of the face-verification frontend.
 #[derive(Debug, Clone)]
 pub struct FvConfig {
@@ -61,21 +77,11 @@ pub struct FvConfig {
     pub img_bytes: u64,
     /// Largest batch a pooled buffer must fit.
     pub max_batch: u64,
-    /// Registry key of the GPU adaptor (`"{gpu}.init"`).
-    pub gpu_key: String,
-    /// Registry key this frontend publishes its verify Request under.
-    pub verify_key: String,
-    /// Registry key of the database read Request (published by the harness
-    /// after creating the DB file through the FS).
-    pub db_read_key: String,
     /// When set, results are not returned inline: the frontend chains the
     /// GPU output into a *composed* FS write (§3.4) on the output SSD, and
     /// the storage device invokes the client's continuation directly — the
     /// full Fig 2 ring (steps d–e).
     pub store_results: bool,
-    /// Registry key of the output file's write Request (used when
-    /// `store_results` is set).
-    pub out_write_key: String,
 }
 
 impl Default for FvConfig {
@@ -83,11 +89,7 @@ impl Default for FvConfig {
         FvConfig {
             img_bytes: 4096,
             max_batch: 64,
-            gpu_key: "gpu".into(),
-            verify_key: "fv.verify".into(),
-            db_read_key: "fv.db_read".into(),
             store_results: false,
-            out_write_key: "fv.out_write".into(),
         }
     }
 }
@@ -188,7 +190,7 @@ impl FaceVerifyFrontend {
             // failure leaves the frontend unready, which deployment checks.
             0 => {
                 let (tag, imms) = cont;
-                let key = format!("{}.init", self.cfg.gpu_key);
+                let key = format!("{GPU_KEY}.init");
                 let calls = vec![Syscall::new_request(tag, imms), Syscall::KvGet { key }];
                 fos.chain(calls, |_s, res, fos| {
                     if let Ok(&[cont, init]) = res.as_deref() {
@@ -250,13 +252,12 @@ impl FaceVerifyFrontend {
                 };
                 self.invoke_req = Some(invoke);
                 // Fetch the database read Request, publish verify, done.
-                let key = self.cfg.verify_key.clone();
-                fos.kv_get(&self.cfg.db_read_key, move |s, res, fos| {
+                fos.kv_get(DB_READ_KEY, |s, res, fos| {
                     let SyscallResult::NewCid(db_read) = res else {
                         return;
                     };
                     s.db_read_req = Some(db_read);
-                    fos.publish(&key, TAG_FV_VERIFY, vec![], |s, res, _| {
+                    fos.publish(VERIFY_KEY, TAG_FV_VERIFY, vec![], |s, res, _| {
                         s.ready = res.is_ok();
                     });
                 });
@@ -561,8 +562,6 @@ pub struct FvClient {
     /// the output storage device and carry a byte count instead of the
     /// distances; set this so samples count as verified on receipt.
     pub expect_stored: bool,
-    /// Registry key of the frontend's verify Request.
-    pub verify_key: String,
     verify_req: Option<Cid>,
     /// Requests issued and in flight; a request's token is its `seq`.
     run: ClosedLoop,
@@ -586,7 +585,6 @@ impl FvClient {
             batch,
             id_range: 256,
             expect_stored: false,
-            verify_key: "fv.verify".into(),
             verify_req: None,
             run: ClosedLoop::new(requests, in_flight),
             buffers: Vec::new(),
@@ -661,7 +659,7 @@ impl Service for FvClient {
     fn on_start(&mut self, fos: &Fos<Self>) {
         fos.call(
             Syscall::KvGet {
-                key: self.verify_key.clone(),
+                key: VERIFY_KEY.into(),
             },
             |s: &mut Self, res, fos| {
                 s.verify_req = Some(res.cid());

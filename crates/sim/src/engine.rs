@@ -390,7 +390,7 @@ impl Runtime for Sim {
     }
 
     fn enable_telemetry(&mut self, period: SimDuration) {
-        shard::enable_telemetry(self.shards(), period, |_| "runtime.single".to_string());
+        shard::enable_telemetry(self.shards(), period);
     }
 
     fn telemetry_period(&self) -> Option<SimDuration> {

@@ -19,7 +19,7 @@
 //!   latency samples) may differ.
 //!
 //! What happens to one event on one shard — delivery order, outage drops,
-//! stop, self-profiling — is the same code under both, so it cannot differ.
+//! stop — is the same code under both, so it cannot differ.
 //! What the drivers add, and the equivalence suites still have to check, is
 //! the barrier merge order, the horizons and the per-shard RNG fork.
 //!
@@ -122,9 +122,9 @@ pub trait Runtime {
     /// Off by default; while disabled, recording is a no-op that neither
     /// allocates nor perturbs the RNG stream, so disabled runs behave
     /// bit-identically to builds without the subsystem. The period only
-    /// parameterizes the derived window series (and the engine's
-    /// self-profiling boundary ticks) — it never schedules events, so it
-    /// cannot change what the simulation does.
+    /// parameterizes the derived window series — it never schedules
+    /// events, so it cannot change what the simulation does. The engine
+    /// records no points of its own.
     fn enable_telemetry(&mut self, period: SimDuration);
 
     /// The telemetry sampling period, or `None` while the plane is off.
@@ -135,8 +135,8 @@ pub trait Runtime {
     /// Events are returned in the canonical `(time, series, actor, ord)`
     /// order on every backend; window aggregation over them (see
     /// `fractos-obs`) is identical across backends for equal
-    /// `(seed, workload)` — engine self-profiling series under the
-    /// `runtime.` prefix excepted, as they describe the backend itself.
+    /// `(seed, workload)`: every point comes from an actor or the fabric,
+    /// none from the engine.
     fn take_telemetry(&mut self) -> Vec<TelemetryEvent>;
 
     /// Invokes `f` with the actor's `dyn Any` form between events.

@@ -8,6 +8,10 @@
 //! sends to another shard are buffered in [`Shard::cross`] and moved at
 //! the driver's barrier. The only thing the loop asks of its driver is
 //! `route`, which says whether a destination lives here.
+//!
+//! The loop writes nothing of its own into the telemetry stream: a shard
+//! keeps the store and its sampling period, and only handlers record into
+//! it, so the stream does not depend on which driver ran.
 
 use std::any::Any;
 
@@ -16,36 +20,12 @@ use crate::metrics::Metrics;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::span::{sort_canonical, SpanRecord, SpanStore};
-use crate::telemetry::{
-    sort_canonical_telemetry, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
-};
+use crate::telemetry::{sort_canonical_telemetry, TelemetryEvent, TelemetryStore};
 use crate::time::{SimDuration, SimTime};
 
 /// Queued payload: local actor slot, global id (for errors and traces),
 /// and the message itself.
 type Queued = (u32, ActorId, Msg);
-
-/// Self-profiling series sampled at every period boundary, as suffixes of
-/// the shard's profile prefix.
-const PROFILE_SERIES: [&str; 2] = ["queue.depth", "events"];
-/// Sampled queue-depth peak, kept as a counter for the post-run profile
-/// table.
-const PROFILE_PEAK: &str = "queue.depth_peak";
-
-/// Engine self-profiling state; exists exactly while telemetry is on.
-struct Profile {
-    /// Sampling period of the boundary ticks.
-    period: SimDuration,
-    /// Last window emitted (window index = time / period).
-    window: Option<u64>,
-    /// The shard's `steps` at the last emission (events/window deltas).
-    steps_mark: u64,
-    /// `{prefix}.{suffix}` for [`PROFILE_SERIES`], built when telemetry is
-    /// switched on so a boundary tick formats nothing.
-    series: [String; 2],
-    /// `{prefix}.{PROFILE_PEAK}`.
-    peak: String,
-}
 
 /// One registered actor.
 struct Slot {
@@ -68,8 +48,8 @@ pub(crate) struct Shard {
     trace: Option<Vec<TraceEntry>>,
     spans: Option<SpanStore>,
     telemetry: Option<TelemetryStore>,
-    /// `Some` exactly when `telemetry` is.
-    profile: Option<Profile>,
+    /// The telemetry sampling period; `Some` exactly when `telemetry` is.
+    telemetry_period: Option<SimDuration>,
     pub(crate) now: SimTime,
     seq: u64,
     /// Lifetime events processed.
@@ -102,7 +82,7 @@ impl Shard {
             trace: None,
             spans: None,
             telemetry: None,
-            profile: None,
+            telemetry_period: None,
             now: SimTime::ZERO,
             seq: 0,
             steps: 0,
@@ -138,7 +118,7 @@ impl Shard {
     }
 
     pub(crate) fn telemetry_period(&self) -> Option<SimDuration> {
-        self.profile.as_ref().map(|p| p.period)
+        self.telemetry_period
     }
 
     /// The `dyn Any` form of the actor in slot `local` (between events).
@@ -190,9 +170,6 @@ impl Shard {
             self.now = time;
             self.processed += 1;
             self.steps += 1;
-            if self.profile.is_some() {
-                self.telemetry_boundary(time);
-            }
 
             // A delivery inside a node-down window is lost: the crashed
             // node's actors stop receiving. The event still advances time
@@ -237,34 +214,6 @@ impl Shard {
                 }
             }
             self.scratch_outbox = outbox;
-        }
-    }
-
-    /// Engine self-profiling: when an event crosses a sampling-period
-    /// boundary, record the queue depth and the events-per-window delta
-    /// under this shard's backend-specific `runtime.` namespace.
-    /// Exporters exclude that namespace from cross-backend artifacts.
-    fn telemetry_boundary(&mut self, time: SimTime) {
-        // The profile is only ever set together with the store.
-        let (Some(profile), Some(store)) = (self.profile.as_mut(), self.telemetry.as_mut()) else {
-            return;
-        };
-        let w = time.as_nanos() / profile.period.as_nanos().max(1);
-        if profile.window == Some(w) {
-            return;
-        }
-        profile.window = Some(w);
-        let at = SimTime::from_nanos(w.saturating_mul(profile.period.as_nanos()));
-        let depth = self.queue.len() as u64;
-        let events = self.steps - profile.steps_mark;
-        profile.steps_mark = self.steps;
-        let kinds = [TelemetryKind::Gauge(depth), TelemetryKind::Count(events)];
-        for (series, kind) in profile.series.iter().zip(kinds) {
-            store.record(TELEMETRY_EXTERNAL, at, series.clone(), kind);
-        }
-        let prev = self.metrics.counter(&profile.peak);
-        if depth > prev {
-            self.metrics.add(&profile.peak, depth - prev);
         }
     }
 }
@@ -314,30 +263,13 @@ pub(crate) fn take_spans(shards: &mut [Shard]) -> Vec<SpanRecord> {
     all
 }
 
-/// Switches telemetry on; shard `i`'s self-profiling series are named
-/// `{profile_prefix(i)}.*` (`runtime.single`, `runtime.shard{i}`). The
-/// names are built here, once, so neither constructing a shard nor a
-/// boundary tick formats anything.
-pub(crate) fn enable_telemetry(
-    shards: &mut [Shard],
-    period: SimDuration,
-    profile_prefix: impl Fn(usize) -> String,
-) {
+/// Switches telemetry on at sampling `period`. The engine records no
+/// points of its own: the store holds what actors record through `Ctx`.
+pub(crate) fn enable_telemetry(shards: &mut [Shard], period: SimDuration) {
     assert!(period > SimDuration::ZERO, "telemetry period must be > 0");
-    for (i, s) in shards.iter_mut().enumerate() {
+    for s in shards {
         s.telemetry.get_or_insert_with(TelemetryStore::new);
-        s.profile
-            .get_or_insert_with(|| {
-                let prefix = profile_prefix(i);
-                Profile {
-                    period,
-                    window: None,
-                    steps_mark: 0,
-                    series: PROFILE_SERIES.map(|suffix| format!("{prefix}.{suffix}")),
-                    peak: format!("{prefix}.{PROFILE_PEAK}"),
-                }
-            })
-            .period = period;
+        s.telemetry_period = Some(period);
     }
 }
 

@@ -224,7 +224,10 @@ impl ShardedSim {
             s.stop = false;
             s.processed = 0;
         }
-        let profile = self.telemetry_period().is_some();
+        // The round counters (`runtime.sharded.*`, metrics, not telemetry
+        // points) are kept only while telemetry is on, so a plain run
+        // touches no counter per round.
+        let count_rounds = self.telemetry_period().is_some();
         let start_steps = self.steps;
         let outcome = loop {
             let nexts = self.shards.iter().map(Shard::next_event_time);
@@ -239,18 +242,14 @@ impl ShardedSim {
                 break RunOutcome::LimitReached;
             }
             let budget = max_steps - done;
-            if profile {
-                // Engine self-profiling (virtual-domain only — wall
-                // clocks are lint-banned in product crates): round count
-                // here, per-shard busy/stall shares in events at the
-                // barrier.
+            if count_rounds {
                 self.metrics.incr("runtime.sharded.rounds");
             }
 
             for (i, shard) in self.shards.iter_mut().enumerate() {
                 shard.run_window(horizons.of(i), budget, route(&self.locs, i));
             }
-            self.exchange(profile);
+            self.exchange(count_rounds);
             if self.shards.iter().any(|s| s.stop) {
                 break RunOutcome::Stopped;
             }
@@ -269,26 +268,17 @@ impl ShardedSim {
     /// Each message is checked against the lookahead, which together with
     /// the horizons guarantees it lands at or past its receiver's
     /// processed window.
-    fn exchange(&mut self, profile: bool) {
+    fn exchange(&mut self, count_rounds: bool) {
         let mut stalled = 0u64;
         let mut crossed = 0u64;
         for j in 0..self.shards.len() {
             let s = &mut self.shards[j];
             self.now = self.now.max(s.now);
             self.steps += s.processed;
-            if profile {
-                // A shard that processed nothing this round spent the
-                // whole window blocked on the barrier: the per-shard
-                // busy (events) vs. barrier-wait (stalled rounds)
-                // split, measured in deterministic virtual units.
-                if s.processed == 0 {
-                    stalled += 1;
-                    self.metrics
-                        .incr(&format!("runtime.shard{j}.stalled_rounds"));
-                } else {
-                    self.metrics
-                        .add(&format!("runtime.shard{j}.busy_events"), s.processed);
-                }
+            // A shard that processed nothing this round spent the whole
+            // window blocked on the barrier.
+            if s.processed == 0 {
+                stalled += 1;
             }
             s.processed = 0;
             let mut cross = std::mem::take(&mut s.cross);
@@ -309,7 +299,7 @@ impl ShardedSim {
             // Hand the emptied buffer back so its capacity is reused.
             self.shards[j].cross = cross;
         }
-        if profile {
+        if count_rounds {
             self.metrics
                 .add("runtime.sharded.stalled_shard_rounds", stalled);
             self.metrics.add("runtime.sharded.cross_msgs", crossed);
@@ -392,7 +382,7 @@ impl Runtime for ShardedSim {
     }
 
     fn enable_telemetry(&mut self, period: SimDuration) {
-        shard::enable_telemetry(&mut self.shards, period, |i| format!("runtime.shard{i}"));
+        shard::enable_telemetry(&mut self.shards, period);
     }
 
     fn telemetry_period(&self) -> Option<SimDuration> {

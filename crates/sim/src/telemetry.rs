@@ -5,13 +5,15 @@
 //!
 //! Telemetry is *event-sourced*: instrumented components emit timestamped
 //! points — counter deltas, gauge values, latency samples — at the instant
-//! the underlying quantity changes, through [`crate::Ctx`]. The periodic
+//! the underlying quantity changes, through [`crate::Ctx`] (or, for the
+//! fabric model, a store of its own). The engine records no points of its
+//! own, so the stream is the same whichever engine ran it. The periodic
 //! time series the exporters publish (one row per sampling window) is
 //! *derived* from those points after the run, by bucketing them at
 //! period boundaries in virtual time (see `fractos-obs`). Nothing ever
-//! polls live state: on the sharded engine shards progress concurrently,
-//! so a wall-tick sampler reading peers' state would observe racy,
-//! backend-dependent values. Derived windows are instead a pure function
+//! polls live state: on the sharded engine shards advance round by round,
+//! each to its own horizon, so a sampler reading peers' state would
+//! observe backend-dependent values. Derived windows are instead a pure function
 //! of the recorded points:
 //!
 //! - **counter deltas** and **samples** are summed (resp. folded into a

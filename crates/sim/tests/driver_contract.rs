@@ -9,7 +9,7 @@
 
 use fractos_sim::{
     Actor, ActorId, Ctx, Msg, NodeOutage, RunOutcome, Runtime, RuntimeConfig, RuntimeExt,
-    ShardedSim, Sim, SimDuration, SimTime, TelemetryKind,
+    ShardedSim, Sim, SimDuration, SimTime, TelemetryEvent, TelemetryKind,
 };
 
 /// Strict lower bound on every cross-node delay in these workloads.
@@ -51,6 +51,26 @@ impl Actor for Pinger {
         let v = *msg.downcast::<u32>().expect("u32 ping");
         self.received.push((ctx.now(), v));
         ctx.trace(format!("got {v}"));
+        if let (Some(peer), true) = (self.peer, v > 0) {
+            ctx.send_after(LOOKAHEAD, peer, v - 1);
+        }
+    }
+}
+
+/// Series a [`Counter`] records one count on per delivery.
+const DELIVERIES: &str = "contract.deliveries";
+
+/// Counts every delivery as a telemetry point; forwards `v - 1` to `peer`
+/// after [`LOOKAHEAD`] while `v > 0`.
+#[derive(Default)]
+struct Counter {
+    peer: Option<ActorId>,
+}
+
+impl Actor for Counter {
+    fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+        let v = *msg.downcast::<u32>().expect("u32 count");
+        ctx.telemetry_count(DELIVERIES, 1);
         if let (Some(peer), true) = (self.peer, v > 0) {
             ctx.send_after(LOOKAHEAD, peer, v - 1);
         }
@@ -188,38 +208,37 @@ mod rows {
         assert!(rt.take_telemetry().is_empty());
     }
 
-    /// Engine self-profiling: with telemetry on, every shard reports its
-    /// queue depth and event count under its own prefix — `runtime.single`
-    /// on `Sim`, `runtime.shard{i}` on `ShardedSim` — and nothing else
-    /// lives under `runtime.`.
-    pub fn self_profiling_series_carry_the_driver_prefix(rt: &mut dyn Runtime, nodes: usize) {
+    /// The telemetry stream holds what actors record and nothing of the
+    /// engine's own: a pair that records nothing leaves it empty, and an
+    /// actor that counts its deliveries gets back exactly those points.
+    pub fn telemetry_holds_only_actor_points(rt: &mut dyn Runtime, nodes: usize) {
         rt.enable_telemetry(us(4));
+        assert_eq!(rt.telemetry_period(), Some(us(4)));
         let (a, _) = pair(rt, nodes);
         rt.post(SimDuration::ZERO, a, 10u32);
         rt.run();
-        let prefixes: Vec<String> = match rt.backend_name() {
-            "single" => vec!["runtime.single".into()],
-            _ => (0..nodes).map(|i| format!("runtime.shard{i}")).collect(),
-        };
-        let expected: Vec<String> = prefixes
-            .iter()
-            .flat_map(|p| ["events", "queue.depth"].map(|s| format!("{p}.{s}")))
-            .collect();
-        let events = rt.take_telemetry();
-        let mut seen: Vec<&str> = events.iter().map(|e| e.series.as_str()).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen, expected);
-        // A delivery is counted in one window of one shard; the windows
-        // still open when the run ends are not flushed.
-        let counted: u64 = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TelemetryKind::Count(n) => Some(n),
-                _ => None,
+        assert_eq!(rt.steps(), 11);
+        assert_eq!(rt.take_telemetry(), vec![]);
+
+        let c = rt.add_actor_on(0, "c", Box::<Counter>::default());
+        let d = rt.add_actor_on(nodes - 1, "d", Box::<Counter>::default());
+        rt.with_actor::<Counter, _>(c, |x| x.peer = Some(d));
+        rt.with_actor::<Counter, _>(d, |x| x.peer = Some(c));
+        let start = rt.now();
+        rt.post(SimDuration::ZERO, c, 3u32);
+        rt.run();
+        // Deliveries alternate c, d, c, d, one lookahead apart; each
+        // actor numbers its own points.
+        let expected: Vec<TelemetryEvent> = (0..4u64)
+            .map(|i| TelemetryEvent {
+                time: start + SimDuration::from_nanos(i * LOOKAHEAD.as_nanos()),
+                actor: if i % 2 == 0 { c } else { d },
+                ord: i / 2,
+                series: DELIVERIES.to_string(),
+                kind: TelemetryKind::Count(1),
             })
-            .sum();
-        assert!(0 < counted && counted <= rt.steps(), "{counted}");
+            .collect();
+        assert_eq!(rt.take_telemetry(), expected);
     }
 
     pub fn node_outage_window_is_open_at_both_ends(rt: &mut dyn Runtime, nodes: usize) {
@@ -305,7 +324,7 @@ contract! {
     stop_on_the_last_budgeted_event_is_stopped
     trace_records_labels
     take_trace_without_enable_stays_off
-    self_profiling_series_carry_the_driver_prefix
+    telemetry_holds_only_actor_points
     node_outage_window_is_open_at_both_ends
     node_outage_scopes_to_the_named_node
     crash_stop_outage_never_lifts

@@ -2,12 +2,11 @@
 //!
 //! Reuses the quickstart echo shape, but arms the telemetry plane before
 //! the measured phase. Services record counters, gauges and latency
-//! samples through `Fos::telemetry_*`; the fabric contributes per-link
-//! byte/message series on its own; and the engine adds `runtime.*`
-//! self-profiling series (backend-specific, surfaced by the Fig 2 bench
-//! table rather than here). After the run the events are derived into
-//! windowed time series and exported three ways: a terminal summary
-//! table, JSONL rows, and a Prometheus text scrape.
+//! samples through `Fos::telemetry_*`, and the fabric contributes per-link
+//! byte/message series on its own; the engine records nothing of its
+//! own, so the stream is the same on either engine. After the run the
+//! events are derived into windowed time series and exported three ways:
+//! a terminal summary table, JSONL rows, and a Prometheus text scrape.
 //!
 //! The plane is off by default and costs nothing while off — benches can
 //! arm it from the environment with `FRACTOS_TELEMETRY=1` (or a period
@@ -127,24 +126,22 @@ fn main() {
 
     // Derivation is a pure function of the recorded events: counters sum
     // per window, gauges keep the last level, samples fold into streaming
-    // histograms with exact-bucket tail quantiles. Only the workload-level
-    // series are shown here: the `runtime.*` self-profile describes the
-    // engine that executed the run (shard layout, queue depths), so it is
-    // backend-specific by design; the workload series are what both
-    // engines must agree on.
+    // histograms with exact-bucket tail quantiles. Every series is a
+    // workload series — recorded by a service or the fabric — so both
+    // engines export the same rows.
     let events = tb.take_telemetry();
     let report = TelemetryReport::derive(&events, period);
 
     println!("summary (workload series):");
-    print!("{}", report.summary_table(false));
+    print!("{}", report.summary_table());
 
     println!("\nJSONL rows (first 8, workload series only):");
-    for line in report.jsonl(false).lines().take(8) {
+    for line in report.jsonl().lines().take(8) {
         println!("  {line}");
     }
 
     println!("\nPrometheus scrape:");
-    for line in report.prometheus(false).lines() {
+    for line in report.prometheus().lines() {
         println!("  {line}");
     }
 }
