@@ -8,6 +8,11 @@
 //! and (5) answers the client. Data crosses the network three times
 //! (NVMe-oF, NFS, rCUDA) versus FractOS's single NVMe→GPU transfer.
 
+#![expect(
+    clippy::expect_used,
+    reason = "baseline state machine: phase invariant, must abort the experiment"
+)]
+
 use std::collections::HashMap;
 
 use fractos_net::{Endpoint, Fabric, TrafficClass};

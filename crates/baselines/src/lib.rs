@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 #![warn(missing_docs)]
 //! Comparator systems for the FractOS evaluation (§6).
 //!

@@ -13,6 +13,11 @@
 //!   stages forward data directly to the next stage's buffer (e.g.
 //!   LegoOS-style designs, Fig 1 bottom-left).
 
+#![expect(
+    clippy::expect_used,
+    reason = "baseline state machine: phase invariant, must abort the experiment"
+)]
+
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;

@@ -7,6 +7,11 @@
 //! server whose ext4 is backed by NVMe-oF. Both are modelled here as raw
 //! actors on the fabric.
 
+#![expect(
+    clippy::expect_used,
+    reason = "baseline page store: read of a page the script wrote earlier"
+)]
+
 use std::collections::HashMap;
 
 use fractos_devices::{BlockOp, NvmeDevice, NvmeParams};

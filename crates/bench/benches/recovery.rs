@@ -57,6 +57,10 @@ struct Timeline {
     end_ns: u64,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host seconds per backend, printed beside the timeline and kept out of it"
+)]
 fn run(kind: RuntimeKind) -> (Timeline, f64) {
     let mut tb = Testbed::new_on(Topology::paper_testbed(), NetParams::paper(), SEED, kind);
     tb.sim.enable_spans();

@@ -1,6 +1,12 @@
 //! Runners for the application-level experiments (Figs 8–13, Fig 2, and
 //! the headline claims).
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench script: measurement harness must abort loudly on protocol breaks"
+)]
+
 use fractos_baselines::faceverify::{deploy_baseline, BaselineClient, BaselineFrontend, Start};
 use fractos_baselines::pipeline::{CentralDriver, DataPath};
 use fractos_baselines::raw::Peer;

@@ -1,5 +1,11 @@
 //! Runners for the §6.1 micro-benchmarks (Table 3, Figs 5–7).
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench script: measurement harness must abort loudly on protocol breaks"
+)]
+
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;

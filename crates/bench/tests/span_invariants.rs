@@ -9,7 +9,7 @@
 //! virtual end time, and the Table 3 calibration anchors are bit-identical
 //! with and without the subsystem engaged.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fractos_core::prelude::*;
 use fractos_net::stats::{FlowCounter, TrafficClass};
@@ -109,7 +109,7 @@ fn render_chrome(t: &Traced) -> String {
 fn span_trees_are_well_formed() {
     let t = run_fig2(RuntimeKind::SingleThreaded, None, true);
     assert!(!t.spans.is_empty(), "tracing recorded nothing");
-    let by_id: HashMap<u64, &SpanRecord> = t.spans.iter().map(|s| (s.id, s)).collect();
+    let by_id: BTreeMap<u64, &SpanRecord> = t.spans.iter().map(|s| (s.id, s)).collect();
     assert_eq!(by_id.len(), t.spans.len(), "span ids must be unique");
     let roots: Vec<&&SpanRecord> = by_id.values().filter(|s| s.parent == 0).collect();
     assert_eq!(

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 #![warn(missing_docs)]
 //! Distributed capability machinery for FractOS-rs (§3.5–§3.6 of the paper).
 //!

@@ -95,7 +95,6 @@ impl<T: AsRef<CapRef>> CapSpace<T> {
     }
 
     /// Inserts a capability at the lowest free index.
-    // analyze: hot-path
     pub fn insert(&mut self, cap: T) -> Result<Cid> {
         if self.live >= self.quota {
             return Err(CapError::SpaceExhausted);
@@ -117,7 +116,6 @@ impl<T: AsRef<CapRef>> CapSpace<T> {
     }
 
     /// Looks up the capability at `cid`.
-    // analyze: hot-path
     pub fn get(&self, cid: Cid) -> Result<&T> {
         self.slots
             .get(cid.0 as usize)
@@ -126,7 +124,6 @@ impl<T: AsRef<CapRef>> CapSpace<T> {
     }
 
     /// Removes and returns the capability at `cid`, freeing the index.
-    // analyze: hot-path
     pub fn remove(&mut self, cid: Cid) -> Result<T> {
         let slot = self
             .slots

@@ -260,7 +260,6 @@ impl ControllerActor {
     /// returns the delay from `now` until the work completes. In
     /// interrupt mode (§4), a Controller that has been idle longer than the
     /// polling window pays the wake-up latency first.
-    // analyze: hot-path
     fn charge(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
         let interrupts = self.fabric.borrow().params().controller_interrupts;
         let mut start = self.busy_until.max(now);
@@ -277,7 +276,6 @@ impl ControllerActor {
     /// twice the per-message handling `h`). `memory_copy` pays `h` up front
     /// and its data-plane work per chunk; `request_invoke` pays the sender
     /// half of the Fig 6 request-handling cost.
-    // analyze: hot-path
     fn syscall_cost(&self, sc: &Syscall) -> SimDuration {
         match sc {
             Syscall::MemoryCopy { .. } => self.domain.fractos_handling(),
@@ -290,7 +288,6 @@ impl ControllerActor {
     /// handling `h`, plus the receiver-side deserialization `ser` for ops
     /// that carry capabilities (Fig 7); an invocation pays the receiver
     /// half of the Fig 6 request-handling cost instead of `h`.
-    // analyze: hot-path
     fn peer_cost(&self, op: &PeerOp, ser: SimDuration) -> SimDuration {
         match op {
             PeerOp::Invoke { .. } => self.domain.request_handling() / 2 + ser,

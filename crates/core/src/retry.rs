@@ -79,7 +79,6 @@ pub(crate) enum Sent {
 /// plan is presumed lost by the sender and re-fired once; the receiver's
 /// [`DedupFilter`] absorbs whichever copy lands second. The copy shares the
 /// original's trace context and adds no spans.
-// analyze: hot-path
 pub(crate) fn reliable_send(
     fabric: &Shared<Fabric>,
     ctx: &mut Ctx<'_>,

@@ -6,6 +6,11 @@
 //! Processes running [`Service`] logic, start everything, and inject
 //! Process/Controller/node failures (§3.6, §6).
 
+#![expect(
+    clippy::expect_used,
+    reason = "testbed assembly precedes simulation; misconfiguration must abort loudly"
+)]
+
 use fractos_cap::ControllerAddr;
 use fractos_net::{
     ComputeDomain, Endpoint, Fabric, FaultPlan, Location, NetParams, NodeId, Topology, TrafficStats,

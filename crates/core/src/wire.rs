@@ -74,6 +74,10 @@ impl Encoder {
     }
 
     /// Appends a `u32` length or element count.
+    #[expect(
+        clippy::expect_used,
+        reason = "encoded lengths bounded by u32 by the message size model"
+    )]
     fn count(&mut self, n: usize) {
         self.u32(u32::try_from(n).expect("length exceeds the u32 wire count"));
     }
@@ -130,7 +134,9 @@ impl<'a> Decoder<'a> {
     }
 
     fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        Ok(self.slice(N)?.try_into().expect("slice(N) is N bytes"))
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.slice(N)?);
+        Ok(out)
     }
 
     fn slice(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {

@@ -7,6 +7,11 @@
 //! optional jitter, and records traffic statistics. The RDMA write verb
 //! ([`Fabric::rdma_write`]) is composed from sends.
 
+#![expect(
+    clippy::expect_used,
+    reason = "checked-arithmetic overflow guards: link reservation on the ns timeline, wire-size header addition"
+)]
+
 use std::collections::HashMap;
 
 use fractos_sim::{
@@ -326,7 +331,6 @@ impl Fabric {
     /// returns `(total, propagation)` where `propagation` is the base
     /// route latency clamped to `total` and `total - propagation` is the
     /// serialization/queueing share (plus jitter and degradation).
-    // analyze: hot-path
     pub fn send_parts(
         &mut self,
         now: SimTime,
@@ -442,7 +446,6 @@ impl Fabric {
     /// delay as in [`send_parts`](Fabric::send_parts): returns
     /// `Some((total, propagation))`, or `None` when the fault plan dropped
     /// the message.
-    // analyze: hot-path
     pub fn try_send_parts(
         &mut self,
         now: SimTime,
@@ -491,7 +494,6 @@ impl Fabric {
         Self::route(src, dst).0
     }
 
-    // analyze: hot-path
     fn route(src: Endpoint, dst: Endpoint) -> (SimDuration, EdgePath) {
         let mut base = SimDuration::ZERO;
         let mut edges = EdgePath::new();

@@ -166,6 +166,10 @@ impl Topology {
     }
 
     /// Adds a node and returns its id.
+    #[expect(
+        clippy::expect_used,
+        reason = "node count bounded by u32 id space by construction"
+    )]
     pub fn add_node(&mut self, config: NodeConfig) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
         self.nodes.push(config);

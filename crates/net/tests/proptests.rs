@@ -133,6 +133,10 @@ proptest! {
 /// Scale guard for the link scheduler: thousands of bulk reservations on
 /// one link must not blow up (the interval list prunes and stays flat).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock budget of the scale guard; no simulated value reads it"
+)]
 fn link_schedule_scales() {
     let mut f = fabric();
     let mut rng = SimRng::new(23);

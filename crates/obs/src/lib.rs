@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 //! Observability tooling over the simulator's causal spans (`fractos-sim`'s
 //! [`fractos_sim::SpanRecord`]): latency attribution, Chrome-trace export and
 //! machine-readable benchmark telemetry.

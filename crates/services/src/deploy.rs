@@ -4,6 +4,11 @@
 //! application onto a [`Testbed`] in the paper's deployment (Table 2):
 //! node 0 = storage (NVMe + FS), node 1 = GPU, node 2 = frontend/clients.
 
+#![expect(
+    clippy::expect_used,
+    reason = "app state machine: phase invariant, must abort the experiment"
+)]
+
 use fractos_cap::{Cid, ControllerAddr, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;

@@ -23,6 +23,11 @@
 //!    returns control to the frontend, which copies the results out and
 //!    invokes the client's reply continuation.
 
+#![expect(
+    clippy::expect_used,
+    reason = "app state machine: phase invariant, must abort the experiment"
+)]
+
 use std::collections::VecDeque;
 
 use fractos_cap::{Cid, Perms};

@@ -26,7 +26,6 @@ pub const EMBED_DIM: usize = BINS + BLOCKS;
 /// 8 × 65,793 bytes every bin count and block sum stays below 2²⁴, so the
 /// result is bit-identical to accumulating in `f32` byte by byte; beyond
 /// that bound the counts stay exact where `f32` accumulation would round.
-// analyze: hot-path
 pub fn embed(image: &[u8]) -> [f32; EMBED_DIM] {
     let mut out = [0f32; EMBED_DIM];
     if image.is_empty() {
@@ -136,7 +135,6 @@ pub fn synth_face(id: u64, img_bytes: usize, noise_seed: u64) -> Vec<u8> {
 /// non-zero `noise_seed`, bytes 0, 97, 194, … then each add `0..=2`
 /// (wrapping), drawn as `% 3` of a second LCG that starts at `noise_seed`
 /// and steps once per noised byte.
-// analyze: hot-path
 pub fn synth_face_into(id: u64, noise_seed: u64, out: &mut [u8]) {
     let mut state = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
     for line in out.chunks_mut(64) {

@@ -16,6 +16,11 @@
 //!   chain and the stages hand off data *and* control peer-to-peer — this
 //!   module's [`ChainDriver`].
 
+#![expect(
+    clippy::expect_used,
+    reason = "app state machine: phase invariant, must abort the experiment"
+)]
+
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;

@@ -242,7 +242,6 @@ impl Metrics {
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
     /// Only the first touch of a name allocates.
-    // analyze: hot-path
     pub fn add(&mut self, name: &str, delta: u64) {
         match self.counters.get_mut(name) {
             Some(v) => *v += delta,
@@ -256,7 +255,6 @@ impl Metrics {
     }
 
     /// Increments the named counter by one.
-    // analyze: hot-path
     pub fn incr(&mut self, name: &str) {
         self.add(name, 1);
     }

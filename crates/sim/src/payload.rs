@@ -7,11 +7,6 @@
 //! a cheap-clone handle — an `Arc<[u8]>` plus an `(offset, len)` window —
 //! so passing bytes between actors is a refcount bump and slicing is free.
 //!
-//! Mutation is copy-on-write: [`Payload::make_mut`] returns a mutable view,
-//! materializing a private full copy only when the buffer is shared or the
-//! handle is a sub-slice. Since simulated payloads are immutable in all but
-//! one place (fault-injected bit flips), the copy almost never happens.
-//!
 //! The type dereferences to `[u8]` and compares against `Vec<u8>`/`[u8]`,
 //! so most call sites treat it exactly like the byte vector it replaced.
 
@@ -19,7 +14,7 @@ use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// A cheap-clone, copy-on-write handle to immutable bytes.
+/// A cheap-clone handle to immutable bytes.
 #[derive(Clone)]
 pub struct Payload {
     bytes: Arc<[u8]>,
@@ -73,21 +68,6 @@ impl Payload {
     /// Copies the bytes into an owned vector.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-
-    /// Mutable access to the bytes, copy-on-write: if the backing buffer
-    /// is shared with other handles (or this handle views a sub-slice), a
-    /// private copy is made first, so no other holder ever observes the
-    /// mutation.
-    pub fn make_mut(&mut self) -> &mut [u8] {
-        let whole = self.off == 0 && self.len == self.bytes.len();
-        if !whole || Arc::get_mut(&mut self.bytes).is_none() {
-            let copied: Arc<[u8]> = Arc::from(self.as_slice());
-            self.bytes = copied;
-            self.off = 0;
-            self.len = self.bytes.len();
-        }
-        Arc::get_mut(&mut self.bytes).expect("payload buffer is unique after copy-on-write")
     }
 }
 
@@ -260,26 +240,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_slice_panics() {
         Payload::from(vec![0u8; 4]).slice(2..9);
-    }
-
-    #[test]
-    fn make_mut_copies_only_when_shared() {
-        let mut p = Payload::from(vec![1u8, 2, 3]);
-        let before = Arc::as_ptr(&p.bytes);
-        p.make_mut()[0] = 9; // unique full view: in-place
-        assert_eq!(Arc::as_ptr(&p.bytes), before);
-        assert_eq!(p, vec![9u8, 2, 3]);
-
-        let q = p.clone();
-        let mut r = q.clone();
-        r.make_mut()[1] = 7; // shared: copy-on-write
-        assert_eq!(q, vec![9u8, 2, 3]);
-        assert_eq!(r, vec![9u8, 7, 3]);
-
-        let mut s = p.slice(1..3);
-        s.make_mut()[0] = 0; // sub-slice: materializes
-        assert_eq!(s, vec![0u8, 3]);
-        assert_eq!(p, vec![9u8, 2, 3]);
     }
 
     #[test]

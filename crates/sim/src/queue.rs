@@ -75,13 +75,11 @@ impl<T> EventQueue<T> {
     /// Schedules `item` at `(time, seq)`. Sequence numbers must be unique
     /// for the order to be total; the engines guarantee this by assigning
     /// them from a monotone counter.
-    // analyze: hot-path
     pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
         self.heap.push(Entry { time, seq, item });
     }
 
     /// The `(time, seq)` key of the earliest entry, without removing it.
-    // analyze: hot-path
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|e| (e.time, e.seq))
     }
@@ -93,7 +91,6 @@ impl<T> EventQueue<T> {
 
     /// [`pop`](Self::pop), unless the earliest entry lies at or past
     /// `horizon` (`None` = unbounded): the event loop's bounded pop.
-    // analyze: hot-path
     pub fn pop_if_before(&mut self, horizon: Option<SimTime>) -> Option<(SimTime, u64, T)> {
         let head = self.heap.peek()?;
         if horizon.is_some_and(|h| head.time >= h) {

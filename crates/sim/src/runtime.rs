@@ -26,6 +26,11 @@
 //! A caller that wants the sharded engine names it: see [`RuntimeKind`]
 //! and [`build_runtime`]. Everything else builds [`Sim`].
 
+#![expect(
+    clippy::expect_used,
+    reason = "documented panic contract of with_actor (see its # Panics section)"
+)]
+
 use std::any::Any;
 
 use crate::engine::{Actor, ActorId, Msg, NodeOutage, RunOutcome, Sim, TraceEntry};

@@ -96,6 +96,10 @@ impl Shard {
 
     /// Registers an actor living on simulated `node`; returns its local
     /// slot.
+    #[expect(
+        clippy::expect_used,
+        reason = "per-shard actor and node counts bounded by u32 id space by construction"
+    )]
     pub(crate) fn add_actor(&mut self, node: usize, actor: Box<dyn Actor>) -> u32 {
         let local = u32::try_from(self.actors.len()).expect("too many actors");
         self.actors.push(Slot {
@@ -150,7 +154,6 @@ impl Shard {
     ///
     /// Panics if an event re-enters an actor currently on the stack
     /// (actors never send to themselves synchronously by construction).
-    // analyze: hot-path
     pub(crate) fn run_window(
         &mut self,
         horizon: Option<SimTime>,

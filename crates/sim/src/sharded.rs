@@ -201,6 +201,10 @@ impl ShardedSim {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "actor count bounded by u32 id space by construction"
+    )]
     fn register(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId {
         assert!(
             node < self.shards.len(),

@@ -27,8 +27,8 @@
 //! # Determinism rules
 //!
 //! The rules mirror the span subsystem ([`crate::span`]): recording
-//! consumes **zero** RNG draws, never reads a wall clock (the
-//! `fractos-lint` wall-clock rule is fenced around this module like every
+//! consumes **zero** RNG draws, never reads a wall clock (clippy's
+//! `disallowed-methods` host-clock rule covers this module like every
 //! other product module), and while disabled the store is `None` — no
 //! allocation, no counters, no perturbation, so telemetry-off runs are
 //! byte-identical to builds without the subsystem.

@@ -6,6 +6,11 @@
 //! Nanosecond resolution is sufficient for the paper's calibration constants
 //! (the finest is a fraction of a microsecond).
 
+#![expect(
+    clippy::expect_used,
+    reason = "checked SimTime/SimDuration arithmetic; ns-timeline overflow is unrecoverable"
+)]
+
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};

@@ -112,6 +112,10 @@ proptest! {
 /// Scale guard: a large event volume must stay roughly linear (no
 /// quadratic blow-up in the queue or in downstream consumers).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock budget of the scale guard; no simulated value reads it"
+)]
 fn engine_handles_large_event_volumes() {
     let t0 = std::time::Instant::now();
     let (steps, _, _) = run(3, 8, &(0..2000u64).collect::<Vec<_>>());
