@@ -1250,28 +1250,32 @@ impl ControllerActor {
             return Err(FosError::Verify(v));
         }
 
-        // Move the actual bytes through the windows (one-sided access with
-        // validity, permission and bounds checks at the owner side).
-        let mut data = self.mem.borrow().rdma_read_window(src_ref, 0, size)?;
         // Data-plane corruption: on links the armed plan names, one bit of
         // the payload may flip in flight (data class only — the control
         // plane keeps the drop model). The source checksum is the
-        // producer-side integrity envelope; it is captured before the flip
-        // so the destination read-back below can catch the corruption.
+        // producer-side integrity envelope; it is taken before the flip so
+        // the destination read-back below can catch the corruption. The
+        // source window is checked (validity, permission, bounds at the
+        // owner side) before the draw, and the destination after it.
         let (src_node, dst_node) = (src_desc.location.node, dst_desc.location.node);
-        let src_sum = {
+        let (src_sum, flip) = {
+            let mem = self.mem.borrow();
+            let src_bytes = mem.window_slice(src_ref, 0, size)?;
             let mut fabric = self.fabric.borrow_mut();
             if fabric.corrupts_data(src_node, dst_node) {
-                let sum = crate::integrity::fnv1a(&data);
-                if let Some(bit) = fabric.corrupt_payload(src_node, dst_node) {
-                    crate::integrity::flip_bit(&mut data, bit);
-                }
-                Some(sum)
+                let sum = crate::integrity::extent_sum(src_bytes);
+                (Some(sum), fabric.corrupt_payload(src_node, dst_node))
             } else {
-                None
+                (None, None)
             }
         };
-        self.mem.borrow_mut().rdma_write_window(dst_ref, 0, &data)?;
+        {
+            let mut mem = self.mem.borrow_mut();
+            let moved = mem.copy_window(src_ref, dst_ref, size)?;
+            if let Some(bit) = flip {
+                crate::integrity::flip_bit(moved, bit);
+            }
+        }
 
         // Latency model. Snapshot the knobs up front: `charge` and the
         // per-chunk `send`s below need the fabric lock themselves, so a
@@ -1394,8 +1398,12 @@ impl ControllerActor {
         // on real hardware, and the caller decides whether to retry.
         if e2e {
             if let Some(sum) = src_sum {
-                let back = { self.mem.borrow().rdma_read_window(dst_ref, 0, size) };
-                if !back.is_ok_and(|b| crate::integrity::fnv1a(&b) == sum) {
+                let intact = self
+                    .mem
+                    .borrow()
+                    .window_slice(dst_ref, 0, size)
+                    .is_ok_and(|b| crate::integrity::extent_sum(b) == sum);
+                if !intact {
                     if data_span.is_some() {
                         let at = ctx.now() + extra;
                         ctx.span(

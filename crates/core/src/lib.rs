@@ -98,7 +98,7 @@ pub mod prelude {
 
 pub use controller::ControllerActor;
 pub use directory::{Directory, ServiceInstance};
-pub use integrity::{flip_bit, fnv1a, ExtentSums};
+pub use integrity::{extent_sum, flip_bit, fnv1a, ExtentSums};
 pub use memstore::MemoryStore;
 pub use process::{Fos, NullService, ProcessActor, Service};
 pub use testbed::{CtrlPlacement, Testbed};

@@ -110,13 +110,19 @@ impl MemoryStore {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, FosError> {
+        self.slice(proc, addr, offset, len).map(<[u8]>::to_vec)
+    }
+
+    /// The `len` bytes of `proc`'s memory at `addr + offset`, borrowed:
+    /// [`MemoryStore::read`] without the copy.
+    pub fn slice(&self, proc: ProcId, addr: u64, offset: u64, len: u64) -> Result<&[u8], FosError> {
         let region = self.region(proc, addr)?;
         let start = offset as usize;
         let end = start + len as usize;
         if end > region.len() {
             return Err(FosError::OutOfBounds);
         }
-        Ok(region[start..end].to_vec())
+        Ok(&region[start..end])
     }
 
     /// Size of the region starting at `addr`, if it exists.
@@ -163,8 +169,13 @@ impl MemoryStore {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, FosError> {
-        let w = self.check_window(window, offset, len, Perms::READ)?;
-        self.read(w.proc, w.addr, w.view_off + offset, len)
+        self.window_slice(window, offset, len).map(<[u8]>::to_vec)
+    }
+
+    /// The bytes [`MemoryStore::rdma_read_window`] would return, borrowed.
+    pub fn window_slice(&self, window: CapRef, offset: u64, len: u64) -> Result<&[u8], FosError> {
+        let ((proc, addr), range) = self.window_span(window, offset, len, Perms::READ)?;
+        Ok(&self.region(proc, addr)?[range])
     }
 
     /// One-sided RDMA write through a window.
@@ -178,6 +189,65 @@ impl MemoryStore {
             .check_window(window, offset, data.len() as u64, Perms::WRITE)?
             .clone();
         self.write(w.proc, w.addr, w.view_off + offset, data)
+    }
+
+    /// Copies the first `len` bytes of window `src` to the start of window
+    /// `dst` in one move, and returns the destination bytes just written.
+    ///
+    /// The result, and the error when there is one, are those of an
+    /// [`MemoryStore::rdma_read_window`] of `src` followed by an
+    /// [`MemoryStore::rdma_write_window`] of its bytes to `dst`: every
+    /// check of the source (validity, `READ`, bounds) comes before every
+    /// check of the destination (validity, `WRITE`, bounds), and nothing
+    /// is written unless both pass.
+    pub fn copy_window(
+        &mut self,
+        src: CapRef,
+        dst: CapRef,
+        len: u64,
+    ) -> Result<&mut [u8], FosError> {
+        let (src_key, src_range) = self.window_span(src, 0, len, Perms::READ)?;
+        let (dst_key, dst_range) = self.window_span(dst, 0, len, Perms::WRITE)?;
+        if src_key == dst_key {
+            let data = self.region_mut(dst_key.0, dst_key.1)?;
+            data.copy_within(src_range, dst_range.start);
+            return Ok(&mut data[dst_range]);
+        }
+        // Two distinct regions: the ends of one range over the map borrow
+        // both mutably at once.
+        let (lo, hi) = (src_key.min(dst_key), src_key.max(dst_key));
+        let mut between = self.regions.range_mut(lo..=hi);
+        let (Some((_, first)), Some((_, last))) = (between.next(), between.next_back()) else {
+            return Err(FosError::OutOfBounds);
+        };
+        let (from, to) = if src_key < dst_key {
+            (first, last)
+        } else {
+            (last, first)
+        };
+        let moved = &mut to.data[dst_range];
+        moved.copy_from_slice(&from.data[src_range]);
+        Ok(moved)
+    }
+
+    /// The region key and byte range that `len` bytes at `offset` through
+    /// `window` name, after the access checks of a one-sided operation
+    /// that needs `need`: validity, permissions, window bounds, region
+    /// bounds, in that order.
+    fn window_span(
+        &self,
+        window: CapRef,
+        offset: u64,
+        len: u64,
+        need: Perms,
+    ) -> Result<((ProcId, u64), std::ops::Range<usize>), FosError> {
+        let w = self.check_window(window, offset, len, need)?;
+        let start = (w.view_off + offset) as usize;
+        let end = start + len as usize;
+        if end > self.region(w.proc, w.addr)?.len() {
+            return Err(FosError::OutOfBounds);
+        }
+        Ok(((w.proc, w.addr), start..end))
     }
 
     fn check_window(

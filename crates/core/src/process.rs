@@ -529,13 +529,13 @@ impl<S: Service> Fos<S> {
         self.mem.borrow_mut().write(self.proc, addr, offset, data)
     }
 
-    /// Reads from this Process's own memory. The bytes come back as a
-    /// [`Payload`], so forwarding them into a reply or a derived Request
-    /// costs a reference-count bump, not a copy.
+    /// Reads from this Process's own memory. The bytes are copied once,
+    /// into a [`Payload`], so forwarding them into a reply or a derived
+    /// Request costs a reference-count bump, not a copy.
     pub fn mem_read(&self, addr: u64, offset: u64, len: u64) -> Result<Payload, FosError> {
         self.mem
             .borrow()
-            .read(self.proc, addr, offset, len)
+            .slice(self.proc, addr, offset, len)
             .map(Payload::from)
     }
 

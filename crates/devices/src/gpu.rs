@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fractos_cap::{Cid, Perms};
-use fractos_core::integrity::{flip_bit, fnv1a};
+use fractos_core::integrity::{extent_sum, flip_bit};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_net::{DeviceFaultOutcome, DeviceOp, Endpoint};
@@ -346,12 +346,19 @@ impl GpuAdaptor {
                     let mut out = kernel.run(&data, &params);
                     out.truncate(out_size as usize);
                     let n = out.len() as u64;
-                    // Producer-side envelope over the computed output.
-                    let sum = fnv1a(&out);
-                    if let DeviceFaultOutcome::Corrupt { bit } = fault {
-                        // ECC-escape: one flipped bit in the result.
-                        flip_bit(&mut out, bit);
-                    }
+                    // Producer-side envelope over the computed output,
+                    // taken only when an ECC escape was drawn: after any
+                    // other draw the delivered bytes are the computed ones
+                    // and the read-back below could not fail.
+                    let sum = match fault {
+                        DeviceFaultOutcome::Corrupt { bit } => {
+                            let sum = extent_sum(&out);
+                            // ECC-escape: one flipped bit in the result.
+                            flip_bit(&mut out, bit);
+                            Some(sum)
+                        }
+                        _ => None,
+                    };
                     if fos.mem_write(out_addr, out_off, &out).is_err() {
                         fos.reply_via(error, vec![DevError::Bounds.imm()], vec![]);
                         return;
@@ -361,9 +368,10 @@ impl GpuAdaptor {
                     // recoverable error (relaunch re-stamps it). The
                     // corrupt bytes stay in the buffer — exactly what an
                     // unchecked consumer would read.
-                    let intact = fos
-                        .mem_read(out_addr, out_off, n)
-                        .is_ok_and(|back| fnv1a(&back) == sum);
+                    let intact = sum.is_none_or(|sum| {
+                        fos.mem_read(out_addr, out_off, n)
+                            .is_ok_and(|back| extent_sum(&back) == sum)
+                    });
                     if !intact {
                         fos.reply_via(error, vec![DevError::Integrity.imm()], vec![]);
                         return;

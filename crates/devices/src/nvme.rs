@@ -191,17 +191,23 @@ impl NvmeDevice {
     /// Reads bytes without counting a host-visible operation — the
     /// adaptor's post-write CRC read-back, which runs inside the device
     /// and never crosses the block interface.
-    pub fn peek(&self, vol: u64, offset: u64, len: u64) -> Result<Vec<u8>, FosError> {
+    pub fn peek(&self, vol: u64, offset: u64, len: u64) -> Result<&[u8], FosError> {
         let v = self.volumes.get(&vol).ok_or(FosError::OutOfBounds)?;
-        Ok(v[extent(v.len(), offset, len)?].to_vec())
+        Ok(&v[extent(v.len(), offset, len)?])
     }
 
     /// Reads bytes from a volume.
     pub fn read(&mut self, vol: u64, offset: u64, len: u64) -> Result<Vec<u8>, FosError> {
+        self.read_slice(vol, offset, len).map(<[u8]>::to_vec)
+    }
+
+    /// [`NvmeDevice::read`] without the copy: the bytes stay borrowed from
+    /// the volume. Counts an operation only when the read succeeds.
+    pub fn read_slice(&mut self, vol: u64, offset: u64, len: u64) -> Result<&[u8], FosError> {
         let v = self.volumes.get(&vol).ok_or(FosError::OutOfBounds)?;
-        let data = v[extent(v.len(), offset, len)?].to_vec();
+        let range = extent(v.len(), offset, len)?;
         self.ops += 1;
-        Ok(data)
+        Ok(&v[range])
     }
 
     /// Writes bytes into a volume.
@@ -444,7 +450,9 @@ impl BlockAdaptor {
         }
         self.grab_staging(fos, error, move |_s: &mut Self, slot, fos| {
             fos.sleep_dev(delay, "nvme.read", move |s: &mut Self, fos| {
-                let data = match s.device.read(vol, offset, size) {
+                let st = &s.staging[slot];
+                let (st_addr, st_cid) = (st.addr, st.cid);
+                let data = match s.device.read_slice(vol, offset, size) {
                     Ok(d) => d,
                     Err(_) => return s.fail_io(slot, error, DevError::Bounds, fos),
                 };
@@ -452,12 +460,10 @@ impl BlockAdaptor {
                 // stamped at write commit, verify its envelope before
                 // handing the bytes to the client (catches torn writes
                 // that persisted past the write-time read-back).
-                if s.sums.verify(vol, offset, &data) == Some(false) {
+                if s.sums.verify(vol, offset, data) == Some(false) {
                     return s.fail_io(slot, error, DevError::Integrity, fos);
                 }
-                let st = &s.staging[slot];
-                let (st_addr, st_cid) = (st.addr, st.cid);
-                fos.mem_write(st_addr, 0, &data).expect("staging write");
+                fos.mem_write(st_addr, 0, data).expect("staging write");
                 // A sized view of the staging buffer, so the copy moves
                 // exactly `size` bytes.
                 fos.call(
@@ -571,11 +577,16 @@ impl BlockAdaptor {
                                     // envelope, then read back and verify
                                     // — the device-side CRC that turns a
                                     // torn write into a typed, recoverable
-                                    // error the caller can re-issue.
+                                    // error the caller can re-issue. Only
+                                    // a torn write commits other bytes
+                                    // than the stamped ones; after any
+                                    // other draw the read-back would
+                                    // compare the payload with itself.
                                     s.sums.stamp(vol, offset, &data);
-                                    let intact =
-                                        s.device.peek(vol, offset, size).is_ok_and(|back| {
-                                            s.sums.verify(vol, offset, &back) == Some(true)
+                                    let torn = matches!(fault, DeviceFaultOutcome::Torn { .. });
+                                    let intact = !torn
+                                        || s.device.peek(vol, offset, size).is_ok_and(|back| {
+                                            s.sums.verify(vol, offset, back) == Some(true)
                                         });
                                     if !intact {
                                         fos.reply_via(

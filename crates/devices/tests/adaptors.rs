@@ -832,7 +832,7 @@ impl Service for ChaosBlk {
             }
             97 => self.read_err = imm_at(&req.imms, 1),
             1 => panic!("write must fail under a p=1.0 torn-write plan"),
-            2 => panic!("read must fail under a p=1.0 read-error plan"),
+            2 => panic!("read must fail: the plan tears every write or fails every read"),
             other => panic!("unexpected reply phase {other}"),
         }
     }
@@ -881,6 +881,47 @@ fn injected_nvme_faults_reply_typed_codes() {
     assert!(faults.torn >= 1, "torn-write counter must tick");
     assert!(faults.failed >= 1, "media-failure counter must tick");
     let _ = blk_proc;
+}
+
+#[test]
+fn torn_extent_is_caught_again_on_read_back() {
+    // Torn writes only: the read reaches the media, and the read-side
+    // envelope is all that stands between the torn extent and the client.
+    let mut tb = Testbed::paper(47);
+    tb.install_fault_plan(FaultPlan::new().nvme_torn_writes(nvme(0), 1.0), 47);
+    let ctrls = tb.controllers_per_node(false);
+    let blk = BlockAdaptor::new(NvmeParams::default(), nvme(0), "blk");
+    let blk_proc = tb.add_process("blk-adaptor", cpu(0), ctrls[0], blk);
+    tb.start_process(blk_proc);
+    tb.run();
+
+    let client = tb.add_process(
+        "client",
+        cpu(2),
+        ctrls[2],
+        ChaosBlk {
+            read_req: None,
+            write_err: None,
+            read_err: None,
+        },
+    );
+    tb.start_process(client);
+    tb.run();
+
+    tb.with_service::<ChaosBlk, _>(client, |c| {
+        assert_eq!(c.write_err, Some(DevError::Integrity.code()), "torn write");
+        assert_eq!(
+            c.read_err,
+            Some(DevError::Integrity.code()),
+            "an exact-extent read of the torn extent must fail its envelope"
+        );
+    });
+    let faults = tb.traffic().device_faults_at(nvme(0));
+    assert_eq!((faults.torn, faults.failed), (1, 0));
+    tb.with_service::<BlockAdaptor, _>(blk_proc, |a| {
+        assert_eq!(a.device().ops, 2, "the read reached the media");
+        assert_eq!(a.completed, 0);
+    });
 }
 
 /// A minimal GPU client: init → alloc one buffer → load kernel 7 → invoke,
