@@ -44,7 +44,7 @@ fn run_fractos(kind: RuntimeKind) -> (Flows, Vec<bool>) {
         assert_eq!(c.samples.len() as u64, REQUESTS);
         c.samples.iter().map(|s| s.all_matched).collect::<Vec<_>>()
     });
-    let flows = tb.traffic().flows().map(|(k, v)| (*k, *v)).collect();
+    let flows = tb.traffic().flows().collect();
     (flows, verdicts)
 }
 
@@ -75,12 +75,7 @@ fn run_baseline(kind: RuntimeKind) -> (Flows, Vec<bool>) {
         assert_eq!(c.samples.len() as u64, REQUESTS);
         c.samples.iter().map(|s| s.all_matched).collect::<Vec<_>>()
     });
-    let flows = fabric
-        .borrow()
-        .stats()
-        .flows()
-        .map(|(k, v)| (*k, *v))
-        .collect();
+    let flows = fabric.borrow().stats().flows().collect();
     (flows, verdicts)
 }
 
@@ -182,7 +177,7 @@ fn fig2_telemetry_exports_match_across_backends_without_perturbing_traffic() {
         );
         tb.start_process(client);
         tb.run();
-        let flows: Flows = tb.traffic().flows().map(|(k, v)| (*k, *v)).collect();
+        let flows: Flows = tb.traffic().flows().collect();
         let report = TelemetryReport::derive(&tb.take_telemetry(), period);
         (
             flows,

@@ -97,7 +97,7 @@ fn run_fv(kind: RuntimeKind, seed: u64, plan: Option<FaultPlan>, params: NetPara
     let fv_retried = tb.with_service::<FaceVerifyFrontend, _>(dep.frontend, |f| f.retried);
     let traffic = tb.traffic();
     RunOut {
-        flows: traffic.flows().map(|(k, v)| (*k, *v)).collect(),
+        flows: traffic.flows().collect(),
         faults: traffic.fault_links().map(|(k, v)| (*k, *v)).collect(),
         dev_faults: traffic
             .device_fault_devices()

@@ -155,7 +155,7 @@ fn collect(scene: &mut Scene) -> CrashOut {
         outage_drops: tb.sim.metrics().counter("engine.outage_drops"),
         steps: tb.sim.steps(),
         end_ns: tb.now().as_nanos(),
-        flows: traffic.flows().map(|(k, v)| (*k, *v)).collect(),
+        flows: traffic.flows().collect(),
         faults: traffic.fault_links().map(|(k, v)| (*k, *v)).collect(),
     }
 }

@@ -89,7 +89,7 @@ fn run_fig2(kind: RuntimeKind, plan: Option<FaultPlan>, spans_on: bool) -> Trace
     Traced {
         spans,
         actor_names,
-        flows: tb.traffic().flows().map(|(k, v)| (*k, *v)).collect(),
+        flows: tb.traffic().flows().collect(),
         end: tb.now(),
         verdicts,
     }

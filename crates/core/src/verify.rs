@@ -106,29 +106,6 @@ pub struct PlanStep {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PlanPath(pub Vec<PlanStep>);
 
-impl PlanPath {
-    fn root(object: ObjectId) -> Self {
-        PlanPath(vec![PlanStep { object, arg: None }])
-    }
-
-    fn descend(&self, arg: u32, object: ObjectId) -> Self {
-        let mut steps = self.0.clone();
-        if let Some(last) = steps.last_mut() {
-            last.arg = Some(arg);
-        }
-        steps.push(PlanStep { object, arg: None });
-        PlanPath(steps)
-    }
-
-    fn at_arg(&self, arg: u32) -> Self {
-        let mut steps = self.0.clone();
-        if let Some(last) = steps.last_mut() {
-            last.arg = Some(arg);
-        }
-        PlanPath(steps)
-    }
-}
-
 impl fmt::Display for PlanPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, step) in self.0.iter().enumerate() {
@@ -204,53 +181,54 @@ pub fn verify_plan(
         report.remote_skipped += 1;
         return Ok(report);
     }
-    let path = PlanPath::root(root.object);
-    let desc = resolve_request(table, root, &path)?;
-    let mut on_path = vec![root.object];
+    let mut steps = vec![PlanStep {
+        object: root.object,
+        arg: None,
+    }];
+    let desc = resolve_request(table, root, &steps)?;
     let mut visited = Vec::new();
-    walk_request(
-        table,
-        root,
-        &desc,
-        path,
-        &mut on_path,
-        &mut visited,
-        &mut report,
-    )?;
+    walk_request(table, root, desc, &mut steps, &mut visited, &mut report)?;
     Ok(report)
 }
 
-fn resolve_request(
-    table: &ObjectTable<ObjPayload>,
+/// The rejection of the plan node (or argument) `path` ends at. The
+/// happy path never builds a [`PlanPath`]; a rejection copies the walk's
+/// step stack once.
+fn reject(kind: VerifyErrorKind, path: &[PlanStep]) -> VerifyError {
+    VerifyError::new(kind, PlanPath(path.to_vec()))
+}
+
+fn resolve_request<'t>(
+    table: &'t ObjectTable<ObjPayload>,
     cap: CapRef,
-    path: &PlanPath,
-) -> Result<RequestDesc, VerifyError> {
+    path: &[PlanStep],
+) -> Result<&'t RequestDesc, VerifyError> {
     table
         .check(cap)
-        .map_err(|e| VerifyError::new(cap_err_kind(e), path.clone()))?;
+        .map_err(|e| reject(cap_err_kind(e), path))?;
     match table.resolve(cap) {
-        Ok(ObjPayload::Request(r)) => Ok(r.clone()),
-        Ok(ObjPayload::Memory(_)) => Err(VerifyError::new(
-            VerifyErrorKind::WrongObjectKind,
-            path.clone(),
-        )),
-        Err(e) => Err(VerifyError::new(cap_err_kind(e), path.clone())),
+        Ok(ObjPayload::Request(r)) => Ok(r),
+        Ok(ObjPayload::Memory(_)) => Err(reject(VerifyErrorKind::WrongObjectKind, path)),
+        Err(e) => Err(reject(cap_err_kind(e), path)),
     }
 }
 
-fn walk_request(
-    table: &ObjectTable<ObjPayload>,
+/// Walks the Request `desc` and, depth first, every continuation it
+/// carries, over borrowed descriptors. `steps` is the path from the root
+/// to `desc`; the last step's `arg` is the argument being checked. It
+/// doubles as the set of Requests on the current path, and is the path a
+/// rejection reports.
+fn walk_request<'t>(
+    table: &'t ObjectTable<ObjPayload>,
     cap: CapRef,
-    desc: &RequestDesc,
-    path: PlanPath,
-    on_path: &mut Vec<ObjectId>,
+    desc: &'t RequestDesc,
+    steps: &mut Vec<PlanStep>,
     visited: &mut Vec<ObjectId>,
     report: &mut PlanReport,
 ) -> Result<(), VerifyError> {
     report.nodes += 1;
-    check_refinement_chain(table, cap, desc, &path)?;
+    check_refinement_chain(table, cap, desc, steps)?;
     for (i, arg) in desc.args.iter().enumerate() {
-        let i = i as u32;
         let Arg::Cap(ca) = arg else { continue };
         if ca.cap.ctrl != table.ctrl() {
             // Owned elsewhere: that Controller verifies it on admission.
@@ -258,42 +236,34 @@ fn walk_request(
             continue;
         }
         report.caps_checked += 1;
-        let arg_path = path.at_arg(i);
+        if let Some(last) = steps.last_mut() {
+            last.arg = Some(i as u32);
+        }
         table
             .check(ca.cap)
-            .map_err(|e| VerifyError::new(cap_err_kind(e), arg_path.clone()))?;
+            .map_err(|e| reject(cap_err_kind(e), steps))?;
         match table.resolve(ca.cap) {
             Ok(ObjPayload::Memory(live)) => {
-                check_memory_arg(table, ca.cap, ca.mem.as_ref(), live, &arg_path)?;
+                check_memory_arg(table, ca.cap, ca.mem.as_ref(), live, steps)?;
             }
             Ok(ObjPayload::Request(nested)) => {
-                if on_path.contains(&ca.cap.object) {
-                    return Err(VerifyError::new(
-                        VerifyErrorKind::CyclicContinuation,
-                        arg_path,
-                    ));
+                if steps.iter().any(|s| s.object == ca.cap.object) {
+                    return Err(reject(VerifyErrorKind::CyclicContinuation, steps));
                 }
                 if visited.contains(&ca.cap.object) {
                     // Shared continuation (diamond in the DAG): already
                     // verified through another path.
                     continue;
                 }
-                let nested = nested.clone();
-                let nested_path = path.descend(i, ca.cap.object);
-                on_path.push(ca.cap.object);
-                walk_request(
-                    table,
-                    ca.cap,
-                    &nested,
-                    nested_path,
-                    on_path,
-                    visited,
-                    report,
-                )?;
-                on_path.pop();
+                steps.push(PlanStep {
+                    object: ca.cap.object,
+                    arg: None,
+                });
+                walk_request(table, ca.cap, nested, steps, visited, report)?;
+                steps.pop();
                 visited.push(ca.cap.object);
             }
-            Err(e) => return Err(VerifyError::new(cap_err_kind(e), arg_path)),
+            Err(e) => return Err(reject(cap_err_kind(e), steps)),
         }
     }
     Ok(())
@@ -308,27 +278,24 @@ fn check_memory_arg(
     cap: CapRef,
     snap: Option<&MemoryDesc>,
     live: &MemoryDesc,
-    path: &PlanPath,
+    path: &[PlanStep],
 ) -> Result<(), VerifyError> {
     if let Some(snap) = snap {
         if !live.perms.contains(snap.perms) {
-            return Err(VerifyError::new(
-                VerifyErrorKind::PrivilegeEscalation,
-                path.clone(),
-            ));
+            return Err(reject(VerifyErrorKind::PrivilegeEscalation, path));
         }
     }
     // Walk derivation edges up to the root, proving monotonicity at each.
-    let mut child = live.clone();
+    let mut child = live;
     let mut id = match table.resolve_owner_object(cap) {
         Ok(id) => id,
-        Err(e) => return Err(VerifyError::new(cap_err_kind(e), path.clone())),
+        Err(e) => return Err(reject(cap_err_kind(e), path)),
     };
     loop {
         let parent_id = match table.parent_of(id) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()),
-            Err(e) => return Err(VerifyError::new(cap_err_kind(e), path.clone())),
+            Err(e) => return Err(reject(cap_err_kind(e), path)),
         };
         let parent_ref = CapRef {
             ctrl: table.ctrl(),
@@ -338,10 +305,7 @@ fn check_memory_arg(
         match table.resolve(parent_ref) {
             Ok(ObjPayload::Memory(parent)) => {
                 if !parent.perms.contains(child.perms) {
-                    return Err(VerifyError::new(
-                        VerifyErrorKind::PrivilegeEscalation,
-                        path.clone(),
-                    ));
+                    return Err(reject(VerifyErrorKind::PrivilegeEscalation, path));
                 }
                 let child_end = child.view_off.saturating_add(child.size);
                 let parent_end = parent.view_off.saturating_add(parent.size);
@@ -350,22 +314,16 @@ fn check_memory_arg(
                     || child.proc != parent.proc
                     || child.addr != parent.addr
                 {
-                    return Err(VerifyError::new(
-                        VerifyErrorKind::PrivilegeEscalation,
-                        path.clone(),
-                    ));
+                    return Err(reject(VerifyErrorKind::PrivilegeEscalation, path));
                 }
-                child = parent.clone();
+                child = parent;
                 id = parent_id;
             }
             // A Memory derived from a Request makes no sense; a revtree
             // indirection node shares the same owner object, so resolve
             // lands on the same payload and terminates via parent_of.
             Ok(ObjPayload::Request(_)) => {
-                return Err(VerifyError::new(
-                    VerifyErrorKind::WrongObjectKind,
-                    path.clone(),
-                ))
+                return Err(reject(VerifyErrorKind::WrongObjectKind, path))
             }
             Err(_) => return Ok(()), // parent revoked away already: child is the root view now
         }
@@ -378,16 +336,16 @@ fn check_refinement_chain(
     table: &ObjectTable<ObjPayload>,
     cap: CapRef,
     desc: &RequestDesc,
-    path: &PlanPath,
+    path: &[PlanStep],
 ) -> Result<(), VerifyError> {
     let id = match table.resolve_owner_object(cap) {
         Ok(id) => id,
-        Err(e) => return Err(VerifyError::new(cap_err_kind(e), path.clone())),
+        Err(e) => return Err(reject(cap_err_kind(e), path)),
     };
     let parent_id = match table.parent_of(id) {
         Ok(Some(p)) => p,
         Ok(None) => return Ok(()),
-        Err(e) => return Err(VerifyError::new(cap_err_kind(e), path.clone())),
+        Err(e) => return Err(reject(cap_err_kind(e), path)),
     };
     let parent_ref = CapRef {
         ctrl: table.ctrl(),
@@ -399,18 +357,12 @@ fn check_refinement_chain(
             let prefix_ok =
                 desc.args.len() >= base.args.len() && desc.args[..base.args.len()] == base.args[..];
             if !prefix_ok || desc.provider != base.provider || desc.tag != base.tag {
-                return Err(VerifyError::new(
-                    VerifyErrorKind::RefinementViolation,
-                    path.clone(),
-                ));
+                return Err(reject(VerifyErrorKind::RefinementViolation, path));
             }
             Ok(())
         }
         // A Request derived from a Memory object is malformed.
-        Ok(ObjPayload::Memory(_)) => Err(VerifyError::new(
-            VerifyErrorKind::WrongObjectKind,
-            path.clone(),
-        )),
+        Ok(ObjPayload::Memory(_)) => Err(reject(VerifyErrorKind::WrongObjectKind, path)),
         Err(_) => Ok(()), // base already cleaned up: nothing left to compare
     }
 }

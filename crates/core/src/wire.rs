@@ -6,6 +6,9 @@
 //! fabric's traffic accounting and serialization delays reflect what a real
 //! deployment would put on the wire, and (2) prove by round-trip tests that
 //! the protocol is actually serializable (no in-memory-only shortcuts).
+//! A size comes from the same layout run through a sizing [`Encoder`],
+//! which counts the bytes it would write and stores none, so accounting a
+//! message never builds its encoding.
 //!
 //! Each layout is declared once, in a `wire!` block: a struct lists its
 //! fields in wire order; an enum lists its variants, each with its one-byte
@@ -32,9 +35,14 @@ use crate::verify::{PlanPath, PlanStep, VerifyError, VerifyErrorKind};
 const MAX_PREALLOC: usize = 1024;
 
 /// Buffer-writing half of the codec.
+///
+/// A [`sizing`](Encoder::sizing) encoder runs the same layout but only
+/// counts the bytes it would write, so a size costs no buffer.
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// Bytes a sizing encoder has counted; `None` when writing `buf`.
+    counted: Option<usize>,
 }
 
 impl Encoder {
@@ -43,34 +51,51 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Creates an encoder that counts bytes and stores none: its
+    /// [`len`](Encoder::len) is the encoded size and
+    /// [`finish`](Encoder::finish) returns no bytes.
+    pub fn sizing() -> Self {
+        Encoder {
+            buf: Vec::new(),
+            counted: Some(0),
+        }
+    }
+
     /// Consumes the encoder, returning the bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    fn put(&mut self, v: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += v.len(),
+            None => self.buf.extend_from_slice(v),
+        }
     }
 
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Appends a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a `u32` length or element count.
@@ -85,7 +110,7 @@ impl Encoder {
     /// Appends a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.count(v.len());
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 }
 
@@ -177,16 +202,19 @@ pub trait Wire: Sized {
     /// Deserializes a value.
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError>;
 
-    /// Serialized size in bytes.
+    /// Serialized size in bytes, counted by a sizing encoder.
     fn wire_size(&self) -> u64 {
-        let mut e = Encoder::new();
+        let mut e = Encoder::sizing();
         self.encode(&mut e);
         e.len() as u64
     }
 
-    /// Serializes to a fresh buffer.
+    /// Serializes to a fresh buffer, allocated once at the counted size.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder {
+            buf: Vec::with_capacity(self.wire_size() as usize),
+            counted: None,
+        };
         self.encode(&mut e);
         e.finish()
     }
@@ -639,6 +667,20 @@ mod tests {
             imms: vec![vec![1].into(), vec![2, 3].into()],
             caps: vec![Cid(0), Cid(4)],
         });
+    }
+
+    #[test]
+    fn sizing_encoder_counts_and_stores_nothing() {
+        let sc = Syscall::RequestCreate {
+            base: None,
+            tag: 3,
+            imms: vec![vec![7; 5000].into()],
+            caps: vec![Cid(1)],
+        };
+        let mut e = Encoder::sizing();
+        sc.encode(&mut e);
+        assert_eq!(e.len(), sc.to_bytes().len());
+        assert!(e.finish().is_empty());
     }
 
     #[test]

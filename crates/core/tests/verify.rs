@@ -6,7 +6,9 @@
 use fractos_cap::{CapRef, ObjectId, ObjectTable};
 use fractos_core::prelude::*;
 use fractos_core::types::{Arg, CapArg, MemoryDesc, ObjPayload, RequestDesc};
-use fractos_core::{verify_plan, verify_syscall, verify_table, VerifyErrorKind};
+use fractos_core::{
+    verify_plan, verify_syscall, verify_table, PlanPath, PlanStep, VerifyErrorKind,
+};
 
 const CTRL: ControllerAddr = ControllerAddr(0);
 
@@ -150,6 +152,56 @@ fn cyclic_continuation_chain_rejected() {
     assert_eq!(e.kind, VerifyErrorKind::CyclicContinuation);
     let e = verify_plan(&t, b).unwrap_err();
     assert_eq!(e.kind, VerifyErrorKind::CyclicContinuation);
+}
+
+#[test]
+fn revoked_arg_after_a_clean_continuation_names_the_root_argument() {
+    let mut t = table();
+    let m = t.create(ProcId(1).token(), ObjPayload::Memory(mem(Perms::RW, 0, 64)));
+    let clean = t.create(ProcId(1).token(), request(vec![]));
+    let root = t.create(ProcId(1).token(), request(vec![cap_arg(clean), cap_arg(m)]));
+    t.revoke(m.object).expect("revocable");
+    let e = verify_plan(&t, root).unwrap_err();
+    assert_eq!(e.kind, VerifyErrorKind::RevokedCap);
+    // arg[0] descended into `clean` and came back: the path names only
+    // the root and the argument that failed.
+    assert_eq!(
+        e.path,
+        PlanPath(vec![PlanStep {
+            object: root.object,
+            arg: Some(1),
+        }])
+    );
+}
+
+#[test]
+fn cycle_at_depth_two_names_both_steps() {
+    let mut t = table();
+    let a = t.create(ProcId(1).token(), request(vec![]));
+    let b = t.create(ProcId(1).token(), request(vec![cap_arg(a)]));
+    match t.payload_mut(a) {
+        Ok(ObjPayload::Request(ra)) => ra.args.push(cap_arg(b)),
+        other => panic!("payload editable, got {other:?}"),
+    }
+    let e = verify_plan(&t, a).unwrap_err();
+    assert_eq!(e.kind, VerifyErrorKind::CyclicContinuation);
+    assert_eq!(
+        e.path,
+        PlanPath(vec![
+            PlanStep {
+                object: a.object,
+                arg: Some(0),
+            },
+            PlanStep {
+                object: b.object,
+                arg: Some(0),
+            },
+        ])
+    );
+    assert_eq!(
+        e.path.to_string(),
+        format!("obj#{} / arg[0] -> obj#{} / arg[0]", a.object.0, b.object.0)
+    );
 }
 
 #[test]

@@ -3,16 +3,17 @@
 //! [`Fabric::send`] is the single choke point every simulated message goes
 //! through. It computes the one-way delivery latency of a message between two
 //! [`Endpoint`]s, models bandwidth contention on the traversed links
-//! (store-and-forward occupancy with per-link `busy_until` times), applies
-//! optional jitter, and records traffic statistics. The RDMA write verb
-//! ([`Fabric::rdma_write`]) is composed from sends.
+//! (cut-through: each link a transfer crosses is busy for its full
+//! serialization time, placed first-fit into that link's schedule of busy
+//! intervals), applies optional jitter, and records traffic statistics.
+//! The RDMA write verb ([`Fabric::rdma_write`]) is composed from sends.
 
 #![expect(
     clippy::expect_used,
     reason = "checked-arithmetic overflow guards: link reservation on the ns timeline, wire-size header addition"
 )]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use fractos_sim::{
     SimDuration, SimRng, SimTime, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
@@ -89,10 +90,16 @@ const PRUNE_HORIZON_NS: u64 = 50_000_000; // 50 ms
 /// reply's departure after a long local operation); earlier traffic must
 /// still pass through the idle time before such a reservation, so a single
 /// high-water mark is not enough — first-fit gap search over intervals is.
+///
+/// Touching intervals are merged, so the list is disjoint with a gap
+/// between neighbours and the ends are sorted as strictly as the starts.
+/// Both searches are therefore binary: the intervals a prune drops (those
+/// ending before the horizon) are a prefix, and so are those that end at or
+/// before the requested instant, which the gap search skips.
 #[derive(Debug, Default)]
 struct LinkSchedule {
     /// Sorted, non-overlapping `(start, end)` nanosecond intervals.
-    intervals: Vec<(u64, u64)>,
+    intervals: VecDeque<(u64, u64)>,
 }
 
 impl LinkSchedule {
@@ -100,39 +107,38 @@ impl LinkSchedule {
     fn reserve(&mut self, t: u64, occ: u64) -> u64 {
         // Prune long-past intervals to bound memory.
         let cutoff = t.saturating_sub(PRUNE_HORIZON_NS);
-        self.intervals.retain(|&(_, end)| end >= cutoff);
+        let stale = self.intervals.partition_point(|&(_, end)| end < cutoff);
+        self.intervals.drain(..stale);
 
         let end_of = |start: u64| {
             start
                 .checked_add(occ)
                 .expect("link reservation overflows the ns timeline")
         };
+        // First fit, from the first interval still busy at `t`.
         let mut start = t;
-        let mut insert_at = self.intervals.len();
-        for (i, &(s, e)) in self.intervals.iter().enumerate() {
-            if e <= start {
-                continue;
-            }
+        let mut at = self.intervals.partition_point(|&(_, end)| end <= t);
+        while let Some(&(s, e)) = self.intervals.get(at) {
             if s >= end_of(start) {
-                // The gap before interval `i` fits.
-                insert_at = i;
+                // The gap before interval `at` fits.
                 break;
             }
             // Overlap: push past this interval.
             start = e;
-            insert_at = i + 1;
+            at += 1;
         }
-        self.intervals.insert(insert_at, (start, end_of(start)));
-        // Merge adjacent intervals opportunistically to keep the list flat.
-        let mut i = insert_at;
-        while i + 1 < self.intervals.len() && self.intervals[i].1 >= self.intervals[i + 1].0 {
-            let next = self.intervals.remove(i + 1);
-            self.intervals[i].1 = self.intervals[i].1.max(next.1);
+        // Merge with the neighbours it touches to keep the list flat.
+        let mut end = end_of(start);
+        while let Some(&(s, e)) = self.intervals.get(at) {
+            if end < s {
+                break;
+            }
+            end = end.max(e);
+            self.intervals.remove(at);
         }
-        if i > 0 && self.intervals[i - 1].1 >= self.intervals[i].0 {
-            let cur = self.intervals.remove(i);
-            i -= 1;
-            self.intervals[i].1 = self.intervals[i].1.max(cur.1);
+        match at.checked_sub(1).and_then(|i| self.intervals.get_mut(i)) {
+            Some(prev) if prev.1 >= start => prev.1 = prev.1.max(end),
+            _ => self.intervals.insert(at, (start, end)),
         }
         start
     }
@@ -823,6 +829,125 @@ mod tests {
     fn reservation_past_the_end_of_time_panics() {
         let mut sched = LinkSchedule::default();
         sched.reserve(u64::MAX - 10, 100);
+    }
+
+    /// The linear first-fit schedule the binary-searched one replaced,
+    /// kept as the reference model: prune by a full scan, then scan every
+    /// interval from the front.
+    fn reference_reserve(intervals: &mut Vec<(u64, u64)>, t: u64, occ: u64) -> u64 {
+        let cutoff = t.saturating_sub(PRUNE_HORIZON_NS);
+        intervals.retain(|&(_, end)| end >= cutoff);
+        let mut start = t;
+        let mut insert_at = intervals.len();
+        for (i, &(s, e)) in intervals.iter().enumerate() {
+            if e <= start {
+                continue;
+            }
+            if s >= start + occ {
+                insert_at = i;
+                break;
+            }
+            start = e;
+            insert_at = i + 1;
+        }
+        intervals.insert(insert_at, (start, start + occ));
+        let mut i = insert_at;
+        while i + 1 < intervals.len() && intervals[i].1 >= intervals[i + 1].0 {
+            let next = intervals.remove(i + 1);
+            intervals[i].1 = intervals[i].1.max(next.1);
+        }
+        if i > 0 && intervals[i - 1].1 >= intervals[i].0 {
+            let cur = intervals.remove(i);
+            i -= 1;
+            intervals[i].1 = intervals[i].1.max(cur.1);
+        }
+        start
+    }
+
+    proptest::proptest! {
+        /// The schedule gives every reservation the start the linear
+        /// reference gives it and keeps the same interval list after every
+        /// step, whether instants advance, go backwards, land in the future
+        /// or jump across the prune horizon.
+        #[test]
+        fn link_schedule_matches_the_linear_reference(
+            steps in proptest::prop::collection::vec(
+                (0u8..7, 0u64..2_000_000, 0u64..100_000),
+                1..400,
+            ),
+        ) {
+            let mut sched = LinkSchedule::default();
+            let mut reference = Vec::new();
+            let mut now = 0u64;
+            for (kind, dt, occ) in steps {
+                let t = match kind {
+                    // Forward by up to a few µs, often onto a busy link.
+                    0 => {
+                        now += dt % 5_000;
+                        now
+                    }
+                    // Backwards: an earlier sender posts late.
+                    1 => now.saturating_sub(dt),
+                    // A reservation in the future; the clock stays put.
+                    2 => now + dt,
+                    // Across the prune horizon, or to just short of it.
+                    3 => {
+                        now += PRUNE_HORIZON_NS + dt;
+                        now
+                    }
+                    4 => {
+                        now += PRUNE_HORIZON_NS - dt;
+                        now
+                    }
+                    // Exactly one horizon past the newest end: that interval
+                    // sits on the prune cutoff.
+                    5 => {
+                        now = now.max(reference.last().map_or(0, |&(_, e)| e) + PRUNE_HORIZON_NS);
+                        now
+                    }
+                    // Same instant as the last request.
+                    _ => now,
+                };
+                // Occupancies of 1 ns and up, skewed short.
+                let occ = if occ % 3 == 0 { 1 + occ % 4 } else { 1 + occ };
+                let want = reference_reserve(&mut reference, t, occ);
+                let got = sched.reserve(t, occ);
+                proptest::prop_assert_eq!(
+                    got,
+                    want,
+                    "reserve({}, {}) started at {}, the reference at {}",
+                    t,
+                    occ,
+                    got,
+                    want
+                );
+                proptest::prop_assert!(
+                    sched.intervals.iter().eq(reference.iter()),
+                    "intervals after reserve({}, {}): {:?} vs {:?}",
+                    t,
+                    occ,
+                    sched.intervals,
+                    reference
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_earlier_transfer_uses_the_gap_before_a_future_reservation() {
+        let (a, b) = (Endpoint::cpu(N0), Endpoint::cpu(N1));
+        let size = 64 << 10;
+        let mut r = rng();
+        let alone = fabric().send(SimTime::ZERO, &mut r, a, b, size, TrafficClass::Data);
+        let mut f = fabric();
+        let later = SimTime::from_nanos(10_000_000);
+        f.send(later, &mut r, a, b, size, TrafficClass::Data);
+        // Posted after the future reservation but departing before it: the
+        // link is idle until then, so nothing queues. A schedule keeping
+        // only a high-water mark would start it after the 10 ms transfer.
+        let early = f.send(SimTime::ZERO, &mut r, a, b, size, TrafficClass::Data);
+        assert_eq!(early, alone);
+        assert!(early < SimDuration::from_millis(1), "{early}");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The headline FractOS claims are about *traffic*: 3× fewer bytes on the
 //! network, 1.6× fewer messages, 8 vs 5 control messages for the inference
 //! pipeline (Fig 2, §6.5). The fabric therefore counts every message it
-//! carries once, per `(source node, destination node, class)`. The shared
-//! network carries exactly the cross-node flows, so the network totals are
-//! folds over the flows whose source and destination nodes differ.
+//! carries once, per `(source node, destination node, class)`, in a dense
+//! table indexed by node id, so counting a message is no map lookup. The
+//! shared network carries exactly the cross-node flows, so the network
+//! totals are folds over the flows whose source and destination nodes
+//! differ.
 
 use std::collections::BTreeMap;
 
@@ -73,7 +75,11 @@ pub struct VerifyCounter {
 /// All traffic counters for a fabric.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
-    flows: BTreeMap<(NodeId, NodeId, TrafficClass), FlowCounter>,
+    /// Per-class flow counters of every `(src, dst)` pair, row-major over
+    /// `side × side` node ids and grown to cover the largest id recorded.
+    /// A flow that was never recorded has `msgs == 0`.
+    flows: Vec<[FlowCounter; 2]>,
+    side: usize,
     faults: BTreeMap<(NodeId, NodeId), FaultCounter>,
     device_faults: BTreeMap<Endpoint, DeviceFaultCounter>,
     verify: VerifyCounter,
@@ -87,9 +93,23 @@ impl TrafficStats {
 
     /// Records one message.
     pub fn record(&mut self, src: NodeId, dst: NodeId, class: TrafficClass, bytes: u64) {
-        let flow = self.flows.entry((src, dst, class)).or_default();
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        if s.max(d) >= self.side {
+            self.grow((s.max(d) + 1).max(2 * self.side));
+        }
+        let flow = &mut self.flows[s * self.side + d][class as usize];
         flow.msgs += 1;
         flow.bytes += bytes;
+    }
+
+    /// Re-lays the flow table out over `side × side` node ids.
+    fn grow(&mut self, side: usize) {
+        let mut flows = vec![[FlowCounter::default(); 2]; side * side];
+        for (s, row) in self.flows.chunks_exact(self.side.max(1)).enumerate() {
+            flows[s * side..s * side + self.side].copy_from_slice(row);
+        }
+        self.flows = flows;
+        self.side = side;
     }
 
     /// Records one message dropped by the fault plan on `src → dst`.
@@ -163,17 +183,18 @@ impl TrafficStats {
 
     /// Counter for one `(src, dst, class)` flow.
     pub fn flow(&self, src: NodeId, dst: NodeId, class: TrafficClass) -> FlowCounter {
-        self.flows
-            .get(&(src, dst, class))
-            .copied()
-            .unwrap_or_default()
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        if s.max(d) >= self.side {
+            return FlowCounter::default();
+        }
+        self.flows[s * self.side + d][class as usize]
     }
 
     /// Messages and bytes of `class` (both classes when `None`) carried
     /// by the shared network, i.e. on cross-node flows.
     fn network(&self, class: Option<TrafficClass>) -> FlowCounter {
         let mut total = FlowCounter::default();
-        for (&(src, dst, c), f) in &self.flows {
+        for ((src, dst, c), f) in self.flows() {
             if src != dst && class.is_none_or(|want| want == c) {
                 total.msgs += f.msgs;
                 total.bytes += f.bytes;
@@ -207,14 +228,25 @@ impl TrafficStats {
         self.network(Some(TrafficClass::Data)).bytes
     }
 
-    /// Iterates over all per-flow counters.
-    pub fn flows(&self) -> impl Iterator<Item = (&(NodeId, NodeId, TrafficClass), &FlowCounter)> {
-        self.flows.iter()
+    /// Iterates over the per-flow counters of every flow recorded, in
+    /// `(src, dst, class)` order.
+    pub fn flows(
+        &self,
+    ) -> impl Iterator<Item = ((NodeId, NodeId, TrafficClass), FlowCounter)> + '_ {
+        let side = self.side;
+        self.flows.iter().enumerate().flat_map(move |(i, pair)| {
+            let (src, dst) = (NodeId((i / side) as u32), NodeId((i % side) as u32));
+            [TrafficClass::Control, TrafficClass::Data]
+                .into_iter()
+                .zip(pair)
+                .filter(|(_, f)| f.msgs > 0)
+                .map(move |(class, f)| ((src, dst, class), *f))
+        })
     }
 
     /// Clears all counters.
     pub fn reset(&mut self) {
-        self.flows.clear();
+        self.flows.fill([FlowCounter::default(); 2]);
         self.faults.clear();
         self.device_faults.clear();
         self.verify = VerifyCounter::default();
@@ -245,6 +277,51 @@ mod tests {
         assert_eq!(s.network_control_msgs(), 1);
         assert_eq!(s.network_data_msgs(), 2);
         assert_eq!(s.network_data_bytes(), 4196);
+    }
+
+    #[test]
+    fn flow_table_iterates_recorded_flows_in_order() {
+        use TrafficClass::{Control, Data};
+        let n63 = NodeId(63);
+        let n7 = NodeId(7);
+        let mut s = TrafficStats::new();
+        // Out of order, over ids with holes: the table grows past 0..=7
+        // to 63 after flows below it were recorded.
+        s.record(n7, N0, Data, 10);
+        s.record(n63, N0, Control, 1);
+        s.record(N0, n63, Data, 4096);
+        s.record(n7, N0, Control, 2);
+        s.record(N0, N0, Data, 5);
+        s.record(n63, N0, Control, 3);
+
+        let flows: Vec<_> = s.flows().collect();
+        let c = |msgs, bytes| FlowCounter { msgs, bytes };
+        assert_eq!(
+            flows,
+            [
+                ((N0, N0, Data), c(1, 5)),
+                ((N0, n63, Data), c(1, 4096)),
+                ((n7, N0, Control), c(1, 2)),
+                ((n7, N0, Data), c(1, 10)),
+                ((n63, N0, Control), c(2, 4)),
+            ]
+        );
+        for &(k, f) in &flows {
+            assert_eq!(s.flow(k.0, k.1, k.2), f);
+        }
+        assert_eq!(s.flow(N0, n7, Data), FlowCounter::default());
+        assert_eq!(s.flow(NodeId(64), N0, Data), FlowCounter::default());
+        assert_eq!(s.network_msgs(), 5);
+        assert_eq!(s.network_bytes(), 4112);
+        assert_eq!(s.network_control_msgs(), 3);
+        assert_eq!(s.network_data_msgs(), 2);
+        assert_eq!(s.network_data_bytes(), 4106);
+
+        s.reset();
+        assert_eq!(s.flows().count(), 0);
+        assert_eq!(s.flow(n63, N0, Control), FlowCounter::default());
+        assert_eq!(s.network_msgs(), 0);
+        assert_eq!(s.network_bytes(), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use fractos_devices::{BlockAdaptor, GpuAdaptor, GpuParams, NvmeParams};
 
 use crate::faceverify::{FaceVerifyFrontend, FvConfig, DB_READ_KEY, GPU_KEY, OUT_WRITE_KEY};
 use crate::fs::{FsMode, FsService};
-use crate::matcher::{synth_faces_into, FaceVerifyKernel, FACE_VERIFY_KERNEL};
+use crate::matcher::{synth_face_into, FaceVerifyKernel, FACE_VERIFY_KERNEL};
 
 /// Loads the reference-photo database through the storage stack and
 /// publishes the file's read Request under a key.
@@ -80,12 +80,16 @@ impl Service for DbLoader {
                 // DAX create reply: imms [0, file, ext]; caps [read, write].
                 self.read_req = Some(req.caps[0]);
                 self.write_req = Some(req.caps[1]);
-                // Build the database image and write it in one shot.
+                // Build the database in place, one face at a time (no
+                // database-sized temporary), then write it in one shot.
                 let total = self.count * self.img_bytes;
                 let addr = fos.mem_alloc(total);
-                let mut data = vec![0; total as usize];
-                synth_faces_into(0, self.img_bytes as usize, 0, &mut data);
-                fos.mem_write(addr, 0, &data).expect("db upload");
+                let mut image = vec![0; self.img_bytes as usize];
+                for id in 0..self.count {
+                    synth_face_into(id, 0, &mut image);
+                    fos.mem_write(addr, id * self.img_bytes, &image)
+                        .expect("db upload");
+                }
                 let write_req = self.write_req.expect("set");
                 fos.memory_create(addr, total, Perms::RW, move |_s: &mut Self, res, fos| {
                     let SyscallResult::NewCid(src) = res else {
