@@ -13,13 +13,11 @@
     reason = "baseline state machine: phase invariant, must abort the experiment"
 )]
 
-use std::collections::HashMap;
-
 use fractos_net::{Endpoint, Fabric, TrafficClass};
 use fractos_services::closed_loop::ClosedLoop;
 use fractos_services::matcher::{synth_faces_into, MATCH_THRESHOLD};
 use fractos_services::FvSample;
-use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration};
+use fractos_sim::{Actor, Ctx, IdMap, Msg, Shared, SimDuration};
 
 use crate::raw::{raw_send, Peer};
 use crate::rcuda::{DriverReply, RcudaClient, KERNEL_CALLS};
@@ -80,10 +78,10 @@ pub struct BaselineFrontend {
     /// When set, results are written back through NFS before replying
     /// (the full Fig 2 star: steps 6–7 through the filesys node).
     pub store_results: bool,
-    reqs: HashMap<u64, ReqState>,
+    reqs: IdMap<u64, ReqState>,
     next_req: u64,
     /// Maps an outstanding NFS/rCUDA token to its request.
-    token_to_req: HashMap<u64, u64>,
+    token_to_req: IdMap<u64, u64>,
     nfs_token: u64,
     /// Served requests (tests).
     pub served: u64,
@@ -105,9 +103,9 @@ impl BaselineFrontend {
             rcuda: RcudaClient::new(endpoint, rcuda_server, fabric),
             img,
             store_results: false,
-            reqs: HashMap::new(),
+            reqs: IdMap::default(),
             next_req: 0,
-            token_to_req: HashMap::new(),
+            token_to_req: IdMap::default(),
             nfs_token: 1 << 32,
             /* NFS tokens live in a disjoint range from rCUDA tokens. */
             served: 0,

@@ -8,14 +8,13 @@
 //! host-to-device, kernel launch, synchronize, memcpy device-to-host — and
 //! all data staged through the client's host memory.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use fractos_devices::{GpuDevice, GpuParams, Kernel};
 use fractos_net::params::PCIE_BANDWIDTH;
 use fractos_net::{Endpoint, Fabric, TrafficClass};
-use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime};
+use fractos_sim::{Actor, Ctx, IdMap, Msg, Shared, SimDuration, SimTime};
 
 use crate::raw::{raw_send, Peer};
 
@@ -83,7 +82,7 @@ pub struct RcudaServer {
     /// the throughput bottleneck the paper observes in Fig 13).
     busy_until: SimTime,
     device: GpuDevice,
-    kernels: HashMap<u64, Arc<dyn Kernel>>,
+    kernels: IdMap<u64, Arc<dyn Kernel>>,
     /// Simulated device memory (one flat buffer).
     dev_mem: Vec<u8>,
     /// Completion time of the last launched kernel.
@@ -107,7 +106,7 @@ impl RcudaServer {
             fabric,
             busy_until: SimTime::ZERO,
             device: GpuDevice::new(params),
-            kernels: HashMap::new(),
+            kernels: IdMap::default(),
             dev_mem: vec![0; dev_mem_size as usize],
             kernel_done_at: SimTime::ZERO,
             pending_launch: None,
@@ -360,7 +359,7 @@ mod tests {
     /// A driver that runs the canonical verify sequence and checks data.
     struct Driver {
         client: RcudaClient,
-        tokens: HashMap<u64, u64>,
+        tokens: IdMap<u64, u64>,
         pub result: Vec<u8>,
         pub done: bool,
     }
@@ -523,7 +522,7 @@ mod tests {
         let mut sim = Sim::new(5);
         let (fabric, server, driver) = daemon_and(&mut sim, |client| Driver {
             client,
-            tokens: HashMap::new(),
+            tokens: IdMap::default(),
             result: Vec::new(),
             done: false,
         });

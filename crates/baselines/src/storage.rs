@@ -12,11 +12,9 @@
     reason = "baseline page store: read of a page the script wrote earlier"
 )]
 
-use std::collections::HashMap;
-
 use fractos_devices::{BlockOp, NvmeDevice, NvmeParams};
 use fractos_net::{Endpoint, Fabric, TrafficClass};
-use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration};
+use fractos_sim::{Actor, Ctx, IdMap, Msg, Shared, SimDuration};
 
 use crate::raw::{raw_send, Peer};
 
@@ -162,11 +160,11 @@ impl Actor for NvmeOfTarget {
 
 /// A Linux-style page cache: write absorption and sequential read-ahead.
 pub struct PageCache {
-    pages: HashMap<u64, Vec<u8>>,
+    pages: IdMap<u64, Vec<u8>>,
     /// Last page read, to detect sequential streaks.
     last_page: Option<u64>,
     /// Pages already requested from the backend (read-ahead in flight).
-    prefetching: HashMap<u64, bool>,
+    prefetching: IdMap<u64, bool>,
     /// Cache hits / misses (tests and the Fig 10 discussion).
     pub hits: u64,
     /// Cache misses.
@@ -183,9 +181,9 @@ impl PageCache {
     /// An empty cache.
     pub fn new() -> Self {
         PageCache {
-            pages: HashMap::new(),
+            pages: IdMap::default(),
             last_page: None,
-            prefetching: HashMap::new(),
+            prefetching: IdMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -317,7 +315,7 @@ pub struct NfsServer {
     /// The page cache ("Linux cache on the FS-service node", §6.4).
     pub cache: PageCache,
     next_token: u64,
-    pending: HashMap<u64, ServerPending>,
+    pending: IdMap<u64, ServerPending>,
     /// Requests served (tests).
     pub served: u64,
 }
@@ -331,7 +329,7 @@ impl NfsServer {
             target,
             cache: PageCache::new(),
             next_token: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             served: 0,
         }
     }

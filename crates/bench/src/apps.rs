@@ -22,7 +22,9 @@ use fractos_services::faceverify::{FvClient, FvSample};
 use fractos_services::fs::{FsMode, FsService};
 use fractos_services::pipeline::{ChainDriver, PipelineStage};
 use fractos_services::{FvConfig, FACE_VERIFY_KERNEL};
-use fractos_sim::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, SpanRecord, TelemetryEvent};
+use fractos_sim::{
+    Actor, ActorId, Ctx, IdMap, Msg, Shared, Sim, SimDuration, SpanRecord, TelemetryEvent,
+};
 
 /// Result of one application run.
 #[derive(Debug, Clone, Copy)]
@@ -576,7 +578,7 @@ pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) ->
         batch: u64,
         run: ClosedLoop,
         /// Driver-call token → (request, call number in its sequence).
-        calls: std::collections::HashMap<u64, (u64, u64)>,
+        calls: IdMap<u64, (u64, u64)>,
     }
     struct Go;
     impl Driver {
@@ -642,7 +644,7 @@ pub fn gpu_service_rcuda(img: u64, batch: u64, requests: u64, in_flight: u64) ->
             img,
             batch,
             run: ClosedLoop::new(requests, in_flight),
-            calls: std::collections::HashMap::new(),
+            calls: IdMap::default(),
         }),
     );
     sim.post(SimDuration::ZERO, driver, Go);

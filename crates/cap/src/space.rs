@@ -20,8 +20,9 @@
 //! current from then on, so a space that is never scrubbed never pays for
 //! it. That is measured, not assumed: kept from the first insert instead,
 //! the index raised the peak RSS of `perf/`'s `mesh64` workload, which
-//! never revokes, from 112.3 to 122.9 MiB and read 0.85–1.05× its ops/s
-//! (3 alternating runs on a 2-core host).
+//! never revokes, by about a tenth (10.6 MiB, measured while the object
+//! table was still a `BTreeMap`) and read 0.85–1.05× its ops/s (3
+//! alternating runs on a 2-core host).
 
 use std::collections::{BTreeSet, BinaryHeap};
 use std::ops::RangeInclusive;

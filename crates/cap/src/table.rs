@@ -12,8 +12,12 @@
 //!
 //! The table is generic over the payload type `T` so the OS layer can store
 //! its Memory/Request descriptors while this crate owns the lifecycle rules.
-
-use std::collections::BTreeMap;
+//!
+//! Storage is a slab: object ids are minted densely from one counter, so
+//! the entry for `ObjectId(base + i)` lives at index `i` of a `Vec`, and a
+//! check or resolve is an index, not a tree walk. A reboot empties the slab
+//! and moves `base` to the next id to mint; ids keep increasing across
+//! reboots, so a pre-reboot id falls below `base` and finds nothing.
 
 use crate::error::{CapError, Result};
 use crate::ids::{CapRef, ControllerAddr, Epoch, ObjectId, ProcessToken};
@@ -99,11 +103,17 @@ pub struct ObjectTable<T> {
     ctrl: ControllerAddr,
     epoch: Epoch,
     next_id: u64,
-    /// Ordered so that whole-table sweeps (`fail_process`,
-    /// `cleanup_revoked`, `live_objects`) visit entries in a deterministic
-    /// order regardless of insertion history — the cascade order of a
-    /// failure-translation revocation is observable through monitor events.
-    entries: BTreeMap<ObjectId, Entry<T>>,
+    /// The id of `entries[0]`: the first id minted in this epoch.
+    base: u64,
+    /// This epoch's objects, `ObjectId(base + i)` at index `i` (`None` once
+    /// cleaned up). Ids are minted in increasing order, so index order is id
+    /// order, and whole-table sweeps (`fail_process`, `cleanup_revoked`,
+    /// `live_objects`) visit entries in ascending id order regardless of
+    /// history — the cascade order of a failure-translation revocation is
+    /// observable through monitor events.
+    entries: Vec<Option<Entry<T>>>,
+    /// Number of `Some` slots in `entries`.
+    len: usize,
 }
 
 impl<T> ObjectTable<T> {
@@ -113,7 +123,9 @@ impl<T> ObjectTable<T> {
             ctrl,
             epoch: Epoch(0),
             next_id: 0,
-            entries: BTreeMap::new(),
+            base: 0,
+            entries: Vec::new(),
+            len: 0,
         }
     }
 
@@ -129,18 +141,43 @@ impl<T> ObjectTable<T> {
 
     /// Number of entries, including revoked-but-not-cleaned ones.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    /// Slab index of `id`, if it was minted in this epoch.
+    fn index(&self, id: ObjectId) -> Option<usize> {
+        id.0.checked_sub(self.base)
+            .and_then(|i| usize::try_from(i).ok())
+    }
+
+    fn get(&self, id: ObjectId) -> Option<&Entry<T>> {
+        self.entries.get(self.index(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: ObjectId) -> Option<&mut Entry<T>> {
+        let i = self.index(id)?;
+        self.entries.get_mut(i)?.as_mut()
+    }
+
+    /// Ids of the entries that satisfy `keep`, ascending.
+    fn ids_where(&self, keep: impl Fn(&Entry<T>) -> bool) -> Vec<ObjectId> {
+        (self.base..)
+            .zip(&self.entries)
+            .filter(|(_, e)| e.as_ref().is_some_and(&keep))
+            .map(|(id, _)| ObjectId(id))
+            .collect()
     }
 
     fn mint(&mut self, entry: Entry<T>) -> CapRef {
         let id = ObjectId(self.next_id);
         self.next_id += 1;
-        self.entries.insert(id, entry);
+        self.entries.push(Some(entry));
+        self.len += 1;
         CapRef {
             ctrl: self.ctrl,
             epoch: self.epoch,
@@ -178,7 +215,7 @@ impl<T> ObjectTable<T> {
             delegatee_of: None,
             receive_watchers: Vec::new(),
         });
-        if let Some(p) = self.entries.get_mut(&parent) {
+        if let Some(p) = self.get_mut(parent) {
             p.children.push(cap.object);
         }
         Ok(cap)
@@ -198,7 +235,7 @@ impl<T> ObjectTable<T> {
             delegatee_of: None,
             receive_watchers: Vec::new(),
         });
-        if let Some(p) = self.entries.get_mut(&parent) {
+        if let Some(p) = self.get_mut(parent) {
             p.children.push(cap.object);
         }
         Ok(cap)
@@ -213,7 +250,7 @@ impl<T> ObjectTable<T> {
     /// delegator's counter (§3.6).
     pub fn delegate(&mut self, id: ObjectId, to: ProcessToken) -> Result<CapRef> {
         self.check_live(id)?;
-        let has_monitor = self.entries.get(&id).is_some_and(|e| e.delegator.is_some());
+        let has_monitor = self.get(id).is_some_and(|e| e.delegator.is_some());
         if !has_monitor {
             return Ok(CapRef {
                 ctrl: self.ctrl,
@@ -231,7 +268,7 @@ impl<T> ObjectTable<T> {
             delegatee_of: Some(id),
             receive_watchers: Vec::new(),
         });
-        if let Some(entry) = self.entries.get_mut(&id) {
+        if let Some(entry) = self.get_mut(id) {
             entry.children.push(cap.object);
             if let Some(mon) = entry.delegator.as_mut() {
                 mon.outstanding += 1;
@@ -251,7 +288,7 @@ impl<T> ObjectTable<T> {
     }
 
     fn check_live(&self, id: ObjectId) -> Result<()> {
-        match self.entries.get(&id) {
+        match self.get(id) {
             None => Err(CapError::NoSuchObject(id)),
             Some(e) if e.revoked => Err(CapError::Revoked(id)),
             Some(_) => Ok(()),
@@ -264,7 +301,7 @@ impl<T> ObjectTable<T> {
         self.check(cap)?;
         let mut id = cap.object;
         loop {
-            let entry = self.entries.get(&id).ok_or(CapError::NoSuchObject(id))?;
+            let entry = self.get(id).ok_or(CapError::NoSuchObject(id))?;
             // Ancestors cannot be revoked while a descendant is live:
             // revocation cascades downward atomically.
             match (&entry.payload, entry.parent) {
@@ -282,7 +319,7 @@ impl<T> ObjectTable<T> {
         self.check(cap)?;
         let mut id = cap.object;
         loop {
-            let entry = self.entries.get(&id).ok_or(CapError::NoSuchObject(id))?;
+            let entry = self.get(id).ok_or(CapError::NoSuchObject(id))?;
             match (&entry.payload, entry.parent) {
                 (Payload::Owned(_), _) => return Ok(id),
                 (Payload::Inherit, Some(p)) => id = p,
@@ -296,7 +333,7 @@ impl<T> ObjectTable<T> {
     pub fn payload_mut(&mut self, cap: CapRef) -> Result<&mut T> {
         self.check(cap)?;
         let id = self.resolve_owner_object(cap)?;
-        match self.entries.get_mut(&id).map(|e| &mut e.payload) {
+        match self.get_mut(id).map(|e| &mut e.payload) {
             Some(Payload::Owned(t)) => Ok(t),
             // `resolve_owner_object` only returns Owned nodes.
             _ => Err(CapError::NoSuchObject(id)),
@@ -308,8 +345,7 @@ impl<T> ObjectTable<T> {
     /// Static verifiers use this to walk derivation edges and prove
     /// privilege monotonicity without mutating the table.
     pub fn parent_of(&self, id: ObjectId) -> Result<Option<ObjectId>> {
-        self.entries
-            .get(&id)
+        self.get(id)
             .map(|e| e.parent)
             .ok_or(CapError::NoSuchObject(id))
     }
@@ -321,10 +357,7 @@ impl<T> ObjectTable<T> {
     /// Per the paper, the capability must not have children yet.
     pub fn monitor_delegate(&mut self, id: ObjectId, watcher: Watcher) -> Result<()> {
         self.check_live(id)?;
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .ok_or(CapError::NoSuchObject(id))?;
+        let entry = self.get_mut(id).ok_or(CapError::NoSuchObject(id))?;
         if !entry.children.is_empty() {
             return Err(CapError::HasChildren(id));
         }
@@ -342,10 +375,7 @@ impl<T> ObjectTable<T> {
     /// the object is revoked (explicitly or through failure translation).
     pub fn monitor_receive(&mut self, id: ObjectId, watcher: Watcher) -> Result<()> {
         self.check_live(id)?;
-        let entry = self
-            .entries
-            .get_mut(&id)
-            .ok_or(CapError::NoSuchObject(id))?;
+        let entry = self.get_mut(id).ok_or(CapError::NoSuchObject(id))?;
         entry.receive_watchers.push(watcher);
         Ok(())
     }
@@ -365,7 +395,7 @@ impl<T> ObjectTable<T> {
     fn revoke_subtree(&mut self, root: ObjectId, outcome: &mut RevokeOutcome) {
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            let Some(entry) = self.entries.get_mut(&id) else {
+            let Some(entry) = self.get_mut(id) else {
                 continue;
             };
             if entry.revoked {
@@ -387,7 +417,7 @@ impl<T> ObjectTable<T> {
             // Decrement the delegator counter if this was a monitored
             // delegation child.
             if let Some(parent) = delegatee_of {
-                if let Some(pentry) = self.entries.get_mut(&parent) {
+                if let Some(pentry) = self.get_mut(parent) {
                     if let Some(mon) = pentry.delegator.as_mut() {
                         mon.outstanding = mon.outstanding.saturating_sub(1);
                         if mon.outstanding == 0 {
@@ -405,12 +435,7 @@ impl<T> ObjectTable<T> {
     /// registered by the failed Process is revoked, and its monitor
     /// registrations are discarded (no callbacks to the dead).
     pub fn fail_process(&mut self, proc: ProcessToken) -> RevokeOutcome {
-        let owned: Vec<ObjectId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.owner == proc && !e.revoked)
-            .map(|(id, _)| *id)
-            .collect();
+        let owned = self.ids_where(|e| e.owner == proc && !e.revoked);
         let mut outcome = RevokeOutcome::default();
         for id in owned {
             // A cascade from an earlier root may have taken this one already.
@@ -420,7 +445,7 @@ impl<T> ObjectTable<T> {
         }
         // Drop monitors registered by the failed Process and suppress any
         // events already routed to it.
-        for entry in self.entries.values_mut() {
+        for entry in self.entries.iter_mut().flatten() {
             entry.receive_watchers.retain(|w| w.process != proc);
             if entry
                 .delegator
@@ -442,18 +467,25 @@ impl<T> ObjectTable<T> {
     /// Controller still holds references; it is outside the critical path
     /// and neither security- nor performance-critical.
     pub fn cleanup_revoked(&mut self) -> Vec<ObjectId> {
-        let dead: Vec<ObjectId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.revoked)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &dead {
-            self.entries.remove(id);
+        let mut dead = Vec::new();
+        for (id, slot) in (self.base..).zip(&mut self.entries) {
+            if slot.as_ref().is_some_and(|e| e.revoked) {
+                *slot = None;
+                dead.push(ObjectId(id));
+            }
         }
-        // Prune dangling child links on survivors.
-        for entry in self.entries.values_mut() {
-            entry.children.retain(|c| !dead.contains(c));
+        self.len -= dead.len();
+        // Prune dangling child links on survivors: every link named a
+        // present entry before this sweep, so the absent ones are the dead.
+        for i in 0..self.entries.len() {
+            let Some(entry) = self.entries[i].as_mut() else {
+                continue;
+            };
+            let mut children = std::mem::take(&mut entry.children);
+            children.retain(|&c| self.get(c).is_some());
+            if let Some(entry) = self.entries[i].as_mut() {
+                entry.children = children;
+            }
         }
         dead
     }
@@ -463,26 +495,21 @@ impl<T> ObjectTable<T> {
     pub fn reboot(&mut self) {
         self.epoch = self.epoch.next();
         self.entries.clear();
+        self.len = 0;
         // Object ids keep increasing so pre-reboot ids can never alias
-        // post-reboot objects even if the epoch check were skipped.
+        // post-reboot objects even if the epoch check were skipped: they
+        // fall below the new base.
+        self.base = self.next_id;
     }
 
     /// Ids of all live (non-revoked) objects, in ascending order.
     pub fn live_objects(&self) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.revoked)
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
+        self.ids_where(|e| !e.revoked)
     }
 
     /// Immediate children of `id` in the revocation tree.
     pub fn children_of(&self, id: ObjectId) -> Result<&[ObjectId]> {
-        self.entries
-            .get(&id)
+        self.get(id)
             .map(|e| e.children.as_slice())
             .ok_or(CapError::NoSuchObject(id))
     }

@@ -288,3 +288,478 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// ObjectTable against the BTreeMap table it replaced
+// ---------------------------------------------------------------------------
+
+/// The object table as it was before its slab: one `BTreeMap` entry per
+/// object, swept in key order, child links pruned with `dead.contains`.
+/// Kept verbatim in behaviour (payload `u64`) as the oracle for the slab.
+mod reference {
+    use std::collections::BTreeMap;
+
+    use fractos_cap::{
+        CapError, CapRef, ControllerAddr, Epoch, MonitorEvent, ObjectId, ProcessToken,
+        RevokeOutcome, Watcher,
+    };
+
+    type Result<T> = std::result::Result<T, CapError>;
+
+    #[derive(Debug, Clone)]
+    enum Payload {
+        Owned(u64),
+        Inherit,
+    }
+
+    #[derive(Debug, Clone)]
+    struct Entry {
+        payload: Payload,
+        owner: ProcessToken,
+        parent: Option<ObjectId>,
+        children: Vec<ObjectId>,
+        revoked: bool,
+        delegator: Option<(Watcher, u64)>,
+        delegatee_of: Option<ObjectId>,
+        receive_watchers: Vec<Watcher>,
+    }
+
+    impl Entry {
+        fn new(payload: Payload, owner: ProcessToken, parent: Option<ObjectId>) -> Self {
+            Entry {
+                payload,
+                owner,
+                parent,
+                children: Vec::new(),
+                revoked: false,
+                delegator: None,
+                delegatee_of: None,
+                receive_watchers: Vec::new(),
+            }
+        }
+    }
+
+    pub struct RefTable {
+        ctrl: ControllerAddr,
+        epoch: Epoch,
+        next_id: u64,
+        entries: BTreeMap<ObjectId, Entry>,
+    }
+
+    impl RefTable {
+        pub fn new(ctrl: ControllerAddr) -> Self {
+            RefTable {
+                ctrl,
+                epoch: Epoch(0),
+                next_id: 0,
+                entries: BTreeMap::new(),
+            }
+        }
+
+        pub fn epoch(&self) -> Epoch {
+            self.epoch
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        fn mint(&mut self, entry: Entry) -> CapRef {
+            let id = ObjectId(self.next_id);
+            self.next_id += 1;
+            self.entries.insert(id, entry);
+            CapRef {
+                ctrl: self.ctrl,
+                epoch: self.epoch,
+                object: id,
+            }
+        }
+
+        pub fn create(&mut self, owner: ProcessToken, payload: u64) -> CapRef {
+            self.mint(Entry::new(Payload::Owned(payload), owner, None))
+        }
+
+        pub fn derive(
+            &mut self,
+            parent: ObjectId,
+            owner: ProcessToken,
+            payload: u64,
+        ) -> Result<CapRef> {
+            self.check_live(parent)?;
+            let cap = self.mint(Entry::new(Payload::Owned(payload), owner, Some(parent)));
+            if let Some(p) = self.entries.get_mut(&parent) {
+                p.children.push(cap.object);
+            }
+            Ok(cap)
+        }
+
+        pub fn create_revtree_node(
+            &mut self,
+            parent: ObjectId,
+            owner: ProcessToken,
+        ) -> Result<CapRef> {
+            self.check_live(parent)?;
+            let cap = self.mint(Entry::new(Payload::Inherit, owner, Some(parent)));
+            if let Some(p) = self.entries.get_mut(&parent) {
+                p.children.push(cap.object);
+            }
+            Ok(cap)
+        }
+
+        pub fn delegate(&mut self, id: ObjectId, to: ProcessToken) -> Result<CapRef> {
+            self.check_live(id)?;
+            let has_monitor = self.entries.get(&id).is_some_and(|e| e.delegator.is_some());
+            if !has_monitor {
+                return Ok(CapRef {
+                    ctrl: self.ctrl,
+                    epoch: self.epoch,
+                    object: id,
+                });
+            }
+            let mut entry = Entry::new(Payload::Inherit, to, Some(id));
+            entry.delegatee_of = Some(id);
+            let cap = self.mint(entry);
+            if let Some(entry) = self.entries.get_mut(&id) {
+                entry.children.push(cap.object);
+                if let Some(mon) = entry.delegator.as_mut() {
+                    mon.1 += 1;
+                }
+            }
+            Ok(cap)
+        }
+
+        pub fn check(&self, cap: CapRef) -> Result<()> {
+            if cap.epoch != self.epoch {
+                return Err(CapError::StaleEpoch(cap.object));
+            }
+            self.check_live(cap.object)
+        }
+
+        fn check_live(&self, id: ObjectId) -> Result<()> {
+            match self.entries.get(&id) {
+                None => Err(CapError::NoSuchObject(id)),
+                Some(e) if e.revoked => Err(CapError::Revoked(id)),
+                Some(_) => Ok(()),
+            }
+        }
+
+        pub fn resolve_owner_object(&self, cap: CapRef) -> Result<ObjectId> {
+            self.check(cap)?;
+            let mut id = cap.object;
+            loop {
+                let entry = self.entries.get(&id).ok_or(CapError::NoSuchObject(id))?;
+                match (&entry.payload, entry.parent) {
+                    (Payload::Owned(_), _) => return Ok(id),
+                    (Payload::Inherit, Some(p)) => id = p,
+                    (Payload::Inherit, None) => return Err(CapError::NoSuchObject(id)),
+                }
+            }
+        }
+
+        pub fn resolve(&self, cap: CapRef) -> Result<&u64> {
+            let id = self.resolve_owner_object(cap)?;
+            match self.entries.get(&id).map(|e| &e.payload) {
+                Some(Payload::Owned(t)) => Ok(t),
+                _ => Err(CapError::NoSuchObject(id)),
+            }
+        }
+
+        pub fn payload_mut(&mut self, cap: CapRef) -> Result<&mut u64> {
+            let id = self.resolve_owner_object(cap)?;
+            match self.entries.get_mut(&id).map(|e| &mut e.payload) {
+                Some(Payload::Owned(t)) => Ok(t),
+                _ => Err(CapError::NoSuchObject(id)),
+            }
+        }
+
+        pub fn parent_of(&self, id: ObjectId) -> Result<Option<ObjectId>> {
+            self.entries
+                .get(&id)
+                .map(|e| e.parent)
+                .ok_or(CapError::NoSuchObject(id))
+        }
+
+        pub fn monitor_delegate(&mut self, id: ObjectId, watcher: Watcher) -> Result<()> {
+            self.check_live(id)?;
+            let entry = self
+                .entries
+                .get_mut(&id)
+                .ok_or(CapError::NoSuchObject(id))?;
+            if !entry.children.is_empty() {
+                return Err(CapError::HasChildren(id));
+            }
+            if entry.delegator.is_some() {
+                return Err(CapError::AlreadyMonitored(id));
+            }
+            entry.delegator = Some((watcher, 0));
+            Ok(())
+        }
+
+        pub fn monitor_receive(&mut self, id: ObjectId, watcher: Watcher) -> Result<()> {
+            self.check_live(id)?;
+            let entry = self
+                .entries
+                .get_mut(&id)
+                .ok_or(CapError::NoSuchObject(id))?;
+            entry.receive_watchers.push(watcher);
+            Ok(())
+        }
+
+        pub fn revoke(&mut self, id: ObjectId) -> Result<RevokeOutcome> {
+            self.check_live(id)?;
+            let mut outcome = RevokeOutcome::default();
+            let mut stack = vec![id];
+            while let Some(id) = stack.pop() {
+                let Some(entry) = self.entries.get_mut(&id) else {
+                    continue;
+                };
+                if entry.revoked {
+                    continue;
+                }
+                entry.revoked = true;
+                outcome.revoked.push(id);
+                stack.extend(entry.children.iter().copied());
+                for w in entry.receive_watchers.drain(..) {
+                    outcome.events.push(MonitorEvent::Receive(w));
+                }
+                entry.payload = Payload::Inherit;
+                if let Some(parent) = entry.delegatee_of {
+                    if let Some(mon) = self
+                        .entries
+                        .get_mut(&parent)
+                        .and_then(|p| p.delegator.as_mut())
+                    {
+                        mon.1 = mon.1.saturating_sub(1);
+                        if mon.1 == 0 {
+                            outcome.events.push(MonitorEvent::DelegateDrained(mon.0));
+                        }
+                    }
+                }
+            }
+            Ok(outcome)
+        }
+
+        pub fn fail_process(&mut self, proc: ProcessToken) -> RevokeOutcome {
+            let owned: Vec<ObjectId> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.owner == proc && !e.revoked)
+                .map(|(id, _)| *id)
+                .collect();
+            let mut outcome = RevokeOutcome::default();
+            for id in owned {
+                if let Ok(o) = self.revoke(id) {
+                    outcome.merge(o);
+                }
+            }
+            for entry in self.entries.values_mut() {
+                entry.receive_watchers.retain(|w| w.process != proc);
+                if entry.delegator.is_some_and(|m| m.0.process == proc) {
+                    entry.delegator = None;
+                }
+            }
+            outcome.events.retain(|ev| match ev {
+                MonitorEvent::DelegateDrained(w) | MonitorEvent::Receive(w) => w.process != proc,
+            });
+            outcome
+        }
+
+        pub fn cleanup_revoked(&mut self) -> Vec<ObjectId> {
+            let dead: Vec<ObjectId> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.revoked)
+                .map(|(id, _)| *id)
+                .collect();
+            for id in &dead {
+                self.entries.remove(id);
+            }
+            for entry in self.entries.values_mut() {
+                entry.children.retain(|c| !dead.contains(c));
+            }
+            dead
+        }
+
+        pub fn reboot(&mut self) {
+            self.epoch = self.epoch.next();
+            self.entries.clear();
+        }
+
+        pub fn live_objects(&self) -> Vec<ObjectId> {
+            self.entries
+                .iter()
+                .filter(|(_, e)| !e.revoked)
+                .map(|(id, _)| *id)
+                .collect()
+        }
+
+        pub fn children_of(&self, id: ObjectId) -> Result<&[ObjectId]> {
+            self.entries
+                .get(&id)
+                .map(|e| e.children.as_slice())
+                .ok_or(CapError::NoSuchObject(id))
+        }
+    }
+}
+
+/// One step on both tables. `pick` names an object: `pick % (minted + 1)`,
+/// so it covers every id minted so far (in any epoch, cleaned up or not)
+/// and the next, unminted one.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Create(u64, u64),
+    Derive(u64, u64, u64),
+    Revtree(u64, u64),
+    Delegate(u64, u64),
+    MonitorDelegate(u64, u64, u64),
+    MonitorReceive(u64, u64, u64),
+    PayloadMut(u64, u64),
+    Revoke(u64),
+    FailProcess(u64),
+    Cleanup,
+    Reboot,
+}
+
+fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    let owner = || 0u64..3;
+    let pick = || any::<u64>();
+    prop::collection::vec(
+        prop_oneof![
+            (owner(), any::<u64>()).prop_map(|(o, v)| TableOp::Create(o, v)),
+            (owner(), any::<u64>()).prop_map(|(o, v)| TableOp::Create(o, v)),
+            (pick(), owner(), any::<u64>()).prop_map(|(p, o, v)| TableOp::Derive(p, o, v)),
+            (pick(), owner(), any::<u64>()).prop_map(|(p, o, v)| TableOp::Derive(p, o, v)),
+            (pick(), owner()).prop_map(|(p, o)| TableOp::Revtree(p, o)),
+            (pick(), owner()).prop_map(|(p, o)| TableOp::Delegate(p, o)),
+            (pick(), owner()).prop_map(|(p, o)| TableOp::Delegate(p, o)),
+            (pick(), owner(), 0u64..4).prop_map(|(p, o, c)| TableOp::MonitorDelegate(p, o, c)),
+            (pick(), owner(), 0u64..4).prop_map(|(p, o, c)| TableOp::MonitorReceive(p, o, c)),
+            (pick(), any::<u64>()).prop_map(|(p, v)| TableOp::PayloadMut(p, v)),
+            pick().prop_map(TableOp::Revoke),
+            pick().prop_map(TableOp::Revoke),
+            owner().prop_map(TableOp::FailProcess),
+            Just(TableOp::Cleanup),
+            Just(TableOp::Reboot),
+        ],
+        0..120,
+    )
+}
+
+proptest! {
+    /// The slab table gives the `BTreeMap` table's answers: equal results
+    /// and errors for every operation, revocation cascades and monitor
+    /// events in the same order, and after every step equal `len`,
+    /// `live_objects`, and per-id `children_of`, `parent_of`, `check`,
+    /// `resolve` and `resolve_owner_object` — for every id minted so far,
+    /// in the current epoch and in the epoch it was minted in.
+    #[test]
+    fn slab_table_matches_the_btreemap_table(ops in table_ops()) {
+        let mut table: ObjectTable<u64> = ObjectTable::new(CTRL);
+        let mut oracle = reference::RefTable::new(CTRL);
+        // The epoch each id was minted in.
+        let mut minted: Vec<fractos_cap::Epoch> = Vec::new();
+        let obj = |minted: &Vec<fractos_cap::Epoch>, pick: u64| {
+            ObjectId(pick % (minted.len() as u64 + 1))
+        };
+        let watcher = |p: u64, c: u64| Watcher { process: ProcessToken(p), callback_id: c };
+
+        for op in ops {
+            let epoch_now = table.epoch();
+            let cap_at = |id| CapRef { ctrl: CTRL, epoch: epoch_now, object: id };
+            // The capability the step minted or handed out, if any.
+            let got: Option<CapRef> = match op {
+                TableOp::Create(o, v) => {
+                    let cap = table.create(ProcessToken(o), v);
+                    prop_assert_eq!(cap, oracle.create(ProcessToken(o), v));
+                    Some(cap)
+                }
+                TableOp::Derive(p, o, v) => {
+                    let id = obj(&minted, p);
+                    let got = table.derive(id, ProcessToken(o), v);
+                    prop_assert_eq!(got, oracle.derive(id, ProcessToken(o), v));
+                    got.ok()
+                }
+                TableOp::Revtree(p, o) => {
+                    let id = obj(&minted, p);
+                    let got = table.create_revtree_node(id, ProcessToken(o));
+                    prop_assert_eq!(got, oracle.create_revtree_node(id, ProcessToken(o)));
+                    got.ok()
+                }
+                TableOp::Delegate(p, o) => {
+                    let id = obj(&minted, p);
+                    let got = table.delegate(id, ProcessToken(o));
+                    prop_assert_eq!(got, oracle.delegate(id, ProcessToken(o)));
+                    got.ok()
+                }
+                TableOp::MonitorDelegate(p, o, c) => {
+                    let id = obj(&minted, p);
+                    prop_assert_eq!(
+                        table.monitor_delegate(id, watcher(o, c)),
+                        oracle.monitor_delegate(id, watcher(o, c))
+                    );
+                    None
+                }
+                TableOp::MonitorReceive(p, o, c) => {
+                    let id = obj(&minted, p);
+                    prop_assert_eq!(
+                        table.monitor_receive(id, watcher(o, c)),
+                        oracle.monitor_receive(id, watcher(o, c))
+                    );
+                    None
+                }
+                TableOp::PayloadMut(p, v) => {
+                    let cap = cap_at(obj(&minted, p));
+                    let got = table.payload_mut(cap).map(|t| std::mem::replace(t, v));
+                    let want = oracle.payload_mut(cap).map(|t| std::mem::replace(t, v));
+                    prop_assert_eq!(got, want);
+                    None
+                }
+                TableOp::Revoke(p) => {
+                    let id = obj(&minted, p);
+                    let got = table.revoke(id).map(|o| (o.revoked, o.events));
+                    let want = oracle.revoke(id).map(|o| (o.revoked, o.events));
+                    prop_assert_eq!(got, want);
+                    None
+                }
+                TableOp::FailProcess(o) => {
+                    let got = table.fail_process(ProcessToken(o));
+                    let want = oracle.fail_process(ProcessToken(o));
+                    prop_assert_eq!((got.revoked, got.events), (want.revoked, want.events));
+                    None
+                }
+                TableOp::Cleanup => {
+                    prop_assert_eq!(table.cleanup_revoked(), oracle.cleanup_revoked());
+                    None
+                }
+                TableOp::Reboot => {
+                    table.reboot();
+                    oracle.reboot();
+                    None
+                }
+            };
+            if let Some(cap) = got.filter(|c| c.object.0 == minted.len() as u64) {
+                minted.push(cap.epoch);
+            }
+
+            prop_assert_eq!(table.epoch(), oracle.epoch());
+            prop_assert_eq!(table.len(), oracle.len());
+            prop_assert_eq!(table.is_empty(), oracle.len() == 0);
+            prop_assert_eq!(table.live_objects(), oracle.live_objects());
+            for i in 0..=minted.len() {
+                let minted_in = minted.get(i).copied().unwrap_or(table.epoch());
+                let id = ObjectId(i as u64);
+                prop_assert_eq!(table.children_of(id), oracle.children_of(id));
+                prop_assert_eq!(table.parent_of(id), oracle.parent_of(id));
+                for epoch in [minted_in, table.epoch()] {
+                    let cap = CapRef { ctrl: CTRL, epoch, object: id };
+                    prop_assert_eq!(table.check(cap), oracle.check(cap));
+                    prop_assert_eq!(table.resolve(cap), oracle.resolve(cap));
+                    prop_assert_eq!(
+                        table.resolve_owner_object(cap),
+                        oracle.resolve_owner_object(cap)
+                    );
+                }
+            }
+        }
+    }
+}

@@ -35,7 +35,7 @@
 //!   `retry::reliable_send`, the one place that talks to the fabric's
 //!   lossy send and knows the §3.6 retransmit policy.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
 use fractos_cap::{
@@ -44,7 +44,9 @@ use fractos_cap::{
 };
 use fractos_net::params::{INTERRUPT_WAKEUP, LOCAL_ONEWAY, POLL_WINDOW};
 use fractos_net::{ComputeDomain, Endpoint, Fabric, Payload, SendOutcome, TrafficClass, RETRY};
-use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TraceCtx};
+use fractos_sim::{
+    Actor, Ctx, IdMap, IdSet, Msg, Shared, SimDuration, SimTime, SpanKind, TraceCtx,
+};
 
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
@@ -105,17 +107,17 @@ pub struct ControllerActor {
     table: ObjectTable<ObjPayload>,
     // Iterated maps are BTreeMaps so sweep order (revocation fan-out,
     // pending-op failure, KV GC) is deterministic across runs and
-    // backends; keyed-only maps below stay hashed.
+    // backends; keyed-only maps below are `IdMap`s and `IdSet`s.
     /// Each slot holds the capability with its memory snapshot.
     spaces: BTreeMap<ProcId, CapSpace<CapArg>>,
-    dead_procs: HashSet<ProcId>,
-    peers_dead: HashSet<ControllerAddr>,
+    dead_procs: IdSet<ProcId>,
+    peers_dead: IdSet<ControllerAddr>,
     pending: BTreeMap<u64, Pending>,
     next_token: u64,
     /// Wire sequence state of the channel to each Process.
-    proc_chans: HashMap<ProcId, Channel>,
+    proc_chans: IdMap<ProcId, Channel>,
     /// Wire sequence state of the channel to each peer Controller.
-    peer_chans: HashMap<ControllerAddr, Channel>,
+    peer_chans: IdMap<ControllerAddr, Channel>,
     kv: BTreeMap<String, CapArg>,
     busy_until: SimTime,
     /// Trace context of the event being handled (causal tracing; `NONE`
@@ -155,12 +157,12 @@ impl ControllerActor {
             registry,
             table: ObjectTable::new(addr),
             spaces: BTreeMap::new(),
-            dead_procs: HashSet::new(),
-            peers_dead: HashSet::new(),
+            dead_procs: IdSet::default(),
+            peers_dead: IdSet::default(),
             pending: BTreeMap::new(),
             next_token: 0,
-            proc_chans: HashMap::new(),
-            peer_chans: HashMap::new(),
+            proc_chans: IdMap::default(),
+            peer_chans: IdMap::default(),
             kv: BTreeMap::new(),
             busy_until: SimTime::ZERO,
             cur: TraceCtx::NONE,

@@ -8,7 +8,9 @@
 //! FractOS revocation is immediate without delegation tracking (§3.5).
 //!
 //! The store holds *real bytes*: `memory_copy` moves data end to end and the
-//! integration tests verify content, not just timing.
+//! integration tests verify content, not just timing. A region's bytes are
+//! allocated at its first write; until then it reads as zeros, so staging
+//! windows and buffers that a run never touches cost no host memory.
 
 use std::collections::BTreeMap;
 
@@ -16,14 +18,46 @@ use fractos_cap::{CapRef, Perms};
 
 use crate::types::{FosError, MemoryDesc, ProcId};
 
+/// Regions up to this size are backed lazily: until their first write,
+/// reads borrow a prefix of [`ZEROS`]. Larger ones are allocated up front.
+const LAZY_MAX: usize = 1 << 20;
+
+/// What a never-written region reads as.
+static ZEROS: [u8; LAZY_MAX] = [0; LAZY_MAX];
+
 /// One allocated region of Process memory.
 #[derive(Debug)]
 struct Region {
-    data: Vec<u8>,
+    /// The bytes, or `None` while the region was never written (it then
+    /// reads as `size` zeros).
+    data: Option<Vec<u8>>,
+    size: usize,
     /// Physical placement override: device memory (e.g. a GPU buffer
     /// allocated by its adaptor) lives at the device endpoint, so data
     /// transfers to it traverse the right links.
     location: Option<fractos_net::Endpoint>,
+}
+
+impl Region {
+    fn new(size: usize, location: Option<fractos_net::Endpoint>) -> Self {
+        Region {
+            data: (size > LAZY_MAX).then(|| vec![0; size]),
+            size,
+            location,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        match &self.data {
+            Some(data) => data,
+            None => &ZEROS[..self.size],
+        }
+    }
+
+    /// The bytes for writing, allocated (zeroed) on first use.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.data.get_or_insert_with(|| vec![0; self.size])
+    }
 }
 
 /// All simulated Process memory in the cluster.
@@ -47,8 +81,9 @@ impl MemoryStore {
         MemoryStore::default()
     }
 
-    /// Allocates `size` bytes in `proc`'s address space, zero-initialized.
-    /// Returns the start address.
+    /// Allocates `size` bytes in `proc`'s address space. Returns the start
+    /// address. The region reads as zeros; its bytes are allocated at the
+    /// first write.
     pub fn alloc(&mut self, proc: ProcId, size: u64) -> u64 {
         self.alloc_inner(proc, size, None)
     }
@@ -69,13 +104,8 @@ impl MemoryStore {
         let addr = *cursor;
         // Keep regions aligned and non-adjacent so bound bugs surface.
         *cursor += size.max(1).next_multiple_of(4096) + 4096;
-        self.regions.insert(
-            (proc, addr),
-            Region {
-                data: vec![0; size as usize],
-                location,
-            },
-        );
+        self.regions
+            .insert((proc, addr), Region::new(size as usize, location));
         addr
     }
 
@@ -95,10 +125,10 @@ impl MemoryStore {
         let region = self.region_mut(proc, addr)?;
         let start = offset as usize;
         let end = start + data.len();
-        if end > region.len() {
+        if end > region.size {
             return Err(FosError::OutOfBounds);
         }
-        region[start..end].copy_from_slice(data);
+        region.bytes_mut()[start..end].copy_from_slice(data);
         Ok(())
     }
 
@@ -127,20 +157,19 @@ impl MemoryStore {
 
     /// Size of the region starting at `addr`, if it exists.
     pub fn region_size(&self, proc: ProcId, addr: u64) -> Option<u64> {
-        self.regions.get(&(proc, addr)).map(|r| r.data.len() as u64)
+        self.regions.get(&(proc, addr)).map(|r| r.size as u64)
     }
 
-    fn region(&self, proc: ProcId, addr: u64) -> Result<&Vec<u8>, FosError> {
+    fn region(&self, proc: ProcId, addr: u64) -> Result<&[u8], FosError> {
         self.regions
             .get(&(proc, addr))
-            .map(|r| &r.data)
+            .map(Region::bytes)
             .ok_or(FosError::OutOfBounds)
     }
 
-    fn region_mut(&mut self, proc: ProcId, addr: u64) -> Result<&mut Vec<u8>, FosError> {
+    fn region_mut(&mut self, proc: ProcId, addr: u64) -> Result<&mut Region, FosError> {
         self.regions
             .get_mut(&(proc, addr))
-            .map(|r| &mut r.data)
             .ok_or(FosError::OutOfBounds)
     }
 
@@ -209,7 +238,7 @@ impl MemoryStore {
         let (src_key, src_range) = self.window_span(src, 0, len, Perms::READ)?;
         let (dst_key, dst_range) = self.window_span(dst, 0, len, Perms::WRITE)?;
         if src_key == dst_key {
-            let data = self.region_mut(dst_key.0, dst_key.1)?;
+            let data = self.region_mut(dst_key.0, dst_key.1)?.bytes_mut();
             data.copy_within(src_range, dst_range.start);
             return Ok(&mut data[dst_range]);
         }
@@ -225,8 +254,8 @@ impl MemoryStore {
         } else {
             (last, first)
         };
-        let moved = &mut to.data[dst_range];
-        moved.copy_from_slice(&from.data[src_range]);
+        let moved = &mut to.bytes_mut()[dst_range];
+        moved.copy_from_slice(&from.bytes()[src_range]);
         Ok(moved)
     }
 
@@ -302,6 +331,36 @@ mod tests {
         m.write(P, addr, 0, b"hello").unwrap();
         assert_eq!(m.read(P, addr, 0, 5).unwrap(), b"hello");
         assert_eq!(m.read(P, addr, 5, 3).unwrap(), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn unwritten_regions_read_as_zeros() {
+        let mut m = MemoryStore::new();
+        // One region backed lazily, one too large for that and allocated
+        // up front.
+        for size in [LAZY_MAX as u64, LAZY_MAX as u64 + 1] {
+            let addr = m.alloc(P, size);
+            let w = cap(size);
+            m.register_window(w, desc(addr, size, Perms::RW));
+            assert_eq!(m.region_size(P, addr), Some(size));
+            let zeros = vec![0; size as usize];
+            assert_eq!(m.read(P, addr, 0, size).unwrap(), zeros);
+            assert_eq!(m.slice(P, addr, 0, size).unwrap(), &zeros[..]);
+            assert_eq!(m.window_slice(w, 0, size).unwrap(), &zeros[..]);
+            assert_eq!(m.rdma_read_window(w, 0, size).unwrap(), zeros);
+            // Bounds hold before any byte exists.
+            assert_eq!(m.slice(P, addr, 1, size), Err(FosError::OutOfBounds));
+            assert_eq!(m.window_slice(w, 1, size), Err(FosError::OutOfBounds));
+            // A first write keeps every other byte zero.
+            m.write(P, addr, size - 2, b"ab").unwrap();
+            let tail = m.slice(P, addr, size - 4, 4).unwrap();
+            assert_eq!(tail, &[0, 0, b'a', b'b']);
+            assert!(m
+                .slice(P, addr, 0, size - 2)
+                .unwrap()
+                .iter()
+                .all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! * [`Fos::publish`] — create a Request and put it in the bootstrap
 //!   registry.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use fractos_cap::{CapError, Cid, Perms};
 use fractos_net::{Endpoint, Payload, TrafficClass, RETRY};
 use fractos_sim::{
-    Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, TelemetryKind, TraceCtx,
+    Actor, Ctx, IdMap, Msg, Shared, SimDuration, SimTime, SpanKind, TelemetryKind, TraceCtx,
 };
 
 use crate::directory::Directory;
@@ -109,10 +109,10 @@ struct FosInner<S> {
     /// was posted under, which parents its retransmits and timeouts and
     /// chains the continuation when the reply carries no context (`NONE`
     /// outside traces).
-    conts: HashMap<u64, (Cont<S>, TraceCtx)>,
+    conts: IdMap<u64, (Cont<S>, TraceCtx)>,
     /// Armed timers: the continuation and the context to restore when the
     /// timer fires.
-    timers: HashMap<u64, (TimerCont<S>, TraceCtx)>,
+    timers: IdMap<u64, (TimerCont<S>, TraceCtx)>,
     out: Vec<Out>,
     // Congestion control (§4): bounded outstanding syscalls; excess queues.
     outstanding: u32,
@@ -158,8 +158,8 @@ impl<S: Service> Fos<S> {
             inner: Shared::new(FosInner {
                 now: SimTime::ZERO,
                 next_token: 0,
-                conts: HashMap::new(),
-                timers: HashMap::new(),
+                conts: IdMap::default(),
+                timers: IdMap::default(),
                 out: Vec::new(),
                 outstanding: 0,
                 window: 256,
@@ -537,6 +537,19 @@ impl<S: Service> Fos<S> {
             .borrow()
             .slice(self.proc, addr, offset, len)
             .map(Payload::from)
+    }
+
+    /// Lends `len` bytes of this Process's own memory at `addr + offset` to
+    /// `f`: [`Fos::mem_read`] without the copy. `f` must not reach this
+    /// Process's memory through `Fos` again (the store is borrowed).
+    pub fn with_mem<R>(
+        &self,
+        addr: u64,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, FosError> {
+        self.mem.borrow().slice(self.proc, addr, offset, len).map(f)
     }
 
     /// Draws the fault-plan decision for the next operation of class `op`

@@ -163,7 +163,8 @@ impl Channel {
 /// Tracks a contiguous frontier (`everything below `next` was delivered`)
 /// plus the out-of-order set above it, so memory is bounded by the
 /// reordering window plus the (finite) number of sequences whose every
-/// transmit was lost.
+/// transmit was lost. The common case — the next sequence, nothing
+/// pending — only advances the frontier and never touches the set.
 #[derive(Debug, Default, Clone)]
 pub struct DedupFilter {
     next: u64,
@@ -181,6 +182,10 @@ impl DedupFilter {
     pub fn fresh(&mut self, seq: u64) -> bool {
         if seq < self.next {
             return false;
+        }
+        if seq == self.next && self.pending.is_empty() {
+            self.next += 1;
+            return true;
         }
         if !self.pending.insert(seq) {
             return false;

@@ -8,7 +8,8 @@
 //! - on any windows, [`MemoryStore::copy_window`] leaves the same bytes
 //!   and returns the same result, error included, as an
 //!   `rdma_read_window` of the source followed by an `rdma_write_window`
-//!   of its bytes to the destination.
+//!   of its bytes to the destination — also when the source or the
+//!   destination region was never written, and so has no bytes yet.
 //!
 //! Tier-1 runs the default 64 cases per property; CI's long run sets
 //! `PROPTEST_CASES=4096`.
@@ -154,6 +155,9 @@ type CopySpec = (u64, u64, u64);
 #[derive(Debug, Clone)]
 struct CopyCase {
     seed: u64,
+    /// Bit `i` set: region `i` is filled before the copies; clear: it was
+    /// never written.
+    written: u8,
     windows: Vec<WindowSpec>,
     copies: Vec<CopySpec>,
 }
@@ -176,11 +180,13 @@ fn arb_copy_case() -> impl Strategy<Value = CopyCase> {
     let copy = (0u64..WINDOWS + 1, 0u64..WINDOWS + 1, 0u64..32);
     (
         any::<u64>(),
+        0u8..1 << REGIONS.len(),
         prop::collection::vec(window, WINDOWS as usize),
         prop::collection::vec(copy, 1..12),
     )
-        .prop_map(|(seed, windows, copies)| CopyCase {
+        .prop_map(|(seed, written, windows, copies)| CopyCase {
             seed,
+            written,
             windows,
             copies,
         })
@@ -193,10 +199,14 @@ fn build(case: &CopyCase) -> (MemoryStore, Vec<(ProcId, u64, u64)>) {
     let mut regions = Vec::new();
     for (i, &(proc, size)) in REGIONS.iter().enumerate() {
         let addr = m.alloc(proc, size);
-        let fill: Vec<u8> = (0..size)
-            .map(|b| (case.seed.rotate_left(8 * i as u32 + b as u32) ^ b) as u8)
-            .collect();
-        m.write(proc, addr, 0, &fill).unwrap();
+        if case.written & (1 << i) != 0 {
+            let fill: Vec<u8> = (0..size)
+                .map(|b| (case.seed.rotate_left(8 * i as u32 + b as u32) ^ b) as u8)
+                .collect();
+            m.write(proc, addr, 0, &fill).unwrap();
+        } else {
+            assert_eq!(m.read(proc, addr, 0, size).unwrap(), vec![0; size as usize]);
+        }
         regions.push((proc, addr, size));
     }
     for (n, &(target, view_off, size, perms, registered)) in case.windows.iter().enumerate() {
@@ -252,6 +262,7 @@ proptest! {
 fn copy_window_checks_the_source_before_the_destination() {
     let case = CopyCase {
         seed: 7,
+        written: 0b111,
         windows: vec![
             (0, 0, 40, Perms::WRITE.bits(), true), // no READ
             (1, 0, 64, Perms::READ.bits(), true),  // no WRITE

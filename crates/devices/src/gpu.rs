@@ -11,7 +11,6 @@
 //! (launch overhead + per-item compute, serialized per device like a
 //! single-context K80) produces the Fig 9 latency/throughput shapes.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fractos_cap::{Cid, Perms};
@@ -19,7 +18,7 @@ use fractos_core::integrity::{extent_sum, flip_bit};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_net::{DeviceFaultOutcome, DeviceOp, Endpoint};
-use fractos_sim::{SimDuration, SimTime};
+use fractos_sim::{IdMap, SimDuration, SimTime};
 
 use crate::proto::{
     imm, imm_at, DevError, TAG_GPU_ALLOC, TAG_GPU_FINI, TAG_GPU_INIT, TAG_GPU_INVOKE, TAG_GPU_LOAD,
@@ -132,8 +131,8 @@ struct GpuContext {
 pub struct GpuAdaptor {
     device: GpuDevice,
     gpu_endpoint: Endpoint,
-    kernels: HashMap<u64, Arc<dyn Kernel>>,
-    contexts: HashMap<u64, GpuContext>,
+    kernels: IdMap<u64, Arc<dyn Kernel>>,
+    contexts: IdMap<u64, GpuContext>,
     next_ctx: u64,
     /// Registry key prefix under which the init Request is published
     /// (`"{prefix}.init"`).
@@ -155,8 +154,8 @@ impl GpuAdaptor {
         GpuAdaptor {
             device: GpuDevice::new(params),
             gpu_endpoint,
-            kernels: HashMap::new(),
-            contexts: HashMap::new(),
+            kernels: IdMap::default(),
+            contexts: IdMap::default(),
             next_ctx: 1,
             key_prefix: key_prefix.to_string(),
             invocations: 0,

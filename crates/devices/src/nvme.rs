@@ -16,7 +16,6 @@
     reason = "adaptor staging buffers are minted by the adaptor itself; failure is a wiring bug"
 )]
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use fractos_cap::{Cid, Perms};
@@ -24,7 +23,7 @@ use fractos_core::integrity::ExtentSums;
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_net::{DeviceFaultOutcome, DeviceOp, Endpoint};
-use fractos_sim::{SimDuration, SimTime};
+use fractos_sim::{IdMap, IdSet, SimDuration, SimTime};
 
 use crate::proto::{imm, imm_at, DevError, TAG_BLK_CREATE_VOL, TAG_BLK_READ, TAG_BLK_WRITE};
 
@@ -67,7 +66,7 @@ impl Default for NvmeParams {
 #[derive(Debug, Default)]
 pub struct KernelCache {
     /// 4 KiB pages currently resident.
-    resident: std::collections::HashSet<u64>,
+    resident: IdSet<u64>,
     last_page: Option<u64>,
     /// Cache hits (tests / Fig 10 discussion).
     pub hits: u64,
@@ -146,7 +145,7 @@ pub enum BlockOp {
 #[derive(Debug)]
 pub struct NvmeDevice {
     params: NvmeParams,
-    volumes: HashMap<u64, Vec<u8>>,
+    volumes: IdMap<u64, Vec<u8>>,
     next_vol: u64,
     busy_until: SimTime,
     /// Completed operations (tests/benches).
@@ -158,7 +157,7 @@ impl NvmeDevice {
     pub fn new(params: NvmeParams) -> Self {
         NvmeDevice {
             params,
-            volumes: HashMap::new(),
+            volumes: IdMap::default(),
             next_vol: 1,
             busy_until: SimTime::ZERO,
             ops: 0,
@@ -498,6 +497,46 @@ impl BlockAdaptor {
         });
     }
 
+    /// Commits a write's payload `data` to flash under the drawn `fault`
+    /// and stamps its envelope, answering the error to reply with.
+    fn commit(
+        &mut self,
+        vol: u64,
+        offset: u64,
+        data: &[u8],
+        fault: DeviceFaultOutcome,
+    ) -> Result<(), DevError> {
+        // A torn write persists only a prefix of the payload; the envelope
+        // below catches it.
+        let torn = matches!(fault, DeviceFaultOutcome::Torn { .. });
+        let commit = match fault {
+            DeviceFaultOutcome::Torn { keep_frac } => {
+                let keep = (data.len() as f64 * keep_frac) as usize;
+                &data[..keep.min(data.len())]
+            }
+            _ => data,
+        };
+        self.device
+            .write(vol, offset, commit)
+            .map_err(|_| DevError::Bounds)?;
+        // Stamp the *intended* payload's envelope, then read back and verify
+        // — the device-side CRC that turns a torn write into a typed,
+        // recoverable error the caller can re-issue. Only a torn write
+        // commits other bytes than the stamped ones; after any other draw
+        // the read-back would compare the payload with itself.
+        self.sums.stamp(vol, offset, data);
+        let intact = !torn
+            || self
+                .device
+                .peek(vol, offset, data.len() as u64)
+                .is_ok_and(|back| self.sums.verify(vol, offset, back) == Some(true));
+        if intact {
+            Ok(())
+        } else {
+            Err(DevError::Integrity)
+        }
+    }
+
     fn on_write(&mut self, req: IncomingRequest, fos: &Fos<Self>) {
         let [src, success, error] = req.caps[..] else {
             return;
@@ -539,7 +578,6 @@ impl BlockAdaptor {
                             }
                             _ => return s.fail_io(slot, error, DevError::Transfer, fos),
                         }
-                        let data = fos.mem_read(st_addr, 0, size).expect("staging read");
                         // One fault-plan draw per media write (replay
                         // contract: serial adaptor op order).
                         let fault = fos.device_fault(s.nvme_endpoint, DeviceOp::NvmeWrite);
@@ -562,46 +600,19 @@ impl BlockAdaptor {
                                 fos.reply_via(error, vec![DevError::Media.imm()], vec![]);
                                 return;
                             }
-                            // A torn write persists only a prefix of the
-                            // payload; the envelope below catches it.
-                            let commit: &[u8] = match fault {
-                                DeviceFaultOutcome::Torn { keep_frac } => {
-                                    let keep = (size as f64 * keep_frac) as usize;
-                                    &data[..keep.min(data.len())]
-                                }
-                                _ => &data,
-                            };
-                            match s.device.write(vol, offset, commit) {
+                            // The slot stayed busy until now, so the staging
+                            // window still holds the copied-in payload.
+                            let committed = fos
+                                .with_mem(st_addr, 0, size, |data| {
+                                    s.commit(vol, offset, data, fault)
+                                })
+                                .expect("staging read");
+                            match committed {
                                 Ok(()) => {
-                                    // Stamp the *intended* payload's
-                                    // envelope, then read back and verify
-                                    // — the device-side CRC that turns a
-                                    // torn write into a typed, recoverable
-                                    // error the caller can re-issue. Only
-                                    // a torn write commits other bytes
-                                    // than the stamped ones; after any
-                                    // other draw the read-back would
-                                    // compare the payload with itself.
-                                    s.sums.stamp(vol, offset, &data);
-                                    let torn = matches!(fault, DeviceFaultOutcome::Torn { .. });
-                                    let intact = !torn
-                                        || s.device.peek(vol, offset, size).is_ok_and(|back| {
-                                            s.sums.verify(vol, offset, back) == Some(true)
-                                        });
-                                    if !intact {
-                                        fos.reply_via(
-                                            error,
-                                            vec![DevError::Integrity.imm()],
-                                            vec![],
-                                        );
-                                        return;
-                                    }
                                     s.completed += 1;
                                     fos.reply_via(success, vec![imm(size)], vec![]);
                                 }
-                                Err(_) => {
-                                    fos.reply_via(error, vec![DevError::Bounds.imm()], vec![])
-                                }
+                                Err(e) => fos.reply_via(error, vec![e.imm()], vec![]),
                             }
                         });
                     });

@@ -13,10 +13,11 @@
     reason = "checked-arithmetic overflow guards: link reservation on the ns timeline, wire-size header addition"
 )]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use fractos_sim::{
-    SimDuration, SimRng, SimTime, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
+    IdMap, SimDuration, SimRng, SimTime, TelemetryEvent, TelemetryKind, TelemetryStore,
+    TELEMETRY_EXTERNAL,
 };
 
 use crate::fault::{DeviceFaultOutcome, DeviceOp, FaultPlan, FaultState, LinkKey, SendOutcome};
@@ -149,7 +150,7 @@ impl LinkSchedule {
 pub struct Fabric {
     params: NetParams,
     topology: Topology,
-    schedules: HashMap<Edge, LinkSchedule>,
+    schedules: IdMap<Edge, LinkSchedule>,
     stats: TrafficStats,
     faults: Option<FaultState>,
     /// Per-link counter deltas (`link.<src>-<dst>.<msgs|bytes|drops|
@@ -165,7 +166,7 @@ impl Fabric {
         Fabric {
             params,
             topology,
-            schedules: HashMap::new(),
+            schedules: IdMap::default(),
             stats: TrafficStats::new(),
             faults: None,
             telemetry: None,

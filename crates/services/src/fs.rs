@@ -18,12 +18,11 @@
 //!   block-device Requests themselves (read-only opens get only the read
 //!   Request), and the FS is bypassed entirely afterwards.
 
-use std::collections::HashMap;
-
 use fractos_cap::{Cid, Perms};
 use fractos_core::prelude::*;
 use fractos_core::types::Syscall;
 use fractos_devices::proto::{imm, imm_at, DevError};
+use fractos_sim::IdMap;
 
 /// FS: create a file. Imms: `[size]`. Caps: `[continuation]`.
 /// Reply imms: `[file id, extent size]`; caps as for open (rw).
@@ -155,12 +154,12 @@ pub struct FsService {
     mode: FsMode,
     key: String,
     blk_key: String,
-    files: HashMap<u64, FsFile>,
+    files: IdMap<u64, FsFile>,
     next_file: u64,
     create_vol_req: Option<Cid>,
     staging: Vec<StagingBuf>,
-    ops: HashMap<u64, PendingOp>,
-    creates: HashMap<u64, PendingCreate>,
+    ops: IdMap<u64, PendingOp>,
+    creates: IdMap<u64, PendingCreate>,
     next_op: u64,
     /// Completed reads/writes (tests).
     pub completed_ops: u64,
@@ -180,12 +179,12 @@ impl FsService {
             mode,
             key: key.to_string(),
             blk_key: blk_key.to_string(),
-            files: HashMap::new(),
+            files: IdMap::default(),
             next_file: 1,
             create_vol_req: None,
             staging: Vec::new(),
-            ops: HashMap::new(),
-            creates: HashMap::new(),
+            ops: IdMap::default(),
+            creates: IdMap::default(),
             next_op: 0,
             completed_ops: 0,
             retried_ops: 0,

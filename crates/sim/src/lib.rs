@@ -35,6 +35,7 @@
 //! ```
 
 pub mod engine;
+pub mod idmap;
 pub mod metrics;
 pub mod payload;
 pub mod queue;
@@ -48,6 +49,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use engine::{Actor, ActorId, Ctx, Msg, NodeOutage, RunOutcome, Sim, TraceEntry};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use metrics::{quantile_sorted, Metrics, StreamHist};
 pub use payload::Payload;
 pub use queue::EventQueue;

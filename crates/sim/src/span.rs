@@ -25,10 +25,10 @@
 //! `Runtime::take_spans`) is `(start, end, actor, ord)`; `(actor, ord)` is
 //! unique, so the order is total and backend-independent.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::engine::ActorId;
+use crate::idmap::IdMap;
 use crate::rng::splitmix64;
 use crate::time::SimTime;
 
@@ -183,7 +183,7 @@ impl fmt::Display for SpanRecord {
 #[derive(Debug)]
 pub struct SpanStore {
     seed: u64,
-    counters: HashMap<u32, u64>,
+    counters: IdMap<u32, u64>,
     spans: Vec<SpanRecord>,
 }
 
@@ -193,7 +193,7 @@ impl SpanStore {
     pub fn new(seed: u64) -> Self {
         SpanStore {
             seed,
-            counters: HashMap::new(),
+            counters: IdMap::default(),
             spans: Vec::new(),
         }
     }
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn ids_unique_across_actors_and_counters() {
         let mut s = SpanStore::new(99);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::IdSet::default();
         for actor in 0..8u32 {
             for _ in 0..32 {
                 let c = s.record(

@@ -36,9 +36,8 @@
 //! The sampling *period* only parameterizes the derivation, not the run:
 //! two runs with different periods execute identical event sequences.
 
-use std::collections::HashMap;
-
 use crate::engine::ActorId;
+use crate::idmap::IdMap;
 use crate::time::{SimDuration, SimTime};
 
 /// What a telemetry point carries.
@@ -80,7 +79,7 @@ pub struct TelemetryEvent {
 /// [`crate::SpanStore`].
 #[derive(Debug, Default)]
 pub struct TelemetryStore {
-    ords: HashMap<u32, u64>,
+    ords: IdMap<u32, u64>,
     events: Vec<TelemetryEvent>,
 }
 
